@@ -3,11 +3,12 @@
     python3 perfbench/run.py --workload table|b_recursion|crosscheck \
         --seed N --seconds S --trace 0|1
 
---trace 0 measures the end-to-end metrics: set-up is timed in separate
-processes (the measuring worker is one of them), at least SETUP_RUNS times
-and for at least SETUP_MIN_S in all, and the median is reported; the
-measuring worker then runs passes for S seconds and reports
-the median pass.  --trace 1 runs one untraced and one traced pass, each in
+--trace 0 measures the end-to-end metrics, with every time given at the
+reference pace of pace.py: set-up is timed in separate processes (the
+measuring worker is one of them), at least SETUP_RUNS times and for at least
+SETUP_MIN_S in all, each between two pace measurements of PACE_S, and the
+median is reported; the measuring worker then runs passes for S seconds,
+sampling the pace during each, and reports the median pass.  --trace 1 runs one untraced and one traced pass, each in
 its own worker, and reports the per-layer metrics; trace.overhead_s is the
 traced pass minus the untraced one.  Each worker runs on one thread.
 
@@ -27,6 +28,7 @@ import sys
 import threading
 import time
 
+import pace
 import spans
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -34,6 +36,7 @@ WORKER = os.path.join(HERE, "worker.py")
 WORKLOADS = ("table", "b_recursion", "crosscheck")
 SETUP_RUNS = 3      # set-up is timed at least this many times per run,
 SETUP_MIN_S = 2.0   # and until the set-ups add up to this many seconds
+PACE_S = 0.15       # pace measured for this long before and after each set-up
 DEADLINE_S = 170.0
 
 
@@ -71,16 +74,27 @@ def run_worker(workload: str, seed: int, seconds: float, mode: str, traced: bool
     return result
 
 
+def run_worker_paced(args, mode: str, deadline: float) -> tuple[dict, float]:
+    """run_worker, with its set-up time also given at reference pace."""
+    mix = pace.MIX[args.workload]
+    before = pace.measure(PACE_S, mix)
+    result = run_worker(args.workload, args.seed, args.seconds, mode, False, deadline)
+    after = pace.measure(PACE_S, mix)
+    return result, result["setup_s"] * pace.reference_s(mix) / statistics.fmean((before, after))
+
+
 def measure(args, deadline: float) -> tuple[dict, list[dict]]:
     setups: list[float] = []
-    while len(setups) < SETUP_RUNS - 1 or sum(setups) < SETUP_MIN_S:
-        setups.append(run_worker(args.workload, args.seed, args.seconds, "setup", False,
-                                 deadline)["setup_s"])
-    main = run_worker(args.workload, args.seed, args.seconds, "measure", False, deadline)
-    setups.append(main["setup_s"])
+    raw_setup_s = 0.0
+    while len(setups) < SETUP_RUNS - 1 or raw_setup_s < SETUP_MIN_S:
+        result, setup_ref_s = run_worker_paced(args, "setup", deadline)
+        setups.append(setup_ref_s)
+        raw_setup_s += result["setup_s"]
+    main, setup_ref_s = run_worker_paced(args, "measure", deadline)
+    setups.append(setup_ref_s)
     attempted = max(main["attempted"], 1)
     values = {
-        "wall_s": statistics.median(main["pass_s"]),
+        "wall_s": statistics.median(main["pass_ref_s"]),
         "setup_s": statistics.median(setups),
         "peak_rss_mb": main["peak_rss_mb"],
         "pass_frac": 1.0 - main["failed"] / attempted,
@@ -126,6 +140,7 @@ def main() -> int:
             print(f"FAILED {line}", file=sys.stderr)
     print("env " + json.dumps(spans.environment(), sort_keys=True))
     print("passes " + json.dumps([w["pass_s"] for w in workers]))
+    print("passes_at_reference_pace " + json.dumps([w["pass_ref_s"] for w in workers]))
     correct = failed == 0 and attempted > 0
     print(json.dumps({"correct": correct, "attempted": attempted, "failed": failed,
                       "metrics": metrics}))

@@ -8,6 +8,9 @@
 2. The seed only relabels: b_recursion on seeds 0 and 1 gets different
    tables but identical A and B for every group.
 3. Self time: a parent span's self time excludes its children.
+4. Pace sampling: the calibration kernel runs inside a timed block, its runs
+   are taken out of the block's time, and the old SIGALRM handler is back
+   afterwards.
 
 Exits 0 when all hold, 1 otherwise.
 """
@@ -17,11 +20,13 @@ from __future__ import annotations
 import copy
 import json
 import os
+import signal
 import sys
 import time
 
 import numpy as np
 
+import pace
 import spans
 from worker import EXPECTED, run_passes
 
@@ -78,10 +83,27 @@ def self_time_excludes_children() -> list[str]:
     return [] if ok else [f"self times wrong: {t}"]
 
 
+def pace_sampler_takes_kernel_out() -> list[str]:
+    before = signal.getsignal(signal.SIGALRM)
+    with pace.Sampler(pace.MIX["table"]) as sampler:
+        end = time.perf_counter() + 0.35
+        while time.perf_counter() < end:
+            pass
+    problems = []
+    if not 0.3 < sampler.elapsed_s < 0.35:
+        problems.append(f"pace: 0.35 s block minus kernel runs gave {sampler.elapsed_s}")
+    if len(sampler.samples) < pace.MIN_SAMPLES or sampler.at_reference_pace() <= 0:
+        problems.append(f"pace: {len(sampler.samples)} samples, {sampler.at_reference_pace()}")
+    if signal.getsignal(signal.SIGALRM) is not before:
+        problems.append("pace: SIGALRM handler not restored")
+    return problems
+
+
 def main() -> int:
     with open(EXPECTED, encoding="utf-8") as fh:
         expected = json.load(fh)
     problems = self_time_excludes_children()
+    problems += pace_sampler_takes_kernel_out()
     problems += wrong_value_fails(expected)
     problems += seed_only_relabels(expected)
     for p in problems:

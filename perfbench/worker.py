@@ -16,6 +16,7 @@ import os
 import sys
 import time
 
+import pace
 import spans
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -23,14 +24,16 @@ EXPECTED = os.path.join(HERE, "expected.json")
 OUT_DIR = os.path.join(HERE, ".out")
 
 
-def run_passes(wl, rec, seconds: float, once: bool) -> dict:
+def run_passes(wl, rec, seconds: float, once: bool, pace_mix: tuple | None = None) -> dict:
     """Prepare, time and check passes, then the gate and (traced) the re-runs.
 
     Passes go on until `seconds` have gone by and every input variant has
     had a pass.  Garbage is collected before each pass, outside the timed
     part, so no pass inherits another's garbage and peak RSS does not grow
-    with the number of passes."""
-    pass_s = []
+    with the number of passes.  With a `pace_mix`, the machine's pace is
+    sampled with those kernel parts during each pass (see pace.py) and each
+    pass time is also given at reference pace."""
+    pass_s, pass_ref_s = [], []
     start = time.perf_counter()
     i = 0
     out = None
@@ -38,10 +41,16 @@ def run_passes(wl, rec, seconds: float, once: bool) -> dict:
         wl.prepare(i)
         out = None
         gc.collect()
-        t0 = time.perf_counter()
-        with rec.span("pass"):
-            out = wl.run_pass()
-        pass_s.append(time.perf_counter() - t0)
+        if pace_mix:
+            with pace.Sampler(pace_mix) as sampler:
+                out = wl.run_pass()
+            pass_s.append(sampler.elapsed_s)
+            pass_ref_s.append(sampler.at_reference_pace())
+        else:
+            t0 = time.perf_counter()
+            with rec.span("pass"):
+                out = wl.run_pass()
+            pass_s.append(time.perf_counter() - t0)
         wl.check_pass(out)
         i += 1
         if once or (i >= wl.variants and time.perf_counter() - start >= seconds):
@@ -51,7 +60,7 @@ def run_passes(wl, rec, seconds: float, once: bool) -> dict:
     if rec.traced:
         with rec.span("rerun"):
             wl.rerun()
-    return {"pass_s": pass_s, "attempted": wl.checks.attempted,
+    return {"pass_s": pass_s, "pass_ref_s": pass_ref_s, "attempted": wl.checks.attempted,
             "failed": wl.checks.failed, "failures": wl.checks.failures[:20]}
 
 
@@ -76,7 +85,9 @@ def main(argv: list[str]) -> int:
     if mode == "setup":
         return 0
 
-    result = run_passes(wl, rec, float(seconds), once=(mode == "once"))
+    result = run_passes(wl, rec, float(seconds), once=(mode == "once"),
+                        pace_mix=pace.MIX[workload] if mode == "measure" and not rec.traced
+                        else None)
     if rec.traced:
         result["layers"] = layer_metrics(wl, rec)
         rec.write(os.path.join(OUT_DIR, f"spans-{workload}-{seed}.json"),

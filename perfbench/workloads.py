@@ -413,7 +413,7 @@ class Crosscheck(Workload):
     """Oracles, isoclinism and closed forms on relabelled catalog groups and
     the p = 3 stem groups."""
 
-    variants = 4
+    variants = 8  # labellings per run; see "Inputs and the seed" in README.md
 
     def setup(self) -> None:
         bases = dict(small_catalog())
