@@ -173,15 +173,6 @@ def exponent(g: GroupTable) -> int:
     return int(math.lcm(*(int(v) for v in np.unique(element_orders(g)))))
 
 
-def group_fingerprint(g: GroupTable) -> tuple:
-    """Cheap isomorphism invariants (not a complete isomorphism test)."""
-    cd = conjugacy_data(g)
-    orders = element_orders(g)
-    vals, counts = np.unique(orders, return_counts=True)
-    order_hist = tuple((int(v), int(c)) for v, c in zip(vals, counts))
-    return (g.order, g.is_abelian, exponent(g), cd.class_equation, order_hist)
-
-
 def is_ac_group(g: GroupTable) -> bool:
     """True iff every non-central element has an abelian centralizer."""
     zset = set(center_elements(g))

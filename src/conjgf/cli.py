@@ -261,13 +261,12 @@ def _bench_rows(labels: list[str], n_max: int) -> list[dict]:
                          "n": n, "count": brute.count, "nanos": nanos,
                          "work": brute.tuples_visited})
 
-            stats: dict = {}
             t0 = time.perf_counter_ns()
-            value = b_of_t(g, stats=stats).coefficient(n)
+            value = b_of_t(g).coefficient(n)
             nanos = time.perf_counter_ns() - t0
-            work = stats.get("classes_processed", 0) + stats.get("subgroups_built", 0)
             rows.append({"strategy": "eq4_recursion", "group": label, "order": g.order,
-                         "n": n, "count": int(value), "nanos": nanos, "work": max(work, 1)})
+                         "n": n, "count": int(value), "nanos": nanos,
+                         "work": max(g._cache["b_work"], 1)})
 
             t0 = time.perf_counter_ns()
             bbrute = beta_brute(g, n)

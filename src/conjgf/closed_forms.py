@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidParameters
+from .families import GAMMA_FAMILIES, PHI_FAMILIES
 from .pcp import is_prime
 from .ratfun import RationalGF, gf_sum
 
@@ -293,9 +294,6 @@ TABLE_ROWS: dict[str, tuple[Row, Row]] = {
     "Gamma7": _ROW_PHI7,
     "Gamma8": _ROW_PHI9,
 }
-
-PHI_FAMILIES = tuple(f"Phi{k}" for k in range(2, 11))
-GAMMA_FAMILIES = tuple(f"Gamma{k}" for k in range(2, 9))
 
 
 def _eval_laurent(coeff: Laurent, p: Fraction) -> Fraction:

@@ -7,21 +7,20 @@ coefficient is (1/|G|) sum_g |Z_G(g)|^n.  B_G(t) does the same for pairwise
 commuting n-tuples via the recursion
     (1 - |Z(G)| t) B_G(t) = 1 + sum over non-central classes of t * B_{Z_G(x)}(t),
 whose base case is an abelian centralizer H with B_H = 1/(1 - |H| t).
+Every subgroup in the recursion stays a boolean mask over the top group's
+elements, and classes with the same centralizer are merged into one term.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Sequence
 
-from .analysis import (
-    center_elements,
-    centralizer_elements,
-    conjugacy_data,
-    group_fingerprint,
-)
+import numpy as np
+
+from .analysis import conjugacy_data
 from .errors import RecursionDepthExceeded
-from .groups import GroupTable, induced_table, is_abelian_subset
+from .groups import GroupTable, is_abelian_subset
 from .ratfun import PartialFractions, RationalGF, partial_fractions
 
 MAX_B_DEPTH = 64
@@ -47,82 +46,74 @@ def alpha_coefficient(g: GroupTable, n: int) -> int:
     return total // g.order
 
 
-@dataclass
-class BCache:
-    """Cross-group memo for the B recursion, keyed by cheap fingerprints.
+def b_of_t(g: GroupTable) -> RationalGF:
+    """B_G(t) via the centralizer recursion, exact and reduced.
 
-    Fingerprints are not complete isomorphism invariants, so by default a hit
-    is only trusted for abelian groups (where B depends on the order alone);
-    set trust_nonabelian to reuse entries across fingerprint-equal non-abelian
-    groups at your own risk.
+    The work done (classes processed plus non-abelian subgroups recursed
+    into) is left beside the result in the table's cache as "b_work".
     """
-
-    trust_nonabelian: bool = False
-    entries: dict = field(default_factory=dict)
-
-    def lookup(self, fingerprint, is_abelian: bool):
-        if is_abelian or self.trust_nonabelian:
-            return self.entries.get(fingerprint)
-        return None
-
-    def store(self, fingerprint, value) -> None:
-        self.entries.setdefault(fingerprint, value)
-
-
-def b_of_t(g: GroupTable, cache: BCache | None = None, stats: dict | None = None) -> RationalGF:
-    """B_G(t) via the centralizer recursion, exact and reduced."""
-    if cache is None and stats is None:
-        cached = g._cache.get("b_of_t")
-        if cached is None:
-            cached = _b_recurse(g, BCache(), 0, None)
-            g._cache.setdefault("b_of_t", cached)
-        return cached
-    return _b_recurse(g, cache if cache is not None else BCache(), 0, stats)
+    cached = g._cache.get("b_of_t")
+    if cached is None:
+        work = [0]
+        if g.is_abelian:
+            cached = RationalGF.simple(1, g.order)
+        else:
+            whole = np.ones(g.order, dtype=bool)
+            cached = _b_of_mask(g, whole, conjugacy_data(g).representatives, 0, work)
+        g._cache.setdefault("b_work", work[0])
+        cached = g._cache.setdefault("b_of_t", cached)
+    return cached
 
 
-def _b_recurse(g: GroupTable, cache: BCache, depth: int, stats: dict | None) -> RationalGF:
+def _class_representatives(g: GroupTable, h: np.ndarray) -> list[int]:
+    """One element of each conjugacy class of the subgroup h (a mask of g)."""
+    members = np.flatnonzero(h)
+    inv_members = g.inv[members]
+    seen = ~h
+    reps = []
+    for y in members:
+        if not seen[y]:
+            seen[g.mul[g.mul[inv_members, y], members]] = True
+            reps.append(int(y))
+    return reps
+
+
+def _b_of_mask(
+    g: GroupTable, h: np.ndarray, reps: Sequence[int], depth: int, work: list[int]
+) -> RationalGF:
+    """B_H for a non-abelian subgroup h of g, given as a mask with class reps.
+
+    C_H(y) = H & C_G(y) stays a mask of g, and classes with the same
+    centralizer are merged into one count * t * B_C term.
+    """
     if depth > MAX_B_DEPTH:
         raise RecursionDepthExceeded(
             "centralizer chain failed to shrink; the table must be corrupt"
         )
-    if g.is_abelian:
-        return RationalGF.simple(1, g.order)
-    fp = group_fingerprint(g)
-    hit = cache.lookup(fp, is_abelian=False)
-    if hit is not None:
-        return hit
-    cd = conjugacy_data(g)
-    zsize = len(center_elements(g))
-    if stats is not None:
-        stats["groups_recursed"] = stats.get("groups_recursed", 0) + 1
-        stats["classes_processed"] = stats.get("classes_processed", 0) + cd.num_classes
+    work[0] += len(reps)
+    counts: dict[bytes, int] = {}
+    for y in reps:
+        key = (h & (g.mul[:, y] == g.mul[y, :])).tobytes()
+        counts[key] = counts.get(key, 0) + 1
+    zsize = counts.pop(h.tobytes(), 0)  # central classes have C_H(y) = H
     acc = RationalGF.one()
-    by_elements: dict[tuple[int, ...], RationalGF] = {}
-    for rep, csize in zip(cd.representatives, cd.centralizer_sizes):
-        if csize == g.order:  # central element
-            continue
-        elems = centralizer_elements(g, rep)
-        bh = by_elements.get(elems)
-        if bh is None:
-            if is_abelian_subset(g, elems):
-                bh = RationalGF.simple(1, len(elems))
-            else:
-                if stats is not None:
-                    stats["subgroups_built"] = stats.get("subgroups_built", 0) + 1
-                sub = induced_table(g, elems, label=f"{g.label}|Z({rep})")
-                bh = _b_recurse(sub, cache, depth + 1, stats)
-            by_elements[elems] = bh
-        acc = acc + bh.times_t()
-    result = acc.over_linear(zsize)
-    cache.store(fp, result)
-    return result
+    for key, count in counts.items():
+        c = np.frombuffer(key, dtype=bool)
+        elems = np.flatnonzero(c)
+        if is_abelian_subset(g, elems):
+            bc = RationalGF.simple(count, elems.size)
+        else:
+            work[0] += 1
+            bc = _b_of_mask(g, c, _class_representatives(g, c), depth + 1, work) * count
+        acc = acc + bc.times_t()
+    return acc.over_linear(zsize)
 
 
-def beta_coefficient(g: GroupTable, n: int, cache: BCache | None = None) -> int:
+def beta_coefficient(g: GroupTable, n: int) -> int:
     """Number of simultaneous-conjugacy orbits on commuting n-tuples."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    value = b_of_t(g, cache).coefficient(n)
+    value = b_of_t(g).coefficient(n)
     if value.denominator != 1:
         raise ArithmeticError("beta coefficient is not an integer; recursion is corrupt")
     return int(value)
@@ -144,12 +135,11 @@ def a_equivalent(g: GroupTable, h: GroupTable) -> bool:
     return gf_equal(a_of_t(g), a_of_t(h))
 
 
-def b_equivalent(g: GroupTable, h: GroupTable, cache: BCache | None = None) -> bool:
-    return gf_equal(b_of_t(g, cache), b_of_t(h, cache))
+def b_equivalent(g: GroupTable, h: GroupTable) -> bool:
+    return gf_equal(b_of_t(g), b_of_t(h))
 
 
 __all__ = [
-    "BCache",
     "PartialFractions",
     "a_equivalent",
     "a_of_t",

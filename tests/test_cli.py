@@ -127,8 +127,8 @@ def test_oracle_command(capsys, tmp_path):
 
 def test_bench_csv(capsys, tmp_path):
     out_csv = tmp_path / "bench.csv"
-    code, out = run_cli(capsys, "--json", "bench", "--groups", "D32", "--n-max", "2",
-                        "--out", str(out_csv))
+    code, out = run_cli(capsys, "--json", "bench", "--groups", "D32", "Gamma5a1", "S4",
+                        "--n-max", "2", "--out", str(out_csv))
     assert code == 0
     payload = json.loads(out)
     assert payload["results"]["d32_n2_work_ratio"] >= 100
@@ -138,6 +138,9 @@ def test_bench_csv(capsys, tmp_path):
                                              "eq4_recursion", "brute_beta"}
     d32_brute = next(r for r in rows if r["strategy"] == "brute_alpha" and r["n"] == "2")
     assert int(d32_brute["work"]) == 1024
+    # classes processed plus non-abelian subgroups recursed into
+    eq4_work = {(r["group"], int(r["work"])) for r in rows if r["strategy"] == "eq4_recursion"}
+    assert eq4_work == {("D32", 11), ("Gamma5a1", 182), ("S4", 11)}
 
 
 def test_error_exit_code(capsys, tmp_path):

@@ -2,13 +2,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conjgf import genfun
 from conjgf.analysis import conjugacy_data
-from conjgf.families import cyclic
+from conjgf.errors import RecursionDepthExceeded
+from conjgf.families import cyclic, symmetric
 from conjgf.genfun import (
-    BCache,
     a_equivalent,
     a_of_t,
     alpha_coefficient,
@@ -178,20 +180,11 @@ def test_gamma6_gamma7_displays(catalog):
         assert b_of_t(catalog[label]) == expected_b, label
 
 
-def test_bcache_trust_mode_agrees(catalog):
-    # reusing fingerprint hits across same-fingerprint subgroups must not
-    # change any result on the catalog
-    for label in ("D16", "SD16", "Q16", "Gamma5a1", "Heis27"):
-        g = catalog[label]
-        assert b_of_t(g, BCache(trust_nonabelian=True)) == b_of_t(g, BCache()), label
-
-
-def test_b_recursion_stats(catalog):
-    stats: dict = {}
-    b_of_t(catalog["Gamma5a1"], stats=stats)
-    assert stats["groups_recursed"] >= 1
-    assert stats["subgroups_built"] >= 1
-    assert stats["classes_processed"] >= 17
+def test_b_recursion_depth_guard(monkeypatch):
+    # S4 recurses one level (into the centralizer D8 of a double transposition)
+    monkeypatch.setattr(genfun, "MAX_B_DEPTH", 0)
+    with pytest.raises(RecursionDepthExceeded):
+        b_of_t(symmetric(4))
 
 
 @given(st.randoms(use_true_random=False))

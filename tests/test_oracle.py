@@ -61,7 +61,8 @@ def test_prefix_centralizer_enumeration_matches_filter(catalog):
 
 
 def test_oracle_matches_series_small(catalog):
-    for label in ("S3", "D8", "Q8", "C12"):
+    # S4 and Gamma5a1 have non-abelian centralizers, so B recurses below them
+    for label in ("S3", "D8", "Q8", "C12", "S4", "Gamma5a1"):
         g = catalog[label]
         for n in range(4):
             assert alpha_brute(g, n).count == alpha_coefficient(g, n), (label, n)
