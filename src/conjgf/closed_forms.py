@@ -11,7 +11,6 @@ for the isoclinism families of rank up to 5 as pure data: a term is a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidParameters
@@ -320,52 +319,3 @@ def table_row(family: str, p: int) -> tuple[RationalGF, RationalGF]:
     P = Fraction(p)
     return _eval_row(a_row, P), _eval_row(b_row, P)
 
-
-# -- formula registry ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FormulaId:
-    """Names one closed-form instance: the formula plus its parameters."""
-
-    name: str
-    p: int = 0
-    m: int = 0
-    n: int = 0
-    family: str = ""
-
-
-def evaluate_formula(fid: FormulaId) -> tuple[RationalGF, RationalGF]:
-    """Dispatch a FormulaId to its (A, B) pair."""
-    name = fid.name
-    if name == "central_quotient_p2":
-        return a_central_quotient_p2(fid.p, fid.m), b_central_quotient_p2(fid.p, fid.m)
-    if name == "central_quotient_p3_abelian_max":
-        return (
-            a_central_quotient_p3(fid.p, fid.m, True),
-            b_central_quotient_p3(fid.p, fid.m, True),
-        )
-    if name == "central_quotient_p3_no_abelian_max":
-        return (
-            a_central_quotient_p3(fid.p, fid.m, False),
-            b_central_quotient_p3(fid.p, fid.m, False),
-        )
-    if name == "maximal_class_abelian_max":
-        return (
-            a_maximal_class(fid.p, fid.m, ABELIAN_MAX),
-            b_maximal_class(fid.p, fid.m, ABELIAN_MAX),
-        )
-    if name == "maximal_class_P1P3":
-        return (
-            a_maximal_class(fid.p, fid.m, P1P3_NO_ABELIAN_MAX),
-            b_maximal_class(fid.p, fid.m, P1P3_NO_ABELIAN_MAX),
-        )
-    if name == "extraspecial_p5":
-        return a_extraspecial_p5(fid.p), b_extraspecial_p5(fid.p)
-    if name == "dihedral_even":
-        return a_dihedral(fid.n), b_dihedral(fid.n)
-    if name == "maximal_class_2group":
-        return a_maximal_class_2group(fid.n), b_maximal_class_2group(fid.n)
-    if name == "table_row":
-        return table_row(fid.family, fid.p)
-    raise InvalidParameters(f"unknown formula {name!r}")

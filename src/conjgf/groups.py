@@ -215,13 +215,9 @@ def quotient_table(
     that representative, so the construction is deterministic.
     """
     nset = np.asarray(sorted(int(x) for x in normal_elements), dtype=np.intp)
-    coset_min = np.full(g.order, g.order, dtype=np.int64)
-    for x in range(g.order):
-        members = g.mul[x, nset]
-        coset_min[x] = int(members.min())
-    reps = np.unique(coset_min)
-    rep_index = {int(r): i for i, r in enumerate(reps)}
-    coset_of = np.array([rep_index[int(coset_min[x])] for x in range(g.order)], dtype=np.int32)
+    coset_min = g.mul[:, nset].min(axis=1)
+    reps, coset_of = np.unique(coset_min, return_inverse=True)
+    coset_of = coset_of.astype(np.int32)
     q = len(reps)
     mul = np.empty((q, q), dtype=np.int32)
     for a in range(q):
@@ -245,9 +241,13 @@ def quotient_table(
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One certificate check; a failing one carries the element index, pair or
+    triple of indices that breaks its axiom."""
+
     name: str
     status: str  # "pass" | "fail" | "skip"
     detail: str = ""
+    witness: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -266,54 +266,63 @@ class CertificateReport:
         return [f"[{c.status.upper():4s}] {c.name}" + (f" ({c.detail})" if c.detail else "") for c in self.checks]
 
 
+def _verdict(name: str, witness: tuple | None, detail: str) -> CheckResult:
+    """A check that fails exactly when it found a witness."""
+    if witness is None:
+        return CheckResult(name, "pass", detail)
+    return CheckResult(name, "fail", detail, witness)
+
+
+def _first_true(mask: np.ndarray) -> tuple[int, ...] | None:
+    hits = np.argwhere(mask)
+    return tuple(int(i) for i in hits[0]) if hits.size else None
+
+
 def certify(g: GroupTable) -> CertificateReport:
     """Verify the group axioms on a table.
 
     Associativity is checked exhaustively up to order 256; past that, only
     (xy)s = x(ys) for all x, y and generators s is checked, which suffices by
-    induction on word length once the generation check passes.
+    induction on word length once the generation check passes.  A failing
+    check names its witness: an entry (table_shape), an element (identity,
+    inverses, cancellation, generation) or a triple (associativity).
     """
-    checks: list[CheckResult] = []
     mul, inv, n = g.mul, g.inv, g.order
-
-    ok_shape = mul.shape == (n, n) and inv.shape == (n,) and (mul >= 0).all() and (mul < n).all()
-    checks.append(CheckResult("table_shape", "pass" if ok_shape else "fail"))
-    if not ok_shape:
-        return CertificateReport(g.label, tuple(checks))
+    if mul.shape != (n, n) or inv.shape != (n,):
+        bad = CheckResult("table_shape", "fail", f"mul {mul.shape} and inv {inv.shape} at order {n}", (n,))
+        return CertificateReport(g.label, (bad,))
+    if not ((mul >= 0).all() and (mul < n).all()):
+        bad = CheckResult("table_shape", "fail", "entry out of range", _first_true((mul < 0) | (mul >= n)))
+        return CertificateReport(g.label, (bad,))
+    checks = [CheckResult("table_shape", "pass")]
 
     ident = np.arange(n)
-    ok_id = bool(np.array_equal(mul[0], ident) and np.array_equal(mul[:, 0], ident))
-    checks.append(CheckResult("identity", "pass" if ok_id else "fail", "row/col 0 must be the identity map"))
+    bad_id = _first_true((mul[0] != ident) | (mul[:, 0] != ident))
+    checks.append(_verdict("identity", bad_id, "row/col 0 must be the identity map"))
 
-    ok_inv = bool((mul[ident, inv] == 0).all() and (mul[inv, ident] == 0).all())
-    checks.append(CheckResult("inverses", "pass" if ok_inv else "fail"))
+    bad_inv = _first_true((mul[ident, inv] != 0) | (mul[inv, ident] != 0))
+    checks.append(_verdict("inverses", bad_inv, "inv[x] must be a two-sided inverse of x"))
 
-    rows_perm = all(len(np.unique(mul[x])) == n for x in range(n))
-    cols_perm = all(len(np.unique(mul[:, y])) == n for y in range(n))
-    ok_cancel = rows_perm and cols_perm
-    checks.append(CheckResult("cancellation", "pass" if ok_cancel else "fail", "every row and column is a permutation"))
-
-    witness = None
-    if n <= FULL_ASSOCIATIVITY_LIMIT:
-        witness = _associativity_witness_full(mul)
-        checks.append(
-            CheckResult("associativity_full", "pass" if witness is None else "fail",
-                        "" if witness is None else f"witness {witness}")
-        )
-        checks.append(CheckResult("associativity_generators", "skip", "covered by full check"))
+    row = next((x for x in range(n) if len(np.unique(mul[x])) != n), None)
+    col = None if row is not None else next((y for y in range(n) if len(np.unique(mul[:, y])) != n), None)
+    if row is not None:
+        cancel = CheckResult("cancellation", "fail", f"row {row} is not a permutation", (row,))
+    elif col is not None:
+        cancel = CheckResult("cancellation", "fail", f"column {col} is not a permutation", (col,))
     else:
-        checks.append(CheckResult("associativity_full", "skip", f"order > {FULL_ASSOCIATIVITY_LIMIT}"))
-        witness = _associativity_witness_generators(mul, g.generators)
-        checks.append(
-            CheckResult("associativity_generators", "pass" if witness is None else "fail",
-                        "" if witness is None else f"witness {witness}")
-        )
+        cancel = CheckResult("cancellation", "pass", "every row and column is a permutation")
+    checks.append(cancel)
 
-    if ok_cancel and witness is None:
-        generated = set(subgroup_closure(g, g.generators))
-        ok_gen = len(generated) == n
-        checks.append(CheckResult("generation", "pass" if ok_gen else "fail",
-                                  "" if ok_gen else f"generators span {len(generated)} of {n} elements"))
+    if n <= FULL_ASSOCIATIVITY_LIMIT:
+        mode, bad_assoc = "all triples", _associativity_witness_full(mul)
+    else:
+        mode, bad_assoc = "generator triples", _associativity_witness_generators(mul, g.generators)
+    checks.append(_verdict("associativity", bad_assoc, mode))
+
+    if cancel.status == "pass" and bad_assoc is None:
+        span = subgroup_closure(g, g.generators)
+        missing = None if len(span) == n else (min(set(range(n)).difference(span)),)
+        checks.append(_verdict("generation", missing, f"generators span {len(span)} of {n} elements"))
     else:
         checks.append(CheckResult("generation", "skip", "earlier checks failed"))
     return CertificateReport(g.label, tuple(checks))
@@ -342,6 +351,20 @@ def _associativity_witness_generators(
     return None
 
 
+def _certified(table: GroupTable) -> GroupTable:
+    """The table itself if it passes `certify`, else NotAGroup from the first failed check."""
+    bad = certify(table).first_failure()
+    if bad is not None:
+        raise NotAGroup(bad.name, bad.witness,
+                        f"{table.label} is not a group: {bad.name} fails at {bad.witness} ({bad.detail})")
+    return table
+
+
+def _is_index(v) -> bool:
+    """Python or numpy integers; bool and float are not element indices."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 # ---------------------------------------------------------------------------
 # constructors
 
@@ -358,12 +381,12 @@ def build_from_permutations(
     """
     if not gens:
         raise InvalidPermutation("need at least one generator")
-    perms = [tuple(int(v) for v in p) for p in gens]
+    perms = [tuple(p) for p in gens]
     k = len(perms[0])
     for p in perms:
         if len(p) != k:
             raise InvalidPermutation("generators act on domains of different sizes")
-        if sorted(p) != list(range(k)):
+        if not all(_is_index(v) for v in p) or sorted(p) != list(range(k)):
             raise InvalidPermutation(f"{p} is not a bijection on 0..{k - 1}")
 
     identity = tuple(range(k))
@@ -396,64 +419,38 @@ def build_from_permutations(
         py, gi = parent[y]
         mul[:, y] = right[gi][mul[:, py]]
     inv = np.argmax(mul == 0, axis=1).astype(np.int32)
-    table = GroupTable(
+    return _certified(GroupTable(
         order=n,
         mul=mul,
         inv=inv,
         generators=tuple(dict.fromkeys(index[p] for p in perms)),
         label=label or f"perm-closure({n})",
-    )
-    report = certify(table)
-    if not report.ok:
-        bad = report.first_failure()
-        raise NotAGroup(bad.name, (), f"permutation closure failed certification: {bad.name}")
-    return table
+    ))
 
 
 def build_from_cayley(table: Sequence[Sequence[int]], label: str = "") -> GroupTable:
     """Validate an explicit multiplication table and wrap it as a group.
 
-    The identity must sit at index 0.  The first violated axiom is reported
-    with a witness: a single index (identity/inverse failures) or a triple
-    (associativity failures).
+    The identity must sit at index 0 and every entry must be an integer in
+    0..n-1.  A table that fails `certify` raises NotAGroup naming the first
+    failed check and its witness.
     """
-    rows = [list(int(v) for v in row) for row in table]
+    try:
+        rows = [list(row) for row in table]
+    except TypeError:
+        raise NotAGroup("shape", (), "table must be a list of rows") from None
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):
         raise NotAGroup("shape", (n,), "table must be square and nonempty")
+    for x, row in enumerate(rows):
+        for y, v in enumerate(row):
+            if not _is_index(v):
+                raise NotAGroup("shape", (x, y), f"entry {v!r} at {(x, y)} is not an integer")
+            if not 0 <= v < n:
+                raise NotAGroup("closure", (x, y), f"entry {v} at {(x, y)} is not in 0..{n - 1}")
     mul = np.asarray(rows, dtype=np.int32)
-    if (mul < 0).any() or (mul >= n).any():
-        bad = np.argwhere((mul < 0) | (mul >= n))[0]
-        raise NotAGroup("closure", (int(bad[0]), int(bad[1])), "entry out of range")
 
-    ident = np.arange(n)
-    if not np.array_equal(mul[0], ident) or not np.array_equal(mul[:, 0], ident):
-        row_bad = np.nonzero(mul[0] != ident)[0]
-        witness = int(row_bad[0]) if row_bad.size else int(np.nonzero(mul[:, 0] != ident)[0][0])
-        raise NotAGroup("identity", (witness,), "index 0 must be a two-sided identity")
-
-    inv = np.full(n, -1, dtype=np.int32)
-    for x in range(n):
-        hits = np.nonzero(mul[x] == 0)[0]
-        if hits.size != 1 or mul[hits[0], x] != 0:
-            raise NotAGroup("inverse", (x,), "element has no two-sided inverse")
-        inv[x] = hits[0]
-
-    for x in range(n):
-        if len(np.unique(mul[x])) != n:
-            raise NotAGroup("cancellation", (x,), "row is not a permutation")
-        if len(np.unique(mul[:, x])) != n:
-            raise NotAGroup("cancellation", (x,), "column is not a permutation")
-
-    if n <= FULL_ASSOCIATIVITY_LIMIT:
-        witness = _associativity_witness_full(mul)
-    else:
-        probe = GroupTable(order=n, mul=mul, inv=inv, generators=(0,), label="probe")
-        probe.generators = minimal_generating_indices(probe)
-        witness = _associativity_witness_generators(mul, probe.generators)
-    if witness is not None:
-        raise NotAGroup("associativity", witness)
-
+    inv = np.argmax(mul == 0, axis=1).astype(np.int32)
     g = GroupTable(order=n, mul=mul, inv=inv, generators=(0,), label=label or f"cayley({n})")
     g.generators = minimal_generating_indices(g) or (0,)
-    return g
+    return _certified(g)

@@ -238,10 +238,9 @@ def build_from_pcp(
     gens = tuple(idx_of(tuple(1 if j == i else 0 for j in range(d))) for i in range(d))
     table = GroupTable(order=n, mul=mul, inv=inv, generators=gens,
                        label=label or pres.label or f"pcp({n})")
-    report = certify(table)
-    if not report.ok:
-        bad = report.first_failure()
+    bad = certify(table).first_failure()
+    if bad is not None:
         raise InconsistentPresentation(
-            f"{table.label}: certificate failed at {bad.name} {bad.detail}".strip()
+            f"{table.label}: certificate failed at {bad.name} {bad.witness} ({bad.detail})"
         )
     return table

@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 
 import pytest
 
 from conjgf.cli import main
+from test_groups import NONASSOC_LOOP
 
 
 def run_cli(capsys, *argv):
@@ -79,6 +81,14 @@ def test_certify_command(capsys, gamma3_spec):
     assert code == 0
     payload = json.loads(out)
     assert payload["checks"][0]["passed"] is True
+
+
+def test_certify_names_failing_axiom_and_witness(capsys, tmp_path):
+    spec = write_spec(tmp_path, "loop.json", {"kind": "cayley", "table": NONASSOC_LOOP})
+    assert main(["certify", spec]) == 2
+    err = capsys.readouterr().err
+    assert "associativity" in err
+    assert re.search(r"\(\d+, \d+, \d+\)", err)
 
 
 def test_verify_table_default(capsys):

@@ -7,7 +7,6 @@ import pytest
 from conjgf.closed_forms import (
     ABELIAN_MAX,
     P1P3_NO_ABELIAN_MAX,
-    FormulaId,
     a_central_quotient_p2,
     a_central_quotient_p3,
     a_dihedral,
@@ -20,7 +19,6 @@ from conjgf.closed_forms import (
     b_extraspecial_p5,
     b_maximal_class,
     b_maximal_class_2group,
-    evaluate_formula,
     table_row,
 )
 from conjgf.errors import InvalidParameters
@@ -220,24 +218,22 @@ def test_gamma5_row_matches_generic_extraspecial_at_2():
 
 
 def test_closed_forms_have_integer_series():
-    for fid in (
-        FormulaId("central_quotient_p2", p=3, m=4),
-        FormulaId("central_quotient_p3_abelian_max", p=3, m=5),
-        FormulaId("central_quotient_p3_no_abelian_max", p=5, m=5),
-        FormulaId("maximal_class_abelian_max", p=3, m=5),
-        FormulaId("maximal_class_P1P3", p=5, m=6),
-        FormulaId("extraspecial_p5", p=7),
-        FormulaId("dihedral_even", n=12),
-        FormulaId("maximal_class_2group", n=6),
-    ):
-        a, b = evaluate_formula(fid)
+    pairs = {
+        "central_quotient_p2(3, 4)": (a_central_quotient_p2(3, 4), b_central_quotient_p2(3, 4)),
+        "central_quotient_p3(3, 5, abelian max)": (
+            a_central_quotient_p3(3, 5, True), b_central_quotient_p3(3, 5, True)),
+        "central_quotient_p3(5, 5, no abelian max)": (
+            a_central_quotient_p3(5, 5, False), b_central_quotient_p3(5, 5, False)),
+        "maximal_class(3, 5, abelian max)": (
+            a_maximal_class(3, 5, ABELIAN_MAX), b_maximal_class(3, 5, ABELIAN_MAX)),
+        "maximal_class(5, 6, P1P3)": (
+            a_maximal_class(5, 6, P1P3_NO_ABELIAN_MAX), b_maximal_class(5, 6, P1P3_NO_ABELIAN_MAX)),
+        "extraspecial_p5(7)": (a_extraspecial_p5(7), b_extraspecial_p5(7)),
+        "dihedral(12)": (a_dihedral(12), b_dihedral(12)),
+        "maximal_class_2group(6)": (a_maximal_class_2group(6), b_maximal_class_2group(6)),
+    }
+    for name, (a, b) in pairs.items():
         for f in (a, b):
             series = f.series(9)
-            assert series[0] == 1, fid
-            assert all(c.denominator == 1 for c in series), fid
-
-
-def test_evaluate_formula_table_row():
-    assert evaluate_formula(FormulaId("table_row", p=2, family="Gamma8")) == table_row("Gamma8", 2)
-    with pytest.raises(InvalidParameters):
-        evaluate_formula(FormulaId("unknown"))
+            assert series[0] == 1, name
+            assert all(c.denominator == 1 for c in series), name

@@ -98,8 +98,38 @@ def test_certify_reports_associativity_witness():
     report = certify(loop)
     failure = report.first_failure()
     assert failure is not None
-    assert failure.name == "associativity_full"
-    assert "witness" in failure.detail
+    assert failure.name == "associativity"
+    x, y, z = failure.witness
+    assert mul[mul[x, y], z] != mul[x, mul[y, z]]
+
+
+def test_cayley_nonassociative_above_exhaustive_limit():
+    # NONASSOC_LOOP x C50 (order 300, index a*50 + b) is checked on generator triples only
+    n = 300
+    table = [[(NONASSOC_LOOP[i // 50][j // 50]) * 50 + (i + j) % 50 for j in range(n)] for i in range(n)]
+    with pytest.raises(NotAGroup) as err:
+        build_from_cayley(table)
+    assert err.value.axiom == "associativity"
+    x, y, s = err.value.witness
+    assert table[table[x][y]][s] != table[x][table[y][s]]
+
+
+@pytest.mark.parametrize("build, bad", [
+    (build_from_cayley, [[0, 1.9], [1, 0]]),
+    (build_from_cayley, [[0, True], [True, 0]]),
+    (build_from_cayley, [[0, "x"], [1, 0]]),
+    (build_from_cayley, 5),
+    (build_from_permutations, [[1, 2.5, 0]]),
+    (build_from_permutations, [[True, False]]),
+])
+def test_non_integer_input_rejected(build, bad):
+    if build is build_from_cayley:
+        with pytest.raises(NotAGroup) as err:
+            build(bad)
+        assert err.value.axiom == "shape"
+    else:
+        with pytest.raises(InvalidPermutation):
+            build(bad)
 
 
 @pytest.mark.parametrize("label", ["D8", "S4", "Gamma5a1", "Q16", "Heis27"])
@@ -117,8 +147,11 @@ def test_corrupted_table_fails_certificate(catalog):
     from conjgf.groups import GroupTable
 
     corrupt = GroupTable(order=6, mul=bad, inv=g.inv.copy(), generators=g.generators, label="bad")
-    report = certify(corrupt)
-    assert not report.ok
+    failure = certify(corrupt).first_failure()
+    assert failure.name == "cancellation"
+    (line,) = failure.witness
+    values = bad[line] if failure.detail.startswith("row") else bad[:, line]
+    assert len(set(values.tolist())) < 6
 
 
 def test_rows_and_columns_are_permutations(catalog):
@@ -173,6 +206,7 @@ def test_quotient_table_by_center(catalog):
     assert certify(q).ok
     assert q.is_abelian  # Q8 / Z = Klein four-group
     assert coset_of[0] == 0 and reps[0] == 0
+    assert np.array_equal(coset_of[list(reps)], np.arange(q.order))
 
 
 def test_quotient_by_whole_group(catalog):
@@ -189,6 +223,5 @@ def test_cayley_large_order_uses_generator_triples():
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
     g = build_from_cayley(table, label="C300")
     assert g.order == n
-    statuses = {c.name: c.status for c in certify(g).checks}
-    assert statuses["associativity_full"] == "skip"
-    assert statuses["associativity_generators"] == "pass"
+    assoc = {c.name: c for c in certify(g).checks}["associativity"]
+    assert (assoc.status, assoc.detail) == ("pass", "generator triples")

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from conjgf.errors import GroupSpecError
+from conjgf.errors import GroupSpecError, NotAGroup
 from conjgf.groupspec import group_from_spec, load_group_spec
 
 
@@ -17,6 +17,10 @@ def test_permutation_kind():
 def test_cayley_kind():
     g = group_from_spec({"kind": "cayley", "table": [[0, 1], [1, 0]]})
     assert g.order == 2
+    for table in ([[0, "x"], [1, 0]], 5):
+        with pytest.raises(NotAGroup) as err:
+            group_from_spec({"kind": "cayley", "table": table})
+        assert err.value.axiom == "shape"
 
 
 def test_pcp_kind():
