@@ -11,7 +11,7 @@ from .genfun import (
     gf_equal,
     normalize,
 )
-from .groups import GroupTable, Subgroup, build_from_cayley, build_from_permutations, certify
+from .groups import GroupTable, build_from_cayley, build_from_permutations, certify
 from .pcp import PcPresentation, build_from_pcp
 from .ratfun import PartialFractions, RationalGF, partial_fractions
 
@@ -20,7 +20,6 @@ __all__ = [
     "PartialFractions",
     "PcPresentation",
     "RationalGF",
-    "Subgroup",
     "a_equivalent",
     "a_of_t",
     "alpha_coefficient",

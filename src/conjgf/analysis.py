@@ -16,8 +16,8 @@ import numpy as np
 from .errors import NotPrimePower
 from .groups import (
     GroupTable,
-    Subgroup,
     is_abelian_subset,
+    memoized,
     normal_closure,
     quotient_table,
     subgroup_closure,
@@ -45,11 +45,9 @@ class ClassData:
         return len(self.classes)
 
 
+@memoized
 def conjugacy_data(g: GroupTable) -> ClassData:
     """Partition the elements into conjugacy classes (order: smallest member)."""
-    cached = g._cache.get("class_data")
-    if cached is not None:
-        return cached
     moves = [g.conj_by(s) for s in g.generators]
     seen = np.zeros(g.order, dtype=bool)
     classes: list[tuple[int, ...]] = []
@@ -75,98 +73,75 @@ def conjugacy_data(g: GroupTable) -> ClassData:
     hist: dict[int, int] = {}
     for c, m in zip(classes, cent_sizes):
         hist[m] = hist.get(m, 0) + len(c)
-    data = ClassData(
+    return ClassData(
         classes=tuple(classes),
         representatives=reps,
         centralizer_sizes=cent_sizes,
         z_histogram=hist,
         class_equation=tuple(sorted(len(c) for c in classes)),
     )
-    g._cache.setdefault("class_data", data)
-    return data
 
 
 def centralizer_elements(g: GroupTable, x: int) -> tuple[int, ...]:
+    """All elements commuting with x, sorted."""
     mask = g.mul[:, x] == g.mul[x, :]
     return tuple(int(v) for v in np.nonzero(mask)[0])
 
 
-def centralizer(g: GroupTable, x: int) -> Subgroup:
-    """All elements commuting with x."""
-    return Subgroup(g, centralizer_elements(g, x))
-
-
+@memoized
 def center_elements(g: GroupTable) -> tuple[int, ...]:
-    cached = g._cache.get("center")
-    if cached is not None:
-        return cached
+    """Elements commuting with every generator, sorted."""
     mask = np.ones(g.order, dtype=bool)
     for s in g.generators:
         mask &= g.mul[:, s] == g.mul[s, :]
-    elems = tuple(int(v) for v in np.nonzero(mask)[0])
-    g._cache.setdefault("center", elems)
-    return elems
+    return tuple(int(v) for v in np.nonzero(mask)[0])
 
 
-def center(g: GroupTable) -> Subgroup:
-    """Intersection of all centralizers."""
-    return Subgroup(g, center_elements(g))
+@memoized
+def derived_subgroup(g: GroupTable) -> tuple[int, ...]:
+    """Normal closure of the commutators of the generators, sorted."""
+    seed = {g.commutator(s, t) for s in g.generators for t in g.generators}
+    return normal_closure(g, seed)
 
 
-def derived_subgroup(g: GroupTable) -> Subgroup:
-    """Normal closure of the commutators of the generators."""
-    cached = g._cache.get("derived")
-    if cached is None:
-        seed = {g.commutator(s, t) for s in g.generators for t in g.generators}
-        cached = normal_closure(g, seed)
-        g._cache.setdefault("derived", cached)
-    return Subgroup(g, cached)
-
-
-def lower_central_series(g: GroupTable) -> list[Subgroup]:
+@memoized
+def lower_central_series(g: GroupTable) -> tuple[tuple[int, ...], ...]:
     """gamma_1 = G, gamma_{i+1} = [gamma_i, G]; stops once the series is stable."""
-    cached = g._cache.get("lcs")
-    if cached is None:
-        terms: list[tuple[int, ...]] = [tuple(range(g.order))]
-        while True:
-            cur = np.asarray(terms[-1], dtype=np.intp)
-            seed: set[int] = set()
-            for s in g.generators:
-                left = g.mul[g.inv[cur], g.inv[s]]
-                seed.update(int(v) for v in g.mul[left, g.mul[cur, s]])
-            nxt = normal_closure(g, seed)
-            if nxt == terms[-1]:
-                break
-            terms.append(nxt)
-        cached = tuple(terms)
-        g._cache.setdefault("lcs", cached)
-    return [Subgroup(g, t) for t in cached]
+    terms: list[tuple[int, ...]] = [tuple(range(g.order))]
+    while True:
+        cur = np.asarray(terms[-1], dtype=np.intp)
+        seed: set[int] = set()
+        for s in g.generators:
+            left = g.mul[g.inv[cur], g.inv[s]]
+            seed.update(int(v) for v in g.mul[left, g.mul[cur, s]])
+        nxt = normal_closure(g, seed)
+        if nxt == terms[-1]:
+            return tuple(terms)
+        terms.append(nxt)
 
 
 def nilpotency_class(g: GroupTable) -> int | None:
     """Length of the lower central series, or None if it stabilizes above 1."""
     series = lower_central_series(g)
-    if len(series[-1].elements) != 1:
+    if len(series[-1]) != 1:
         return None
     return len(series) - 1
 
 
+@memoized
 def element_orders(g: GroupTable) -> np.ndarray:
-    cached = g._cache.get("element_orders")
-    if cached is None:
-        orders = np.ones(g.order, dtype=np.int64)
-        cur = np.arange(g.order)
-        remaining = cur != 0
-        k = 1
-        while remaining.any():
-            cur = g.mul[cur, np.arange(g.order)]
-            k += 1
-            newly_done = remaining & (cur == 0)
-            orders[newly_done] = k
-            remaining &= cur != 0
-        g._cache.setdefault("element_orders", orders)
-        cached = orders
-    return cached
+    """The order of each element, by index."""
+    orders = np.ones(g.order, dtype=np.int64)
+    cur = np.arange(g.order)
+    remaining = cur != 0
+    k = 1
+    while remaining.any():
+        cur = g.mul[cur, np.arange(g.order)]
+        k += 1
+        newly_done = remaining & (cur == 0)
+        orders[newly_done] = k
+        remaining &= cur != 0
+    return orders
 
 
 def exponent(g: GroupTable) -> int:
@@ -200,11 +175,11 @@ def frattini_elements(g: GroupTable, p: int) -> tuple[int, ...]:
     pw = np.arange(g.order)
     for _ in range(p - 1):
         pw = g.mul[pw, np.arange(g.order)]
-    seed = set(int(v) for v in pw) | set(derived_subgroup(g).elements)
+    seed = set(int(v) for v in pw) | set(derived_subgroup(g))
     return subgroup_closure(g, seed)
 
 
-def maximal_subgroups(g: GroupTable, p: int) -> list[Subgroup]:
+def maximal_subgroups(g: GroupTable, p: int) -> list[tuple[int, ...]]:
     """All index-p subgroups of a p-group: hyperplane preimages of G/Frattini."""
     _p_log(g.order, p)
     if g.order == 1:
@@ -230,12 +205,12 @@ def maximal_subgroups(g: GroupTable, p: int) -> list[Subgroup]:
             cur = q.mul_index(cur, basis[idx])
 
     fill(0, 0, [])
-    subs: list[Subgroup] = []
+    subs: list[tuple[int, ...]] = []
     for functional in _unit_functionals(p, k):
         lam = np.asarray(functional, dtype=np.int64)
         in_plane = (coords @ lam) % p == 0
         members = np.nonzero(in_plane[coset_of])[0]
-        subs.append(Subgroup(g, tuple(int(v) for v in members)))
+        subs.append(tuple(int(v) for v in members))
     return subs
 
 
@@ -250,23 +225,23 @@ def _unit_functionals(p: int, k: int):
 
 
 def has_abelian_maximal_subgroup(g: GroupTable, p: int) -> bool:
-    return any(sub.is_abelian for sub in maximal_subgroups(g, p))
+    return any(is_abelian_subset(g, sub) for sub in maximal_subgroups(g, p))
 
 
 @dataclass(frozen=True)
 class MaximalClassProfile:
     """Standard structural data of a p-group of maximal class.
 
-    P_series is [P_0, ..., P_m] with P_1 the common 2-step centralizer and
-    P_i = gamma_i(G) for i >= 2.  The non-boolean fields are None when the
-    group is not of maximal class.
+    P_series is [P_0, ..., P_m] as sorted element tuples, with P_1 the common
+    2-step centralizer and P_i = gamma_i(G) for i >= 2.  The non-boolean
+    fields are None when the group is not of maximal class.
     """
 
     is_maximal_class: bool
     p: int
     m: int
     nilpotency_class: int
-    P_series: tuple[Subgroup, ...] | None
+    P_series: tuple[tuple[int, ...], ...] | None
     degree_of_commutativity_positive: bool | None
     has_abelian_maximal_subgroup: bool | None
     P1_P3_commute: bool | None
@@ -303,7 +278,7 @@ def maximal_class_profile(g: GroupTable, p: int) -> MaximalClassProfile:
         )
 
     def gamma(i: int) -> tuple[int, ...]:
-        return series[i - 1].elements if i - 1 < len(series) else (0,)
+        return series[i - 1] if i - 1 < len(series) else (0,)
 
     # P_1 = K_2: elements centralizing gamma_2 / gamma_4.
     g4 = np.zeros(g.order, dtype=bool)
@@ -315,12 +290,12 @@ def maximal_class_profile(g: GroupTable, p: int) -> MaximalClassProfile:
         mask &= g4[comm]
     p1 = tuple(int(v) for v in np.nonzero(mask)[0])
 
-    p_series = [Subgroup(g, tuple(range(g.order))), Subgroup(g, p1)]
+    p_series = [tuple(range(g.order)), p1]
     for i in range(2, m + 1):
-        p_series.append(Subgroup(g, gamma(i)))
+        p_series.append(gamma(i))
 
     def pset(i: int) -> tuple[int, ...]:
-        return p_series[i].elements if i <= m else (0,)
+        return p_series[i] if i <= m else (0,)
 
     p1_abelian = is_abelian_subset(g, p1)
     if p1_abelian:

@@ -21,8 +21,10 @@ from .analysis import conjugacy_data
 from .closed_forms import table_row
 from .errors import ConjGFError
 from .genfun import (
+    a_equivalent,
     a_of_t,
     alpha_coefficient,
+    b_equivalent,
     b_of_t,
     beta_coefficient,
     gf_equal,
@@ -102,7 +104,7 @@ def _render_value(value, indent: int) -> list[str]:
     return out
 
 
-def _gf_payload(gf, want_pf: bool, human: dict | None = None) -> dict:
+def _gf_payload(gf, want_pf: bool) -> dict:
     payload = gf.to_payload()
     payload["display"] = str(gf)
     if want_pf:
@@ -194,14 +196,14 @@ def cmd_equiv(args) -> RunReport:
         {"label": h.label, "order": h.order},
     ]
     if args.mode == "A":
-        verdict = gf_equal(a_of_t(g), a_of_t(h))
+        verdict = a_equivalent(g, h)
         report.results["a_equivalent"] = verdict
         report.results["class_equations"] = [
             list(conjugacy_data(g).class_equation),
             list(conjugacy_data(h).class_equation),
         ]
     elif args.mode == "B":
-        verdict = gf_equal(b_of_t(g), b_of_t(h))
+        verdict = b_equivalent(g, h)
         report.results["b_equivalent"] = verdict
     else:
         witness = are_isoclinic(g, h)

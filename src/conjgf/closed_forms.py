@@ -149,17 +149,6 @@ def b_maximal_class(p: int, m: int, case: str) -> RationalGF:
     return inner.over_linear(P)
 
 
-def a_maximal_class_2group(n: int) -> RationalGF:
-    """Order 2^n, nilpotency class n-1 (the dihedral/semidihedral/quaternion trio)."""
-    _require(n >= 4, "maximal-class 2-groups need order >= 16")
-    return a_maximal_class(2, n, ABELIAN_MAX)
-
-
-def b_maximal_class_2group(n: int) -> RationalGF:
-    _require(n >= 4, "maximal-class 2-groups need order >= 16")
-    return b_maximal_class(2, n, ABELIAN_MAX)
-
-
 # -- dihedral ----------------------------------------------------------------
 
 

@@ -42,7 +42,6 @@ class FamilySpec:
     family: str
     p: int
     order: int
-    route: str  # "permutation" | "pcp"
     center_order: int
     derived_order: int
     nilpotency_class: int
@@ -181,14 +180,13 @@ def family_spec(family: str, p: int) -> FamilySpec:
     if family == "abelian":
         if p < 1:
             raise InvalidParameters("abelian family parameter must be a positive order")
-        return FamilySpec("abelian", p, p, "permutation", p, 1, 0 if p == 1 else 1, None)
+        return FamilySpec("abelian", p, p, p, 1, 0 if p == 1 else 1, None)
     if family in GAMMA_FAMILIES:
         if p != 2:
             raise InvalidParameters(f"{family} is a family of 2-groups; p must be 2")
         rank = _FAMILY_RANK.get(family, 5)
         z, d, cls, abmax = _FINGERPRINTS[family]
-        return FamilySpec(family, 2, 2**rank, "permutation" if family in ("Gamma2", "Gamma3", "Gamma8") else "pcp",
-                          z, d, cls, abmax)
+        return FamilySpec(family, 2, 2**rank, z, d, cls, abmax)
     if family in PHI_FAMILIES:
         if not (is_prime(p) and p % 2 == 1):
             raise InvalidParameters(f"{family} needs an odd prime, got {p}")
@@ -200,14 +198,13 @@ def family_spec(family: str, p: int) -> FamilySpec:
         rank = _FAMILY_RANK.get(family, 5)
         z, d, cls, abmax = _FINGERPRINTS[family]
         to_int = {"p": p, "p2": p * p, "p3": p**3}
-        return FamilySpec(family, p, p**rank, "pcp",
-                          to_int.get(z, z), to_int.get(d, d), cls, abmax)
+        return FamilySpec(family, p, p**rank, to_int.get(z, z), to_int.get(d, d), cls, abmax)
     raise InvalidParameters(f"unknown family {family!r}")
 
 
 def _check_fingerprint(g: GroupTable, spec: FamilySpec) -> GroupTable:
     z = len(center_elements(g))
-    d = len(derived_subgroup(g).elements)
+    d = len(derived_subgroup(g))
     cls = nilpotency_class(g)
     got = (g.order, z, d, cls)
     want = (spec.order, spec.center_order, spec.derived_order, spec.nilpotency_class)

@@ -8,6 +8,7 @@ table can be read from any number of workers.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -19,6 +20,19 @@ DEFAULT_ORDER_CAP = 10_000
 FULL_ASSOCIATIVITY_LIMIT = 256
 
 
+def memoized(fn):
+    """Cache fn(g) write-once in g's private cache, keyed by fn's qualified name."""
+    key = fn.__qualname__
+
+    @functools.wraps(fn)
+    def cached(g):
+        if key not in g._cache:
+            g._cache.setdefault(key, fn(g))
+        return g._cache[key]
+
+    return cached
+
+
 @dataclass(eq=False)
 class GroupTable:
     """A fully materialized finite group on indices 0..order-1, identity at 0."""
@@ -28,109 +42,24 @@ class GroupTable:
     inv: np.ndarray
     generators: tuple[int, ...]
     label: str = ""
-    identity: int = 0
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def elements(self) -> range:
-        return range(self.order)
 
     def mul_index(self, x: int, y: int) -> int:
         return int(self.mul[x, y])
-
-    def inverse(self, x: int) -> int:
-        return int(self.inv[x])
-
-    def conjugate(self, g: int, x: int) -> int:
-        """g x g^-1."""
-        return int(self.mul[self.mul[g, x], self.inv[g]])
 
     def commutator(self, x: int, y: int) -> int:
         """[x, y] = x^-1 y^-1 x y."""
         left = self.mul[self.inv[x], self.inv[y]]
         return int(self.mul[left, self.mul[x, y]])
 
-    def power(self, x: int, k: int) -> int:
-        if k < 0:
-            return self.power(self.inverse(x), -k)
-        acc = 0
-        for _ in range(k):
-            acc = int(self.mul[acc, x])
-        return acc
-
-    def element_order(self, x: int) -> int:
-        n = 1
-        cur = x
-        while cur != 0:
-            cur = int(self.mul[cur, x])
-            n += 1
-        return n
-
     @property
+    @memoized
     def is_abelian(self) -> bool:
-        cached = self._cache.get("is_abelian")
-        if cached is None:
-            cached = bool(np.array_equal(self.mul, self.mul.T))
-            self._cache.setdefault("is_abelian", cached)
-        return cached
+        return bool(np.array_equal(self.mul, self.mul.T))
 
     def conj_by(self, g: int) -> np.ndarray:
         """The permutation x -> g x g^-1 as an index array."""
         return self.mul[self.mul[g], self.inv[g]]
-
-    def same_table(self, other: "GroupTable") -> bool:
-        return self.order == other.order and np.array_equal(self.mul, other.mul)
-
-
-@dataclass(frozen=True)
-class Subgroup:
-    """A subgroup given by its sorted element indices inside a parent table."""
-
-    parent: GroupTable
-    elements: tuple[int, ...]
-
-    @classmethod
-    def from_elements(
-        cls, parent: GroupTable, elements: Iterable[int], check: bool = True
-    ) -> "Subgroup":
-        elems = tuple(sorted(int(x) for x in set(elements)))
-        sub = cls(parent, elems)
-        if check:
-            sub.validate()
-        return sub
-
-    def validate(self) -> None:
-        elems = np.asarray(self.elements, dtype=np.intp)
-        if elems.size == 0 or elems[0] != 0:
-            raise ValueError("subgroup must contain the identity")
-        inside = np.zeros(self.parent.order, dtype=bool)
-        inside[elems] = True
-        products = self.parent.mul[np.ix_(elems, elems)]
-        if not inside[products].all():
-            raise ValueError("subgroup element set is not closed under multiplication")
-        if not inside[self.parent.inv[elems]].all():
-            raise ValueError("subgroup element set is not closed under inversion")
-        if self.parent.order % elems.size != 0:
-            raise ValueError("subgroup size does not divide the group order")
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-    def __contains__(self, x: int) -> bool:
-        return x in self._member_set()
-
-    def _member_set(self) -> frozenset:
-        return frozenset(self.elements)
-
-    @property
-    def is_abelian(self) -> bool:
-        return is_abelian_subset(self.parent, self.elements)
-
-    def index(self) -> int:
-        return self.parent.order // self.order
-
-    def induced(self) -> GroupTable:
-        return induced_table(self.parent, self.elements)
 
 
 def is_abelian_subset(g: GroupTable, elements: Sequence[int]) -> bool:
@@ -219,10 +148,8 @@ def quotient_table(
     reps, coset_of = np.unique(coset_min, return_inverse=True)
     coset_of = coset_of.astype(np.int32)
     q = len(reps)
-    mul = np.empty((q, q), dtype=np.int32)
-    for a in range(q):
-        mul[a, :] = coset_of[g.mul[int(reps[a]), reps]]
-    inv = coset_of[g.inv[reps]].astype(np.int32)
+    mul = coset_of[g.mul[np.ix_(reps, reps)]]
+    inv = coset_of[g.inv[reps]]
     table = GroupTable(
         order=q,
         mul=mul,
@@ -262,9 +189,6 @@ class CertificateReport:
     def first_failure(self) -> CheckResult | None:
         return next((c for c in self.checks if c.status == "fail"), None)
 
-    def lines(self) -> list[str]:
-        return [f"[{c.status.upper():4s}] {c.name}" + (f" ({c.detail})" if c.detail else "") for c in self.checks]
-
 
 def _verdict(name: str, witness: tuple | None, detail: str) -> CheckResult:
     """A check that fails exactly when it found a witness."""
@@ -278,8 +202,9 @@ def _first_true(mask: np.ndarray) -> tuple[int, ...] | None:
     return tuple(int(i) for i in hits[0]) if hits.size else None
 
 
+@memoized
 def certify(g: GroupTable) -> CertificateReport:
-    """Verify the group axioms on a table.
+    """Verify the group axioms on a table (once per table; the report is cached).
 
     Associativity is checked exhaustively up to order 256; past that, only
     (xy)s = x(ys) for all x, y and generators s is checked, which suffices by
@@ -432,10 +357,13 @@ def build_from_cayley(table: Sequence[Sequence[int]], label: str = "") -> GroupT
     """Validate an explicit multiplication table and wrap it as a group.
 
     The identity must sit at index 0 and every entry must be an integer in
-    0..n-1.  A table that fails `certify` raises NotAGroup naming the first
-    failed check and its witness.
+    0..n-1.  A table with more than DEFAULT_ORDER_CAP rows raises
+    ClosureExceedsCap before any row is read; one that fails `certify` raises
+    NotAGroup naming the first failed check and its witness.
     """
     try:
+        if len(table) > DEFAULT_ORDER_CAP:
+            raise ClosureExceedsCap(f"table of order {len(table)} exceeds cap {DEFAULT_ORDER_CAP}")
         rows = [list(row) for row in table]
     except TypeError:
         raise NotAGroup("shape", (), "table must be a list of rows") from None

@@ -29,7 +29,7 @@ from pathlib import Path
 
 from . import families
 from .errors import GroupSpecError
-from .groups import GroupTable, build_from_cayley, build_from_permutations
+from .groups import GroupTable, _is_index, build_from_cayley, build_from_permutations
 from .pcp import PcPresentation, build_from_pcp
 
 _NAMED_FAMILIES = (
@@ -51,6 +51,19 @@ def _require_fields(doc: dict, required: set[str], optional: set[str]) -> None:
         raise GroupSpecError(f"unknown fields: {sorted(unknown)}")
 
 
+def _int_field(value, what: str) -> int:
+    """An integer field; bools, floats, strings and null are rejected, not coerced."""
+    if not _is_index(value):
+        raise GroupSpecError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _int_list(value, what: str) -> tuple[int, ...]:
+    if not isinstance(value, list):
+        raise GroupSpecError(f"{what} must be a list of integers, got {value!r}")
+    return tuple(_int_field(v, what) for v in value)
+
+
 def group_from_spec(doc: dict) -> GroupTable:
     """Build a group from a parsed group-spec document."""
     if not isinstance(doc, dict):
@@ -69,19 +82,22 @@ def group_from_spec(doc: dict) -> GroupTable:
         _require_fields(
             doc, {"kind", "p", "relative_orders", "power_words", "commutators"}, {"label"}
         )
+        orders = _int_list(doc["relative_orders"], "relative_orders")
         words = doc["power_words"]
-        if not isinstance(words, list) or len(words) != len(doc["relative_orders"]):
+        if not isinstance(words, list) or len(words) != len(orders):
             raise GroupSpecError("power_words must list one entry (or null) per generator")
+        entries = doc["commutators"]
+        if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+            raise GroupSpecError("commutators must be a list of objects")
         comms = {}
-        for entry in doc["commutators"]:
-            if not isinstance(entry, dict):
-                raise GroupSpecError("commutators must be objects")
+        for entry in entries:
             _require_fields(entry, {"left", "right", "word"}, set())
-            comms[(int(entry["left"]), int(entry["right"]))] = tuple(entry["word"])
+            key = (_int_field(entry["left"], "left"), _int_field(entry["right"], "right"))
+            comms[key] = _int_list(entry["word"], "a commutator word")
         pres = PcPresentation(
-            p=int(doc["p"]),
-            relative_orders=tuple(int(r) for r in doc["relative_orders"]),
-            power_words=tuple(None if w is None else tuple(w) for w in words),
+            p=_int_field(doc["p"], "p"),
+            relative_orders=orders,
+            power_words=tuple(None if w is None else _int_list(w, "a power word") for w in words),
             commutator_words=comms,
             label=doc.get("label", ""),
         )
@@ -90,7 +106,7 @@ def group_from_spec(doc: dict) -> GroupTable:
         # family groups are cached and keep their catalog labels
         _require_fields(doc, {"kind", "name", "p"}, set())
         name = doc["name"]
-        p = int(doc["p"])
+        p = _int_field(doc["p"], "p")
         if name in _NAMED_FAMILIES:
             return families.named_group(name, p)
         return families.stem_group(name, p)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .analysis import center_elements, conjugacy_data, derived_subgroup, element_orders
 from .errors import QuotientTooLarge
-from .groups import GroupTable, minimal_generating_indices, quotient_table
+from .groups import GroupTable, memoized, minimal_generating_indices, quotient_table
 
 DEFAULT_QUOTIENT_CAP = 256
 
@@ -50,8 +50,8 @@ class IsoclinismWitness:
                 if theta[gq.mul_index(a, b)] != hq.mul_index(theta[a], theta[b]):
                     return False
         # phi is a bijection of the derived subgroups
-        gder = derived_subgroup(g).elements
-        hder = derived_subgroup(h).elements
+        gder = derived_subgroup(g)
+        hder = derived_subgroup(h)
         if sorted(self.phi) != list(gder) or sorted(self.phi.values()) != list(hder):
             return False
         # phi is a homomorphism
@@ -69,12 +69,9 @@ class IsoclinismWitness:
         return True
 
 
+@memoized
 def _central_quotient(g: GroupTable):
-    cached = g._cache.get("central_quotient")
-    if cached is None:
-        cached = quotient_table(g, center_elements(g), label=f"{g.label}/Z")
-        g._cache.setdefault("central_quotient", cached)
-    return cached
+    return quotient_table(g, center_elements(g), label=f"{g.label}/Z")
 
 
 def _element_invariants(q: GroupTable) -> list[tuple[int, int]]:
@@ -140,8 +137,8 @@ def _derive_phi(
     theta: tuple[int, ...],
 ) -> dict[int, int] | None:
     """Force phi on commutator values and extend along products; None if it breaks."""
-    gder = derived_subgroup(g).elements
-    hder = derived_subgroup(h).elements
+    gder = derived_subgroup(g)
+    hder = derived_subgroup(h)
     if len(gder) != len(hder):
         return None
     phi: dict[int, int] = {0: 0}
@@ -190,7 +187,7 @@ def are_isoclinic(
         )
     if gq.order != hq.order:
         return None
-    if len(derived_subgroup(g).elements) != len(derived_subgroup(h).elements):
+    if len(derived_subgroup(g)) != len(derived_subgroup(h)):
         return None
     for theta in _iso_images(gq, hq):
         phi = _derive_phi(g, h, greps, hreps, theta)
@@ -204,5 +201,5 @@ def are_isoclinic(
 def stem_order(g: GroupTable) -> int:
     """|G/Z(G)| * |Z(G) cap G'|: the order of the stem groups of G's family."""
     z = set(center_elements(g))
-    der = set(derived_subgroup(g).elements)
+    der = set(derived_subgroup(g))
     return (g.order // len(z)) * len(z & der)

@@ -179,11 +179,6 @@ def collect(
     return tuple(vec)
 
 
-def multiply_normal_forms(pres: PcPresentation, u: Word, v: Word,
-                          budget: int = DEFAULT_REWRITE_BUDGET) -> Word:
-    return collect(pres, _word_syllables(u) + _word_syllables(v), budget)
-
-
 def build_from_pcp(
     pres: PcPresentation,
     label: str = "",

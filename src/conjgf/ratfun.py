@@ -13,8 +13,6 @@ from fractions import Fraction
 from math import comb
 from typing import Sequence
 
-Rational = Fraction
-
 Poly = tuple[Fraction, ...]  # coefficient tuple, index = degree
 
 
@@ -130,10 +128,6 @@ class RationalGF:
         return cls((Fraction(1),), ())
 
     @classmethod
-    def constant(cls, c) -> "RationalGF":
-        return cls((_frac(c),), ())
-
-    @classmethod
     def simple(cls, c, m, e: int = 1) -> "RationalGF":
         """c / (1 - m t)^e."""
         return cls((_frac(c),), ((_frac(m), e),))
@@ -147,10 +141,6 @@ class RationalGF:
     @property
     def is_zero(self) -> bool:
         return not self.numerator
-
-    @property
-    def has_integer_poles(self) -> bool:
-        return all(m.denominator == 1 for m, _ in self.poles)
 
     def denominator_poly(self) -> Poly:
         out: Poly = (Fraction(1),)

@@ -91,6 +91,21 @@ def test_certify_names_failing_axiom_and_witness(capsys, tmp_path):
     assert re.search(r"\(\d+, \d+, \d+\)", err)
 
 
+def test_certify_command_certifies_once(capsys, tmp_path, monkeypatch):
+    from conjgf import groups
+    from conjgf.families import stem_group
+
+    runs = []
+    full = groups._associativity_witness_full
+    monkeypatch.setattr(groups, "_associativity_witness_full",
+                        lambda mul: runs.append(len(mul)) or full(mul))
+    stem_group.cache_clear()
+    spec = write_spec(tmp_path, "phi5.json", {"kind": "family", "name": "Phi5", "p": 3})
+    code, _ = run_cli(capsys, "--json", "certify", spec)
+    assert code == 0
+    assert runs == [243]
+
+
 def test_verify_table_default(capsys):
     code, out = run_cli(capsys, "--json", "verify-table")
     assert code == 0

@@ -12,13 +12,11 @@ from conjgf.closed_forms import (
     a_dihedral,
     a_extraspecial_p5,
     a_maximal_class,
-    a_maximal_class_2group,
     b_central_quotient_p2,
     b_central_quotient_p3,
     b_dihedral,
     b_extraspecial_p5,
     b_maximal_class,
-    b_maximal_class_2group,
     table_row,
 )
 from conjgf.errors import InvalidParameters
@@ -84,11 +82,6 @@ def test_maximal_class_vs_groups(catalog):
     phi10 = stem_group("Phi10", 3)
     assert a_maximal_class(3, 5, P1P3_NO_ABELIAN_MAX) == a_of_t(phi10)
     assert b_maximal_class(3, 5, P1P3_NO_ABELIAN_MAX) == b_of_t(phi10)
-
-
-def test_maximal_class_2group_wrappers(catalog):
-    assert a_maximal_class_2group(5) == a_of_t(catalog["D32"])
-    assert b_maximal_class_2group(5) == b_of_t(catalog["D32"])
 
 
 def test_b_maximal_class_abelian_display(catalog):
@@ -230,7 +223,8 @@ def test_closed_forms_have_integer_series():
             a_maximal_class(5, 6, P1P3_NO_ABELIAN_MAX), b_maximal_class(5, 6, P1P3_NO_ABELIAN_MAX)),
         "extraspecial_p5(7)": (a_extraspecial_p5(7), b_extraspecial_p5(7)),
         "dihedral(12)": (a_dihedral(12), b_dihedral(12)),
-        "maximal_class_2group(6)": (a_maximal_class_2group(6), b_maximal_class_2group(6)),
+        "maximal_class(2, 6, abelian max)": (
+            a_maximal_class(2, 6, ABELIAN_MAX), b_maximal_class(2, 6, ABELIAN_MAX)),
     }
     for name, (a, b) in pairs.items():
         for f in (a, b):

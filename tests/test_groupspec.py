@@ -23,17 +23,45 @@ def test_cayley_kind():
         assert err.value.axiom == "shape"
 
 
+HEIS27 = {
+    "kind": "pcp",
+    "p": 3,
+    "relative_orders": [3, 3, 3],
+    "power_words": [None, None, None],
+    "commutators": [{"left": 1, "right": 0, "word": [0, 0, 2]}],
+    "label": "Heis27",
+}
+
+
 def test_pcp_kind():
-    doc = {
-        "kind": "pcp",
-        "p": 3,
-        "relative_orders": [3, 3, 3],
-        "power_words": [None, None, None],
-        "commutators": [{"left": 1, "right": 0, "word": [0, 0, 2]}],
-        "label": "Heis27",
-    }
-    g = group_from_spec(doc)
+    g = group_from_spec(HEIS27)
     assert g.order == 27
+
+
+def _comm(**entry):
+    return [{"left": 1, "right": 0, "word": [0, 0, 2], **entry}]
+
+
+@pytest.mark.parametrize("field, doc", [
+    ("p", {**HEIS27, "p": 3.9}),
+    ("p", {**HEIS27, "p": "x"}),
+    ("p", {**HEIS27, "p": None}),
+    ("p", {**HEIS27, "p": True}),
+    ("relative_orders", {**HEIS27, "relative_orders": 5}),
+    ("relative_orders", {**HEIS27, "relative_orders": [3, 3.0, 3]}),
+    ("power word", {**HEIS27, "power_words": [None, [0, 0, 1.0], None]}),
+    ("power word", {**HEIS27, "power_words": [None, 7, None]}),
+    ("commutator word", {**HEIS27, "commutators": _comm(word=[0, 0, "2"])}),
+    ("left", {**HEIS27, "commutators": _comm(left=1.7)}),
+    ("right", {**HEIS27, "commutators": _comm(right=False)}),
+    ("commutators", {**HEIS27, "commutators": 5}),
+    ("p", {"kind": "family", "name": "Phi5", "p": 3.9}),
+    ("p", {"kind": "family", "name": "Phi5", "p": "x"}),
+    ("p", {"kind": "family", "name": "Phi5", "p": None}),
+])
+def test_integer_fields_reject_non_integers(field, doc):
+    with pytest.raises(GroupSpecError, match=field):
+        group_from_spec(doc)
 
 
 def test_family_kind():
