@@ -18,6 +18,7 @@ from .errors import ClosureExceedsCap, InvalidPermutation, NotAGroup
 
 DEFAULT_ORDER_CAP = 10_000
 FULL_ASSOCIATIVITY_LIMIT = 256
+ASSOCIATIVITY_BLOCK = 64  # rows per block of the generator-triple check
 
 
 def memoized(fn):
@@ -69,22 +70,18 @@ def is_abelian_subset(g: GroupTable, elements: Sequence[int]) -> bool:
 
 
 def subgroup_closure(g: GroupTable, seed: Iterable[int]) -> tuple[int, ...]:
-    """Smallest subgroup containing the seed elements (closure under products)."""
+    """Smallest subgroup containing the seeds: a BFS from the identity and the seeds
+    (marked first) by right multiplication with the seeds, so every positive word."""
+    seeds = np.asarray(sorted({int(x) for x in seed}), dtype=np.intp)
     inside = np.zeros(g.order, dtype=bool)
     inside[0] = True
-    frontier = sorted({int(x) for x in seed} - {0})
-    for x in frontier:
-        inside[x] = True
-    while frontier:
-        cur = np.nonzero(inside)[0]
-        front = np.asarray(frontier, dtype=np.intp)
-        prods = np.concatenate(
-            (g.mul[np.ix_(front, cur)].ravel(), g.mul[np.ix_(cur, front)].ravel())
-        )
-        fresh = np.unique(prods[~inside[prods]])
-        inside[fresh] = True
-        frontier = fresh.tolist()
-    return tuple(int(x) for x in np.nonzero(inside)[0])
+    inside[seeds] = True
+    frontier = np.nonzero(inside)[0]
+    while frontier.size:
+        prods = g.mul[np.ix_(frontier, seeds)].ravel()
+        frontier = np.unique(prods[~inside[prods]])
+        inside[frontier] = True
+    return tuple(np.nonzero(inside)[0].tolist())
 
 
 def normal_closure(g: GroupTable, seed: Iterable[int]) -> tuple[int, ...]:
@@ -228,8 +225,8 @@ def certify(g: GroupTable) -> CertificateReport:
     bad_inv = _first_true((mul[ident, inv] != 0) | (mul[inv, ident] != 0))
     checks.append(_verdict("inverses", bad_inv, "inv[x] must be a two-sided inverse of x"))
 
-    row = next((x for x in range(n) if len(np.unique(mul[x])) != n), None)
-    col = None if row is not None else next((y for y in range(n) if len(np.unique(mul[:, y])) != n), None)
+    row = _first_non_permutation_row(mul)
+    col = None if row is not None else _first_non_permutation_row(mul.T)
     if row is not None:
         cancel = CheckResult("cancellation", "fail", f"row {row} is not a permutation", (row,))
     elif col is not None:
@@ -267,13 +264,25 @@ def _associativity_witness_full(mul: np.ndarray) -> tuple[int, int, int] | None:
 def _associativity_witness_generators(
     mul: np.ndarray, generators: Sequence[int]
 ) -> tuple[int, int, int] | None:
+    """First (x, y, s) with (x y) s != x (y s), s outermost, then row-major; with
+    r = mul[:, s], row block B of the table gives (x y) s = r[B] and x (y s) = B[:, r]."""
     for s in generators:
-        left = mul[mul, s]              # (x y) s
-        right = mul[:, mul[:, s]]       # x (y s)
-        if not np.array_equal(left, right):
-            bad = np.argwhere(left != right)[0]
-            return (int(bad[0]), int(bad[1]), int(s))
+        r = mul[:, s]
+        for lo in range(0, len(mul), ASSOCIATIVITY_BLOCK):
+            block = mul[lo:lo + ASSOCIATIVITY_BLOCK]
+            left, right = r[block], block[:, r]
+            if not np.array_equal(left, right):
+                bad = np.argwhere(left != right)[0]
+                return (lo + int(bad[0]), int(bad[1]), int(s))
     return None
+
+
+def _first_non_permutation_row(mul: np.ndarray) -> int | None:
+    """Lowest row that is not a permutation, by one boolean scatter seen[x, mul[x, y]]."""
+    seen = np.zeros(mul.shape, dtype=bool)
+    seen[np.arange(len(mul))[:, None], mul] = True
+    bad = np.flatnonzero(~seen.all(axis=1))
+    return int(bad[0]) if bad.size else None
 
 
 def _certified(table: GroupTable) -> GroupTable:

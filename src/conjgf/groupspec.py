@@ -64,20 +64,27 @@ def _int_list(value, what: str) -> tuple[int, ...]:
     return tuple(_int_field(v, what) for v in value)
 
 
+def _str_field(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise GroupSpecError(f"{what} must be a string, got {value!r}")
+    return value
+
+
 def group_from_spec(doc: dict) -> GroupTable:
     """Build a group from a parsed group-spec document."""
     if not isinstance(doc, dict):
         raise GroupSpecError("group spec must be a JSON object")
+    label = _str_field(doc.get("label", ""), "label")
     kind = doc.get("kind")
     if kind == "permutation":
         _require_fields(doc, {"kind", "generators"}, {"label"})
         gens = doc["generators"]
         if not isinstance(gens, list) or not all(isinstance(p, list) for p in gens):
             raise GroupSpecError("generators must be a list of image arrays")
-        return build_from_permutations(gens, label=doc.get("label", ""))
+        return build_from_permutations(gens, label=label)
     if kind == "cayley":
         _require_fields(doc, {"kind", "table"}, {"label"})
-        return build_from_cayley(doc["table"], label=doc.get("label", ""))
+        return build_from_cayley(doc["table"], label=label)
     if kind == "pcp":
         _require_fields(
             doc, {"kind", "p", "relative_orders", "power_words", "commutators"}, {"label"}
@@ -99,13 +106,13 @@ def group_from_spec(doc: dict) -> GroupTable:
             relative_orders=orders,
             power_words=tuple(None if w is None else _int_list(w, "a power word") for w in words),
             commutator_words=comms,
-            label=doc.get("label", ""),
+            label=label,
         )
         return build_from_pcp(pres)
     if kind == "family":
         # family groups are cached and keep their catalog labels
         _require_fields(doc, {"kind", "name", "p"}, set())
-        name = doc["name"]
+        name = _str_field(doc["name"], "name")
         p = _int_field(doc["p"], "p")
         if name in _NAMED_FAMILIES:
             return families.named_group(name, p)

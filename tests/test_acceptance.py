@@ -70,7 +70,7 @@ def test_criterion_1_table_reproduction_p5():
     rows = _check_table(5)
     elapsed = time.time() - t0
     assert rows == 10
-    assert elapsed < 1800, f"expected under 30 minutes, took {elapsed:.0f}s"
+    assert elapsed < 300, f"expected under 5 minutes, took {elapsed:.0f}s"
     # lower central series shape of the order-5^5 maximal-class stem group
     g10 = stem_group("Phi10", 5)
     assert [len(s) for s in lower_central_series(g10)] == [5**5, 5**3, 5**2, 5, 1]

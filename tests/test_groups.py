@@ -1,11 +1,18 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conjgf.errors import ClosureExceedsCap, InvalidPermutation, NotAGroup
 from conjgf import groups
+from conjgf.families import stem_group
 from conjgf.groups import (
+    CheckResult,
+    GroupTable,
     build_from_cayley,
     build_from_permutations,
     certify,
@@ -110,6 +117,8 @@ def test_cayley_nonassociative_above_exhaustive_limit():
     with pytest.raises(NotAGroup) as err:
         build_from_cayley(table)
     assert err.value.axiom == "associativity"
+    # the first failing triple lies past the first row block of the check
+    assert err.value.witness == (200, 100, 100)
     x, y, s = err.value.witness
     assert table[table[x][y]][s] != table[x][table[y][s]]
 
@@ -223,3 +232,90 @@ def test_cayley_large_order_uses_generator_triples():
     assert g.order == n
     assoc = {c.name: c for c in certify(g).checks}["associativity"]
     assert (assoc.status, assoc.detail) == ("pass", "generator triples")
+
+
+def _cyclic_product(a: int, b: int) -> np.ndarray:
+    """C_a x C_b with element i*b + j standing for (i, j)."""
+    i, j = np.divmod(np.arange(a * b), b)
+    return (((i[:, None] + i) % a) * b + (j[:, None] + j) % b).astype(np.int32)
+
+
+def _table(mul: np.ndarray, generators: tuple[int, ...]) -> GroupTable:
+    inv = np.argmax(mul == 0, axis=1).astype(np.int32)
+    return GroupTable(order=len(mul), mul=mul, inv=inv, generators=generators, label="t")
+
+
+def _first_bad_line(mul: np.ndarray) -> tuple[str, int]:
+    """Reference: the lowest row, else column, that is not a permutation, one np.unique per line."""
+    n = len(mul)
+    rows = [x for x in range(n) if len(np.unique(mul[x])) != n]
+    cols = [y for y in range(n) if len(np.unique(mul[:, y])) != n]
+    return ("row", rows[0]) if rows else ("column", cols[0])
+
+
+def _product_closure(mul: list[list[int]], seed) -> tuple[int, ...]:
+    """Reference: the identity and the seed closed under all products, in pure Python."""
+    inside = {0, *seed}
+    while True:
+        fresh = {mul[x][y] for x in inside for y in inside} - inside
+        if not fresh:
+            return tuple(sorted(inside))
+        inside |= fresh
+
+
+def _duplicate_entries(mul):
+    mul[250, 3] = mul[250, 4]
+    mul[130, 7] = mul[130, 9]
+
+
+def _swap_within_row(mul):
+    # row 200 stays a permutation; columns 10 and 290 repeat an entry
+    mul[200, 10], mul[200, 290] = mul[200, 290], mul[200, 10]
+
+
+@pytest.mark.parametrize("corrupt, want", [(_duplicate_entries, ("row", 130)),
+                                           (_swap_within_row, ("column", 10))])
+def test_cancellation_witness_above_exhaustive_limit(corrupt, want):
+    mul = _cyclic_product(1, 300)
+    corrupt(mul)
+    kind, line = _first_bad_line(mul)
+    assert (kind, line) == want
+    failure = certify(_table(mul, (1,))).first_failure()
+    assert failure == CheckResult("cancellation", "fail", f"{kind} {line} is not a permutation", (line,))
+
+
+def test_generation_witness_above_exhaustive_limit():
+    # in C3 x C100 the element 1 = (0, 1) spans only the first 100 indices
+    mul = _cyclic_product(3, 100)
+    span = _product_closure(mul.tolist(), (1,))
+    missing = min(set(range(300)) - set(span))
+    assert missing == 100
+    failure = certify(_table(mul, (1,))).first_failure()
+    assert failure == CheckResult("generation", "fail", "generators span 100 of 300 elements", (missing,))
+
+
+def test_subgroup_closure_single_seeds_match_product_closure(catalog):
+    for label, g in catalog.items():
+        mul = g.mul.tolist()
+        for x in range(g.order):
+            assert subgroup_closure(g, [x]) == _product_closure(mul, [x]), (label, x)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_subgroup_closure_seed_pairs_match_product_closure(catalog, data):
+    g = catalog[data.draw(st.sampled_from(sorted(catalog)))]
+    seed = data.draw(st.lists(st.integers(0, g.order - 1), min_size=2, max_size=2))
+    assert subgroup_closure(g, seed) == _product_closure(g.mul.tolist(), seed)
+
+
+def test_certify_memory_bound_at_order_3125():
+    g = stem_group("Phi5", 5)
+    fresh = GroupTable(order=g.order, mul=g.mul, inv=g.inv, generators=g.generators, label="fresh")
+    tracemalloc.start()
+    try:
+        assert certify(fresh).ok
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * g.order ** 2, f"certify peak {peak} bytes at order {g.order}"

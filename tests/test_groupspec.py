@@ -64,6 +64,19 @@ def test_integer_fields_reject_non_integers(field, doc):
         group_from_spec(doc)
 
 
+@pytest.mark.parametrize("field, doc", [
+    ("name", {"kind": "family", "name": ["Phi5"], "p": 3}),
+    ("name", {"kind": "family", "name": 5, "p": 3}),
+    ("name", {"kind": "family", "name": None, "p": 3}),
+    ("label", {"kind": "permutation", "generators": [[1, 0]], "label": 5}),
+    ("label", {"kind": "cayley", "table": [[0]], "label": ["x"]}),
+    ("label", {**HEIS27, "label": None}),
+])
+def test_string_fields_reject_non_strings(field, doc):
+    with pytest.raises(GroupSpecError, match=f"{field} must be a string"):
+        group_from_spec(doc)
+
+
 def test_family_kind():
     assert group_from_spec({"kind": "family", "name": "Phi5", "p": 3}).order == 243
     assert group_from_spec({"kind": "family", "name": "Gamma3", "p": 2}).order == 16
