@@ -29,7 +29,7 @@ class NotAGroup(ConjGFError):
 
 
 class InconsistentPresentation(ConjGFError):
-    """Collection did not terminate in budget, or the compiled table fails its certificate."""
+    """A compiled presentation fails its certificate, or `collect` ran past its rewrite budget."""
 
 
 class NotPrimePower(ConjGFError):

@@ -15,6 +15,7 @@ compile consistently as printed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -25,8 +26,8 @@ from .analysis import (
     nilpotency_class,
 )
 from .errors import FingerprintMismatch, InvalidParameters
-from .groups import GroupTable, build_from_permutations
-from .pcp import PcPresentation, build_from_pcp, is_prime, prime_power_root
+from .groups import GroupTable, build_from_permutations, check_order_cap
+from .pcp import PcPresentation, build_from_pcp, prime_power_root
 
 PHI_FAMILIES = tuple(f"Phi{k}" for k in range(2, 11))
 GAMMA_FAMILIES = tuple(f"Gamma{k}" for k in range(2, 9))
@@ -122,34 +123,34 @@ def _phi_presentation(family: str, p: int) -> PcPresentation:
     raise InvalidParameters(f"unknown family {family!r}")
 
 
+_GAMMA_PRESENTATIONS = {
+    # (C4 x C4) : C2 with the inverting involution
+    "Gamma4": PcPresentation(
+        p=2, relative_orders=(2, 4, 4), power_words=(None,) * 3,
+        commutator_words={(1, 0): (0, 2, 0), (2, 0): (0, 0, 2)}, label="Gamma4a2"),
+    # extraspecial of order 32: five involutions, [a2,a1]=[a4,a1]=[a3,a2]=b
+    "Gamma5": PcPresentation(
+        p=2, relative_orders=(2,) * 5, power_words=(None,) * 5,
+        commutator_words={(1, 0): (0, 0, 0, 0, 1), (3, 0): (0, 0, 0, 0, 1),
+                          (2, 1): (0, 0, 0, 0, 1)}, label="Gamma5a1"),
+    # C8 : (C2 x C2); one factor inverts, the other is the 5th-power map
+    "Gamma6": PcPresentation(
+        p=2, relative_orders=(2, 2, 8), power_words=(None,) * 3,
+        commutator_words={(2, 0): (0, 0, 6), (2, 1): (0, 0, 4)}, label="Gamma6a1"),
+    # C2^3 : C4 acting as a single unipotent Jordan block
+    "Gamma7": PcPresentation(
+        p=2, relative_orders=(4, 2, 2, 2), power_words=(None,) * 4,
+        commutator_words={(1, 0): (0, 0, 1, 1), (2, 0): (0, 0, 0, 1)}, label="Gamma7a1"),
+}
+
+_GAMMA_DIHEDRAL_ORDERS = {"Gamma2": 8, "Gamma3": 16, "Gamma8": 32}
+
+
 def _gamma_table(family: str) -> GroupTable:
-    if family == "Gamma2":
-        return dihedral(8)
-    if family == "Gamma3":
-        return dihedral(16)
-    if family == "Gamma4":
-        # (C4 x C4) : C2 with the inverting involution
-        return build_from_pcp(PcPresentation(
-            p=2, relative_orders=(2, 4, 4), power_words=(None,) * 3,
-            commutator_words={(1, 0): (0, 2, 0), (2, 0): (0, 0, 2)}, label="Gamma4a2"))
-    if family == "Gamma5":
-        # extraspecial of order 32: five involutions, [a2,a1]=[a4,a1]=[a3,a2]=b
-        return build_from_pcp(PcPresentation(
-            p=2, relative_orders=(2,) * 5, power_words=(None,) * 5,
-            commutator_words={(1, 0): (0, 0, 0, 0, 1), (3, 0): (0, 0, 0, 0, 1),
-                              (2, 1): (0, 0, 0, 0, 1)}, label="Gamma5a1"))
-    if family == "Gamma6":
-        # C8 : (C2 x C2); one factor inverts, the other is the 5th-power map
-        return build_from_pcp(PcPresentation(
-            p=2, relative_orders=(2, 2, 8), power_words=(None,) * 3,
-            commutator_words={(2, 0): (0, 0, 6), (2, 1): (0, 0, 4)}, label="Gamma6a1"))
-    if family == "Gamma7":
-        # C2^3 : C4 acting as a single unipotent Jordan block
-        return build_from_pcp(PcPresentation(
-            p=2, relative_orders=(4, 2, 2, 2), power_words=(None,) * 4,
-            commutator_words={(1, 0): (0, 0, 1, 1), (2, 0): (0, 0, 0, 1)}, label="Gamma7a1"))
-    if family == "Gamma8":
-        return dihedral(32)
+    if family in _GAMMA_PRESENTATIONS:
+        return build_from_pcp(_GAMMA_PRESENTATIONS[family])
+    if family in _GAMMA_DIHEDRAL_ORDERS:
+        return dihedral(_GAMMA_DIHEDRAL_ORDERS[family])
     raise InvalidParameters(f"unknown family {family!r}")
 
 
@@ -188,12 +189,10 @@ def family_spec(family: str, p: int) -> FamilySpec:
         z, d, cls, abmax = _FINGERPRINTS[family]
         return FamilySpec(family, 2, 2**rank, z, d, cls, abmax)
     if family in PHI_FAMILIES:
-        if not (is_prime(p) and p % 2 == 1):
-            raise InvalidParameters(f"{family} needs an odd prime, got {p}")
         if p not in CATALOG_PHI_PRIMES:
             raise InvalidParameters(
-                f"catalog primes for Phi families are {CATALOG_PHI_PRIMES}; "
-                f"p = {p} stays under the order cap only by accident, so it is rejected"
+                f"{family} needs one of the catalog primes {CATALOG_PHI_PRIMES}, got {p}: "
+                "other odd primes stay under the order cap only by accident"
             )
         rank = _FAMILY_RANK.get(family, 5)
         z, d, cls, abmax = _FINGERPRINTS[family]
@@ -239,6 +238,7 @@ def stem_group(family: str, p: int) -> GroupTable:
 
 def _cycles_product(orders: tuple[int, ...], label: str) -> GroupTable:
     """Direct product of cyclic groups as disjoint cycles on a shared domain."""
+    check_order_cap(math.prod(orders), label)
     total = sum(orders)
     gens = []
     offset = 0
@@ -269,19 +269,19 @@ def abelian_group(orders: tuple[int, ...]) -> GroupTable:
 
 
 def elementary_abelian(p: int, rank: int) -> GroupTable:
-    if not is_prime(p) or rank < 0:
+    """C_p^rank; the presentation checks the order cap and then that p is prime."""
+    if rank < 0:
         raise InvalidParameters("need a prime and a nonnegative rank")
     if rank == 0:
         return cyclic(1)
-    g = build_from_pcp(PcPresentation(p=p, relative_orders=(p,) * rank,
-                                      power_words=(None,) * rank,
-                                      commutator_words={}, label=f"C{p}^{rank}"))
-    return g
+    return build_from_pcp(PcPresentation(p=p, relative_orders=(p,) * rank,
+                                         power_words=(None,) * rank, label=f"C{p}^{rank}"))
 
 
 def dihedral(order: int) -> GroupTable:
     if order < 6 or order % 2:
         raise InvalidParameters("dihedral groups here have even order >= 6")
+    check_order_cap(order, f"D{order}")
     n = order // 2
     rot = tuple((i + 1) % n for i in range(n))
     ref = tuple((-i) % n for i in range(n))
@@ -289,6 +289,7 @@ def dihedral(order: int) -> GroupTable:
 
 
 def semidihedral(order: int) -> GroupTable:
+    check_order_cap(order, f"SD{order}")
     root = prime_power_root(order)
     if root is None or root[0] != 2 or order < 16:
         raise InvalidParameters("semidihedral groups have order 2^n, n >= 4")
@@ -300,6 +301,7 @@ def semidihedral(order: int) -> GroupTable:
 
 
 def quaternion(order: int) -> GroupTable:
+    check_order_cap(order, f"Q{order}")
     root = prime_power_root(order)
     if root is None or root[0] != 2 or order < 8:
         raise InvalidParameters("generalized quaternion groups have order 2^n, n >= 3")
@@ -315,6 +317,10 @@ def quaternion(order: int) -> GroupTable:
 def symmetric(degree: int) -> GroupTable:
     if degree < 1:
         raise InvalidParameters("symmetric group degree must be >= 1")
+    order = 1
+    for k in range(2, degree + 1):  # stops at the first partial product over the cap
+        order *= k
+        check_order_cap(order, f"S{degree}")
     if degree == 1:
         return build_from_permutations([(0,)], label="S1")
     cycle = tuple((i + 1) % degree for i in range(degree))
@@ -335,6 +341,7 @@ def named_group(name: str, *params: int) -> GroupTable:
     """Dispatch for the generic named families used by tests and the CLI."""
     if name == "elementary_abelian":
         if len(params) == 1:
+            check_order_cap(params[0], f"elementary_abelian({params[0]})")
             root = prime_power_root(params[0])
             if root is None:
                 raise InvalidParameters(f"{params[0]} is not a prime power")

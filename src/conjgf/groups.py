@@ -21,6 +21,12 @@ FULL_ASSOCIATIVITY_LIMIT = 256
 ASSOCIATIVITY_BLOCK = 64  # rows per block of the generator-triple check
 
 
+def check_order_cap(order: int, what: str) -> None:
+    """Refuse a group of at least `order` elements over the cap, before anything is allocated."""
+    if order > DEFAULT_ORDER_CAP:
+        raise ClosureExceedsCap(f"{what} has at least {order} elements, over the cap {DEFAULT_ORDER_CAP}")
+
+
 def memoized(fn):
     """Cache fn(g) write-once in g's private cache, keyed by fn's qualified name."""
     key = fn.__qualname__
@@ -371,8 +377,7 @@ def build_from_cayley(table: Sequence[Sequence[int]], label: str = "") -> GroupT
     NotAGroup naming the first failed check and its witness.
     """
     try:
-        if len(table) > DEFAULT_ORDER_CAP:
-            raise ClosureExceedsCap(f"table of order {len(table)} exceeds cap {DEFAULT_ORDER_CAP}")
+        check_order_cap(len(table), "table")
         rows = [list(row) for row in table]
     except TypeError:
         raise NotAGroup("shape", (), "table must be a list of rows") from None

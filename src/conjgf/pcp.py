@@ -1,4 +1,4 @@
-"""Power-commutator presentations and collection from the left.
+"""Power-commutator presentations, compiled to tables by cyclic extension.
 
 A presentation lists d generators with prime-power relative orders r_i,
 an optional power word for each g_i^(r_i), and commutator words [g_j, g_i]
@@ -7,18 +7,21 @@ reference generators strictly deeper than the smaller index of its relation
 (weight ordering), which is what makes collection terminate.
 
 Elements of the compiled group are the normal forms g_1^e1 ... g_d^ed with
-0 <= e_i < r_i, indexed lexicographically by exponent vector.
+0 <= e_i < r_i, indexed lexicographically by exponent vector.  `collect`
+(collection from the left) is the reference that tests check the cyclic
+extension build against; only it has a rewrite budget.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
 
-from .errors import ClosureExceedsCap, InconsistentPresentation, InvalidParameters
-from .groups import DEFAULT_ORDER_CAP, GroupTable, certify
+from .errors import InconsistentPresentation, InvalidParameters
+from .groups import GroupTable, certify, check_order_cap
 
 DEFAULT_REWRITE_BUDGET = 1_000_000
 
@@ -69,12 +72,15 @@ class PcPresentation:
 
     def __post_init__(self):
         d = len(self.relative_orders)
-        if not is_prime(self.p):
-            raise InvalidParameters(f"p = {self.p} is not prime")
         if d == 0:
             raise InvalidParameters("presentation needs at least one generator")
         if len(self.power_words) != d:
             raise InvalidParameters("power_words must list one entry per generator")
+        # the cap bounds p and every r_i before the O(sqrt) trial divisions below
+        n = self.compiled_order()
+        check_order_cap(n, self.label or "presentation")
+        if self.p > n or not is_prime(self.p):
+            raise InvalidParameters(f"p = {self.p} is not a prime dividing the order {n}")
         for i, r in enumerate(self.relative_orders):
             root = prime_power_root(r)
             if root is None or root[0] != self.p:
@@ -104,10 +110,7 @@ class PcPresentation:
         return len(self.relative_orders)
 
     def compiled_order(self) -> int:
-        n = 1
-        for r in self.relative_orders:
-            n *= r
-        return n
+        return math.prod(self.relative_orders)
 
 
 def _word_syllables(w: Word) -> list[list[int]]:
@@ -179,60 +182,50 @@ def collect(
     return tuple(vec)
 
 
-def build_from_pcp(
-    pres: PcPresentation,
-    label: str = "",
-    cap: int = DEFAULT_ORDER_CAP,
-    budget: int = DEFAULT_REWRITE_BUDGET,
-) -> GroupTable:
-    """Compile a presentation into a full multiplication table.
+def build_from_pcp(pres: PcPresentation) -> GroupTable:
+    """Compile a presentation into a full multiplication table by cyclic extension.
 
-    Only |G| * d products are collected (right multiplication by each
-    generator); the remaining columns follow from the parent decomposition
-    of each normal form.  The certificate then checks the result is really
-    a group: a consistent presentation is exactly one whose normal forms
-    multiply associatively.
+    N_i = <g_i, ..., g_(d-1)> is built from N_(i+1) for i = d-1 ... 0: its
+    element g_i^a u (u in N_(i+1)) has index a*m + u with m = |N_(i+1)|, and
+
+        (g_i^a u)(g_i^b v) = g_i^((a+b) mod r_i) [w] phi^b(u) v,
+
+    where phi(u) = g_i^-1 u g_i, and w = g_i^(r_i), the power word, enters
+    when a + b >= r_i.  phi(g_j) = g_j [g_j, g_i] on generators, and extends
+    to N_(i+1) through each normal form's parent u = parent * g_k.  The
+    certificate then checks the result is really a group: a consistent
+    presentation is exactly one whose normal forms multiply associatively.
     """
-    n = pres.compiled_order()
-    if n > cap:
-        raise ClosureExceedsCap(f"presentation compiles to order {n} > cap {cap}")
-    d = pres.num_generators
-    orders = pres.relative_orders
-
+    orders, comms = pres.relative_orders, pres.commutator_words
+    d, n = len(orders), pres.compiled_order()
     radix = [1] * d
     for i in range(d - 2, -1, -1):
         radix[i] = radix[i + 1] * orders[i + 1]
 
-    def vec_of(idx: int) -> Word:
-        out = []
-        for i in range(d):
-            out.append(idx // radix[i] % orders[i])
-        return tuple(out)
+    def idx_of(w: Word | None) -> int:
+        return 0 if w is None else sum(e * radix[k] for k, e in enumerate(w))
 
-    def idx_of(vec: Word) -> int:
-        return sum(e * radix[i] for i, e in enumerate(vec))
-
-    vectors = [vec_of(x) for x in range(n)]
-
-    right = []
-    for gi in range(d):
-        col = np.empty(n, dtype=np.int32)
-        for x in range(n):
-            col[x] = idx_of(collect(pres, _word_syllables(vectors[x]) + [[gi, 1]], budget))
-        right.append(col)
-
-    mul = np.empty((n, n), dtype=np.int32)
-    mul[:, 0] = np.arange(n, dtype=np.int32)
-    for y in range(1, n):
-        vec = vectors[y]
-        gi = max(i for i, e in enumerate(vec) if e)
-        parent = y - radix[gi]
-        mul[:, y] = right[gi][mul[:, parent]]
+    mul = np.zeros((1, 1), dtype=np.int32)
+    for i in range(d - 1, -1, -1):
+        r, m = orders[i], len(mul)
+        image = {j: mul[radix[j], idx_of(comms.get((j, i)))] for j in range(i + 1, d)}
+        phi = np.zeros(m, dtype=np.intp)
+        for u in range(1, m):  # u = (u - radix[k]) * g_k for its deepest generator g_k
+            k = next(k for k in range(i + 1, d) if u % radix[k] == 0)
+            phi[u] = mul[phi[u - radix[k]], image[k]]
+        w = idx_of(pres.power_words[i])
+        a = np.arange(r)
+        grown = np.empty((r, m, r, m), dtype=np.int32)
+        phi_b = np.arange(m)
+        for b in range(r):  # block (a, b) for every a: rows X = [w] phi^b(u) of mul
+            rows = np.where((a + b >= r)[:, None], mul[w, phi_b], phi_b)
+            grown[:, :, b, :] = mul[rows] + ((a + b) % r * m).astype(np.int32)[:, None, None]
+            phi_b = phi[phi_b]
+        mul = grown.reshape(r * m, r * m)
     inv = np.argmax(mul == 0, axis=1).astype(np.int32)
 
-    gens = tuple(idx_of(tuple(1 if j == i else 0 for j in range(d))) for i in range(d))
-    table = GroupTable(order=n, mul=mul, inv=inv, generators=gens,
-                       label=label or pres.label or f"pcp({n})")
+    table = GroupTable(order=n, mul=mul, inv=inv, generators=tuple(radix),
+                       label=pres.label or f"pcp({n})")
     bad = certify(table).first_failure()
     if bad is not None:
         raise InconsistentPresentation(

@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +21,9 @@ def write_spec(tmp_path, name, doc):
     path = tmp_path / name
     path.write_text(json.dumps(doc), encoding="utf-8")
     return str(path)
+
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture()
@@ -175,3 +179,17 @@ def test_error_exit_code(capsys, tmp_path):
     bad = write_spec(tmp_path, "bad.json", {"kind": "family", "name": "Phi5", "p": 2})
     code = main(["genfun", bad])
     assert code == 2
+
+
+@pytest.mark.parametrize("command", [
+    # the README's commands on the files under specs/
+    "genfun specs/gamma3.json --partial-fractions",
+    "oracle specs/s3.json --n-max 3",
+    "genfun specs/phi5_p3.json --which B --normalized",
+    "equiv specs/gamma3.json specs/heisenberg27.json --mode A",
+    "certify specs/heisenberg27.json",  # the one pcp-kind spec
+])
+def test_shipped_specs(capsys, command):
+    argv = [str(REPO_ROOT / a) if a.startswith("specs/") else a for a in command.split()]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0, out

@@ -9,7 +9,8 @@ from conjgf.analysis import (
     element_orders,
     nilpotency_class,
 )
-from conjgf.errors import InvalidParameters
+from conjgf import groups
+from conjgf.errors import ClosureExceedsCap, InvalidParameters
 from conjgf.families import (
     ALL_FAMILIES,
     GAMMA_FAMILIES,
@@ -154,3 +155,46 @@ def test_maximal_class_trio_same_functions(catalog):
         for g in groups[1:]:
             assert a_of_t(g) == a0, (n, g.label)
             assert b_of_t(g) == b0, (n, g.label)
+
+
+@pytest.mark.parametrize("build, order", [
+    (lambda: cyclic(12), 12),
+    (lambda: abelian_group((4, 3)), 12),
+    (lambda: stem_group.__wrapped__("abelian", 13), 13),  # past the cache
+    (lambda: dihedral(12), 12),
+    (lambda: semidihedral(16), 16),
+    (lambda: quaternion(16), 16),
+    (lambda: symmetric(4), 24),
+    (lambda: elementary_abelian(2, 4), 16),
+    (lambda: named_group("elementary_abelian", 16), 16),
+], ids=["cyclic", "abelian_group", "abelian family", "dihedral", "semidihedral",
+        "quaternion", "symmetric", "elementary_abelian", "named elementary_abelian"])
+def test_constructor_order_cap_at_its_edge(monkeypatch, build, order):
+    monkeypatch.setattr(groups, "DEFAULT_ORDER_CAP", order - 1)
+    with pytest.raises(ClosureExceedsCap):
+        build()
+    monkeypatch.setattr(groups, "DEFAULT_ORDER_CAP", order)
+    assert build().order == order
+
+
+def test_oversized_requests_fail_before_building():
+    # each of these used to build permutations or trial-divide until it hung
+    # or ran out of memory; 2^89 - 1 is prime
+    from conjgf.groupspec import group_from_spec
+
+    huge = 2**89 - 1
+    for build in (
+        lambda: group_from_spec({"kind": "family", "name": "cyclic", "p": 12000}),
+        lambda: stem_group("abelian", 10**12),
+        lambda: abelian_group((10**6, 10**6)),
+        lambda: dihedral(10**12),
+        lambda: semidihedral(2**89),
+        lambda: quaternion(2**89),
+        lambda: symmetric(10**9),
+        lambda: elementary_abelian(huge, 1),
+        lambda: named_group("elementary_abelian", huge),
+    ):
+        with pytest.raises(ClosureExceedsCap):
+            build()
+    with pytest.raises(InvalidParameters):
+        family_spec("Phi5", huge)

@@ -1,9 +1,16 @@
 from __future__ import annotations
 
-import pytest
+import re
 
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conjgf import groups
 from conjgf.analysis import center_elements, element_orders
-from conjgf.errors import InconsistentPresentation, InvalidParameters
+from conjgf.errors import ClosureExceedsCap, InconsistentPresentation, InvalidParameters
+from conjgf.families import _GAMMA_PRESENTATIONS, PHI_FAMILIES, _phi_presentation
 from conjgf.groups import certify
 from conjgf.pcp import (
     PcPresentation,
@@ -83,8 +90,84 @@ def test_inconsistent_presentation_rejected():
         p=2, relative_orders=(2, 2), power_words=((0, 1), None),
         commutator_words={(1, 0): (0, 1)},
     )
-    with pytest.raises(InconsistentPresentation):
+    with pytest.raises(InconsistentPresentation, match=re.escape("certificate failed at inverses (2,)")):
         build_from_pcp(pres)
+
+
+@pytest.mark.parametrize("family", ["Phi9", "Phi10"])
+def test_p3_presentation_without_power_words_rejected(family):
+    # at p = 3 these families are consistent only with their power words
+    pres = _phi_presentation(family, 3)
+    bare = PcPresentation(p=3, relative_orders=pres.relative_orders, power_words=(None,) * 5,
+                          commutator_words=pres.commutator_words, label=family)
+    with pytest.raises(InconsistentPresentation, match=re.escape("certificate failed at inverses (108,)")):
+        build_from_pcp(bare)
+
+
+def _assert_matches_collect(pres: PcPresentation) -> None:
+    """Every generator product x * g_i of the built table is collect's normal
+    form of the word x g_i.  Both tables are certified groups generated by the
+    g_i, so agreeing on these |G| * d products makes them equal."""
+    g = build_from_pcp(pres)
+    orders = pres.relative_orders
+    got = g.mul[:, list(g.generators)].tolist()
+    for x, vec in enumerate(np.ndindex(*orders)):  # lexicographic, as the element indices
+        word = [[k, e] for k, e in enumerate(vec) if e]
+        want = [np.ravel_multi_index(collect(pres, word + [[i, 1]]), orders) for i in range(len(orders))]
+        assert got[x] == want, (pres.label, x)
+
+
+CATALOG_PRESENTATIONS = (
+    list(_GAMMA_PRESENTATIONS.values())
+    + [_phi_presentation(f, 3) for f in PHI_FAMILIES]
+    + [_phi_presentation("Phi5", 5), _phi_presentation("Phi10", 5)]
+)
+
+
+@pytest.mark.parametrize("pres", CATALOG_PRESENTATIONS, ids=lambda pres: pres.label)
+def test_build_matches_collect_on_catalog(pres):
+    _assert_matches_collect(pres)
+
+
+@st.composite
+def class_two_presentations(draw):
+    """Commutator words only into trailing central generators that no commutator
+    key names, and no power words: class at most 2 and odd p, so consistent."""
+    p = draw(st.sampled_from((3, 5)))
+    d = draw(st.integers(3, 5))
+    top = draw(st.integers(2, d - 1))  # g_top .. g_(d-1) are central
+    word = st.lists(st.integers(0, p - 1), min_size=d - top, max_size=d - top)
+    comms = {}
+    for j in range(1, top):
+        for i in range(j):
+            tail = draw(word)
+            if any(tail):
+                comms[(j, i)] = (0,) * top + tuple(tail)
+    return PcPresentation(p=p, relative_orders=(p,) * d, power_words=(None,) * d,
+                          commutator_words=comms, label=f"class2({p}, {d}, {sorted(comms)})")
+
+
+@given(class_two_presentations())
+@settings(max_examples=20, deadline=None)
+def test_build_matches_collect_on_class_two(pres):
+    _assert_matches_collect(pres)
+
+
+def test_presentation_order_cap_at_its_edge(monkeypatch):
+    monkeypatch.setattr(groups, "DEFAULT_ORDER_CAP", 27)
+    assert build_from_pcp(PcPresentation(p=3, relative_orders=(3, 9), power_words=(None, None))).order == 27
+    monkeypatch.setattr(groups, "DEFAULT_ORDER_CAP", 26)
+    with pytest.raises(ClosureExceedsCap):
+        PcPresentation(p=3, relative_orders=(3, 9), power_words=(None, None))
+
+
+def test_huge_prime_is_refused_before_trial_division():
+    # trial division of 2^89 - 1 would run for days
+    p = 2**89 - 1
+    with pytest.raises(ClosureExceedsCap):
+        PcPresentation(p=p, relative_orders=(p,), power_words=(None,))
+    with pytest.raises(InvalidParameters, match="is not a prime dividing the order 2"):
+        PcPresentation(p=p, relative_orders=(2,), power_words=(None,))
 
 
 def test_certificate_skips_full_check_above_256():
