@@ -179,13 +179,11 @@ def frattini_elements(g: GroupTable, p: int) -> tuple[int, ...]:
     return subgroup_closure(g, seed)
 
 
-def maximal_subgroups(g: GroupTable, p: int) -> list[tuple[int, ...]]:
-    """All index-p subgroups of a p-group: hyperplane preimages of G/Frattini."""
-    _p_log(g.order, p)
-    if g.order == 1:
-        return []
+def _frattini_quotient(g: GroupTable, p: int):
+    """G/Phi(G) of a p-group (order > 1) with a basis b_0..b_(k-1) of it, and
+    the coordinates over F_p of each quotient element in that basis."""
     frat = frattini_elements(g, p)
-    q, _reps, coset_of = quotient_table(g, frat)
+    q, reps, coset_of = quotient_table(g, frat)
     basis: list[int] = []
     span = {0}
     for x in range(1, q.order):
@@ -205,13 +203,53 @@ def maximal_subgroups(g: GroupTable, p: int) -> list[tuple[int, ...]]:
             cur = q.mul_index(cur, basis[idx])
 
     fill(0, 0, [])
+    return frat, reps, coset_of, basis, coords
+
+
+def maximal_subgroups(g: GroupTable, p: int) -> list[tuple[int, ...]]:
+    """All index-p subgroups of a p-group: hyperplane preimages of G/Frattini."""
+    _p_log(g.order, p)
+    if g.order == 1:
+        return []
+    _frat, _reps, coset_of, basis, coords = _frattini_quotient(g, p)
     subs: list[tuple[int, ...]] = []
-    for functional in _unit_functionals(p, k):
+    for functional in _unit_functionals(p, len(basis)):
         lam = np.asarray(functional, dtype=np.int64)
         in_plane = (coords @ lam) % p == 0
         members = np.nonzero(in_plane[coset_of])[0]
         subs.append(tuple(int(v) for v in members))
     return subs
+
+
+def maximal_subgroup_generators(g: GroupTable, p: int) -> list[tuple[int, ...]]:
+    """A generating set of each maximal subgroup, in `maximal_subgroups` order.
+
+    The hyperplane lam = 0 (lam_j = 1 its first nonzero entry) has the basis
+    e_i - lam_i e_j for i != j, so its preimage M is generated by Phi(G) and
+    the elements x_i x_j^(-lam_i), where x_i lifts b_i.
+    """
+    _p_log(g.order, p)
+    if g.order == 1:
+        return []
+    frat, reps, _coset_of, basis, _coords = _frattini_quotient(g, p)
+    frat_gens: list[int] = []
+    span = {0}
+    for x in frat:
+        if x not in span:
+            frat_gens.append(x)
+            span = set(subgroup_closure(g, frat_gens))
+    lifts = [reps[b] for b in basis]
+    gens: list[tuple[int, ...]] = []
+    for functional in _unit_functionals(p, len(lifts)):
+        j = functional.index(1)
+        kernel = []
+        for i, (x, lam) in enumerate(zip(lifts, functional)):
+            if i != j:
+                for _ in range(-lam % p):
+                    x = g.mul_index(x, lifts[j])
+                kernel.append(x)
+        gens.append(tuple(frat_gens + kernel))
+    return gens
 
 
 def _unit_functionals(p: int, k: int):
@@ -225,7 +263,8 @@ def _unit_functionals(p: int, k: int):
 
 
 def has_abelian_maximal_subgroup(g: GroupTable, p: int) -> bool:
-    return any(is_abelian_subset(g, sub) for sub in maximal_subgroups(g, p))
+    """Some maximal subgroup is abelian: its generating set pairwise commutes."""
+    return any(is_abelian_subset(g, gens) for gens in maximal_subgroup_generators(g, p))
 
 
 @dataclass(frozen=True)

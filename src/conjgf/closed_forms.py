@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import InvalidParameters
 from .families import GAMMA_FAMILIES, PHI_FAMILIES
-from .pcp import is_prime
+from .pcp import EXACT_PRIME_LIMIT, is_prime
 from .ratfun import RationalGF, gf_sum
 
 ABELIAN_MAX = "abelian_max"
@@ -298,6 +298,8 @@ def table_row(family: str, p: int) -> tuple[RationalGF, RationalGF]:
     """The Table-1 pair (normalized A, normalized B) for a family at prime p."""
     if family not in TABLE_ROWS:
         raise InvalidParameters(f"unknown family {family!r}")
+    _require(p < EXACT_PRIME_LIMIT,
+             f"p = {p} is not below {EXACT_PRIME_LIMIT}, where primality is decided exactly")
     if family in GAMMA_FAMILIES:
         _require(p == 2, f"{family} is a family of 2-groups; p must be 2")
     elif family in PHI_FAMILIES:

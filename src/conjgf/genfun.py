@@ -1,27 +1,30 @@
 """The two core computations: A_G(t) from the centralizer histogram and
-B_G(t) from the centralizer recursion, plus coefficient extraction,
-normalization and the equivalence predicates.
+B_G(t) in Burnside form, plus coefficient extraction, normalization and the
+equivalence predicates.
 
 A_G(t) counts simultaneous-conjugacy orbits of n-tuples: the n-th series
 coefficient is (1/|G|) sum_g |Z_G(g)|^n.  B_G(t) does the same for pairwise
-commuting n-tuples via the recursion
-    (1 - |Z(G)| t) B_G(t) = 1 + sum over non-central classes of t * B_{Z_G(x)}(t),
-whose base case is an abelian centralizer H with B_H = 1/(1 - |H| t).
-Every subgroup in the recursion stays a boolean mask over the top group's
-elements, and classes with the same centralizer are merged into one term.
+commuting n-tuples.  By Burnside's lemma beta_n |G| = c_{n+1}(G), the number
+of commuting (n+1)-tuples, so B needs no conjugacy classes.  The series
+N_H(t) = sum c_n(H) t^n satisfies
+    (1 - |Z(H)| t) N_H(t) = 1 + t S_H(t),   S_H = sum_C mult(C) N_C(t),
+over the distinct non-central centralizers C = C_H(y), with mult(C) the
+number of y in H that have it, N_C = 1/(1 - |C| t) for abelian C, and
+    B_G(t) = (|Z(G)| N_G(t) + S_G(t)) / |G|.
+Each node is one boolean commuting block over its subgroup's elements: its
+distinct rows are the centralizers, and a child's block is the rows and
+columns of its members.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
-
 import numpy as np
 
 from .analysis import conjugacy_data
 from .errors import RecursionDepthExceeded
-from .groups import GroupTable, is_abelian_subset
-from .ratfun import PartialFractions, RationalGF, partial_fractions
+from .groups import GroupTable
+from .ratfun import PartialFractions, RationalGF, gf_sum, partial_fractions
 
 MAX_B_DEPTH = 64
 
@@ -47,66 +50,76 @@ def alpha_coefficient(g: GroupTable, n: int) -> int:
 
 
 def b_of_t(g: GroupTable) -> RationalGF:
-    """B_G(t) via the centralizer recursion, exact and reduced.
+    """B_G(t) in Burnside form, exact and reduced.
 
-    The work done (classes processed plus non-abelian subgroups recursed
-    into) is left beside the result in the table's cache as "b_work".
+    The work done (distinct non-central rows summed plus non-abelian nodes
+    computed) is left beside the result in the table's cache as "b_work".
+    The commuting block is built once per call and never cached, so a
+    cached table does not keep n^2 bytes alive.
     """
     cached = g._cache.get("b_of_t")
     if cached is None:
         work = [0]
-        if g.is_abelian:
+        block = g.mul == g.mul.T
+        if block.all():
             cached = RationalGF.simple(1, g.order)
         else:
-            whole = np.ones(g.order, dtype=bool)
-            cached = _b_of_mask(g, whole, conjugacy_data(g).representatives, 0, work)
+            idx = np.arange(g.order, dtype=np.intp)
+            zsize, s = _commuting_sum(block, idx, {}, 0, work)
+            cached = (_count_series(zsize, s) * zsize + s) * Fraction(1, g.order)
         g._cache.setdefault("b_work", work[0])
         cached = g._cache.setdefault("b_of_t", cached)
     return cached
 
 
-def _class_representatives(g: GroupTable, h: np.ndarray) -> list[int]:
-    """One element of each conjugacy class of the subgroup h (a mask of g)."""
-    members = np.flatnonzero(h)
-    inv_members = g.inv[members]
-    seen = ~h
-    reps = []
-    for y in members:
-        if not seen[y]:
-            seen[g.mul[g.mul[inv_members, y], members]] = True
-            reps.append(int(y))
-    return reps
+def _commuting_sum(
+    block: np.ndarray, idx: np.ndarray, memo: dict, depth: int, work: list[int]
+) -> tuple[int, RationalGF]:
+    """(|Z(H)|, S_H) for a non-abelian subgroup H with commuting block `block`.
 
-
-def _b_of_mask(
-    g: GroupTable, h: np.ndarray, reps: Sequence[int], depth: int, work: list[int]
-) -> RationalGF:
-    """B_H for a non-abelian subgroup h of g, given as a mask with class reps.
-
-    C_H(y) = H & C_G(y) stays a mask of g, and classes with the same
-    centralizer are merged into one count * t * B_C term.
+    `idx` holds H's elements as indices of the top group, in block order;
+    child series are memoized in `memo` under that exact element set.
+    S_H = sum over distinct non-central centralizers C of mult(C) * N_C, where
+    mult(C) counts the y in H with C_H(y) = C and N_C = sum c_n(C) t^n.
     """
     if depth > MAX_B_DEPTH:
         raise RecursionDepthExceeded(
             "centralizer chain failed to shrink; the table must be corrupt"
         )
-    work[0] += len(reps)
-    counts: dict[bytes, int] = {}
-    for y in reps:
-        key = (h & (g.mul[:, y] == g.mul[y, :])).tobytes()
-        counts[key] = counts.get(key, 0) + 1
-    zsize = counts.pop(h.tobytes(), 0)  # central classes have C_H(y) = H
-    acc = RationalGF.one()
-    for key, count in counts.items():
-        c = np.frombuffer(key, dtype=bool)
-        elems = np.flatnonzero(c)
-        if is_abelian_subset(g, elems):
-            bc = RationalGF.simple(count, elems.size)
-        else:
-            work[0] += 1
-            bc = _b_of_mask(g, c, _class_representatives(g, c), depth + 1, work) * count
-        acc = acc + bc.times_t()
-    return acc.over_linear(zsize)
+    work[0] += 1
+    _, first, mult = np.unique(_packed_rows(block), return_index=True, return_counts=True)
+    zsize = 0
+    terms: dict[RationalGF, int] = {}  # N_C -> summed multiplicity
+    for i, m in zip(first.tolist(), mult.tolist()):
+        members = np.flatnonzero(block[i])
+        if members.size == block.shape[0]:
+            zsize += m
+            continue
+        work[0] += 1
+        sub_idx = idx[members]
+        key = sub_idx.tobytes()
+        n_c = memo.get(key)
+        if n_c is None:
+            # rows, then columns: about 3x faster than one np.ix_ gather
+            sub = block.take(members, axis=0).take(members, axis=1)
+            if sub.all():
+                n_c = RationalGF.simple(1, members.size)
+            else:
+                n_c = _count_series(*_commuting_sum(sub, sub_idx, memo, depth + 1, work))
+            memo[key] = n_c
+        terms[n_c] = terms.get(n_c, 0) + m
+    return zsize, gf_sum([n_c * m for n_c, m in terms.items()])
+
+
+def _count_series(zsize: int, s: RationalGF) -> RationalGF:
+    """N_H = (1 + t S_H) / (1 - |Z(H)| t)."""
+    return (RationalGF.one() + s.times_t()).over_linear(zsize)
+
+
+def _packed_rows(block: np.ndarray) -> np.ndarray:
+    """Each row of a boolean block as one opaque bytes value, for np.unique."""
+    packed = np.packbits(block, axis=1)
+    return packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
 
 
 def beta_coefficient(g: GroupTable, n: int) -> int:

@@ -59,11 +59,6 @@ class GroupTable:
         left = self.mul[self.inv[x], self.inv[y]]
         return int(self.mul[left, self.mul[x, y]])
 
-    @property
-    @memoized
-    def is_abelian(self) -> bool:
-        return bool(np.array_equal(self.mul, self.mul.T))
-
     def conj_by(self, g: int) -> np.ndarray:
         """The permutation x -> g x g^-1 as an index array."""
         return self.mul[self.mul[g], self.inv[g]]

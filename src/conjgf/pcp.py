@@ -28,18 +28,37 @@ DEFAULT_REWRITE_BUDGET = 1_000_000
 Word = tuple[int, ...]  # exponent vector, length d
 
 
+# Miller-Rabin on the first 13 primes decides primality exactly below the
+# smallest strong pseudoprime to all of them (Sorenson and Webster, 2015).
+PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+EXACT_PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin, exact for every n below EXACT_PRIME_LIMIT."""
+    if n >= EXACT_PRIME_LIMIT:
+        raise InvalidParameters(
+            f"{n} is not below {EXACT_PRIME_LIMIT}, where primality is decided exactly"
+        )
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for q in PRIME_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -76,7 +95,7 @@ class PcPresentation:
             raise InvalidParameters("presentation needs at least one generator")
         if len(self.power_words) != d:
             raise InvalidParameters("power_words must list one entry per generator")
-        # the cap bounds p and every r_i before the O(sqrt) trial divisions below
+        # the cap bounds p and every r_i before prime_power_root's trial divisions below
         n = self.compiled_order()
         check_order_cap(n, self.label or "presentation")
         if self.p > n or not is_prime(self.p):

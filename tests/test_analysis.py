@@ -13,12 +13,14 @@ from conjgf.analysis import (
     is_ac_group,
     lower_central_series,
     maximal_class_profile,
+    maximal_subgroup_generators,
     maximal_subgroups,
     nilpotency_class,
 )
 from conjgf.errors import NotPrimePower
-from conjgf.families import dihedral, stem_group
-from conjgf.groups import is_abelian_subset
+from conjgf.families import GAMMA_FAMILIES, PHI_FAMILIES, dihedral, stem_group
+from conjgf.groups import is_abelian_subset, subgroup_closure
+from conjgf.pcp import prime_power_root
 
 
 def test_s3_classes(catalog):
@@ -134,6 +136,24 @@ def test_maximal_subgroups(catalog):
     assert has_abelian_maximal_subgroup(g, 2)
     with pytest.raises(NotPrimePower):
         maximal_subgroups(catalog["S3"], 2)
+
+
+def test_maximal_subgroup_generators_against_blocks(catalog):
+    # each generating set spans its maximal subgroup and commutes pairwise
+    # exactly when the subgroup's full |M|^2 block does
+    cases = [(g, prime_power_root(g.order)) for g in catalog.values() if g.order > 1]
+    cases = [(g, root[0]) for g, root in cases if root]
+    cases += [(stem_group(f, 2), 2) for f in GAMMA_FAMILIES]
+    cases += [(stem_group(f, p), p) for p in (3, 5) for f in PHI_FAMILIES]
+    for g, p in cases:
+        subs = maximal_subgroups(g, p)
+        gens = maximal_subgroup_generators(g, p)
+        assert len(gens) == len(subs), g.label
+        abelian = [is_abelian_subset(g, sub) for sub in subs]
+        for sub, gen, ab in zip(subs, gens, abelian):
+            assert subgroup_closure(g, gen) == sub, g.label
+            assert is_abelian_subset(g, gen) == ab, g.label
+        assert has_abelian_maximal_subgroup(g, p) == any(abelian), g.label
 
 
 def test_maximal_class_profile_d32(catalog):

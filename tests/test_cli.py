@@ -167,9 +167,9 @@ def test_bench_csv(capsys, tmp_path):
                                              "eq4_recursion", "brute_beta"}
     d32_brute = next(r for r in rows if r["strategy"] == "brute_alpha" and r["n"] == "2")
     assert int(d32_brute["work"]) == 1024
-    # classes processed plus non-abelian subgroups recursed into
+    # distinct non-central rows summed plus non-abelian nodes computed
     eq4_work = {(r["group"], int(r["work"])) for r in rows if r["strategy"] == "eq4_recursion"}
-    assert eq4_work == {("D32", 11), ("Gamma5a1", 182), ("S4", 11)}
+    assert eq4_work == {("D32", 10), ("Gamma5a1", 76), ("S4", 26)}
 
 
 def test_error_exit_code(capsys, tmp_path):

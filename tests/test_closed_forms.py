@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -146,6 +148,27 @@ def test_invalid_parameters():
         table_row("Phi5", 2)
     with pytest.raises(InvalidParameters):
         table_row("Phi99", 3)
+
+
+def _accepts(fn, *args) -> bool:
+    try:
+        fn(*args)
+    except InvalidParameters:
+        return False
+    return True
+
+
+def test_table_row_primality_at_scale():
+    t0 = time.perf_counter()
+    table_row("Phi5", 2**61 - 1)
+    assert time.perf_counter() - t0 < 1.0
+    for family, p in (("Phi5", 561), ("Phi5", 2**89 - 1), ("abelian", 2**89 - 1)):
+        assert not _accepts(table_row, family, p), (family, p)  # Carmichael; past the exact limit
+    # the closed forms accept exactly the primes trial division finds
+    primes = [n for n in range(10**4 + 1) if n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))]
+    assert [n for n in range(10**4 + 1) if _accepts(b_central_quotient_p2, n, 3)] == primes
+    odd = [n for n in primes if n % 2 and n < 1000]
+    assert [n for n in range(1, 1000, 2) if _accepts(table_row, "Phi2", n)] == odd
 
 
 def test_table_row_examples():

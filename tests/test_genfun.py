@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 from conjgf import genfun
 from conjgf.analysis import conjugacy_data
 from conjgf.errors import RecursionDepthExceeded
-from conjgf.families import cyclic, symmetric
+from conjgf.families import GAMMA_FAMILIES, PHI_FAMILIES, cyclic, stem_group, symmetric
 from conjgf.genfun import (
     a_equivalent,
     a_of_t,
@@ -20,6 +22,7 @@ from conjgf.genfun import (
     gf_equal,
     normalize,
 )
+from conjgf.groups import GroupTable
 from conjgf.ratfun import RationalGF, gf_sum, partial_fractions
 
 F = Fraction
@@ -185,6 +188,45 @@ def test_b_recursion_depth_guard(monkeypatch):
     monkeypatch.setattr(genfun, "MAX_B_DEPTH", 0)
     with pytest.raises(RecursionDepthExceeded):
         b_of_t(symmetric(4))
+
+
+def _commuting_counts(g: GroupTable) -> tuple[int, int]:
+    """(c_2, c_3), the numbers of commuting pairs and pairwise commuting triples,
+    counted from the commuting block alone: c_3 = sum over commuting (x, y)
+    of |C(x) & C(y)|, by popcounts of bit-packed centralizer rows."""
+    block = g.mul == g.mul.T
+    packed = np.packbits(block, axis=1)
+    c3 = 0
+    for x in range(g.order):
+        c3 += int(np.bitwise_count(packed[block[x]] & packed[x]).sum())
+    return int(block.sum()), c3
+
+
+def test_b_against_commuting_counts(catalog):
+    # Burnside: beta_n |G| = c_(n+1), the number of commuting (n+1)-tuples
+    groups = list(catalog.values()) + [symmetric(5), symmetric(6)]
+    groups += [stem_group(f, 2) for f in GAMMA_FAMILIES]
+    groups += [stem_group(f, p) for p in (3, 5) for f in PHI_FAMILIES]
+    for g in groups:
+        c2, c3 = _commuting_counts(g)
+        series = b_of_t(g).series(3)
+        assert (series[1] * g.order, series[2] * g.order) == (c2, c3), g.label
+
+
+def test_b_memory_and_cache_on_order_3125():
+    # a fresh copy of the table, so its cache starts empty and nothing is reused
+    g0 = stem_group("Phi5", 5)
+    g = GroupTable(g0.order, g0.mul, g0.inv, g0.generators, g0.label)
+    tracemalloc.start()
+    try:
+        b_of_t(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * g.order**2, peak
+    # the n^2 commuting block is not kept on the table
+    assert set(g._cache) == {"b_of_t", "b_work"}
+    assert b_of_t(g) == b_of_t(g0)
 
 
 @given(st.randoms(use_true_random=False))

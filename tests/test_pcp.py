@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import re
 
 import numpy as np
@@ -13,6 +14,7 @@ from conjgf.errors import ClosureExceedsCap, InconsistentPresentation, InvalidPa
 from conjgf.families import _GAMMA_PRESENTATIONS, PHI_FAMILIES, _phi_presentation
 from conjgf.groups import certify
 from conjgf.pcp import (
+    EXACT_PRIME_LIMIT,
     PcPresentation,
     build_from_pcp,
     collect,
@@ -29,11 +31,43 @@ def test_is_prime_and_prime_power():
     assert prime_power_root(1) is None
 
 
+def _trial_division(n: int) -> bool:
+    return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    primes = [n for n in range(10**4 + 1) if _trial_division(n)]
+    assert [n for n in range(10**4 + 1) if is_prime(n)] == primes
+
+    # PcPresentation accepts a cyclic group of prime order n exactly when n is prime
+    def accepted(n: int) -> bool:
+        try:
+            PcPresentation(p=n, relative_orders=(n,), power_words=(None,))
+        except InvalidParameters:
+            return False
+        return True
+
+    assert [n for n in range(2, 10**4 + 1) if accepted(n)] == primes
+
+
+def test_is_prime_large_inputs():
+    # strong pseudoprimes to the bases 2..7, 2..23 and 2..37, each refused
+    for n in (3_215_031_751, 3_825_123_056_546_413_051, 318_665_857_834_031_151_167_461):
+        assert not is_prime(n), n
+    assert not is_prime(561)  # Carmichael
+    assert is_prime(2**61 - 1) and is_prime(2**31 - 1)
+    assert not is_prime(EXACT_PRIME_LIMIT - 1)  # even
+    with pytest.raises(InvalidParameters):
+        is_prime(EXACT_PRIME_LIMIT)
+    with pytest.raises(InvalidParameters):
+        is_prime(2**89 - 1)
+
+
 def test_cyclic_c8():
     pres = PcPresentation(p=2, relative_orders=(8,), power_words=(None,), label="C8")
     g = build_from_pcp(pres)
     assert g.order == 8
-    assert g.is_abelian
+    assert (g.mul == g.mul.T).all()
     assert element_orders(g)[g.generators[0]] == 8
 
 
