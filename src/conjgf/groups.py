@@ -19,6 +19,7 @@ from .errors import ClosureExceedsCap, InvalidPermutation, NotAGroup
 DEFAULT_ORDER_CAP = 10_000
 FULL_ASSOCIATIVITY_LIMIT = 256
 ASSOCIATIVITY_BLOCK = 64  # rows per block of the generator-triple check
+LINE_BLOCK = 128  # rows or columns per block of the cancellation scatter and the inverse scan
 
 
 def check_order_cap(order: int, what: str) -> None:
@@ -204,17 +205,21 @@ def _first_true(mask: np.ndarray) -> tuple[int, ...] | None:
 def certify(g: GroupTable) -> CertificateReport:
     """Verify the group axioms on a table (once per table; the report is cached).
 
-    Associativity is checked exhaustively up to order 256; past that, only
-    (xy)s = x(ys) for all x, y and generators s is checked, which suffices by
-    induction on word length once the generation check passes.  A failing
-    check names its witness: an entry (table_shape), an element (identity,
-    inverses, cancellation, generation) or a triple (associativity).
+    Associativity is checked exhaustively up to order 256.  Past that, only
+    (xy)s = x(ys) for all x, y and each s in S is checked, where S is the
+    greedy subsequence of the generators that `_spanning_generators` keeps:
+    once the identity holds and S's closure is the whole table, this implies
+    full associativity by induction on word length, and with it generation.
+    Any other outcome re-runs the check over every generator, so the witness
+    is always the first failing (x, y, s) over the generators in their order.
+    A failing check names its witness: an entry (table_shape), an element
+    (identity, inverses, cancellation, generation) or a triple (associativity).
     """
     mul, inv, n = g.mul, g.inv, g.order
     if mul.shape != (n, n) or inv.shape != (n,):
         bad = CheckResult("table_shape", "fail", f"mul {mul.shape} and inv {inv.shape} at order {n}", (n,))
         return CertificateReport(g.label, (bad,))
-    if not ((mul >= 0).all() and (mul < n).all()):
+    if not (mul.min() >= 0 and mul.max() < n):
         bad = CheckResult("table_shape", "fail", "entry out of range", _first_true((mul < 0) | (mul >= n)))
         return CertificateReport(g.label, (bad,))
     checks = [CheckResult("table_shape", "pass")]
@@ -226,24 +231,27 @@ def certify(g: GroupTable) -> CertificateReport:
     bad_inv = _first_true((mul[ident, inv] != 0) | (mul[inv, ident] != 0))
     checks.append(_verdict("inverses", bad_inv, "inv[x] must be a two-sided inverse of x"))
 
-    row = _first_non_permutation_row(mul)
-    col = None if row is not None else _first_non_permutation_row(mul.T)
-    if row is not None:
-        cancel = CheckResult("cancellation", "fail", f"row {row} is not a permutation", (row,))
-    elif col is not None:
-        cancel = CheckResult("cancellation", "fail", f"column {col} is not a permutation", (col,))
-    else:
+    line = _first_non_permutation_line(mul)
+    if line is None:
         cancel = CheckResult("cancellation", "pass", "every row and column is a permutation")
+    else:
+        kind, at = line
+        cancel = CheckResult("cancellation", "fail", f"{kind} {at} is not a permutation", (at,))
     checks.append(cancel)
 
+    span = None
     if n <= FULL_ASSOCIATIVITY_LIMIT:
         mode, bad_assoc = "all triples", _associativity_witness_full(mul)
     else:
-        mode, bad_assoc = "generator triples", _associativity_witness_generators(mul, g.generators)
+        mode, bad_assoc = "generator triples", None
+        kept, span = _spanning_generators(g) if bad_id is None else ((), ())
+        if len(span) < n or _associativity_witness_generators(mul, kept) is not None:
+            span, bad_assoc = None, _associativity_witness_generators(mul, g.generators)
     checks.append(_verdict("associativity", bad_assoc, mode))
 
     if cancel.status == "pass" and bad_assoc is None:
-        span = subgroup_closure(g, g.generators)
+        if span is None:
+            span = subgroup_closure(g, g.generators)
         missing = None if len(span) == n else (min(set(range(n)).difference(span)),)
         checks.append(_verdict("generation", missing, f"generators span {len(span)} of {n} elements"))
     else:
@@ -251,11 +259,26 @@ def certify(g: GroupTable) -> CertificateReport:
     return CertificateReport(g.label, tuple(checks))
 
 
+def _spanning_generators(g: GroupTable) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(S, closure of S): the generators in order, each kept only when it lies
+    outside the closure of those kept before it, stopping once that closure is
+    the whole table."""
+    kept: list[int] = []
+    span: tuple[int, ...] = (0,)
+    for s in g.generators:
+        if s not in span:
+            kept.append(s)
+            span = subgroup_closure(g, kept)
+            if len(span) == g.order:
+                break
+    return tuple(kept), span
+
+
 def _associativity_witness_full(mul: np.ndarray) -> tuple[int, int, int] | None:
     n = mul.shape[0]
     for x in range(n):
-        left = mul[mul[x], :]     # (x y) z
-        right = mul[x][mul]       # x (y z)
+        left = mul.take(mul[x], axis=0)  # (x y) z
+        right = mul[x].take(mul)         # x (y z)
         if not np.array_equal(left, right):
             bad = np.argwhere(left != right)[0]
             return (x, int(bad[0]), int(bad[1]))
@@ -268,22 +291,48 @@ def _associativity_witness_generators(
     """First (x, y, s) with (x y) s != x (y s), s outermost, then row-major; with
     r = mul[:, s], row block B of the table gives (x y) s = r[B] and x (y s) = B[:, r]."""
     for s in generators:
-        r = mul[:, s]
+        r = np.ascontiguousarray(mul[:, s])
         for lo in range(0, len(mul), ASSOCIATIVITY_BLOCK):
             block = mul[lo:lo + ASSOCIATIVITY_BLOCK]
-            left, right = r[block], block[:, r]
+            left, right = r.take(block), block.take(r, axis=1)
             if not np.array_equal(left, right):
                 bad = np.argwhere(left != right)[0]
                 return (lo + int(bad[0]), int(bad[1]), int(s))
     return None
 
 
-def _first_non_permutation_row(mul: np.ndarray) -> int | None:
-    """Lowest row that is not a permutation, by one boolean scatter seen[x, mul[x, y]]."""
-    seen = np.zeros(mul.shape, dtype=bool)
-    seen[np.arange(len(mul))[:, None], mul] = True
-    bad = np.flatnonzero(~seen.all(axis=1))
-    return int(bad[0]) if bad.size else None
+def _first_non_permutation_line(mul: np.ndarray) -> tuple[str, int] | None:
+    """("row", x) for the lowest row that is not a permutation, else ("column", y)
+    for the lowest such column, else None.  Each block of LINE_BLOCK lines is one
+    scatter into a reused bool buffer: seen[x - lo, mul[x, y]] for rows and
+    seen[mul[x, y], y - lo] for columns, which reads mul[:, lo:lo+k] in row order."""
+    n = len(mul)
+    seen = np.empty(LINE_BLOCK * n, dtype=bool)
+    offsets = np.arange(LINE_BLOCK)
+    for kind in ("row", "column"):
+        for lo in range(0, n, LINE_BLOCK):
+            k = min(LINE_BLOCK, n - lo)
+            hit = seen[:k * n]
+            hit[:] = False
+            if kind == "row":
+                hit[mul[lo:lo + k] + offsets[:k, None] * n] = True
+                ok = hit.reshape(k, n).all(axis=1)
+            else:
+                hit[mul[:, lo:lo + k] * k + offsets[:k]] = True
+                ok = hit.reshape(n, k).all(axis=0)
+            bad = np.flatnonzero(~ok)
+            if bad.size:
+                return kind, lo + int(bad[0])
+    return None
+
+
+def inverses(mul: np.ndarray) -> np.ndarray:
+    """inv[x] = the lowest y with mul[x, y] == 0, or 0 when row x has none (as in a
+    table that is not a group); scanned LINE_BLOCK rows at a time, so no n x n mask."""
+    inv = np.empty(len(mul), dtype=np.int32)
+    for lo in range(0, len(mul), LINE_BLOCK):
+        inv[lo:lo + LINE_BLOCK] = np.argmax(mul[lo:lo + LINE_BLOCK] == 0, axis=1)
+    return inv
 
 
 def _certified(table: GroupTable) -> GroupTable:
@@ -353,11 +402,10 @@ def build_from_permutations(
     for y in range(1, n):
         py, gi = parent[y]
         mul[:, y] = right[gi][mul[:, py]]
-    inv = np.argmax(mul == 0, axis=1).astype(np.int32)
     return _certified(GroupTable(
         order=n,
         mul=mul,
-        inv=inv,
+        inv=inverses(mul),
         generators=tuple(dict.fromkeys(index[p] for p in perms)),
         label=label or f"perm-closure({n})",
     ))
@@ -386,8 +434,6 @@ def build_from_cayley(table: Sequence[Sequence[int]], label: str = "") -> GroupT
             if not 0 <= v < n:
                 raise NotAGroup("closure", (x, y), f"entry {v} at {(x, y)} is not in 0..{n - 1}")
     mul = np.asarray(rows, dtype=np.int32)
-
-    inv = np.argmax(mul == 0, axis=1).astype(np.int32)
-    g = GroupTable(order=n, mul=mul, inv=inv, generators=(0,), label=label or f"cayley({n})")
+    g = GroupTable(order=n, mul=mul, inv=inverses(mul), generators=(0,), label=label or f"cayley({n})")
     g.generators = minimal_generating_indices(g) or (0,)
     return _certified(g)

@@ -21,7 +21,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import InconsistentPresentation, InvalidParameters
-from .groups import GroupTable, certify, check_order_cap
+from .groups import GroupTable, certify, check_order_cap, inverses
 
 DEFAULT_REWRITE_BUDGET = 1_000_000
 
@@ -241,9 +241,8 @@ def build_from_pcp(pres: PcPresentation) -> GroupTable:
             grown[:, :, b, :] = mul[rows] + ((a + b) % r * m).astype(np.int32)[:, None, None]
             phi_b = phi[phi_b]
         mul = grown.reshape(r * m, r * m)
-    inv = np.argmax(mul == 0, axis=1).astype(np.int32)
 
-    table = GroupTable(order=n, mul=mul, inv=inv, generators=tuple(radix),
+    table = GroupTable(order=n, mul=mul, inv=inverses(mul), generators=tuple(radix),
                        label=pres.label or f"pcp({n})")
     bad = certify(table).first_failure()
     if bad is not None:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conjgf.errors import ClosureExceedsCap, InvalidPermutation, NotAGroup
 from conjgf import groups
-from conjgf.families import stem_group
+from conjgf.families import GAMMA_FAMILIES, PHI_FAMILIES, stem_group
 from conjgf.groups import (
     CheckResult,
     GroupTable,
@@ -17,6 +17,7 @@ from conjgf.groups import (
     build_from_permutations,
     certify,
     induced_table,
+    inverses,
     minimal_generating_indices,
     quotient_table,
     subgroup_closure,
@@ -273,8 +274,22 @@ def _swap_within_row(mul):
     mul[200, 10], mul[200, 290] = mul[200, 290], mul[200, 10]
 
 
+def _duplicate_in_last_row(mul):
+    # rows 256..299 form the last, partial block of the scatter
+    mul[299, 3] = mul[299, 4]
+
+
+def _swap_in_last_columns(mul):
+    # columns 270 and 299 repeat an entry; 299 alone cannot be the lowest bad
+    # column while every row is a permutation, since then each value appears
+    # once in the other 299 columns and so once in column 299
+    mul[200, 270], mul[200, 299] = mul[200, 299], mul[200, 270]
+
+
 @pytest.mark.parametrize("corrupt, want", [(_duplicate_entries, ("row", 130)),
-                                           (_swap_within_row, ("column", 10))])
+                                           (_swap_within_row, ("column", 10)),
+                                           (_duplicate_in_last_row, ("row", 299)),
+                                           (_swap_in_last_columns, ("column", 270))])
 def test_cancellation_witness_above_exhaustive_limit(corrupt, want):
     mul = _cyclic_product(1, 300)
     corrupt(mul)
@@ -318,4 +333,99 @@ def test_certify_memory_bound_at_order_3125():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * g.order ** 2, f"certify peak {peak} bytes at order {g.order}"
+    assert peak <= g.order ** 2, f"certify peak {peak} bytes at order {g.order}"
+
+
+def _loop_times_cyclic(m: int) -> np.ndarray:
+    """NONASSOC_LOOP x C_m with element a*m + b standing for (a, b)."""
+    a, b = np.divmod(np.arange(6 * m), m)
+    loop = np.asarray(NONASSOC_LOOP)
+    return (loop[a[:, None], a] * m + (b[:, None] + b) % m).astype(np.int32)
+
+
+def _generator_scan(mul: np.ndarray, generators) -> tuple[int, int, int] | None:
+    """Reference: the first (x, y, s) with (x y) s != x (y s), s outermost, then row-major."""
+    t = mul.tolist()
+    for s in generators:
+        for x in range(len(t)):
+            for y in range(len(t)):
+                if t[t[x][y]][s] != t[x][t[y][s]]:
+                    return (x, y, s)
+    return None
+
+
+@pytest.mark.parametrize("m", [50, 60])
+def test_associativity_witness_with_redundant_generator(m):
+    mul = _loop_times_cyclic(m)
+    # (0, 2) lies in the closure of (0, 1): the check runs on S = (1, m, 2m) first
+    plain = _table(mul, (1, 2, m, 2 * m))
+    # with the labels of the identity and (2, 0) swapped, index 0 is no identity;
+    # 2m + 1 lies in the closure of 1 and 3m, and fails before 3m does
+    swap = np.arange(len(mul))
+    swap[[0, 2 * m]] = swap[[2 * m, 0]]
+    moved = np.empty_like(mul)
+    moved[np.ix_(swap, swap)] = swap[mul]
+    shifted = _table(moved, (1, 2 * m + 1, 3 * m))
+    kept, _ = groups._spanning_generators(shifted)
+    assert kept == (1, 3 * m)
+    assert groups._associativity_witness_generators(moved, kept) != _generator_scan(moved, shifted.generators)
+    for g in (plain, shifted):
+        assoc = {c.name: c for c in certify(g).checks}["associativity"]
+        want = _generator_scan(g.mul, g.generators)
+        assert want is not None
+        assert assoc == CheckResult("associativity", "fail", "generator triples", want)
+
+
+def test_spanning_subset_needs_the_identity():
+    # x o y = x + y + (1 if y is even else 3) on Z_300: s = 11 passes, since
+    # x o 11 = x + 14 keeps parity, and 0 o 11 = 14 lets the closure of 11
+    # reach every element, 2 included; but 2 fails, and 0 is no identity
+    y = np.arange(300)
+    mul = ((y[:, None] + y + np.where(y % 2, 3, 1)) % 300).astype(np.int32)
+    g = _table(mul, (11, 2))
+    kept, span = groups._spanning_generators(g)
+    assert (kept, len(span)) == ((11,), 300)
+    assert groups._associativity_witness_generators(mul, kept) is None
+    checks = {c.name: c for c in certify(g).checks}
+    assert checks["identity"].status == "fail"
+    want = _generator_scan(mul, g.generators)
+    assert want == (0, 0, 2)
+    assert checks["associativity"] == CheckResult("associativity", "fail", "generator triples", want)
+
+
+def _relabelled(g: GroupTable, seed: int) -> tuple[GroupTable, np.ndarray]:
+    """A copy of g with its non-identity elements permuted, and the permutation."""
+    perm = np.concatenate(([0], 1 + np.random.default_rng(seed).permutation(g.order - 1)))
+    mul = np.empty_like(g.mul)
+    mul[np.ix_(perm, perm)] = perm[g.mul]
+    gens = tuple(int(perm[s]) for s in g.generators)
+    return GroupTable(order=g.order, mul=mul, inv=inverses(mul), generators=gens, label="relabelled"), perm
+
+
+def test_spanning_subset_of_stem_groups():
+    stems = [(f, 2) for f in GAMMA_FAMILIES] + [(f, p) for p in (3, 5) for f in PHI_FAMILIES]
+    sizes = {}
+    for family, p in stems:
+        g = stem_group(family, p)
+        kept, span = groups._spanning_generators(g)
+        rest = iter(g.generators)
+        assert all(s in rest for s in kept), (family, p)  # a subsequence
+        assert span == subgroup_closure(g, kept) == tuple(range(g.order)), (family, p)
+        h, perm = _relabelled(g, seed=g.order + len(sizes))
+        assert groups._spanning_generators(h) == (tuple(int(perm[s]) for s in kept),
+                                                  tuple(range(g.order))), (family, p)
+        sizes[family, p] = len(kept)
+    assert [sizes[f, 5] for f in ("Phi6", "Phi9", "Phi10")] == [2, 2, 2]
+
+
+def test_inverses_match_the_first_identity_entry(catalog):
+    mul = _cyclic_product(3, 100)
+    no_identity = mul.copy()
+    no_identity[299, 101] = 1  # row 299 = (2, 99) then holds no 0
+    twice = mul.copy()
+    twice[130, 5] = 0  # row 130 holds 0 twice
+    for table in [g.mul for g in catalog.values()] + [mul, no_identity, twice]:
+        got = inverses(table)
+        assert got.dtype == np.int32
+        assert np.array_equal(got, np.argmax(table == 0, axis=1)), len(table)
+    assert inverses(no_identity)[299] == 0
