@@ -27,6 +27,7 @@ from .groups import GroupTable
 from .ratfun import PartialFractions, RationalGF, gf_sum, partial_fractions
 
 MAX_B_DEPTH = 64
+COMMUTE_TILE = 256  # rows and columns per tile of the commuting block
 
 
 def a_of_t(g: GroupTable) -> RationalGF:
@@ -60,7 +61,7 @@ def b_of_t(g: GroupTable) -> RationalGF:
     cached = g._cache.get("b_of_t")
     if cached is None:
         work = [0]
-        block = g.mul == g.mul.T
+        block = _commuting_block(g.mul)
         if block.all():
             cached = RationalGF.simple(1, g.order)
         else:
@@ -70,6 +71,20 @@ def b_of_t(g: GroupTable) -> RationalGF:
         g._cache.setdefault("b_work", work[0])
         cached = g._cache.setdefault("b_of_t", cached)
     return cached
+
+
+def _commuting_block(mul: np.ndarray) -> np.ndarray:
+    """K = (mul == mul.T), compared over the upper triangle of tiles only, each
+    tile then mirrored below the diagonal; both reads of a tile stay cache-local."""
+    n, t = len(mul), COMMUTE_TILE
+    block = np.empty((n, n), dtype=bool)
+    for i in range(0, n, t):
+        for j in range(i, n, t):
+            tile = block[i:i + t, j:j + t]
+            np.equal(mul[i:i + t, j:j + t], mul[j:j + t, i:i + t].T, out=tile)
+            if j > i:
+                block[j:j + t, i:i + t] = tile.T
+    return block
 
 
 def _commuting_sum(

@@ -205,13 +205,16 @@ def _first_true(mask: np.ndarray) -> tuple[int, ...] | None:
 def certify(g: GroupTable) -> CertificateReport:
     """Verify the group axioms on a table (once per table; the report is cached).
 
-    Associativity is checked exhaustively up to order 256.  Past that, only
-    (xy)s = x(ys) for all x, y and each s in S is checked, where S is the
-    greedy subsequence of the generators that `_spanning_generators` keeps:
-    once the identity holds and S's closure is the whole table, this implies
-    full associativity by induction on word length, and with it generation.
-    Any other outcome re-runs the check over every generator, so the witness
-    is always the first failing (x, y, s) over the generators in their order.
+    Associativity is first checked as (xy)s = x(ys) for all x, y and each s
+    in S, the greedy subsequence of the generators that `_spanning_generators`
+    keeps: once the identity holds and S's closure is the whole table, this
+    implies full associativity by induction on word length, and with it
+    generation.  Any other outcome runs the exact witness search: every
+    triple up to order 256 ("all triples"), every generator past it
+    ("generator triples"), so the witness is always the first failing triple
+    in that order.  Cancellation follows from the identity, two-sided
+    inverses and associativity, so its scan runs only when one of those
+    fails, to name the first row or column that is not a permutation.
     A failing check names its witness: an entry (table_shape), an element
     (identity, inverses, cancellation, generation) or a triple (associativity).
     """
@@ -231,22 +234,24 @@ def certify(g: GroupTable) -> CertificateReport:
     bad_inv = _first_true((mul[ident, inv] != 0) | (mul[inv, ident] != 0))
     checks.append(_verdict("inverses", bad_inv, "inv[x] must be a two-sided inverse of x"))
 
-    line = _first_non_permutation_line(mul)
+    exhaustive = n <= FULL_ASSOCIATIVITY_LIMIT
+    mode = "all triples" if exhaustive else "generator triples"
+    kept, span = _spanning_generators(g) if bad_id is None else ((), ())
+    bad_assoc = None
+    if len(span) < n or _associativity_witness_generators(mul, kept) is not None:
+        span = None
+        bad_assoc = (_associativity_witness_full(mul) if exhaustive
+                     else _associativity_witness_generators(mul, g.generators))
+
+    line = None
+    if bad_id is not None or bad_inv is not None or bad_assoc is not None:
+        line = _first_non_permutation_line(mul)
     if line is None:
         cancel = CheckResult("cancellation", "pass", "every row and column is a permutation")
     else:
         kind, at = line
         cancel = CheckResult("cancellation", "fail", f"{kind} {at} is not a permutation", (at,))
     checks.append(cancel)
-
-    span = None
-    if n <= FULL_ASSOCIATIVITY_LIMIT:
-        mode, bad_assoc = "all triples", _associativity_witness_full(mul)
-    else:
-        mode, bad_assoc = "generator triples", None
-        kept, span = _spanning_generators(g) if bad_id is None else ((), ())
-        if len(span) < n or _associativity_witness_generators(mul, kept) is not None:
-            span, bad_assoc = None, _associativity_witness_generators(mul, g.generators)
     checks.append(_verdict("associativity", bad_assoc, mode))
 
     if cancel.status == "pass" and bad_assoc is None:

@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -100,9 +103,9 @@ def test_certify_command_certifies_once(capsys, tmp_path, monkeypatch):
     from conjgf.families import stem_group
 
     runs = []
-    full = groups._associativity_witness_full
-    monkeypatch.setattr(groups, "_associativity_witness_full",
-                        lambda mul: runs.append(len(mul)) or full(mul))
+    spanning = groups._spanning_generators
+    monkeypatch.setattr(groups, "_spanning_generators",
+                        lambda g: runs.append(g.order) or spanning(g))
     stem_group.cache_clear()
     spec = write_spec(tmp_path, "phi5.json", {"kind": "family", "name": "Phi5", "p": 3})
     code, _ = run_cli(capsys, "--json", "certify", spec)
@@ -117,6 +120,16 @@ def test_verify_table_default(capsys):
     assert payload["results"]["rows_failed"] == 0
     # abelian + 7 Gamma rows + abelian + 9 Phi rows, two checks (A and B) each
     assert payload["results"]["rows_checked"] == (8 + 10) * 2
+
+
+def test_module_entry_point_runs_from_a_checkout():
+    # `python -m conjgf` from an uninstalled checkout, with only src/ on the path
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "conjgf", "--json", "verify-table", "--p", "2"],
+                          cwd=REPO_ROOT, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["results"]["rows_failed"] == 0
 
 
 def test_verify_table_rejects_large_prime(capsys):

@@ -229,6 +229,22 @@ def test_b_memory_and_cache_on_order_3125():
     assert b_of_t(g) == b_of_t(g0)
 
 
+@pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 300, 513])
+def test_commuting_block_at_the_tile_edges(n):
+    # values in 0..2 make both equal and unequal mirrored entries common
+    mul = np.random.default_rng(n).integers(0, 3, size=(n, n), dtype=np.int32)
+    mul[0, -1] = (mul[-1, 0] + 1) % 3  # not symmetric once n > 1
+    block = genfun._commuting_block(mul)
+    assert block.dtype == bool
+    assert np.array_equal(block, mul == mul.T), n
+
+
+def test_commuting_block_of_groups(catalog):
+    stems = [stem_group(f, 2) for f in GAMMA_FAMILIES] + [stem_group(f, p) for p in (3, 5) for f in PHI_FAMILIES]
+    for g in [*catalog.values(), *stems]:
+        assert np.array_equal(genfun._commuting_block(g.mul), g.mul == g.mul.T), g.label
+
+
 @given(st.randoms(use_true_random=False))
 @settings(max_examples=20, deadline=None)
 def test_functions_invariant_under_relabeling(rng):

@@ -11,6 +11,7 @@ from conjgf.errors import ClosureExceedsCap, InvalidPermutation, NotAGroup
 from conjgf import groups
 from conjgf.families import GAMMA_FAMILIES, PHI_FAMILIES, stem_group
 from conjgf.groups import (
+    CertificateReport,
     CheckResult,
     GroupTable,
     build_from_cayley,
@@ -246,12 +247,12 @@ def _table(mul: np.ndarray, generators: tuple[int, ...]) -> GroupTable:
     return GroupTable(order=len(mul), mul=mul, inv=inv, generators=generators, label="t")
 
 
-def _first_bad_line(mul: np.ndarray) -> tuple[str, int]:
+def _first_bad_line(mul: np.ndarray) -> tuple[str, int] | None:
     """Reference: the lowest row, else column, that is not a permutation, one np.unique per line."""
     n = len(mul)
     rows = [x for x in range(n) if len(np.unique(mul[x])) != n]
     cols = [y for y in range(n) if len(np.unique(mul[:, y])) != n]
-    return ("row", rows[0]) if rows else ("column", cols[0])
+    return ("row", rows[0]) if rows else ("column", cols[0]) if cols else None
 
 
 def _product_closure(mul: list[list[int]], seed) -> tuple[int, ...]:
@@ -354,8 +355,9 @@ def _generator_scan(mul: np.ndarray, generators) -> tuple[int, int, int] | None:
     return None
 
 
-@pytest.mark.parametrize("m", [50, 60])
-def test_associativity_witness_with_redundant_generator(m):
+def _redundant_generator_loops(m: int) -> tuple[GroupTable, GroupTable]:
+    """NONASSOC_LOOP x C_m with a redundant generator, as is and with the identity
+    relabelled away from index 0."""
     mul = _loop_times_cyclic(m)
     # (0, 2) lies in the closure of (0, 1): the check runs on S = (1, m, 2m) first
     plain = _table(mul, (1, 2, m, 2 * m))
@@ -365,10 +367,16 @@ def test_associativity_witness_with_redundant_generator(m):
     swap[[0, 2 * m]] = swap[[2 * m, 0]]
     moved = np.empty_like(mul)
     moved[np.ix_(swap, swap)] = swap[mul]
-    shifted = _table(moved, (1, 2 * m + 1, 3 * m))
+    return plain, _table(moved, (1, 2 * m + 1, 3 * m))
+
+
+@pytest.mark.parametrize("m", [50, 60])
+def test_associativity_witness_with_redundant_generator(m):
+    plain, shifted = _redundant_generator_loops(m)
     kept, _ = groups._spanning_generators(shifted)
     assert kept == (1, 3 * m)
-    assert groups._associativity_witness_generators(moved, kept) != _generator_scan(moved, shifted.generators)
+    assert (groups._associativity_witness_generators(shifted.mul, kept)
+            != _generator_scan(shifted.mul, shifted.generators))
     for g in (plain, shifted):
         assoc = {c.name: c for c in certify(g).checks}["associativity"]
         want = _generator_scan(g.mul, g.generators)
@@ -376,13 +384,18 @@ def test_associativity_witness_with_redundant_generator(m):
         assert assoc == CheckResult("associativity", "fail", "generator triples", want)
 
 
-def test_spanning_subset_needs_the_identity():
-    # x o y = x + y + (1 if y is even else 3) on Z_300: s = 11 passes, since
-    # x o 11 = x + 14 keeps parity, and 0 o 11 = 14 lets the closure of 11
-    # reach every element, 2 included; but 2 fails, and 0 is no identity
+def _no_identity_table() -> GroupTable:
+    """x o y = x + y + (1 if y is even else 3) on Z_300, generated by 11 and 2."""
     y = np.arange(300)
-    mul = ((y[:, None] + y + np.where(y % 2, 3, 1)) % 300).astype(np.int32)
-    g = _table(mul, (11, 2))
+    return _table(((y[:, None] + y + np.where(y % 2, 3, 1)) % 300).astype(np.int32), (11, 2))
+
+
+def test_spanning_subset_needs_the_identity():
+    # s = 11 passes, since x o 11 = x + 14 keeps parity, and 0 o 11 = 14 lets
+    # the closure of 11 reach every element, 2 included; but 2 fails, and 0 is
+    # no identity
+    g = _no_identity_table()
+    mul = g.mul
     kept, span = groups._spanning_generators(g)
     assert (kept, len(span)) == ((11,), 300)
     assert groups._associativity_witness_generators(mul, kept) is None
@@ -416,6 +429,104 @@ def test_spanning_subset_of_stem_groups():
                                                   tuple(range(g.order))), (family, p)
         sizes[family, p] = len(kept)
     assert [sizes[f, 5] for f in ("Phi6", "Phi9", "Phi10")] == [2, 2, 2]
+
+
+def _reference_certificate(g: GroupTable) -> CertificateReport:
+    """Reference for an in-range square table: both cancellation scans always, every
+    triple up to order 256 and every generator past it, the span of all generators."""
+    mul, inv, n = g.mul, g.inv, g.order
+    ident = np.arange(n)
+    bad_id = groups._first_true((mul[0] != ident) | (mul[:, 0] != ident))
+    bad_inv = groups._first_true((mul[ident, inv] != 0) | (mul[inv, ident] != 0))
+    line = _first_bad_line(mul)
+    if n <= groups.FULL_ASSOCIATIVITY_LIMIT:
+        mode = "all triples"
+        # at [y, z]: (x y) z against x (y z)
+        bad_assoc = next(((x, *hit) for x in range(n)
+                          if (hit := groups._first_true(mul[mul[x]] != mul[x][mul])) is not None), None)
+    else:
+        mode = "generator triples"
+        # at [x, y]: (x y) s against x (y s)
+        bad_assoc = next(((*hit, s) for s in g.generators
+                          if (hit := groups._first_true(mul[mul, s] != mul[:, mul[:, s]])) is not None), None)
+    checks = [
+        CheckResult("table_shape", "pass"),
+        CheckResult("identity", "pass" if bad_id is None else "fail",
+                    "row/col 0 must be the identity map", bad_id or ()),
+        CheckResult("inverses", "pass" if bad_inv is None else "fail",
+                    "inv[x] must be a two-sided inverse of x", bad_inv or ()),
+        CheckResult("cancellation", "pass", "every row and column is a permutation") if line is None
+        else CheckResult("cancellation", "fail", f"{line[0]} {line[1]} is not a permutation", (line[1],)),
+        CheckResult("associativity", "pass" if bad_assoc is None else "fail", mode, bad_assoc or ()),
+    ]
+    if line is None and bad_assoc is None:
+        span = subgroup_closure(g, g.generators)
+        missing = min(set(range(n)) - set(span), default=None)
+        checks.append(CheckResult("generation", "pass" if missing is None else "fail",
+                                  f"generators span {len(span)} of {n} elements",
+                                  () if missing is None else (missing,)))
+    else:
+        checks.append(CheckResult("generation", "skip", "earlier checks failed"))
+    return CertificateReport(g.label, tuple(checks))
+
+
+def _unchecked_cayley(mul) -> GroupTable:
+    """A table wrapped as `build_from_cayley` wraps it, without its certificate."""
+    g = _table(np.asarray(mul, dtype=np.int32), (0,))
+    g.generators = minimal_generating_indices(g) or (0,)
+    return g
+
+
+def _corrupted_tables(catalog) -> list[GroupTable]:
+    """Every corrupted table of the tests above, and two monoids that are not groups."""
+    s3 = catalog["S3"]
+    swapped = s3.mul.copy()
+    swapped[3, 4], swapped[3, 5] = swapped[3, 5], swapped[3, 4]
+    tables = [
+        _unchecked_cayley(NONASSOC_LOOP),
+        _table(np.asarray(NONASSOC_LOOP, dtype=np.int32), (1, 2)),
+        _unchecked_cayley([[1, 0], [0, 1]]),
+        GroupTable(order=6, mul=swapped, inv=s3.inv.copy(), generators=s3.generators, label="bad"),
+        _unchecked_cayley(_loop_times_cyclic(50)),
+        _table(_cyclic_product(3, 100), (1,)),
+    ]
+    for corrupt in (_duplicate_entries, _swap_within_row, _duplicate_in_last_row, _swap_in_last_columns):
+        mul = _cyclic_product(1, 300)
+        corrupt(mul)
+        tables.append(_table(mul, (1,)))
+    for m in (50, 60):
+        tables += _redundant_generator_loops(m)
+    tables.append(_no_identity_table())
+    # x o y = max(x, y): identity 0 and associative, but no inverses, so no row is a permutation
+    tables += [_unchecked_cayley(np.maximum.outer(np.arange(n), np.arange(n))) for n in (6, 300)]
+    return tables
+
+
+def test_certify_matches_the_reference_certificate(catalog):
+    corrupted = _corrupted_tables(catalog)
+    assert sum(not certify(g).ok for g in corrupted) == len(corrupted)
+    for g in [*catalog.values(), *corrupted]:
+        fresh = GroupTable(order=g.order, mul=g.mul, inv=g.inv, generators=g.generators, label=g.label)
+        assert certify(fresh) == _reference_certificate(fresh), g.label
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_certify_matches_the_reference_on_corrupted_entries(catalog, data):
+    # catalog tables, plus one table on each side of the exhaustive limit of 256
+    sources = {**catalog, "Phi10(3)": stem_group("Phi10", 3),
+               "C3xC100": _table(_cyclic_product(3, 100), (1, 100))}
+    g = sources[data.draw(st.sampled_from(sorted(sources)))]
+    n = g.order
+    mul, inv = g.mul.copy(), g.inv.copy()
+    for _ in range(data.draw(st.integers(1, 2))):
+        if data.draw(st.integers(0, 9)) == 0:
+            inv[data.draw(st.integers(0, n - 1))] = data.draw(st.integers(0, n - 1))
+        else:
+            x, y = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+            mul[x, y] = data.draw(st.integers(0, n - 1))
+    corrupt = GroupTable(order=n, mul=mul, inv=inv, generators=g.generators, label="corrupt")
+    assert certify(corrupt) == _reference_certificate(corrupt)
 
 
 def test_inverses_match_the_first_identity_entry(catalog):
