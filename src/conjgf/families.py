@@ -220,9 +220,8 @@ def _check_fingerprint(g: GroupTable, spec: FamilySpec) -> GroupTable:
     return g
 
 
-@lru_cache(maxsize=None)
-def stem_group(family: str, p: int) -> GroupTable:
-    """Build (and cache) the catalog stem group of a family, fingerprint-checked."""
+def build_stem_group(family: str, p: int) -> GroupTable:
+    """Build the catalog stem group of a family, fingerprint-checked, uncached."""
     spec = family_spec(family, p)
     if family == "abelian":
         return cyclic(p)
@@ -231,6 +230,11 @@ def stem_group(family: str, p: int) -> GroupTable:
     else:
         g = build_from_pcp(_phi_presentation(family, p))
     return _check_fingerprint(g, spec)
+
+
+# library callers share one table per (family, p); a caller that walks the whole
+# catalog, as `verify-table` does, builds each with `build_stem_group` and drops it
+stem_group = lru_cache(maxsize=None)(build_stem_group)
 
 
 # -- named groups ---------------------------------------------------------------

@@ -215,8 +215,9 @@ def certify(g: GroupTable) -> CertificateReport:
     in that order.  Cancellation follows from the identity, two-sided
     inverses and associativity, so its scan runs only when one of those
     fails, to name the first row or column that is not a permutation.
-    A failing check names its witness: an entry (table_shape), an element
-    (identity, inverses, cancellation, generation) or a triple (associativity).
+    A failing check names its witness: an entry of mul or an element whose
+    inv entry is not an index (table_shape), an element (identity, inverses,
+    cancellation, generation) or a triple (associativity).
     """
     mul, inv, n = g.mul, g.inv, g.order
     if mul.shape != (n, n) or inv.shape != (n,):
@@ -224,6 +225,9 @@ def certify(g: GroupTable) -> CertificateReport:
         return CertificateReport(g.label, (bad,))
     if not (mul.min() >= 0 and mul.max() < n):
         bad = CheckResult("table_shape", "fail", "entry out of range", _first_true((mul < 0) | (mul >= n)))
+        return CertificateReport(g.label, (bad,))
+    if not (inv.min() >= 0 and inv.max() < n):
+        bad = CheckResult("table_shape", "fail", "inv entry out of range", _first_true((inv < 0) | (inv >= n)))
         return CertificateReport(g.label, (bad,))
     checks = [CheckResult("table_shape", "pass")]
 

@@ -11,7 +11,6 @@ visited without materializing G^n.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -112,19 +111,6 @@ def commuting_tuples(g: GroupTable, n: int, cap: int = DEFAULT_TUPLE_CAP) -> lis
         return [()]
     extend((), everyone)
     return out
-
-
-def commuting_tuples_filter(g: GroupTable, n: int) -> list[tuple[int, ...]]:
-    """Reference enumeration: filter G^n for pairwise commuting tuples."""
-    out = []
-    for tup in product(range(g.order), repeat=n):
-        if all(
-            g.mul_index(tup[i], tup[j]) == g.mul_index(tup[j], tup[i])
-            for i in range(n)
-            for j in range(i + 1, n)
-        ):
-            out.append(tup)
-    return sorted(out)
 
 
 def beta_brute(g: GroupTable, n: int, cap: int = DEFAULT_TUPLE_CAP) -> OrbitCount:

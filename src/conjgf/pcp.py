@@ -233,13 +233,14 @@ def build_from_pcp(pres: PcPresentation) -> GroupTable:
             k = next(k for k in range(i + 1, d) if u % radix[k] == 0)
             phi[u] = mul[phi[u - radix[k]], image[k]]
         w = idx_of(pres.power_words[i])
-        a = np.arange(r)
         grown = np.empty((r, m, r, m), dtype=np.int32)
         phi_b = np.arange(m)
-        for b in range(r):  # block (a, b) for every a: rows X = [w] phi^b(u) of mul
-            rows = np.where((a + b >= r)[:, None], mul[w, phi_b], phi_b)
-            grown[:, :, b, :] = mul[rows] + ((a + b) % r * m).astype(np.int32)[:, None, None]
-            phi_b = phi[phi_b]
+        for b in range(r):  # block (a, b): rows X = [w] phi^b(u) of mul, written in place
+            wrapped = mul[w].take(phi_b)
+            for a in range(r):
+                rows = wrapped if a + b >= r else phi_b
+                np.add(mul.take(rows, axis=0), (a + b) % r * m, out=grown[a, :, b, :])
+            phi_b = phi.take(phi_b)
         mul = grown.reshape(r * m, r * m)
 
     table = GroupTable(order=n, mul=mul, inv=inverses(mul), generators=tuple(radix),

@@ -6,11 +6,13 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from conjgf.cli import main
+from conjgf.families import stem_group
 from test_groups import NONASSOC_LOOP
 
 
@@ -100,7 +102,6 @@ def test_certify_names_failing_axiom_and_witness(capsys, tmp_path):
 
 def test_certify_command_certifies_once(capsys, tmp_path, monkeypatch):
     from conjgf import groups
-    from conjgf.families import stem_group
 
     runs = []
     spanning = groups._spanning_generators
@@ -120,6 +121,21 @@ def test_verify_table_default(capsys):
     assert payload["results"]["rows_failed"] == 0
     # abelian + 7 Gamma rows + abelian + 9 Phi rows, two checks (A and B) each
     assert payload["results"]["rows_checked"] == (8 + 10) * 2
+
+
+def test_verify_table_holds_one_table_at_a_time(capsys):
+    # seven order-3125 tables at p = 5; each is released once its row is checked
+    stem_group.cache_clear()
+    tracemalloc.start()
+    try:
+        code = main(["--json", "verify-table", "--p", "5"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    assert peak <= 1.5 * 4 * 3125**2, f"verify-table peak {peak} bytes"
+    assert stem_group.cache_info().currsize == 0
 
 
 def test_module_entry_point_runs_from_a_checkout():

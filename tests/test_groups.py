@@ -165,6 +165,16 @@ def test_corrupted_table_fails_certificate(catalog):
     assert len(set(values.tolist())) < 6
 
 
+@pytest.mark.parametrize("bad", [-1, 4])
+def test_certify_range_checks_inv(catalog, bad):
+    # -1 would wrap to the last element and 4 would index past the table
+    c4 = catalog["C4"]
+    inv = c4.inv.copy()
+    inv[1] = inv[3] = bad
+    g = GroupTable(order=4, mul=c4.mul, inv=inv, generators=c4.generators, label="C4")
+    assert certify(g).checks == (CheckResult("table_shape", "fail", "inv entry out of range", (1,)),)
+
+
 def test_rows_and_columns_are_permutations(catalog):
     for label, g in catalog.items():
         n = g.order

@@ -1,15 +1,20 @@
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 
 from conjgf.errors import TupleCapExceeded
 from conjgf.genfun import alpha_coefficient, beta_coefficient
-from conjgf.oracle import (
-    alpha_brute,
-    beta_brute,
-    commuting_tuples,
-    commuting_tuples_filter,
-)
+from conjgf.groups import GroupTable
+from conjgf.oracle import alpha_brute, beta_brute, commuting_tuples
+
+
+def commuting_tuples_filter(g: GroupTable, n: int) -> list[tuple[int, ...]]:
+    """Reference enumeration: filter G^n for pairwise commuting tuples."""
+    return sorted(tup for tup in product(range(g.order), repeat=n)
+                  if all(g.mul_index(tup[i], tup[j]) == g.mul_index(tup[j], tup[i])
+                         for i in range(n) for j in range(i + 1, n)))
 
 
 def test_alpha_brute_basics(catalog):

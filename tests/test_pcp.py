@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -225,3 +226,15 @@ def test_quaternion_presentation():
     assert len(center_elements(g)) == 2
     orders = sorted(element_orders(g).tolist())
     assert orders == [1, 2, 4, 4, 4, 4, 4, 4]
+
+
+def test_build_memory_bound_at_order_3125():
+    # each block is written into the new table in place: no (r, m, m) temporaries
+    pres = _phi_presentation("Phi5", 5)
+    tracemalloc.start()
+    try:
+        g = build_from_pcp(pres)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 4 * g.order**2, f"build peak {peak} bytes at order {g.order}"
