@@ -1,9 +1,9 @@
 """Structural invariants of a group table.
 
-Conjugacy classes, centralizers, center, derived subgroup, lower central
-series, the AC-group test and the maximal-class profile.  Everything here is
-a pure function of an immutable GroupTable; results are memoized write-once
-on the table's private cache.
+Conjugacy classes, the commuting relation on G/Z(G), centralizers, center,
+derived subgroup, lower central series, the AC-group test and the
+maximal-class profile.  Everything here is a pure function of an immutable
+GroupTable; results are memoized write-once on the table's private cache.
 """
 
 from __future__ import annotations
@@ -27,17 +27,12 @@ from .pcp import is_prime
 
 @dataclass(frozen=True)
 class ClassData:
-    """Conjugacy classes with centralizer sizes and the z_m histogram.
-
-    z_histogram maps a centralizer size m to the number of *elements* whose
-    centralizer has exactly m elements; the class equation is the sorted
-    multiset of class sizes.
-    """
+    """Conjugacy classes with centralizer sizes; the class equation is the
+    sorted multiset of class sizes."""
 
     classes: tuple[tuple[int, ...], ...]
     representatives: tuple[int, ...]
     centralizer_sizes: tuple[int, ...]
-    z_histogram: dict[int, int]
     class_equation: tuple[int, ...]
 
     @property
@@ -68,16 +63,10 @@ def conjugacy_data(g: GroupTable) -> ClassData:
                         nxt.append(z)
             frontier = nxt
         classes.append(tuple(sorted(orbit)))
-    reps = tuple(c[0] for c in classes)
-    cent_sizes = tuple(g.order // len(c) for c in classes)
-    hist: dict[int, int] = {}
-    for c, m in zip(classes, cent_sizes):
-        hist[m] = hist.get(m, 0) + len(c)
     return ClassData(
         classes=tuple(classes),
-        representatives=reps,
-        centralizer_sizes=cent_sizes,
-        z_histogram=hist,
+        representatives=tuple(c[0] for c in classes),
+        centralizer_sizes=tuple(g.order // len(c) for c in classes),
         class_equation=tuple(sorted(len(c) for c in classes)),
     )
 
@@ -95,6 +84,27 @@ def center_elements(g: GroupTable) -> tuple[int, ...]:
     for s in g.generators:
         mask &= g.mul[:, s] == g.mul[s, :]
     return tuple(int(v) for v in np.nonzero(mask)[0])
+
+
+def commuting_cosets(g: GroupTable) -> tuple[np.ndarray, np.ndarray]:
+    """(K, reps): reps are the minima of the cosets of Z(G), ascending, and
+    K[i, j] says whether reps[i] and reps[j] commute, as x and y commute iff
+    their cosets do.  Not cached: with Z(G) trivial K is |G|^2, and `mul` is
+    compared with its own transpose, uncopied."""
+    z = np.asarray(center_elements(g), dtype=np.intp)
+    reps = np.unique(g.mul[:, z].min(axis=1))
+    sub = g.mul if reps.size == g.order else g.mul[reps[:, None], reps]
+    return sub == sub.T, reps
+
+
+@memoized
+def centralizer_histogram(g: GroupTable) -> dict[int, int]:
+    """Maps m to the number of x with |C_G(x)| = m: |Z(G)| times the row sum
+    of x's coset in `commuting_cosets`, for each of its |Z(G)| elements."""
+    block, reps = commuting_cosets(g)
+    zsize = g.order // reps.size
+    sizes, cosets = np.unique(block.sum(axis=1), return_counts=True)
+    return {zsize * int(m): zsize * int(c) for m, c in zip(sizes, cosets)}
 
 
 @memoized

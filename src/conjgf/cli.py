@@ -17,9 +17,9 @@ import time
 from dataclasses import dataclass, field
 
 from . import families
-from .analysis import conjugacy_data
+from .analysis import centralizer_histogram, conjugacy_data
 from .closed_forms import table_row
-from .errors import ConjGFError
+from .errors import ConjGFError, InvalidParameters
 from .genfun import (
     a_equivalent,
     a_of_t,
@@ -246,10 +246,12 @@ def cmd_oracle(args) -> RunReport:
 
 def _bench_rows(labels: list[str], n_max: int) -> list[dict]:
     catalog = dict(families.small_catalog())
+    if unknown := [label for label in labels if label not in catalog]:
+        raise InvalidParameters(f"unknown catalog group {unknown[0]!r}; known: {' '.join(catalog)}")
     rows = []
     for label in labels:
         g = catalog[label]
-        hist = conjugacy_data(g).z_histogram
+        hist = centralizer_histogram(g)
         for n in range(1, n_max + 1):
             t0 = time.perf_counter_ns()
             count = alpha_coefficient(g, n)

@@ -1,19 +1,19 @@
-"""The two core computations: A_G(t) from the centralizer histogram and
-B_G(t) in Burnside form, plus coefficient extraction, normalization and the
-equivalence predicates.
+"""The two core computations, A_G(t) and B_G(t), both read from one relation,
+plus coefficient extraction, normalization and the equivalence predicates.
 
-A_G(t) counts simultaneous-conjugacy orbits of n-tuples: the n-th series
-coefficient is (1/|G|) sum_g |Z_G(g)|^n.  B_G(t) does the same for pairwise
-commuting n-tuples.  By Burnside's lemma beta_n |G| = c_{n+1}(G), the number
-of commuting (n+1)-tuples, so B needs no conjugacy classes.  The series
-N_H(t) = sum c_n(H) t^n satisfies
+x and y commute iff their cosets mod Z(G) do, so both read the commuting
+block K on the R = |G/Z(G)| coset minima (`analysis.commuting_cosets`), with
+|Z(G)| elements behind each row.  A_G(t) counts simultaneous-conjugacy orbits
+of n-tuples: alpha_n = (1/|G|) sum_g |C_G(g)|^n, and |C_G(g)| is |Z(G)| times
+the row sum of g's coset.  B_G(t) does the same for pairwise commuting
+n-tuples.  By Burnside's lemma beta_n |G| = c_{n+1}(G), the number of
+commuting (n+1)-tuples, and N_H(t) = sum c_n(H) t^n satisfies
     (1 - |Z(H)| t) N_H(t) = 1 + t S_H(t),   S_H = sum_C mult(C) N_C(t),
 over the distinct non-central centralizers C = C_H(y), with mult(C) the
 number of y in H that have it, N_C = 1/(1 - |C| t) for abelian C, and
     B_G(t) = (|Z(G)| N_G(t) + S_G(t)) / |G|.
-Each node is one boolean commuting block over its subgroup's elements: its
-distinct rows are the centralizers, and a child's block is the rows and
-columns of its members.
+Every node H contains Z(G): its block is K's rows and columns of H's cosets,
+its distinct rows are the centralizers, and each row stands for |Z(G)| y.
 """
 
 from __future__ import annotations
@@ -21,18 +21,17 @@ from __future__ import annotations
 from fractions import Fraction
 import numpy as np
 
-from .analysis import conjugacy_data
+from .analysis import centralizer_histogram, commuting_cosets
 from .errors import RecursionDepthExceeded
 from .groups import GroupTable
 from .ratfun import PartialFractions, RationalGF, gf_sum, partial_fractions
 
 MAX_B_DEPTH = 64
-COMMUTE_TILE = 256  # rows and columns per tile of the commuting block
 
 
 def a_of_t(g: GroupTable) -> RationalGF:
     """A_G(t) = (1/|G|) sum_m z_m / (1 - m t), combined and reduced."""
-    hist = conjugacy_data(g).z_histogram
+    hist = centralizer_histogram(g)
     acc = RationalGF.zero()
     for m in sorted(hist):
         acc = acc + RationalGF.simple(hist[m], m)
@@ -43,8 +42,7 @@ def alpha_coefficient(g: GroupTable, n: int) -> int:
     """Number of simultaneous-conjugacy orbits on n-tuples (orbit counting lemma)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    hist = conjugacy_data(g).z_histogram
-    total = sum(count * m**n for m, count in hist.items())
+    total = sum(count * m**n for m, count in centralizer_histogram(g).items())
     if total % g.order:
         raise ArithmeticError("orbit count sum is not divisible by |G|; table is corrupt")
     return total // g.order
@@ -55,45 +53,28 @@ def b_of_t(g: GroupTable) -> RationalGF:
 
     The work done (distinct non-central rows summed plus non-abelian nodes
     computed) is left beside the result in the table's cache as "b_work".
-    The commuting block is built once per call and never cached, so a
-    cached table does not keep n^2 bytes alive.
-    """
+    The commuting block is built once per call and never cached."""
     cached = g._cache.get("b_of_t")
     if cached is None:
         work = [0]
-        block = _commuting_block(g.mul)
-        if block.all():
+        block, reps = commuting_cosets(g)
+        if reps.size == 1:
             cached = RationalGF.simple(1, g.order)
         else:
-            idx = np.arange(g.order, dtype=np.intp)
-            zsize, s = _commuting_sum(block, idx, {}, 0, work)
+            zsize, s = _commuting_sum(block, reps, g.order // reps.size, {}, 0, work)
             cached = (_count_series(zsize, s) * zsize + s) * Fraction(1, g.order)
         g._cache.setdefault("b_work", work[0])
         cached = g._cache.setdefault("b_of_t", cached)
     return cached
 
 
-def _commuting_block(mul: np.ndarray) -> np.ndarray:
-    """K = (mul == mul.T), compared over the upper triangle of tiles only, each
-    tile then mirrored below the diagonal; both reads of a tile stay cache-local."""
-    n, t = len(mul), COMMUTE_TILE
-    block = np.empty((n, n), dtype=bool)
-    for i in range(0, n, t):
-        for j in range(i, n, t):
-            tile = block[i:i + t, j:j + t]
-            np.equal(mul[i:i + t, j:j + t], mul[j:j + t, i:i + t].T, out=tile)
-            if j > i:
-                block[j:j + t, i:i + t] = tile.T
-    return block
-
-
 def _commuting_sum(
-    block: np.ndarray, idx: np.ndarray, memo: dict, depth: int, work: list[int]
+    block: np.ndarray, idx: np.ndarray, zg: int, memo: dict, depth: int, work: list[int]
 ) -> tuple[int, RationalGF]:
-    """(|Z(H)|, S_H) for a non-abelian subgroup H with commuting block `block`.
+    """(|Z(H)|, S_H) for a non-abelian subgroup H >= Z(G) with commuting block `block`.
 
-    `idx` holds H's elements as indices of the top group, in block order;
-    child series are memoized in `memo` under that exact element set.
+    `idx` holds the minima of H's cosets of Z(G), in block order, and zg is
+    |Z(G)|; child series are memoized in `memo` under that exact coset set.
     S_H = sum over distinct non-central centralizers C of mult(C) * N_C, where
     mult(C) counts the y in H with C_H(y) = C and N_C = sum c_n(C) t^n.
     """
@@ -102,10 +83,10 @@ def _commuting_sum(
             "centralizer chain failed to shrink; the table must be corrupt"
         )
     work[0] += 1
-    _, first, mult = np.unique(_packed_rows(block), return_index=True, return_counts=True)
+    _, first, rows = np.unique(_packed_rows(block), return_index=True, return_counts=True)
     zsize = 0
     terms: dict[RationalGF, int] = {}  # N_C -> summed multiplicity
-    for i, m in zip(first.tolist(), mult.tolist()):
+    for i, m in zip(first.tolist(), (rows * zg).tolist()):
         members = np.flatnonzero(block[i])
         if members.size == block.shape[0]:
             zsize += m
@@ -118,9 +99,9 @@ def _commuting_sum(
             # rows, then columns: about 3x faster than one np.ix_ gather
             sub = block.take(members, axis=0).take(members, axis=1)
             if sub.all():
-                n_c = RationalGF.simple(1, members.size)
+                n_c = RationalGF.simple(1, members.size * zg)
             else:
-                n_c = _count_series(*_commuting_sum(sub, sub_idx, memo, depth + 1, work))
+                n_c = _count_series(*_commuting_sum(sub, sub_idx, zg, memo, depth + 1, work))
             memo[key] = n_c
         terms[n_c] = terms.get(n_c, 0) + m
     return zsize, gf_sum([n_c * m for n_c, m in terms.items()])

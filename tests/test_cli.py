@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import os
 import re
@@ -138,6 +139,17 @@ def test_verify_table_holds_one_table_at_a_time(capsys):
     assert stem_group.cache_info().currsize == 0
 
 
+def test_verify_table_payload_is_pinned(capsys):
+    # the report without its timing key is byte-for-byte the same from run to run
+    code, out = run_cli(capsys, "--json", "verify-table", "--p", "2", "--p", "3", "--p", "5")
+    assert code == 0
+    report = json.loads(out)
+    del report["timing"]
+    payload = json.dumps(report, indent=2, sort_keys=True).encode()
+    assert hashlib.sha256(payload).hexdigest() == (
+        "0e90d39c5d1663c4f11ccd1be6c110c342eb539800378c1b940a9f9a7a35657e")
+
+
 def test_module_entry_point_runs_from_a_checkout():
     # `python -m conjgf` from an uninstalled checkout, with only src/ on the path
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -199,6 +211,13 @@ def test_bench_csv(capsys, tmp_path):
     # distinct non-central rows summed plus non-abelian nodes computed
     eq4_work = {(r["group"], int(r["work"])) for r in rows if r["strategy"] == "eq4_recursion"}
     assert eq4_work == {("D32", 10), ("Gamma5a1", 76), ("S4", 26)}
+
+
+def test_bench_rejects_unknown_group(capsys):
+    assert main(["bench", "--groups", "S3", "Nope"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "'Nope'" in captured.err
+    assert captured.out == ""
 
 
 def test_error_exit_code(capsys, tmp_path):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conjgf import genfun
-from conjgf.analysis import conjugacy_data
+from conjgf.analysis import center_elements, centralizer_histogram, commuting_cosets, conjugacy_data
 from conjgf.errors import RecursionDepthExceeded
 from conjgf.families import GAMMA_FAMILIES, PHI_FAMILIES, cyclic, stem_group, symmetric
 from conjgf.genfun import (
@@ -22,7 +22,7 @@ from conjgf.genfun import (
     gf_equal,
     normalize,
 )
-from conjgf.groups import GroupTable
+from conjgf.groups import GroupTable, quotient_table
 from conjgf.ratfun import RationalGF, gf_sum, partial_fractions
 
 F = Fraction
@@ -202,47 +202,66 @@ def _commuting_counts(g: GroupTable) -> tuple[int, int]:
     return int(block.sum()), c3
 
 
+def _relation_groups(catalog) -> list[GroupTable]:
+    """Every catalog group, S5, S6 (trivial center) and every stem group at p <= 5."""
+    stems = [stem_group(f, 2) for f in GAMMA_FAMILIES] + [stem_group(f, p) for p in (3, 5) for f in PHI_FAMILIES]
+    return [*catalog.values(), symmetric(5), symmetric(6), *stems]
+
+
 def test_b_against_commuting_counts(catalog):
     # Burnside: beta_n |G| = c_(n+1), the number of commuting (n+1)-tuples
-    groups = list(catalog.values()) + [symmetric(5), symmetric(6)]
-    groups += [stem_group(f, 2) for f in GAMMA_FAMILIES]
-    groups += [stem_group(f, p) for p in (3, 5) for f in PHI_FAMILIES]
-    for g in groups:
+    for g in _relation_groups(catalog):
         c2, c3 = _commuting_counts(g)
         series = b_of_t(g).series(3)
         assert (series[1] * g.order, series[2] * g.order) == (c2, c3), g.label
+
+
+def _traced_b_peak(g: GroupTable) -> int:
+    tracemalloc.start()
+    try:
+        b_of_t(g)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_b_memory_and_cache_on_order_3125():
     # a fresh copy of the table, so its cache starts empty and nothing is reused
     g0 = stem_group("Phi5", 5)
     g = GroupTable(g0.order, g0.mul, g0.inv, g0.generators, g0.label)
-    tracemalloc.start()
-    try:
-        b_of_t(g)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _traced_b_peak(g)
+    r = g.order // len(center_elements(g))
+    assert r == 625
     assert peak <= 2 * g.order**2, peak
-    # the n^2 commuting block is not kept on the table
-    assert set(g._cache) == {"b_of_t", "b_work"}
+    # the block is R x R over G/Z(G), never n x n
+    assert peak <= 6 * r**2, peak
+    # no block is kept on the table
+    assert not any(isinstance(v, np.ndarray) for v in g._cache.values()), set(g._cache)
     assert b_of_t(g) == b_of_t(g0)
-
-
-@pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 300, 513])
-def test_commuting_block_at_the_tile_edges(n):
-    # values in 0..2 make both equal and unequal mirrored entries common
-    mul = np.random.default_rng(n).integers(0, 3, size=(n, n), dtype=np.int32)
-    mul[0, -1] = (mul[-1, 0] + 1) % 3  # not symmetric once n > 1
-    block = genfun._commuting_block(mul)
-    assert block.dtype == bool
-    assert np.array_equal(block, mul == mul.T), n
+    # Z(S6) is trivial, so R = n: the table is compared with its transpose, never copied
+    s6 = symmetric(6)
+    assert len(center_elements(s6)) == 1
+    peak = _traced_b_peak(s6)
+    assert peak <= 3 * s6.order**2, peak
 
 
 def test_commuting_block_of_groups(catalog):
-    stems = [stem_group(f, 2) for f in GAMMA_FAMILIES] + [stem_group(f, p) for p in (3, 5) for f in PHI_FAMILIES]
-    for g in [*catalog.values(), *stems]:
-        assert np.array_equal(genfun._commuting_block(g.mul), g.mul == g.mul.T), g.label
+    # the block on G/Z(G), read through each element's coset, is the whole commuting block
+    for g in _relation_groups(catalog):
+        block, reps = commuting_cosets(g)
+        _, coset_minima, coset_of = quotient_table(g, center_elements(g))
+        assert reps.tolist() == list(coset_minima), g.label
+        assert np.array_equal(block[np.ix_(coset_of, coset_of)], g.mul == g.mul.T), g.label
+
+
+def test_centralizer_histogram_against_classes(catalog):
+    # slow path: each conjugacy class contributes its size at its centralizer order
+    for g in _relation_groups(catalog):
+        cd = conjugacy_data(g)
+        hist: dict[int, int] = {}
+        for cls, m in zip(cd.classes, cd.centralizer_sizes):
+            hist[m] = hist.get(m, 0) + len(cls)
+        assert centralizer_histogram(g) == hist, g.label
 
 
 @given(st.randoms(use_true_random=False))
