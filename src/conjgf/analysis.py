@@ -1,8 +1,8 @@
 """Structural invariants of a group table.
 
 Conjugacy classes, the commuting relation on G/Z(G), centralizers, center,
-derived subgroup, lower central series, the AC-group test and the
-maximal-class profile.  Everything here is a pure function of an immutable
+derived subgroup, lower central series, the AC-group test and the maximal
+subgroups of a p-group.  Everything here is a pure function of an immutable
 GroupTable; results are memoized write-once on the table's private cache.
 """
 
@@ -170,6 +170,8 @@ def is_ac_group(g: GroupTable) -> bool:
 
 
 def _p_log(order: int, p: int) -> int:
+    if not is_prime(p):
+        raise NotPrimePower(f"{p} is not prime")
     m = 0
     n = order
     while n % p == 0:
@@ -189,59 +191,25 @@ def frattini_elements(g: GroupTable, p: int) -> tuple[int, ...]:
     return subgroup_closure(g, seed)
 
 
-def _frattini_quotient(g: GroupTable, p: int):
-    """G/Phi(G) of a p-group (order > 1) with a basis b_0..b_(k-1) of it, and
-    the coordinates over F_p of each quotient element in that basis."""
+def maximal_subgroup_generators(g: GroupTable, p: int) -> list[tuple[int, ...]]:
+    """A generating set of each maximal subgroup of a p-group.
+
+    A basis b_0..b_(k-1) of G/Phi(G) is picked greedily.  The hyperplane
+    lam = 0 (lam_j = 1 its first nonzero entry) has the basis e_i - lam_i e_j
+    for i != j, so its preimage M is generated by Phi(G) and the elements
+    x_i x_j^(-lam_i), where x_i lifts b_i.
+    """
+    _p_log(g.order, p)
+    if g.order == 1:
+        return []
     frat = frattini_elements(g, p)
-    q, reps, coset_of = quotient_table(g, frat)
+    q, reps, _ = quotient_table(g, frat)
     basis: list[int] = []
     span = {0}
     for x in range(1, q.order):
         if x not in span:
             basis.append(x)
             span = set(subgroup_closure(q, span | {x}))
-    k = len(basis)
-    coords = np.zeros((q.order, k), dtype=np.int64)
-
-    def fill(idx: int, elem: int, coord: list[int]) -> None:
-        if idx == k:
-            coords[elem] = coord
-            return
-        cur = elem
-        for c in range(p):
-            fill(idx + 1, cur, coord + [c])
-            cur = q.mul_index(cur, basis[idx])
-
-    fill(0, 0, [])
-    return frat, reps, coset_of, basis, coords
-
-
-def maximal_subgroups(g: GroupTable, p: int) -> list[tuple[int, ...]]:
-    """All index-p subgroups of a p-group: hyperplane preimages of G/Frattini."""
-    _p_log(g.order, p)
-    if g.order == 1:
-        return []
-    _frat, _reps, coset_of, basis, coords = _frattini_quotient(g, p)
-    subs: list[tuple[int, ...]] = []
-    for functional in _unit_functionals(p, len(basis)):
-        lam = np.asarray(functional, dtype=np.int64)
-        in_plane = (coords @ lam) % p == 0
-        members = np.nonzero(in_plane[coset_of])[0]
-        subs.append(tuple(int(v) for v in members))
-    return subs
-
-
-def maximal_subgroup_generators(g: GroupTable, p: int) -> list[tuple[int, ...]]:
-    """A generating set of each maximal subgroup, in `maximal_subgroups` order.
-
-    The hyperplane lam = 0 (lam_j = 1 its first nonzero entry) has the basis
-    e_i - lam_i e_j for i != j, so its preimage M is generated by Phi(G) and
-    the elements x_i x_j^(-lam_i), where x_i lifts b_i.
-    """
-    _p_log(g.order, p)
-    if g.order == 1:
-        return []
-    frat, reps, _coset_of, basis, _coords = _frattini_quotient(g, p)
     frat_gens: list[int] = []
     span = {0}
     for x in frat:
@@ -275,96 +243,3 @@ def _unit_functionals(p: int, k: int):
 def has_abelian_maximal_subgroup(g: GroupTable, p: int) -> bool:
     """Some maximal subgroup is abelian: its generating set pairwise commutes."""
     return any(is_abelian_subset(g, gens) for gens in maximal_subgroup_generators(g, p))
-
-
-@dataclass(frozen=True)
-class MaximalClassProfile:
-    """Standard structural data of a p-group of maximal class.
-
-    P_series is [P_0, ..., P_m] as sorted element tuples, with P_1 the common
-    2-step centralizer and P_i = gamma_i(G) for i >= 2.  The non-boolean
-    fields are None when the group is not of maximal class.
-    """
-
-    is_maximal_class: bool
-    p: int
-    m: int
-    nilpotency_class: int
-    P_series: tuple[tuple[int, ...], ...] | None
-    degree_of_commutativity_positive: bool | None
-    has_abelian_maximal_subgroup: bool | None
-    P1_P3_commute: bool | None
-
-
-def _commute_between(g: GroupTable, a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    A = np.asarray(a, dtype=np.intp)
-    B = np.asarray(b, dtype=np.intp)
-    return bool(np.array_equal(g.mul[np.ix_(A, B)], g.mul[np.ix_(B, A)].T))
-
-
-def _commutator_set(g: GroupTable, a: tuple[int, ...], b: tuple[int, ...]) -> set[int]:
-    out: set[int] = set()
-    arr = np.asarray(a, dtype=np.intp)
-    for y in b:
-        left = g.mul[g.inv[arr], g.inv[y]]
-        out.update(int(v) for v in g.mul[left, g.mul[arr, y]])
-    return out
-
-
-def maximal_class_profile(g: GroupTable, p: int) -> MaximalClassProfile:
-    """Maximal-class test plus the P_i series and its standard flags."""
-    if not is_prime(p):
-        raise NotPrimePower(f"{p} is not prime")
-    m = _p_log(g.order, p)
-    series = lower_central_series(g)
-    cls = nilpotency_class(g)
-    if cls is None or m < 4 or cls != m - 1:
-        return MaximalClassProfile(
-            is_maximal_class=False, p=p, m=m,
-            nilpotency_class=cls if cls is not None else -1,
-            P_series=None, degree_of_commutativity_positive=None,
-            has_abelian_maximal_subgroup=None, P1_P3_commute=None,
-        )
-
-    def gamma(i: int) -> tuple[int, ...]:
-        return series[i - 1] if i - 1 < len(series) else (0,)
-
-    # P_1 = K_2: elements centralizing gamma_2 / gamma_4.
-    g4 = np.zeros(g.order, dtype=bool)
-    g4[list(gamma(4))] = True
-    mask = np.ones(g.order, dtype=bool)
-    for a in gamma(2):
-        left = g.mul[g.inv, g.inv[a]]
-        comm = g.mul[left, g.mul[:, a]]
-        mask &= g4[comm]
-    p1 = tuple(int(v) for v in np.nonzero(mask)[0])
-
-    p_series = [tuple(range(g.order)), p1]
-    for i in range(2, m + 1):
-        p_series.append(gamma(i))
-
-    def pset(i: int) -> tuple[int, ...]:
-        return p_series[i] if i <= m else (0,)
-
-    p1_abelian = is_abelian_subset(g, p1)
-    if p1_abelian:
-        positive = m - 3 > 0
-    else:
-        positive = True
-        for i in range(1, m):
-            for j in range(i, m):
-                inside = np.zeros(g.order, dtype=bool)
-                inside[list(pset(i + j + 1))] = True
-                if not all(inside[c] for c in _commutator_set(g, pset(i), pset(j))):
-                    positive = False
-                    break
-            if not positive:
-                break
-
-    return MaximalClassProfile(
-        is_maximal_class=True, p=p, m=m, nilpotency_class=cls,
-        P_series=tuple(p_series),
-        degree_of_commutativity_positive=positive,
-        has_abelian_maximal_subgroup=has_abelian_maximal_subgroup(g, p),
-        P1_P3_commute=_commute_between(g, p1, pset(3)),
-    )

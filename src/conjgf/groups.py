@@ -362,11 +362,7 @@ def _is_index(v) -> bool:
 # constructors
 
 
-def build_from_permutations(
-    gens: Sequence[Sequence[int]],
-    label: str = "",
-    cap: int = DEFAULT_ORDER_CAP,
-) -> GroupTable:
+def build_from_permutations(gens: Sequence[Sequence[int]], label: str = "") -> GroupTable:
     """Close a set of permutations of {0..k-1} under composition.
 
     Elements are indexed in BFS discovery order with the identity first.
@@ -396,8 +392,8 @@ def build_from_permutations(
             at = index.get(nxt)
             if at is None:
                 at = len(elems)
-                if at >= cap:
-                    raise ClosureExceedsCap(f"closure exceeded cap {cap}")
+                if at >= DEFAULT_ORDER_CAP:
+                    raise ClosureExceedsCap(f"closure exceeded cap {DEFAULT_ORDER_CAP}")
                 index[nxt] = at
                 elems.append(nxt)
                 parent.append((pos, gi))

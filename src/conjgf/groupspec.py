@@ -32,16 +32,6 @@ from .errors import GroupSpecError
 from .groups import GroupTable, _is_index, build_from_cayley, build_from_permutations
 from .pcp import PcPresentation, build_from_pcp
 
-_NAMED_FAMILIES = (
-    "cyclic",
-    "dihedral",
-    "semidihedral",
-    "quaternion",
-    "symmetric",
-    "elementary_abelian",
-)
-
-
 def _require_fields(doc: dict, required: set[str], optional: set[str]) -> None:
     missing = required - doc.keys()
     if missing:
@@ -114,9 +104,9 @@ def group_from_spec(doc: dict) -> GroupTable:
         _require_fields(doc, {"kind", "name", "p"}, set())
         name = _str_field(doc["name"], "name")
         p = _int_field(doc["p"], "p")
-        if name in _NAMED_FAMILIES:
-            return families.named_group(name, p)
-        return families.stem_group(name, p)
+        if name in families.ALL_FAMILIES:
+            return families.stem_group(name, p)
+        return families.named_group(name, p)
     raise GroupSpecError(f"unknown kind {kind!r}")
 
 

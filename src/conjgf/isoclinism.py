@@ -175,16 +175,13 @@ def _derive_phi(
     return phi
 
 
-def are_isoclinic(
-    g: GroupTable, h: GroupTable, quotient_cap: int = DEFAULT_QUOTIENT_CAP
-) -> IsoclinismWitness | None:
+def are_isoclinic(g: GroupTable, h: GroupTable) -> IsoclinismWitness | None:
     """Search for an isoclinism witness; None when provably none exists."""
     gq, greps, _ = _central_quotient(g)
     hq, hreps, _ = _central_quotient(h)
-    if gq.order > quotient_cap or hq.order > quotient_cap:
-        raise QuotientTooLarge(
-            f"central quotient of order {max(gq.order, hq.order)} exceeds cap {quotient_cap}"
-        )
+    largest = max(gq.order, hq.order)
+    if largest > DEFAULT_QUOTIENT_CAP:
+        raise QuotientTooLarge(f"central quotient of order {largest} exceeds cap {DEFAULT_QUOTIENT_CAP}")
     if gq.order != hq.order:
         return None
     if len(derived_subgroup(g)) != len(derived_subgroup(h)):

@@ -62,13 +62,13 @@ def _conj_maps(g: GroupTable) -> list[np.ndarray]:
     return [g.conj_by(s) for s in g.generators]
 
 
-def alpha_brute(g: GroupTable, n: int, cap: int = DEFAULT_TUPLE_CAP) -> OrbitCount:
+def alpha_brute(g: GroupTable, n: int) -> OrbitCount:
     """Count orbits of G on G^n by explicit union-find over generator moves."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     total = g.order**n
-    if total > cap:
-        raise TupleCapExceeded(f"|G|^n = {total} exceeds cap {cap}")
+    if total > DEFAULT_TUPLE_CAP:
+        raise TupleCapExceeded(f"|G|^n = {total} exceeds cap {DEFAULT_TUPLE_CAP}")
     if n == 0:
         return OrbitCount(g.label, 0, ALL_TUPLES, 1, 1)
     maps = _conj_maps(g)
@@ -90,11 +90,11 @@ def alpha_brute(g: GroupTable, n: int, cap: int = DEFAULT_TUPLE_CAP) -> OrbitCou
     return OrbitCount(g.label, n, ALL_TUPLES, uf.count, total)
 
 
-def commuting_tuples(g: GroupTable, n: int, cap: int = DEFAULT_TUPLE_CAP) -> list[tuple[int, ...]]:
+def commuting_tuples(g: GroupTable, n: int) -> list[tuple[int, ...]]:
     """All pairwise-commuting n-tuples, each coordinate drawn from the
     centralizer of the coordinates before it (deterministic order)."""
-    if g.order**n > cap:
-        raise TupleCapExceeded(f"|G|^n = {g.order ** n} exceeds cap {cap}")
+    if g.order**n > DEFAULT_TUPLE_CAP:
+        raise TupleCapExceeded(f"|G|^n = {g.order ** n} exceeds cap {DEFAULT_TUPLE_CAP}")
     everyone = np.arange(g.order)
     out: list[tuple[int, ...]] = []
 
@@ -113,13 +113,13 @@ def commuting_tuples(g: GroupTable, n: int, cap: int = DEFAULT_TUPLE_CAP) -> lis
     return out
 
 
-def beta_brute(g: GroupTable, n: int, cap: int = DEFAULT_TUPLE_CAP) -> OrbitCount:
+def beta_brute(g: GroupTable, n: int) -> OrbitCount:
     """Count orbits of G on commuting n-tuples (union-find over generator moves)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0:
         return OrbitCount(g.label, 0, COMMUTING_TUPLES, 1, 1)
-    tuples = commuting_tuples(g, n, cap)
+    tuples = commuting_tuples(g, n)
     index = {tup: i for i, tup in enumerate(tuples)}
     maps = _conj_maps(g)
     uf = _UnionFind(len(tuples))

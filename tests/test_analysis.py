@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+from itertools import product
+
+import numpy as np
 import pytest
 
 from conjgf.analysis import (
@@ -10,18 +13,44 @@ from conjgf.analysis import (
     derived_subgroup,
     element_orders,
     exponent,
+    frattini_elements,
     has_abelian_maximal_subgroup,
     is_ac_group,
     lower_central_series,
-    maximal_class_profile,
     maximal_subgroup_generators,
-    maximal_subgroups,
     nilpotency_class,
 )
 from conjgf.errors import NotPrimePower
-from conjgf.families import GAMMA_FAMILIES, PHI_FAMILIES, dihedral, stem_group
-from conjgf.groups import is_abelian_subset, subgroup_closure
+from conjgf.families import GAMMA_FAMILIES, PHI_FAMILIES, cyclic, dihedral, stem_group
+from conjgf.groups import is_abelian_subset, quotient_table, subgroup_closure
 from conjgf.pcp import prime_power_root
+
+
+def maximal_subgroups(g, p):
+    """Reference: every index-p subgroup of a p-group as a sorted element tuple,
+    the preimage of a hyperplane of G/Phi(G) = F_p^k.  Enumerated in the order
+    of `maximal_subgroup_generators`: the same greedy basis of G/Phi(G), and
+    functionals with first nonzero entry 1 in lexicographic order."""
+    q, _reps, coset_of = quotient_table(g, frattini_elements(g, p))
+    basis: list[int] = []
+    span = {0}
+    for x in range(1, q.order):
+        if x not in span:
+            basis.append(x)
+            span = set(subgroup_closure(q, span | {x}))
+    coords = np.zeros((q.order, len(basis)), dtype=np.int64)
+    for vec in product(range(p), repeat=len(basis)):
+        elem = 0
+        for b, c in zip(basis, vec):
+            for _ in range(c):
+                elem = q.mul_index(elem, b)
+        coords[elem] = vec
+    subs = []
+    for lam in product(range(p), repeat=len(basis)):
+        if next((v for v in lam if v), None) == 1:
+            in_plane = (coords @ np.asarray(lam)) % p == 0
+            subs.append(tuple(int(v) for v in np.nonzero(in_plane[coset_of])[0]))
+    return subs
 
 
 def test_s3_classes(catalog):
@@ -136,7 +165,17 @@ def test_maximal_subgroups(catalog):
     assert all(len(s) == 4 for s in subs)
     assert has_abelian_maximal_subgroup(g, 2)
     with pytest.raises(NotPrimePower):
-        maximal_subgroups(catalog["S3"], 2)
+        maximal_subgroup_generators(catalog["S3"], 2)
+
+
+@pytest.mark.parametrize("p", [0, 1, 4])
+def test_maximal_subgroups_need_a_prime(p):
+    # p = 1 used to loop forever, p = 0 to divide by zero, p = 4 to answer for C4
+    for g in (dihedral(8), cyclic(4)):
+        with pytest.raises(NotPrimePower):
+            has_abelian_maximal_subgroup(g, p)
+        with pytest.raises(NotPrimePower):
+            maximal_subgroup_generators(g, p)
 
 
 def test_maximal_subgroup_generators_against_blocks(catalog):
@@ -157,47 +196,18 @@ def test_maximal_subgroup_generators_against_blocks(catalog):
         assert has_abelian_maximal_subgroup(g, p) == any(abelian), g.label
 
 
-def test_maximal_class_profile_d32(catalog):
-    prof = maximal_class_profile(catalog["D32"], 2)
-    assert prof.is_maximal_class
-    assert prof.has_abelian_maximal_subgroup
-    assert prof.degree_of_commutativity_positive
-    sizes = [len(s) for s in prof.P_series]
-    assert sizes == [32, 16, 8, 4, 2, 1]
-    assert len(center_elements(catalog["D32"])) == 2
-
-
-def test_maximal_class_profile_phi5_not_maximal():
-    prof = maximal_class_profile(stem_group("Phi5", 3), 3)
-    assert not prof.is_maximal_class
-    assert prof.nilpotency_class == 2
-    assert prof.P_series is None
-
-
-def test_maximal_class_profile_phi10():
-    prof = maximal_class_profile(stem_group("Phi10", 3), 3)
-    assert prof.is_maximal_class
-    assert prof.P1_P3_commute
-    assert not prof.has_abelian_maximal_subgroup
-    assert prof.degree_of_commutativity_positive
-    assert [len(s) for s in prof.P_series] == [243, 81, 27, 9, 3, 1]
-
-
-def test_maximal_class_profile_requires_prime_power(catalog):
-    with pytest.raises(NotPrimePower):
-        maximal_class_profile(catalog["C12"], 2)
-
-
 def test_maximal_class_p_series_sizes(catalog):
-    # |P_i| = p^(m-i) for 1 <= i <= m-1 and |Z(G)| = p on every maximal-class group
+    # on a group of maximal class of order p^m, |gamma_i| = p^(m-i) for 2 <= i <= m
+    # and |Z(G)| = p
     maximal = [("D16", 2), ("SD16", 2), ("Q16", 2), ("D32", 2), ("SD32", 2), ("Q32", 2)]
     groups = [(catalog[lbl], p) for lbl, p in maximal]
     groups += [(stem_group("Phi3", 3), 3), (stem_group("Phi9", 3), 3), (stem_group("Phi10", 3), 3)]
     for g, p in groups:
-        prof = maximal_class_profile(g, p)
-        assert prof.is_maximal_class, g.label
-        m = prof.m
-        assert [len(sub) for sub in prof.P_series] == [p**m] + [p ** (m - i) for i in range(1, m + 1)], g.label
+        base, m = prime_power_root(g.order)
+        assert base == p, g.label
+        series = lower_central_series(g)
+        assert nilpotency_class(g) == m - 1, g.label
+        assert [len(term) for term in series[1:]] == [p ** (m - i) for i in range(2, m + 1)], g.label
         assert len(center_elements(g)) == p, g.label
 
 

@@ -66,10 +66,14 @@ def test_invalid_permutation_rejected():
         build_from_permutations([])
 
 
-def test_closure_cap():
+def test_closure_cap(monkeypatch):
+    # C12 closes to exactly 12 elements: a cap of 11 refuses it, a cap of 12 builds it
     rot = tuple((i + 1) % 12 for i in range(12))
+    monkeypatch.setattr(groups, "DEFAULT_ORDER_CAP", 11)
     with pytest.raises(ClosureExceedsCap):
-        build_from_permutations([rot], cap=5)
+        build_from_permutations([rot])
+    monkeypatch.setattr(groups, "DEFAULT_ORDER_CAP", 12)
+    assert build_from_permutations([rot]).order == 12
 
 
 def test_cayley_trivial_and_klein():

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from conjgf.errors import GroupSpecError, NotAGroup
+from conjgf.errors import GroupSpecError, InvalidParameters, NotAGroup
 from conjgf.groupspec import group_from_spec, load_group_spec
 
 
@@ -83,6 +83,16 @@ def test_family_kind():
     assert group_from_spec({"kind": "family", "name": "abelian", "p": 7}).order == 7
     assert group_from_spec({"kind": "family", "name": "dihedral", "p": 16}).order == 16
     assert group_from_spec({"kind": "family", "name": "quaternion", "p": 32}).order == 32
+    assert group_from_spec({"kind": "family", "name": "semidihedral", "p": 16}).order == 16
+    assert group_from_spec({"kind": "family", "name": "symmetric", "p": 4}).order == 24
+    assert group_from_spec({"kind": "family", "name": "cyclic", "p": 5}).order == 5
+    assert group_from_spec({"kind": "family", "name": "elementary_abelian", "p": 27}).order == 27
+
+
+@pytest.mark.parametrize("name", ["teapot", "phi5", "Phi11"])
+def test_family_kind_unknown_name(name):
+    with pytest.raises(InvalidParameters, match=f"unknown .*{name!r}"):
+        group_from_spec({"kind": "family", "name": name, "p": 3})
 
 
 def test_unknown_fields_rejected():

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from conjgf.errors import QuotientTooLarge
-from conjgf.families import cyclic, elementary_abelian, stem_group
+from conjgf.families import cyclic, dihedral, stem_group
 from conjgf.genfun import a_of_t, b_of_t
 from conjgf.isoclinism import are_isoclinic, stem_order
 
@@ -45,10 +45,12 @@ def test_nonisoclinic_same_order(catalog):
 
 
 def test_quotient_cap():
-    g = elementary_abelian(2, 5)
-    big = stem_group("Phi5", 3)  # central quotient of order 81 is fine
+    # |D512 / Z| = 256 is at the cap; D258 has a trivial center, so its quotient is 258
+    d512 = dihedral(512)
+    w = are_isoclinic(d512, d512)
+    assert w is not None and w.verify(d512, d512)
     with pytest.raises(QuotientTooLarge):
-        are_isoclinic(big, big, quotient_cap=16)
+        are_isoclinic(dihedral(258), dihedral(258))
 
 
 def test_isoclinic_same_order_pairs_have_equal_functions(catalog):

@@ -7,6 +7,7 @@ import pytest
 from conjgf.errors import TupleCapExceeded
 from conjgf.genfun import alpha_coefficient, beta_coefficient
 from conjgf.groups import GroupTable
+from conjgf import oracle
 from conjgf.oracle import alpha_brute, beta_brute, commuting_tuples
 
 
@@ -51,11 +52,17 @@ def test_beta_le_alpha(catalog):
         assert beta_brute(g, 1).count == alpha_brute(g, 1).count, label
 
 
-def test_cap_enforced(catalog):
+def test_cap_enforced(catalog, monkeypatch):
+    # D32 at n = 2 has exactly 32^2 tuples: one under the cap raises, at the cap runs
+    d32 = catalog["D32"]
+    monkeypatch.setattr(oracle, "DEFAULT_TUPLE_CAP", 32**2 - 1)
     with pytest.raises(TupleCapExceeded):
-        alpha_brute(catalog["D32"], 2, cap=1000)
+        alpha_brute(d32, 2)
     with pytest.raises(TupleCapExceeded):
-        beta_brute(catalog["D32"], 2, cap=1000)
+        beta_brute(d32, 2)
+    monkeypatch.setattr(oracle, "DEFAULT_TUPLE_CAP", 32**2)
+    assert alpha_brute(d32, 2).tuples_visited == 1024
+    assert beta_brute(d32, 2).tuples_visited == 32 * 11  # |G| k(G) commuting pairs
 
 
 def test_prefix_centralizer_enumeration_matches_filter(catalog):
