@@ -220,7 +220,13 @@ def cmd_equiv(args) -> RunReport:
     return report
 
 
+def _check_n_max(n_max: int, least: int) -> None:
+    if n_max < least:
+        raise InvalidParameters(f"--n-max {n_max} is below {least}, so no coefficient would be checked")
+
+
 def cmd_oracle(args) -> RunReport:
+    _check_n_max(args.n_max, 0)
     report = RunReport("oracle", {"spec": args.spec, "n_max": args.n_max})
     t0 = time.perf_counter()
     g = load_group_spec(args.spec)
@@ -283,6 +289,7 @@ def _bench_rows(labels: list[str], n_max: int) -> list[dict]:
 
 
 def cmd_bench(args) -> RunReport:
+    _check_n_max(args.n_max, 1)
     labels = args.groups or ["S3", "D8", "Q8", "D16", "D32"]
     report = RunReport("bench", {"groups": labels, "n_max": args.n_max, "out": args.out})
     t0 = time.perf_counter()

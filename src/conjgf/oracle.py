@@ -1,11 +1,13 @@
 """Independent brute-force ground truth: orbit counts of (commuting) n-tuples
 under simultaneous conjugation.
 
-Tuples are enumerated explicitly and orbits come from union-find over the
-generator action only (generator moves connect exactly what full-group moves
-do).  Commuting tuples are generated prefix-first: each new coordinate is
-drawn from the centralizer of the prefix, so exactly the commuting tuples are
-visited without materializing G^n.
+Each tuple is coded as an integer in base |G|, first coordinate most
+significant, and conjugation by a generator is one gather per coordinate.
+Orbits come from min-label propagation over the generator moves only
+(generator moves connect exactly what full-group moves do).  Commuting tuples
+are built a coordinate at a time, each new coordinate drawn from the
+centralizer of the prefix, so exactly the commuting tuples are visited
+without materializing G^n.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TupleCapExceeded
+from .errors import InvalidParameters, NotAGroup, TupleCapExceeded
 from .groups import GroupTable
 
 DEFAULT_TUPLE_CAP = 10_000_000
@@ -38,93 +40,84 @@ class OrbitCount:
         return f"{self.label} {self.mode} {self.n} {self.count} {self.tuples_visited}"
 
 
-class _UnionFind:
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-        self.count = size
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x: int, y: int) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[max(rx, ry)] = min(rx, ry)
-            self.count -= 1
-
-
-def _conj_maps(g: GroupTable) -> list[np.ndarray]:
-    return [g.conj_by(s) for s in g.generators]
-
-
-def alpha_brute(g: GroupTable, n: int) -> OrbitCount:
-    """Count orbits of G on G^n by explicit union-find over generator moves."""
+def _code_dtype(g: GroupTable, n: int) -> type:
+    """Refuse a negative n or |G|^n over the cap, before anything is allocated;
+    return the integer type that holds every tuple code."""
     if n < 0:
-        raise ValueError("n must be nonnegative")
+        raise InvalidParameters(f"tuple length n = {n} must be nonnegative")
     total = g.order**n
     if total > DEFAULT_TUPLE_CAP:
         raise TupleCapExceeded(f"|G|^n = {total} exceeds cap {DEFAULT_TUPLE_CAP}")
-    if n == 0:
-        return OrbitCount(g.label, 0, ALL_TUPLES, 1, 1)
-    maps = _conj_maps(g)
-    uf = _UnionFind(total)
-    order = g.order
-    for idx in range(total):
-        digits = []
-        rest = idx
+    return np.int32 if total < 2**31 else np.int64
+
+
+def _orbit_count(size: int, images: list[np.ndarray], dtype: type) -> int:
+    """Number of orbits on range(size) of the group generated by the permutations `images`.
+
+    Each label only ever falls to a smaller index in its own orbit.  At the
+    fixed point a label is no larger than the label of any image, so it is
+    constant along every generator cycle, hence on the orbit, and equal to
+    the orbit's minimum.  Every inverse is a positive power of a permutation,
+    so forward pulls reach the whole orbit."""
+    labels = np.arange(size, dtype=dtype)
+    while True:
+        new = labels[labels]
+        for image in images:
+            np.minimum(new, labels[image], out=new)
+        if np.array_equal(new, labels):
+            return int(np.count_nonzero(labels == np.arange(size, dtype=dtype)))
+        labels = new
+
+
+def alpha_brute(g: GroupTable, n: int) -> OrbitCount:
+    """Count orbits of G on G^n by label propagation over generator moves."""
+    dtype = _code_dtype(g, n)
+    images = []
+    for s in g.generators:
+        move = g.conj_by(s).astype(dtype)
+        image = np.zeros(1, dtype=dtype)
         for _ in range(n):
-            digits.append(rest % order)
-            rest //= order
-        for mv in maps:
-            image = 0
-            scale = 1
-            for d in digits:
-                image += int(mv[d]) * scale
-                scale *= order
-            uf.union(idx, image)
-    return OrbitCount(g.label, n, ALL_TUPLES, uf.count, total)
+            image = (image[:, None] * g.order + move).ravel()
+        images.append(image)
+    total = g.order**n
+    return OrbitCount(g.label, n, ALL_TUPLES, _orbit_count(total, images, dtype), total)
 
 
-def commuting_tuples(g: GroupTable, n: int) -> list[tuple[int, ...]]:
-    """All pairwise-commuting n-tuples, each coordinate drawn from the
-    centralizer of the coordinates before it (deterministic order)."""
-    if g.order**n > DEFAULT_TUPLE_CAP:
-        raise TupleCapExceeded(f"|G|^n = {g.order ** n} exceeds cap {DEFAULT_TUPLE_CAP}")
-    everyone = np.arange(g.order)
-    out: list[tuple[int, ...]] = []
+def commuting_tuples(g: GroupTable, n: int) -> np.ndarray:
+    """All pairwise-commuting n-tuples as the rows of an (m, n) array in
+    lexicographic order, each coordinate drawn from the centralizer of the
+    coordinates before it."""
+    _code_dtype(g, n)
+    commute = g.mul == g.mul.T if n > 1 else None  # |G|^2 <= |G|^n is under the cap
+    rows = np.zeros((1, 0), dtype=np.int32)
+    for _ in range(n):
+        allowed = np.ones((len(rows), g.order), dtype=bool)
+        for col in rows.T:
+            allowed &= commute[col]
+        prefix, x = np.nonzero(allowed)
+        rows = np.concatenate((rows[prefix], x[:, None].astype(np.int32)), axis=1)
+    return rows
 
-    def extend(prefix: tuple[int, ...], cent: np.ndarray) -> None:
-        if len(prefix) == n:
-            out.append(prefix)
-            return
-        for x in cent:
-            x = int(x)
-            mask = g.mul[cent, x] == g.mul[x, cent]
-            extend(prefix + (x,), cent[mask])
 
-    if n == 0:
-        return [()]
-    extend((), everyone)
-    return out
+def _codes(rows: np.ndarray, order: int, dtype: type) -> np.ndarray:
+    codes = np.zeros(len(rows), dtype=dtype)
+    for col in rows.T:
+        codes = codes * order + col
+    return codes
 
 
 def beta_brute(g: GroupTable, n: int) -> OrbitCount:
-    """Count orbits of G on commuting n-tuples (union-find over generator moves)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n == 0:
-        return OrbitCount(g.label, 0, COMMUTING_TUPLES, 1, 1)
-    tuples = commuting_tuples(g, n)
-    index = {tup: i for i, tup in enumerate(tuples)}
-    maps = _conj_maps(g)
-    uf = _UnionFind(len(tuples))
-    for i, tup in enumerate(tuples):
-        for mv in maps:
-            image = tuple(int(mv[x]) for x in tup)
-            uf.union(i, index[image])
-    return OrbitCount(g.label, n, COMMUTING_TUPLES, uf.count, len(tuples))
+    """Count orbits of G on commuting n-tuples by label propagation over generator moves."""
+    dtype = _code_dtype(g, n)
+    rows = commuting_tuples(g, n)
+    codes = _codes(rows, g.order, dtype)  # increasing, since the rows are in lexicographic order
+    images = []
+    for s in g.generators:
+        image = _codes(g.conj_by(s)[rows], g.order, dtype)
+        at = np.minimum(np.searchsorted(codes, image), len(codes) - 1)
+        if (miss := np.flatnonzero(codes[at] != image)).size:
+            tup = tuple(rows[miss[0]].tolist())
+            raise NotAGroup("conjugation preserves commuting tuples", (s, tup),
+                            f"conjugating the commuting tuple {tup} by generator {s} gives a non-commuting tuple")
+        images.append(at.astype(dtype))
+    return OrbitCount(g.label, n, COMMUTING_TUPLES, _orbit_count(len(rows), images, dtype), len(rows))

@@ -220,6 +220,18 @@ def test_bench_rejects_unknown_group(capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["oracle", str(REPO_ROOT / "specs" / "s3.json"), "--n-max", "-1"],
+    ["bench", "--groups", "S3", "--n-max", "-1"],
+    ["bench", "--groups", "S3", "--n-max", "0"],  # bench rows start at n = 1
+], ids=["oracle -1", "bench -1", "bench 0"])
+def test_n_max_that_checks_nothing_is_rejected(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "--n-max" in captured.err
+    assert captured.out == ""
+
+
 def test_error_exit_code(capsys, tmp_path):
     missing = str(tmp_path / "nope.json")
     with pytest.raises(SystemExit):

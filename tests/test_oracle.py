@@ -1,12 +1,19 @@
 from __future__ import annotations
 
+import ast
+import tracemalloc
 from itertools import product
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conjgf.errors import TupleCapExceeded
+from conjgf.errors import InvalidParameters, NotAGroup, TupleCapExceeded
+from conjgf.families import dihedral, symmetric
 from conjgf.genfun import alpha_coefficient, beta_coefficient
-from conjgf.groups import GroupTable
+from conjgf.groups import GroupTable, inverses
 from conjgf import oracle
 from conjgf.oracle import alpha_brute, beta_brute, commuting_tuples
 
@@ -16,6 +23,68 @@ def commuting_tuples_filter(g: GroupTable, n: int) -> list[tuple[int, ...]]:
     return sorted(tup for tup in product(range(g.order), repeat=n)
                   if all(g.mul_index(tup[i], tup[j]) == g.mul_index(tup[j], tup[i])
                          for i in range(n) for j in range(i + 1, n)))
+
+
+class _UnionFind:
+    def __init__(self, size: int):
+        self.parent = list(range(size))
+        self.count = size
+
+    def find(self, x: int) -> int:
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, x: int, y: int) -> None:
+        rx, ry = self.find(x), self.find(y)
+        if rx != ry:
+            self.parent[max(rx, ry)] = min(rx, ry)
+            self.count -= 1
+
+
+def alpha_reference(g: GroupTable, n: int) -> tuple[int, int]:
+    """Reference (count, tuples visited): union-find over G^n, one tuple at a time."""
+    maps = [g.conj_by(s) for s in g.generators]
+    total = g.order**n
+    uf = _UnionFind(total)
+    for idx in range(total):
+        digits = []
+        rest = idx
+        for _ in range(n):
+            digits.append(rest % g.order)
+            rest //= g.order
+        for mv in maps:
+            image = 0
+            scale = 1
+            for d in digits:
+                image += int(mv[d]) * scale
+                scale *= g.order
+            uf.union(idx, image)
+    return uf.count, total
+
+
+def beta_reference(g: GroupTable, n: int) -> tuple[int, int]:
+    """Reference (count, tuples visited): union-find over the filtered commuting tuples."""
+    tuples = commuting_tuples_filter(g, n)
+    index = {tup: i for i, tup in enumerate(tuples)}
+    maps = [g.conj_by(s) for s in g.generators]
+    uf = _UnionFind(len(tuples))
+    for i, tup in enumerate(tuples):
+        for mv in maps:
+            uf.union(i, index[tuple(int(mv[x]) for x in tup)])
+    return uf.count, len(tuples)
+
+
+def _relabelled(g: GroupTable, seed: int) -> GroupTable:
+    """A copy of g with its non-identity elements permuted."""
+    perm = np.concatenate(([0], 1 + np.random.default_rng(seed).permutation(g.order - 1)))
+    mul = np.empty_like(g.mul)
+    mul[np.ix_(perm, perm)] = perm[g.mul]
+    gens = tuple(int(perm[s]) for s in g.generators)
+    return GroupTable(order=g.order, mul=mul, inv=inverses(mul), generators=gens, label=f"{g.label}~{seed}")
 
 
 def test_alpha_brute_basics(catalog):
@@ -69,7 +138,8 @@ def test_prefix_centralizer_enumeration_matches_filter(catalog):
     for label in ("C6", "S3", "D8", "Q8", "C12"):
         g = catalog[label]
         for n in (1, 2, 3):
-            assert sorted(commuting_tuples(g, n)) == commuting_tuples_filter(g, n), (label, n)
+            rows = commuting_tuples(g, n)
+            assert [tuple(r) for r in rows.tolist()] == commuting_tuples_filter(g, n), (label, n)
 
 
 def test_oracle_matches_series_small(catalog):
@@ -79,3 +149,64 @@ def test_oracle_matches_series_small(catalog):
         for n in range(4):
             assert alpha_brute(g, n).count == alpha_coefficient(g, n), (label, n)
             assert beta_brute(g, n).count == beta_coefficient(g, n), (label, n)
+
+
+def test_negative_n_is_invalid(catalog):
+    s3 = catalog["S3"]
+    for fn in (alpha_brute, beta_brute, commuting_tuples):
+        with pytest.raises(InvalidParameters):
+            fn(s3, -1)
+
+
+@given(st.data())
+@settings(max_examples=25, deadline=None)
+def test_oracles_match_union_find_reference(catalog, data):
+    label = data.draw(st.sampled_from(sorted(k for k, g in catalog.items() if g.order <= 24)))
+    g = _relabelled(catalog[label], data.draw(st.integers(0, 2**32 - 1)))
+    n = data.draw(st.integers(0, 3))
+    a, b = alpha_brute(g, n), beta_brute(g, n)
+    assert (a.count, a.tuples_visited) == alpha_reference(g, n), (label, n)
+    assert (b.count, b.tuples_visited) == beta_reference(g, n), (label, n)
+
+
+def test_long_orbits_converge():
+    # conjugation by the rotation moves pairs of reflections along cycles of length 128
+    g = dihedral(512)
+    assert alpha_brute(g, 2).count == alpha_coefficient(g, 2)
+    assert beta_brute(g, 2).count == beta_coefficient(g, 2)
+
+
+def test_beta_rejects_a_non_group(catalog):
+    # with every element claimed self-inverse, conjugation by a 3-cycle c sends the
+    # commuting pair (1, r) to (c^2, r), which does not commute
+    s3 = catalog["S3"]
+    broken = GroupTable(order=6, mul=s3.mul, inv=np.arange(6, dtype=np.int32),
+                        generators=tuple(range(6)), label="broken")
+    with pytest.raises(NotAGroup):
+        beta_brute(broken, 2)
+
+
+def test_oracle_reads_only_the_group_table():
+    # the oracle must stay independent of the series it checks
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    assert imported == {"__future__", "dataclasses", "numpy", ".errors", ".groups"}
+    assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree))
+
+
+def test_alpha_memory_per_tuple():
+    # stated bound: (d + 6) int32 words per tuple for d generators
+    g = symmetric(6)
+    tracemalloc.start()
+    try:
+        result = alpha_brute(g, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.tuples_visited == 720**2
+    assert peak <= (len(g.generators) + 6) * 4 * result.tuples_visited, peak / result.tuples_visited
