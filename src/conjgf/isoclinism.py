@@ -3,7 +3,10 @@
 Two groups are isoclinic when some isomorphism theta of their central
 quotients and some isomorphism phi of their derived subgroups commute with
 the commutator map.  theta is found by generator-image backtracking over the
-quotients (pruned by element order and conjugacy-class size); phi is never
+quotients, pruned by element order and conjugacy-class size in the quotient
+and by the lifted class size |G : C_G(x)|.  The last is an isoclinism
+invariant: y -> [x, y] takes |G : C_G(x)| values and depends only on xZ and
+yZ, so phi carries that value set onto the one of theta(xZ).  phi is never
 searched: the diagram forces it on commutator values, which generate the
 derived subgroup, so it is derived and then validated.
 """
@@ -14,7 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import center_elements, conjugacy_data, derived_subgroup, element_orders
+from .analysis import (
+    center_elements,
+    commuting_cosets,
+    conjugacy_data,
+    derived_subgroup,
+    element_orders,
+)
 from .errors import QuotientTooLarge
 from .groups import GroupTable, memoized, minimal_generating_indices, quotient_table
 
@@ -42,7 +51,7 @@ class IsoclinismWitness:
         if greps != self.g_coset_reps or hreps != self.h_coset_reps:
             return False
         theta = self.theta
-        if sorted(theta) != list(range(gq.order)):
+        if len(theta) != hq.order or sorted(theta) != list(range(gq.order)):
             return False
         # theta is an isomorphism of the quotients
         for a in range(gq.order):
@@ -74,20 +83,28 @@ def _central_quotient(g: GroupTable):
     return quotient_table(g, center_elements(g), label=f"{g.label}/Z")
 
 
-def _element_invariants(q: GroupTable) -> list[tuple[int, int]]:
+def _element_invariants(g: GroupTable) -> list[tuple[int, int, int]]:
+    """(order in Q, class size in Q, |G : C_G(x)|) for each element of
+    Q = G/Z(G).  Row i of `commuting_cosets` is quotient element i (both order
+    the cosets by their minima), and |G : C_G(x)| = |Q| / its row sum."""
+    q = _central_quotient(g)[0]
     orders = element_orders(q)
     cd = conjugacy_data(q)
     class_size = np.empty(q.order, dtype=np.int64)
     for cls in cd.classes:
         class_size[list(cls)] = len(cls)
-    return [(int(orders[x]), int(class_size[x])) for x in range(q.order)]
+    lifted = q.order // commuting_cosets(g)[0].sum(axis=1)
+    return [(int(orders[x]), int(class_size[x]), int(lifted[x])) for x in range(q.order)]
 
 
-def _iso_images(q1: GroupTable, q2: GroupTable):
-    """Yield isomorphisms q1 -> q2 as index arrays, generator-image backtracking."""
+def _iso_images(g: GroupTable, h: GroupTable):
+    """Yield isomorphisms G/Z(G) -> H/Z(H) as index arrays, generator-image
+    backtracking."""
+    q1 = _central_quotient(g)[0]
+    q2 = _central_quotient(h)[0]
     gens = minimal_generating_indices(q1) or (0,)
-    inv1 = _element_invariants(q1)
-    inv2 = _element_invariants(q2)
+    inv1 = _element_invariants(g)
+    inv2 = _element_invariants(h)
     if sorted(inv1) != sorted(inv2):
         return
     candidates = [[y for y in range(q2.order) if inv2[y] == inv1[s]] for s in gens]
@@ -177,16 +194,16 @@ def _derive_phi(
 
 def are_isoclinic(g: GroupTable, h: GroupTable) -> IsoclinismWitness | None:
     """Search for an isoclinism witness; None when provably none exists."""
-    gq, greps, _ = _central_quotient(g)
-    hq, hreps, _ = _central_quotient(h)
-    largest = max(gq.order, hq.order)
+    largest = max(x.order // len(center_elements(x)) for x in (g, h))
     if largest > DEFAULT_QUOTIENT_CAP:
         raise QuotientTooLarge(f"central quotient of order {largest} exceeds cap {DEFAULT_QUOTIENT_CAP}")
+    gq, greps, _ = _central_quotient(g)
+    hq, hreps, _ = _central_quotient(h)
     if gq.order != hq.order:
         return None
     if len(derived_subgroup(g)) != len(derived_subgroup(h)):
         return None
-    for theta in _iso_images(gq, hq):
+    for theta in _iso_images(g, h):
         phi = _derive_phi(g, h, greps, hreps, theta)
         if phi is not None:
             witness = IsoclinismWitness(theta=theta, phi=phi,

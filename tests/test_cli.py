@@ -184,6 +184,14 @@ def test_equiv_modes(capsys, tmp_path):
     assert code == 0 and json.loads(out)["results"]["b_equivalent"] is False
 
 
+def test_equiv_phi9_phi10_not_isoclinic(capsys, tmp_path):
+    # their quotients are isomorphic and tie on order and class size in G/Z(G)
+    phi9 = write_spec(tmp_path, "phi9.json", {"kind": "family", "name": "Phi9", "p": 3})
+    phi10 = write_spec(tmp_path, "phi10.json", {"kind": "family", "name": "Phi10", "p": 3})
+    code, out = run_cli(capsys, "--json", "equiv", phi9, phi10, "--mode", "isoclinic")
+    assert code == 0 and json.loads(out)["results"]["isoclinic"] is False
+
+
 def test_oracle_command(capsys, tmp_path):
     s3 = write_spec(tmp_path, "s3.json", {"kind": "family", "name": "symmetric", "p": 3})
     code, out = run_cli(capsys, "--json", "oracle", s3, "--n-max", "3")

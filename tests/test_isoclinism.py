@@ -1,11 +1,45 @@
 from __future__ import annotations
 
-import pytest
+import tracemalloc
+from itertools import combinations
 
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conjgf import isoclinism
+from conjgf.analysis import center_elements, commuting_cosets, derived_subgroup
 from conjgf.errors import QuotientTooLarge
-from conjgf.families import cyclic, dihedral, stem_group
+from conjgf.families import PHI_FAMILIES, cyclic, dihedral, stem_group
 from conjgf.genfun import a_of_t, b_of_t
-from conjgf.isoclinism import are_isoclinic, stem_order
+from conjgf.groups import GroupTable, inverses, subgroup_closure
+from conjgf.isoclinism import (
+    IsoclinismWitness,
+    _central_quotient,
+    _derive_phi,
+    _element_invariants,
+    _iso_images,
+    are_isoclinic,
+    stem_order,
+)
+from conjgf.pcp import PcPresentation, build_from_pcp
+
+
+def _relabelled(g: GroupTable, perm: np.ndarray) -> GroupTable:
+    """A copy of g in which element x is renamed perm[x] (perm[0] must be 0)."""
+    perm = np.asarray(perm, dtype=g.mul.dtype)
+    mul = np.empty_like(g.mul)
+    mul[np.ix_(perm, perm)] = perm[g.mul]
+    gens = tuple(int(perm[s]) for s in g.generators)
+    return GroupTable(order=g.order, mul=mul, inv=inverses(mul), generators=gens, label=f"{g.label}'")
+
+
+def _exp9() -> GroupTable:
+    """The non-abelian group of order 27 and exponent 9."""
+    return build_from_pcp(PcPresentation(
+        p=3, relative_orders=(3, 9), power_words=(None, None),
+        commutator_words={(1, 0): (0, 3)}, label="27exp9"))
 
 
 def test_d8_q8_witness(catalog):
@@ -83,11 +117,8 @@ def test_both_nonabelian_order_27_groups_isoclinic(catalog):
     from conjgf.analysis import exponent
     from conjgf.closed_forms import table_row
     from conjgf.genfun import normalize
-    from conjgf.pcp import PcPresentation, build_from_pcp
 
-    exp9 = build_from_pcp(PcPresentation(
-        p=3, relative_orders=(3, 9), power_words=(None, None),
-        commutator_words={(1, 0): (0, 3)}, label="27exp9"))
+    exp9 = _exp9()
     heis = catalog["Heis27"]
     assert exponent(exp9) == 9 and exponent(heis) == 3
     assert stem_order(exp9) == 27
@@ -102,3 +133,107 @@ def test_gamma6_gamma7_not_isoclinic(catalog):
     # same order, center and class, but derived subgroups C4 vs C2 x C2:
     # no phi can exist, so the search must come back empty
     assert are_isoclinic(catalog["Gamma6a1"], catalog["Gamma7a1"]) is None
+
+
+def test_quotient_cap_raises_before_building_quotients():
+    # Z(D2046) is trivial, so its quotient would be a second 2046 x 2046 table
+    g = dihedral(2046)
+    tracemalloc.start()
+    try:
+        with pytest.raises(QuotientTooLarge):
+            are_isoclinic(g, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.1 * g.mul.nbytes
+
+
+def test_verify_rejects_theta_not_onto(catalog):
+    # relabel H = Gamma5a1 (|H/Z| = 16) so that a non-abelian subgroup of order 8,
+    # which contains Z(H), takes labels 0-7; its cosets are then quotient elements
+    # 0-3, and theta = (0, 1, 2, 3) embeds D8/Z into H/Z with a commuting square
+    g, base = catalog["D8"], catalog["Gamma5a1"]
+    x = base.generators[0]
+    y = next(y for y in base.generators if base.commutator(x, y) != 0)
+    sub = subgroup_closure(base, (x, y))
+    assert len(sub) == 8 and set(center_elements(base)) <= set(sub)
+    rest = [e for e in range(base.order) if e not in set(sub)]
+    perm = np.empty(base.order, dtype=np.int64)
+    perm[list(sub) + rest] = np.arange(base.order)
+    h = _relabelled(base, perm)
+    greps, hreps = _central_quotient(g)[1], _central_quotient(h)[1]
+    assert len(hreps) == 16
+    phi = dict(zip(derived_subgroup(g), derived_subgroup(h)))
+    w = IsoclinismWitness(theta=(0, 1, 2, 3), phi=phi, g_coset_reps=greps, h_coset_reps=hreps)
+    assert not w.verify(g, h)
+    assert are_isoclinic(g, h) is None
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_pruning_keeps_every_relabelling(catalog, data):
+    # a group is isoclinic to each of its relabellings, so no candidate it needs is dropped
+    groups = {**catalog, **{f: stem_group(f, 3) for f in PHI_FAMILIES}}
+    label = data.draw(st.sampled_from(sorted(groups)))
+    g = groups[label]
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    perm = np.concatenate(([0], 1 + np.random.default_rng(seed).permutation(g.order - 1)))
+    h = _relabelled(g, perm)
+    w = are_isoclinic(g, h)
+    assert w is not None and w.verify(g, h), (label, seed)
+
+
+def test_invariant_triples_agree_on_isoclinic_pairs(catalog):
+    pairs = [
+        (catalog["D8"], catalog["Q8"]),
+        (_exp9(), catalog["Heis27"]),
+        (stem_group("Gamma2", 2), catalog["Q8"]),
+        (stem_group("Gamma3", 2), catalog["Q16"]),
+    ]
+    for trio in (("D16", "SD16", "Q16"), ("D32", "SD32", "Q32")):
+        pairs += [(catalog[x], catalog[y]) for x, y in combinations(trio, 2)]
+    for g, h in pairs:
+        assert sorted(_element_invariants(g)) == sorted(_element_invariants(h)), (g.label, h.label)
+        w = are_isoclinic(g, h)
+        assert w is not None and w.verify(g, h), (g.label, h.label)
+
+
+def test_phi_families_pairwise_not_isoclinic():
+    for x, y in combinations(PHI_FAMILIES, 2):
+        assert are_isoclinic(stem_group(x, 3), stem_group(y, 3)) is None, (x, y)
+
+
+def test_commuting_cosets_rows_are_quotient_elements(catalog):
+    # the lifted class size of quotient element i is read from row i
+    groups = [catalog[k] for k in ("S3", "D8", "S4", "Gamma5a1", "C12")]
+    groups += [stem_group(f, 3) for f in ("Phi9", "Phi10")]
+    for g in groups:
+        _, reps = commuting_cosets(g)
+        _, qreps, coset_of = _central_quotient(g)
+        assert tuple(int(r) for r in reps) == qreps, g.label
+        lifted = [t[2] for t in _element_invariants(g)]
+        for x in range(g.order):
+            centralizer = np.count_nonzero(g.mul[x] == g.mul[:, x])
+            assert lifted[coset_of[x]] == g.order // centralizer, (g.label, x)
+
+
+def test_derive_phi_rejects_a_quotient_isomorphism(monkeypatch):
+    # Phi9(3) and Phi10(3) tie on every quotient-only invariant: the first theta
+    # of a search pruned by those alone is a quotient isomorphism with no phi
+    g, h = stem_group("Phi9", 3), stem_group("Phi10", 3)
+    full = isoclinism._element_invariants
+    monkeypatch.setattr(isoclinism, "_element_invariants", lambda x: [t[:2] for t in full(x)])
+    theta = next(_iso_images(g, h))
+    assert _derive_phi(g, h, _central_quotient(g)[1], _central_quotient(h)[1], theta) is None
+
+
+def test_lifted_class_size_prunes_phi9_phi10(monkeypatch):
+    g, h = stem_group("Phi9", 3), stem_group("Phi10", 3)
+    assert sorted(t[:2] for t in _element_invariants(g)) == sorted(t[:2] for t in _element_invariants(h))
+    assert sorted(_element_invariants(g)) != sorted(_element_invariants(h))
+    calls = []
+    derive = isoclinism._derive_phi
+    monkeypatch.setattr(isoclinism, "_derive_phi", lambda *a: calls.append(a) or derive(*a))
+    assert are_isoclinic(g, h) is None
+    assert calls == []
+
