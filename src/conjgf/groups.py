@@ -327,7 +327,8 @@ def _first_non_permutation_line(mul: np.ndarray) -> tuple[str, int] | None:
                 hit[mul[lo:lo + k] + offsets[:k, None] * n] = True
                 ok = hit.reshape(k, n).all(axis=1)
             else:
-                hit[mul[:, lo:lo + k] * k + offsets[:k]] = True
+                # widened before the multiply: a uint16 entry times k would wrap
+                hit[np.multiply(mul[:, lo:lo + k], k, dtype=np.intp) + offsets[:k]] = True
                 ok = hit.reshape(n, k).all(axis=0)
             bad = np.flatnonzero(~ok)
             if bad.size:

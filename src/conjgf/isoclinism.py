@@ -46,6 +46,9 @@ class IsoclinismWitness:
 
     def verify(self, g: GroupTable, h: GroupTable) -> bool:
         """Exhaustively re-check the commutative diagram."""
+        sizes = tuple(x.order // len(center_elements(x)) for x in (g, h))
+        if (len(self.g_coset_reps), len(self.h_coset_reps)) != sizes:
+            return False  # before either quotient table is built
         gq, greps, gcoset = _central_quotient(g)
         hq, hreps, hcoset = _central_quotient(h)
         if greps != self.g_coset_reps or hreps != self.h_coset_reps:

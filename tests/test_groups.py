@@ -543,6 +543,37 @@ def test_certify_matches_the_reference_on_corrupted_entries(catalog, data):
     assert certify(corrupt) == _reference_certificate(corrupt)
 
 
+def _as_dtype(g: GroupTable, dtype) -> GroupTable:
+    return GroupTable(order=g.order, mul=g.mul.astype(dtype), inv=g.inv.astype(dtype),
+                      generators=g.generators, label=g.label)
+
+
+def test_certify_reports_equal_at_int32_and_uint16(catalog):
+    # in Phi3(5), columns 600 and 601 then repeat an entry; they lie in the last
+    # column block, 113 wide, and entries up to 624 times 113 pass 65535
+    phi3 = stem_group("Phi3", 5)
+    mul = phi3.mul.copy()
+    mul[3, [600, 601]] = mul[3, [601, 600]]
+    swapped = GroupTable(order=phi3.order, mul=mul, inv=phi3.inv, generators=phi3.generators, label="swapped")
+    for g in [*_corrupted_tables(catalog), swapped]:
+        assert certify(_as_dtype(g, np.uint16)) == certify(_as_dtype(g, np.int32)), g.label
+    assert certify(_as_dtype(swapped, np.uint16)).first_failure().detail == "column 600 is not a permutation"
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_certify_reports_equal_at_both_dtypes_on_corrupted_entries(data):
+    g = stem_group(data.draw(st.sampled_from(("Phi3", "Phi4"))), 5)
+    n, mul = g.order, g.mul.copy()
+    x, y, z = (data.draw(st.integers(0, n - 1)) for _ in range(3))
+    if data.draw(st.booleans()):
+        mul[x, [y, z]] = mul[x, [z, y]]  # rows stay permutations: the column scan names the witness
+    else:
+        mul[x, y] = z
+    corrupt = GroupTable(order=n, mul=mul, inv=g.inv, generators=g.generators, label="corrupt")
+    assert certify(_as_dtype(corrupt, np.uint16)) == certify(_as_dtype(corrupt, np.int32))
+
+
 def test_inverses_match_the_first_identity_entry(catalog):
     mul = _cyclic_product(3, 100)
     no_identity = mul.copy()

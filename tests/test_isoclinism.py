@@ -148,6 +148,20 @@ def test_quotient_cap_raises_before_building_quotients():
     assert peak <= 0.1 * g.mul.nbytes
 
 
+def test_verify_rejects_wrong_coset_count_before_building_quotients():
+    # a one-element witness on D2046, whose trivial center would make each
+    # quotient a second 2046 x 2046 table
+    g = dihedral(2046)
+    witness = IsoclinismWitness(theta=(0,), phi={0: 0}, g_coset_reps=(0,), h_coset_reps=(0,))
+    tracemalloc.start()
+    try:
+        assert not witness.verify(g, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.1 * g.mul.nbytes
+
+
 def test_verify_rejects_theta_not_onto(catalog):
     # relabel H = Gamma5a1 (|H/Z| = 16) so that a non-abelian subgroup of order 8,
     # which contains Z(H), takes labels 0-7; its cosets are then quotient elements

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conjgf import groups
+from conjgf import groups, pcp
 from conjgf.analysis import center_elements, element_orders
 from conjgf.errors import ClosureExceedsCap, InconsistentPresentation, InvalidParameters
 from conjgf.families import _GAMMA_PRESENTATIONS, PHI_FAMILIES, _phi_presentation
@@ -17,6 +17,7 @@ from conjgf.groups import certify
 from conjgf.pcp import (
     EXACT_PRIME_LIMIT,
     PcPresentation,
+    Word,
     build_from_pcp,
     collect,
     is_prime,
@@ -238,3 +239,66 @@ def test_build_memory_bound_at_order_3125():
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * 4 * g.order**2, f"build peak {peak} bytes at order {g.order}"
+
+
+def _build_spying_on_certify(pres: PcPresentation, bypass_proof: bool = False):
+    """(table or None, the InconsistentPresentation message or None, every table
+    `build_from_pcp` handed to `certify`); with bypass_proof every level's
+    Hoelder check reports failure, so the build certifies its table as it
+    did before the proof."""
+    certified = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pcp, "certify", lambda t: certified.append(t) or certify(t))
+        if bypass_proof:
+            mp.setattr(pcp, "_holder_conditions", lambda *args: False)
+        try:
+            return build_from_pcp(pres), None, certified
+        except InconsistentPresentation as exc:
+            return None, str(exc), certified
+
+
+@st.composite
+def weight_ordered_presentations(draw):
+    """Random weight-ordered presentations with p in {2, 3}, d <= 5 and order
+    <= 2000; each power or commutator word is absent (two times in three), or
+    random over the deeper generators, so both verdicts come up often."""
+    p = draw(st.sampled_from((2, 3)))
+    d = draw(st.integers(1, 5))
+    budget = 10 if p == 2 else 6  # p^budget <= 2000
+    exps = []
+    for i in range(d):
+        exps.append(draw(st.integers(1, min(3, budget - sum(exps) - (d - 1 - i)))))
+    orders = tuple(p**e for e in exps)
+
+    def word(leading: int) -> Word | None:
+        if draw(st.integers(0, 2)):
+            return None
+        return tuple(0 if k <= leading else draw(st.integers(0, orders[k] - 1)) for k in range(d))
+
+    powers = tuple(word(i) for i in range(d))
+    comms = {(j, i): w for j in range(d) for i in range(j) if (w := word(i)) is not None}
+    return PcPresentation(p=p, relative_orders=orders, power_words=powers, commutator_words=comms,
+                          label=f"random({orders}, {powers}, {sorted(comms.items())})")
+
+
+@given(weight_ordered_presentations())
+@settings(max_examples=150, deadline=None)
+def test_holder_proof_agrees_with_certify(pres):
+    _, want_error, [table] = _build_spying_on_certify(pres, bypass_proof=True)
+    is_group = certify(table).ok
+    got, error, certified = _build_spying_on_certify(pres)
+    assert error == want_error
+    assert (error is None) == is_group
+    # the proof alone accepts exactly the presentations whose table is a group
+    assert len(certified) == (0 if is_group else 1)
+    if got is not None:
+        assert np.array_equal(got.mul, table.mul) and np.array_equal(got.inv, table.inv)
+
+
+def test_consistent_build_does_not_certify():
+    _, error, certified = _build_spying_on_certify(_phi_presentation("Phi5", 5))
+    assert error is None and certified == []
+    bogus = PcPresentation(p=2, relative_orders=(2, 2), power_words=((0, 1), None),
+                           commutator_words={(1, 0): (0, 1)})
+    _, error, certified = _build_spying_on_certify(bogus)
+    assert error is not None and len(certified) == 1

@@ -2,9 +2,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conjgf.genfun import a_of_t, b_of_t
 from conjgf.ratfun import RationalGF, partial_fractions
 
 F = Fraction
@@ -145,3 +147,43 @@ def test_scale_t_matches_series_rescaling(f, order):
     s = F(1, order)
     scaled = f.scale_t(s)
     assert scaled.series(5) == tuple(c * s**n for n, c in enumerate(f.series(5)))
+
+
+def _sympy_partial_fractions(f: RationalGF) -> tuple[dict, tuple]:
+    """sympy.apart's decomposition of f, read back as {(m, e): c} for the terms
+    c / (1 - m t)^e, and the polynomial part's coefficients, lowest first."""
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    q = lambda x: sympy.Rational(x.numerator, x.denominator)  # noqa: E731
+    num = sum(q(c) * t**k for k, c in enumerate(f.numerator))
+    den = sympy.Mul(*[(1 - q(m) * t) ** e for m, e in f.poles])
+    expanded = sympy.apart(num / den, t)
+    assert sympy.cancel(expanded - num / den) == 0
+    terms, poly = {}, sympy.Integer(0)
+    for term in sympy.Add.make_args(expanded):
+        top, bottom = term.as_numer_denom()
+        if bottom.free_symbols:
+            scale, [(linear, e)] = sympy.factor_list(bottom, t)
+            beta, alpha = sympy.Poly(linear, t).all_coeffs()[::-1]
+            # top / (scale (alpha t + beta)^e) = c / (1 - m t)^e
+            m, c = -alpha / beta, top / (scale * beta**e)
+            terms[F(int(sympy.numer(m)), int(sympy.denom(m))), int(e)] = F(int(sympy.numer(c)), int(sympy.denom(c)))
+        else:
+            poly += term
+    coeffs = sympy.Poly(poly, t).all_coeffs()[::-1] if poly != 0 else []
+    return terms, tuple(F(int(sympy.numer(c)), int(sympy.denom(c))) for c in coeffs)
+
+
+def test_partial_fractions_match_sympy_apart_on_catalog(catalog):
+    pytest.importorskip("sympy")
+    cases = [((label, which), f) for label, g in catalog.items()
+             for which, f in (("A", a_of_t(g)), ("B", b_of_t(g)))]
+    # and a double pole and a polynomial part, which no catalog A or B has
+    cases += [("double pole", RationalGF.from_poly((1, 1), ((2, 2), (5, 1)))),
+              ("improper", RationalGF.from_poly((1, 0, 0, F(-1, 2)), ((2, 1), (3, 1))))]
+    for case, f in cases:
+        pf = partial_fractions(f)
+        assert pf.recombine() == f, case
+        terms, poly = _sympy_partial_fractions(f)
+        assert {(m, e): c for c, m, e in pf.terms} == terms, case
+        assert pf.poly == poly, case
