@@ -1,9 +1,9 @@
 """Element-indexed finite groups: construction, validation, subgroups, quotients.
 
 A group is materialized as a full multiplication table over element indices
-0..order-1 with the identity fixed at index 0.  Tables are immutable after
-construction; derived data is memoized write-once in a private cache, so a
-table can be read from any number of workers.
+0..order-1 with the identity fixed at index 0, stored as INDEX_DTYPE.  Tables
+are immutable after construction; derived data is memoized write-once in a
+private cache, so a table can be read from any number of workers.
 """
 
 from __future__ import annotations
@@ -17,6 +17,10 @@ import numpy as np
 from .errors import ClosureExceedsCap, InvalidPermutation, NotAGroup
 
 DEFAULT_ORDER_CAP = 10_000
+# The element index of every table built here.  It holds every index below the
+# cap, but arithmetic with a Python int stays in it and wraps past 65535, so
+# any product or offset of entries that can pass the order is widened first.
+INDEX_DTYPE = np.uint16
 FULL_ASSOCIATIVITY_LIMIT = 256
 ASSOCIATIVITY_BLOCK = 64  # rows per block of the generator-triple check
 LINE_BLOCK = 128  # rows or columns per block of the cancellation scatter and the inverse scan
@@ -123,8 +127,8 @@ def induced_table(g: GroupTable, elements: Sequence[int], label: str = "") -> Gr
     inv = local[g.inv[elems]]
     sub = GroupTable(
         order=int(elems.size),
-        mul=mul,
-        inv=inv.astype(np.int32),
+        mul=mul.astype(INDEX_DTYPE),
+        inv=inv.astype(INDEX_DTYPE),
         generators=(),
         label=label or f"{g.label}|sub{elems.size}",
     )
@@ -145,7 +149,7 @@ def quotient_table(
     nset = np.asarray(sorted(int(x) for x in normal_elements), dtype=np.intp)
     coset_min = g.mul[:, nset].min(axis=1)
     reps, coset_of = np.unique(coset_min, return_inverse=True)
-    coset_of = coset_of.astype(np.int32)
+    coset_of = coset_of.astype(INDEX_DTYPE)
     q = len(reps)
     mul = coset_of[g.mul[np.ix_(reps, reps)]]
     inv = coset_of[g.inv[reps]]
@@ -339,7 +343,7 @@ def _first_non_permutation_line(mul: np.ndarray) -> tuple[str, int] | None:
 def inverses(mul: np.ndarray) -> np.ndarray:
     """inv[x] = the lowest y with mul[x, y] == 0, or 0 when row x has none (as in a
     table that is not a group); scanned LINE_BLOCK rows at a time, so no n x n mask."""
-    inv = np.empty(len(mul), dtype=np.int32)
+    inv = np.empty(len(mul), dtype=INDEX_DTYPE)
     for lo in range(0, len(mul), LINE_BLOCK):
         inv[lo:lo + LINE_BLOCK] = np.argmax(mul[lo:lo + LINE_BLOCK] == 0, axis=1)
     return inv
@@ -402,9 +406,9 @@ def build_from_permutations(gens: Sequence[Sequence[int]], label: str = "") -> G
         pos += 1
 
     n = len(elems)
-    right = [np.asarray(col, dtype=np.int32) for col in right_by_gen]
-    mul = np.empty((n, n), dtype=np.int32)
-    mul[:, 0] = np.arange(n, dtype=np.int32)
+    right = [np.asarray(col, dtype=INDEX_DTYPE) for col in right_by_gen]
+    mul = np.empty((n, n), dtype=INDEX_DTYPE)
+    mul[:, 0] = np.arange(n, dtype=INDEX_DTYPE)
     for y in range(1, n):
         py, gi = parent[y]
         mul[:, y] = right[gi][mul[:, py]]
@@ -439,7 +443,7 @@ def build_from_cayley(table: Sequence[Sequence[int]], label: str = "") -> GroupT
                 raise NotAGroup("shape", (x, y), f"entry {v!r} at {(x, y)} is not an integer")
             if not 0 <= v < n:
                 raise NotAGroup("closure", (x, y), f"entry {v} at {(x, y)} is not in 0..{n - 1}")
-    mul = np.asarray(rows, dtype=np.int32)
+    mul = np.asarray(rows, dtype=INDEX_DTYPE)
     g = GroupTable(order=n, mul=mul, inv=inverses(mul), generators=(0,), label=label or f"cayley({n})")
     g.generators = minimal_generating_indices(g) or (0,)
     return _certified(g)

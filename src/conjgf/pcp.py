@@ -23,7 +23,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import InconsistentPresentation, InvalidParameters
-from .groups import GroupTable, certify, check_order_cap, inverses
+from .groups import INDEX_DTYPE, GroupTable, certify, check_order_cap, inverses
 
 DEFAULT_REWRITE_BUDGET = 1_000_000
 
@@ -247,7 +247,7 @@ def build_from_pcp(pres: PcPresentation) -> GroupTable:
     def idx_of(w: Word | None) -> int:
         return 0 if w is None else sum(e * radix[k] for k, e in enumerate(w))
 
-    mul = np.zeros((1, 1), dtype=np.int32)
+    mul = np.zeros((1, 1), dtype=INDEX_DTYPE)
     proved = True
     for i in range(d - 1, -1, -1):
         r, m = orders[i], len(mul)
@@ -258,12 +258,13 @@ def build_from_pcp(pres: PcPresentation) -> GroupTable:
             phi[u] = mul[phi[u - radix[k]], image[k]]
         w = idx_of(pres.power_words[i])
         proved = proved and _holder_conditions(mul, phi, w, r, radix[i + 1:])
-        grown = np.empty((r, m, r, m), dtype=np.int32)
+        grown = np.empty((r, m, r, m), dtype=INDEX_DTYPE)
         phi_b = np.arange(m)
         for b in range(r):  # block (a, b): rows X = [w] phi^b(u) of mul, written in place
             wrapped = mul[w].take(phi_b)
             for a in range(r):
                 rows = wrapped if a + b >= r else phi_b
+                # the offset and the sum stay below r * m <= the order cap: no uint16 wrap
                 np.add(mul.take(rows, axis=0), (a + b) % r * m, out=grown[a, :, b, :])
             phi_b = phi.take(phi_b)
         mul = grown.reshape(r * m, r * m)

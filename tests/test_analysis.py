@@ -20,9 +20,16 @@ from conjgf.analysis import (
     maximal_subgroup_generators,
     nilpotency_class,
 )
+from conjgf import families
 from conjgf.errors import NotPrimePower
 from conjgf.families import GAMMA_FAMILIES, PHI_FAMILIES, cyclic, dihedral, stem_group
-from conjgf.groups import is_abelian_subset, quotient_table, subgroup_closure
+from conjgf.groups import (
+    GroupTable,
+    build_from_permutations,
+    is_abelian_subset,
+    quotient_table,
+    subgroup_closure,
+)
 from conjgf.pcp import prime_power_root
 
 
@@ -215,3 +222,60 @@ def test_exponent(catalog):
     assert exponent(catalog["Q8"]) == 4
     assert exponent(catalog["C12"]) == 12
     assert exponent(stem_group("Phi5", 3)) == 3
+
+
+def _permutation_catalog(monkeypatch) -> list[tuple[GroupTable, list[tuple[int, ...]]]]:
+    """The catalog groups that `build_from_permutations` closes, each with the
+    generating permutations it was given."""
+    given = {}
+
+    def spy(gens, label=""):
+        g = build_from_permutations(gens, label)
+        given[g.label] = [tuple(p) for p in gens]
+        return g
+
+    monkeypatch.setattr(families, "build_from_permutations", spy)
+    return [(g, given[g.label]) for _, g in families.small_catalog.__wrapped__() if g.label in given]
+
+
+def _indexed_permutations(g: GroupTable, perms: list[tuple[int, ...]]) -> np.ndarray:
+    """Row x is the permutation that index x stands for: the closure of `perms`
+    in breadth-first order by right multiplication, as `build_from_permutations`
+    indexes it; checked against every product of the table."""
+    elems = [tuple(range(len(perms[0])))]
+    seen = set(elems)
+    for cur in elems:
+        for s in perms:
+            nxt = tuple(cur[i] for i in s)  # cur o s: s acts first
+            if nxt not in seen:
+                seen.add(nxt)
+                elems.append(nxt)
+    rows = np.asarray(elems)
+    assert len(rows) == g.order, g.label
+    composed = rows[np.arange(g.order)[:, None, None], rows[None, :, :]]
+    assert np.array_equal(rows[g.mul], composed), g.label
+    return rows
+
+
+def test_permutation_groups_match_sympy(monkeypatch):
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    checked = set()
+    for g, perms in _permutation_catalog(monkeypatch):
+        rows = _indexed_permutations(g, perms)
+        as_perm = lambda x: combinatorics.Permutation(rows[x].tolist())  # noqa: E731
+        key = lambda p: tuple(p.array_form)  # noqa: E731
+        group = combinatorics.PermutationGroup([combinatorics.Permutation(list(p)) for p in perms])
+        cd = conjugacy_data(g)
+        theirs = {frozenset(map(key, cls)) for cls in group.conjugacy_classes()}
+        assert {frozenset(tuple(rows[x]) for x in cls) for cls in cd.classes} == theirs, g.label
+        orders = [group.centralizer(as_perm(x)).order() for x in cd.representatives]
+        assert orders == list(cd.centralizer_sizes), g.label
+        hist: dict[int, int] = {}
+        for m, cls in zip(orders, cd.classes):
+            hist[m] = hist.get(m, 0) + len(cls)
+        assert centralizer_histogram(g) == hist, g.label
+        assert {tuple(rows[x]) for x in center_elements(g)} == set(map(key, group.center().elements)), g.label
+        series = [len(term) for term in lower_central_series(g)]
+        assert series == [term.order() for term in group.lower_central_series()], g.label
+        checked.add(g.label)
+    assert {"S3", "S4", "D8", "D12", "SD32", "C4xC2"} <= checked

@@ -125,7 +125,7 @@ def test_verify_table_default(capsys):
 
 
 def test_verify_table_holds_one_table_at_a_time(capsys):
-    # seven order-3125 tables at p = 5; each is released once its row is checked
+    # seven order-3125 uint16 tables at p = 5; each is released once its row is checked
     stem_group.cache_clear()
     tracemalloc.start()
     try:
@@ -135,7 +135,7 @@ def test_verify_table_holds_one_table_at_a_time(capsys):
         tracemalloc.stop()
     capsys.readouterr()
     assert code == 0
-    assert peak <= 1.5 * 4 * 3125**2, f"verify-table peak {peak} bytes"
+    assert peak <= 1.5 * 2 * 3125**2, f"verify-table peak {peak} bytes"
     assert stem_group.cache_info().currsize == 0
 
 

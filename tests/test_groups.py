@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conjgf.errors import ClosureExceedsCap, InvalidPermutation, NotAGroup
+from conjgf.analysis import (
+    center_elements,
+    centralizer_histogram,
+    derived_subgroup,
+    has_abelian_maximal_subgroup,
+    nilpotency_class,
+)
+from conjgf.errors import ClosureExceedsCap, InvalidPermutation, NotAGroup, QuotientTooLarge
 from conjgf import groups
 from conjgf.families import GAMMA_FAMILIES, PHI_FAMILIES, stem_group
 from conjgf.groups import (
@@ -23,6 +30,10 @@ from conjgf.groups import (
     quotient_table,
     subgroup_closure,
 )
+from conjgf.genfun import a_of_t, b_of_t
+from conjgf.isoclinism import are_isoclinic
+from conjgf.oracle import alpha_brute, beta_brute
+from conjgf.pcp import prime_power_root
 
 S3_GENS = [(1, 2, 0), (1, 0, 2)]
 
@@ -171,9 +182,10 @@ def test_corrupted_table_fails_certificate(catalog):
 
 @pytest.mark.parametrize("bad", [-1, 4])
 def test_certify_range_checks_inv(catalog, bad):
-    # -1 would wrap to the last element and 4 would index past the table
+    # -1 would wrap to the last element and 4 would index past the table; the
+    # copy is signed, as a caller's own table may be, so it can hold -1
     c4 = catalog["C4"]
-    inv = c4.inv.copy()
+    inv = c4.inv.astype(np.int32)
     inv[1] = inv[3] = bad
     g = GroupTable(order=4, mul=c4.mul, inv=inv, generators=c4.generators, label="C4")
     assert certify(g).checks == (CheckResult("table_shape", "fail", "inv entry out of range", (1,)),)
@@ -223,6 +235,21 @@ def test_quotient_table_by_center(catalog):
     assert (q.mul == q.mul.T).all()  # Q8 / Z = Klein four-group
     assert coset_of[0] == 0 and reps[0] == 0
     assert np.array_equal(coset_of[list(reps)], np.arange(q.order))
+
+
+def test_order_cap_fits_the_index_type():
+    # every index of a table at the cap is representable, so no entry can wrap
+    assert groups.DEFAULT_ORDER_CAP <= np.iinfo(groups.INDEX_DTYPE).max + 1
+
+
+def test_built_tables_use_the_index_type(catalog):
+    d16 = catalog["D16"]  # closed from permutations
+    q, _, coset_of = quotient_table(d16, center_elements(d16))
+    sub = induced_table(d16, subgroup_closure(d16, d16.generators[:1]))
+    tables = [d16, catalog["Q8"], stem_group("Phi5", 3), q, sub, build_from_cayley(d16.mul.tolist())]
+    for g in tables:
+        assert (g.mul.dtype, g.inv.dtype) == (groups.INDEX_DTYPE,) * 2, g.label
+    assert coset_of.dtype == groups.INDEX_DTYPE
 
 
 def test_cayley_order_cap(monkeypatch):
@@ -560,6 +587,39 @@ def test_certify_reports_equal_at_int32_and_uint16(catalog):
     assert certify(_as_dtype(swapped, np.uint16)).first_failure().detail == "column 600 is not a permutation"
 
 
+def _results(g: GroupTable, alpha_n: int = 2) -> dict:
+    """Everything downstream of a table that does arithmetic on its entries."""
+    z = center_elements(g)
+    q, reps, coset_of = quotient_table(g, z)
+    root = prime_power_root(g.order)
+    try:
+        witness = are_isoclinic(g, g)
+        verified = witness.verify(g, g)
+    except QuotientTooLarge as exc:
+        witness, verified = str(exc), None
+    return {
+        "A": a_of_t(g), "B": b_of_t(g), "centralizers": centralizer_histogram(g),
+        "|Z|": len(z), "|G'|": len(derived_subgroup(g)), "class": nilpotency_class(g),
+        "abelian maximal": root is not None and has_abelian_maximal_subgroup(g, root[0]),
+        "G/Z": (q.mul.tolist(), q.inv.tolist(), q.generators, reps, coset_of.tolist()),
+        "alpha": [alpha_brute(g, n).count for n in range(alpha_n + 1)],
+        "beta": [beta_brute(g, n).count for n in range(3)],
+        "isoclinism": (witness, verified),
+    }
+
+
+def test_results_equal_at_int32_and_uint16(catalog):
+    # Phi5(5) codes commuting pairs past 65535 in beta; its alpha at n = 2 visits
+    # 3125^2 tuples, so Phi3(5), of order 625, codes pairs past 65535 there instead
+    sources = [(g, 2) for g in catalog.values()]
+    sources += [(stem_group("Phi5", 5), 1), (stem_group("Phi3", 5), 2)]
+    for g, alpha_n in sources:
+        narrow, wide = _as_dtype(g, np.uint16), _as_dtype(g, np.int32)
+        got = _results(narrow, alpha_n)
+        assert got == _results(wide, alpha_n), g.label
+        assert got["isoclinism"][1] in (True, None), g.label
+
+
 @given(st.data())
 @settings(max_examples=30, deadline=None)
 def test_certify_reports_equal_at_both_dtypes_on_corrupted_entries(data):
@@ -582,6 +642,6 @@ def test_inverses_match_the_first_identity_entry(catalog):
     twice[130, 5] = 0  # row 130 holds 0 twice
     for table in [g.mul for g in catalog.values()] + [mul, no_identity, twice]:
         got = inverses(table)
-        assert got.dtype == np.int32
+        assert got.dtype == groups.INDEX_DTYPE
         assert np.array_equal(got, np.argmax(table == 0, axis=1)), len(table)
     assert inverses(no_identity)[299] == 0

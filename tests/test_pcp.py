@@ -230,7 +230,7 @@ def test_quaternion_presentation():
 
 
 def test_build_memory_bound_at_order_3125():
-    # each block is written into the new table in place: no (r, m, m) temporaries
+    # each block is written into the new uint16 table in place: no (r, m, m) temporaries
     pres = _phi_presentation("Phi5", 5)
     tracemalloc.start()
     try:
@@ -238,7 +238,7 @@ def test_build_memory_bound_at_order_3125():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * 4 * g.order**2, f"build peak {peak} bytes at order {g.order}"
+    assert peak <= 1.25 * 2 * g.order**2, f"build peak {peak} bytes at order {g.order}"
 
 
 def _build_spying_on_certify(pres: PcPresentation, bypass_proof: bool = False):
