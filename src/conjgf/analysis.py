@@ -119,12 +119,11 @@ def lower_central_series(g: GroupTable) -> tuple[tuple[int, ...], ...]:
     """gamma_1 = G, gamma_{i+1} = [gamma_i, G]; stops once the series is stable."""
     terms: list[tuple[int, ...]] = [tuple(range(g.order))]
     while True:
-        cur = np.asarray(terms[-1], dtype=np.intp)
-        seed: set[int] = set()
-        for s in g.generators:
-            left = g.mul[g.inv[cur], g.inv[s]]
-            seed.update(int(v) for v in g.mul[left, g.mul[cur, s]])
-        nxt = normal_closure(g, seed)
+        cur = np.asarray(terms[-1], dtype=np.intp)[:, None]
+        gens = np.asarray(g.generators, dtype=np.intp)[None, :]
+        # [x, s] = x^-1 s^-1 x s for every x in gamma_i and generator s at once
+        comm = g.mul[g.mul[g.inv[cur], g.inv[gens]], g.mul[cur, gens]]
+        nxt = normal_closure(g, np.unique(comm).tolist())
         if nxt == terms[-1]:
             return tuple(terms)
         terms.append(nxt)
@@ -187,8 +186,7 @@ def frattini_elements(g: GroupTable, p: int) -> tuple[int, ...]:
     pw = np.arange(g.order)
     for _ in range(p - 1):
         pw = g.mul[pw, np.arange(g.order)]
-    seed = set(int(v) for v in pw) | set(derived_subgroup(g))
-    return subgroup_closure(g, seed)
+    return subgroup_closure(g, np.union1d(pw, derived_subgroup(g)).tolist())
 
 
 def maximal_subgroup_generators(g: GroupTable, p: int) -> list[tuple[int, ...]]:

@@ -1,9 +1,10 @@
 """Exact rational functions with factored (1 - m t)^e denominators.
 
-Coefficients and pole parameters are fractions.Fraction values throughout, so
-every operation is exact; nothing in this module touches floating point.
-Pole parameters are integers for the raw generating functions and become
-rationals (p^-k) after normalization; the arithmetic is uniform in both.
+Coefficients and pole parameters are int when integral, else Fraction; never
+float, so every operation is exact.  The raw generating functions have integer
+coefficients and poles and run on Python ints; poles become rationals (p^-k)
+after normalization.  Fraction(n) == n and hash(Fraction(n)) == hash(n), so
+equality, hashing and printing do not depend on which type holds a value.
 """
 
 from __future__ import annotations
@@ -13,14 +14,29 @@ from fractions import Fraction
 from math import comb
 from typing import Sequence
 
-Poly = tuple[Fraction, ...]  # coefficient tuple, index = degree
+import numpy as np
+
+from .errors import InvalidParameters
+
+Exact = int | Fraction
+Poly = tuple[Exact, ...]  # coefficients by degree: int when integral, else Fraction; never float
 
 
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(int(x))
+def _frac(x) -> Exact:
+    """x as an exact value: int when integral, else Fraction.
+
+    Accepts int, numpy integers and Fraction; anything else (float, bool,
+    str, None) raises InvalidParameters rather than being truncated."""
+    if type(x) is int:
+        return x
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
+    if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
+        return int(x)
+    raise InvalidParameters(f"exact values must be int or Fraction, got {type(x).__name__} {x!r}")
 
 
-def _trim(coeffs: Sequence[Fraction]) -> Poly:
+def _trim(coeffs: Sequence[Exact]) -> Poly:
     out = list(coeffs)
     while out and out[-1] == 0:
         out.pop()
@@ -35,7 +51,7 @@ def _padd(a: Poly, b: Poly) -> Poly:
 def _pmul(a: Poly, b: Poly) -> Poly:
     if not a or not b:
         return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
@@ -43,45 +59,46 @@ def _pmul(a: Poly, b: Poly) -> Poly:
     return _trim(out)
 
 
-def _pscale(a: Poly, c: Fraction) -> Poly:
+def _pscale(a: Poly, c: Exact) -> Poly:
     return _trim([x * c for x in a])
 
 
-def _peval(a: Poly, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
+def _vanishes_at_inverse(a: Poly, m: Exact) -> bool:
+    """a(1/m) == 0, tested without dividing as sum a_k m^(deg-k) == 0 (Horner)."""
+    acc = 0
+    for c in a:
+        acc = acc * m + c
+    return acc == 0
 
 
-def _linear_power(m: Fraction, e: int) -> Poly:
+def _linear_power(m: Exact, e: int) -> Poly:
     """(1 - m t)^e as a coefficient tuple."""
-    return tuple(Fraction(comb(e, k)) * (-m) ** k for k in range(e + 1))
+    return tuple(comb(e, k) * (-m) ** k for k in range(e + 1))
 
 
 def _pdivmod(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     if not den:
         raise ZeroDivisionError("polynomial division by zero")
-    rem = list(num)
-    q = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
+    rem = list(_trim(num))
+    q = [0] * max(len(rem) - len(den) + 1, 0)
     d = len(den) - 1
     lead = den[-1]
-    while len(_trim(rem)) - 1 >= d and _trim(rem):
-        rem = list(_trim(rem))
+    while len(rem) > d:
         k = len(rem) - 1 - d
-        c = rem[-1] / lead
+        c = _frac(Fraction(rem[-1], lead))
         q[k] = c
         for i, dc in enumerate(den):
             rem[k + i] -= c * dc
-    return _trim(q), _trim(rem)
+        rem = list(_trim(rem))
+    return _trim(q), tuple(rem)
 
 
-def _div_linear(num: Poly, m: Fraction) -> Poly:
+def _div_linear(num: Poly, m: Exact) -> Poly:
     """Exact division of a polynomial by (1 - m t); caller guarantees divisibility."""
-    out: list[Fraction] = []
-    carry = Fraction(0)
+    out: list[Exact] = []
+    carry = 0
     for k in range(len(num) - 1):
-        carry = num[k] + m * carry
+        carry = _frac(num[k] + m * carry)
         out.append(carry)
     return _trim(out)
 
@@ -95,11 +112,11 @@ class RationalGF:
     """
 
     numerator: Poly
-    poles: tuple[tuple[Fraction, int], ...]
+    poles: tuple[tuple[Exact, int], ...]
 
     def __post_init__(self):
         num = _trim(tuple(_frac(c) for c in self.numerator))
-        merged: dict[Fraction, int] = {}
+        merged: dict[Exact, int] = {}
         for m, e in self.poles:
             mf = _frac(m)
             if mf <= 0:
@@ -107,10 +124,10 @@ class RationalGF:
             if e > 0:
                 merged[mf] = merged.get(mf, 0) + int(e)
         if not num:
-            poles: tuple[tuple[Fraction, int], ...] = ()
+            poles: tuple[tuple[Exact, int], ...] = ()
         else:
             for m in sorted(merged):
-                while merged[m] > 0 and _peval(num, 1 / m) == 0:
+                while merged[m] > 0 and _vanishes_at_inverse(num, m):
                     num = _div_linear(num, m)
                     merged[m] -= 1
             poles = tuple((m, merged[m]) for m in sorted(merged) if merged[m] > 0)
@@ -125,7 +142,7 @@ class RationalGF:
 
     @classmethod
     def one(cls) -> "RationalGF":
-        return cls((Fraction(1),), ())
+        return cls((1,), ())
 
     @classmethod
     def simple(cls, c, m, e: int = 1) -> "RationalGF":
@@ -143,16 +160,16 @@ class RationalGF:
         return not self.numerator
 
     def denominator_poly(self) -> Poly:
-        out: Poly = (Fraction(1),)
+        out: Poly = (1,)
         for m, e in self.poles:
             out = _pmul(out, _linear_power(m, e))
         return out
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _cofactor(self, union: dict[Fraction, int]) -> Poly:
+    def _cofactor(self, union: dict[Exact, int]) -> Poly:
         mine = dict(self.poles)
-        out: Poly = (Fraction(1),)
+        out: Poly = (1,)
         for m, e in union.items():
             extra = e - mine.get(m, 0)
             if extra:
@@ -162,7 +179,7 @@ class RationalGF:
     def __add__(self, other: "RationalGF") -> "RationalGF":
         if not isinstance(other, RationalGF):
             return NotImplemented
-        union: dict[Fraction, int] = {}
+        union: dict[Exact, int] = {}
         for m, e in self.poles + other.poles:
             union[m] = max(union.get(m, 0), e)
         num = _padd(
@@ -172,14 +189,14 @@ class RationalGF:
         return RationalGF(num, tuple(union.items()))
 
     def __neg__(self) -> "RationalGF":
-        return RationalGF(_pscale(self.numerator, Fraction(-1)), self.poles)
+        return RationalGF(_pscale(self.numerator, -1), self.poles)
 
     def __sub__(self, other: "RationalGF") -> "RationalGF":
         return self + (-other)
 
     def __mul__(self, other) -> "RationalGF":
         if isinstance(other, RationalGF):
-            merged: dict[Fraction, int] = {}
+            merged: dict[Exact, int] = {}
             for m, e in self.poles + other.poles:
                 merged[m] = merged.get(m, 0) + e
             return RationalGF(_pmul(self.numerator, other.numerator), tuple(merged.items()))
@@ -191,7 +208,7 @@ class RationalGF:
         """Multiply by t."""
         if self.is_zero:
             return self
-        return RationalGF((Fraction(0),) + self.numerator, self.poles)
+        return RationalGF((0,) + self.numerator, self.poles)
 
     def over_linear(self, m) -> "RationalGF":
         """Divide by (1 - m t)."""
@@ -205,18 +222,18 @@ class RationalGF:
 
     # -- series --------------------------------------------------------------
 
-    def series(self, count: int) -> tuple[Fraction, ...]:
+    def series(self, count: int) -> tuple[Exact, ...]:
         """First `count` Taylor coefficients at t = 0."""
         den = self.denominator_poly()
-        out: list[Fraction] = []
+        out: list[Exact] = []
         for k in range(count):
-            acc = self.numerator[k] if k < len(self.numerator) else Fraction(0)
+            acc = self.numerator[k] if k < len(self.numerator) else 0
             for i in range(1, min(k, len(den) - 1) + 1):
                 acc -= den[i] * out[k - i]
             out.append(acc)  # den[0] == 1
         return tuple(out)
 
-    def coefficient(self, n: int) -> Fraction:
+    def coefficient(self, n: int) -> Exact:
         return self.series(n + 1)[n]
 
     # -- presentation ----------------------------------------------------------
@@ -237,7 +254,7 @@ class RationalGF:
         return f"({num}) / {den}"
 
 
-def _pole_str(m: Fraction) -> str:
+def _pole_str(m: Exact) -> str:
     if m == 1:
         return ""
     if m.denominator == 1:
@@ -276,7 +293,7 @@ def gf_sum(terms: Sequence[RationalGF]) -> RationalGF:
 class PartialFractions:
     """Sum of coeff / (1 - m t)^e terms plus an optional polynomial part."""
 
-    terms: tuple[tuple[Fraction, Fraction, int], ...]  # (coeff, pole m, exponent e)
+    terms: tuple[tuple[Exact, Exact, int], ...]  # (coeff, pole m, exponent e)
     poly: Poly = ()
 
     def recombine(self) -> RationalGF:
@@ -304,20 +321,20 @@ class PartialFractions:
         return " + ".join(bits) if bits else "0"
 
 
-def _solve_exact(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
+def _solve_exact(matrix: list[list[Exact]], rhs: list[Exact]) -> list[Exact]:
     """Gaussian elimination over the rationals; the system must be square+regular."""
     n = len(matrix)
     a = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
     for col in range(n):
         pivot = next(r for r in range(col, n) if a[r][col] != 0)
         a[col], a[pivot] = a[pivot], a[col]
-        inv = 1 / a[col][col]
+        inv = Fraction(1, a[col][col])
         a[col] = [v * inv for v in a[col]]
         for r in range(n):
             if r != col and a[r][col] != 0:
                 f = a[r][col]
                 a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-    return [a[r][n] for r in range(n)]
+    return [_frac(a[r][n]) for r in range(n)]
 
 
 def partial_fractions(f: RationalGF) -> PartialFractions:
@@ -326,10 +343,10 @@ def partial_fractions(f: RationalGF) -> PartialFractions:
         return PartialFractions((), f.numerator)
     den = f.denominator_poly()
     poly_part, rem = _pdivmod(f.numerator, den)
-    slots: list[tuple[Fraction, int]] = []
+    slots: list[tuple[Exact, int]] = []
     basis: list[Poly] = []
     for m, e in f.poles:
-        others: Poly = (Fraction(1),)
+        others: Poly = (1,)
         for m2, e2 in f.poles:
             if m2 != m:
                 others = _pmul(others, _linear_power(m2, e2))
@@ -337,8 +354,8 @@ def partial_fractions(f: RationalGF) -> PartialFractions:
             slots.append((m, j))
             basis.append(_pmul(others, _linear_power(m, e - j)))
     dim = len(slots)
-    matrix = [[b[r] if r < len(b) else Fraction(0) for b in basis] for r in range(dim)]
-    rhs = [rem[r] if r < len(rem) else Fraction(0) for r in range(dim)]
+    matrix = [[b[r] if r < len(b) else 0 for b in basis] for r in range(dim)]
+    rhs = [rem[r] if r < len(rem) else 0 for r in range(dim)]
     coeffs = _solve_exact(matrix, rhs)
     terms = tuple((c, m, e) for c, (m, e) in zip(coeffs, slots) if c != 0)
     return PartialFractions(terms, poly_part)

@@ -2,14 +2,30 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conjgf.genfun import a_of_t, b_of_t
+from conjgf.errors import InvalidParameters
+from conjgf.families import small_catalog
+from conjgf.genfun import a_of_t, b_of_t, normalize
 from conjgf.ratfun import RationalGF, partial_fractions
 
 F = Fraction
+
+
+def _exact(v) -> bool:
+    """int when integral, else a Fraction that is not; never float."""
+    return type(v) is int or (type(v) is Fraction and v.denominator != 1)
+
+
+def _gf_values(f: RationalGF) -> tuple:
+    return f.numerator + tuple(m for m, _ in f.poles)
+
+
+def _pf_values(pf) -> tuple:
+    return pf.poly + tuple(v for c, m, _ in pf.terms for v in (c, m))
 
 
 def test_simple_series():
@@ -106,15 +122,62 @@ def test_payload_shapes():
     assert improper[-1] == {"poly": ["1/4"]}
 
 
+def _rationals(lo: int, hi: int, dens: tuple[int, ...]):
+    """Fractions n/d with n in [lo, hi]; many are integral."""
+    return st.builds(F, st.integers(lo, hi), st.sampled_from(dens))
+
+
 @st.composite
 def rational_gfs(draw):
-    num = draw(st.lists(st.integers(-6, 6), min_size=1, max_size=4))
+    num = draw(st.lists(_rationals(-6, 6, (1, 1, 2, 3)), min_size=1, max_size=4))
     poles = draw(
         st.lists(
-            st.tuples(st.integers(1, 6), st.integers(1, 2)), min_size=0, max_size=3
+            st.tuples(_rationals(1, 6, (1, 1, 2)), st.integers(1, 2)), min_size=0, max_size=3
         )
     )
     return RationalGF.from_poly(tuple(num), tuple(poles))
+
+
+@pytest.mark.parametrize("bad", [0.5, 2.7, 2.0, True, False, "1", None])
+def test_non_exact_values_are_rejected(bad):
+    # int() used to truncate these: simple(0.5, 2) was 0, simple(1, 2.7) had
+    # pole 2 and simple(True, 3) was 1/(1 - 3t)
+    f = RationalGF.simple(1, 2)
+    for make in (lambda: RationalGF.simple(bad, 3), lambda: RationalGF.simple(1, bad),
+                 lambda: RationalGF.from_poly((1, bad), ((2, 1),)), lambda: f * bad,
+                 lambda: f.scale_t(bad), lambda: f.over_linear(bad)):
+        with pytest.raises(InvalidParameters):
+            make()
+
+
+def test_integral_values_are_stored_as_int():
+    f = RationalGF.simple(np.int64(3), np.uint16(4)) * F(4, 2)
+    assert f.numerator == (6,) and f.poles == ((4, 1),)
+    assert all(type(v) is int for v in _gf_values(f))
+    g = RationalGF.from_poly((F(1, 2), F(6, 3)), ((F(4, 2), 1), (F(1, 3), 1)))
+    assert [type(v) for v in _gf_values(g)] == [Fraction, int, Fraction, int]
+
+
+@given(rational_gfs(), rational_gfs(), _rationals(-4, 4, (1, 1, 3)),
+       _rationals(1, 6, (1, 2)), st.sampled_from((-2, -1, 1, 3)))
+@settings(max_examples=80, deadline=None)
+def test_values_stay_int_or_fraction_through_every_operation(f, g, c, m, lead):
+    # a term above f's numerator degree leaves a polynomial part for _pdivmod
+    improper = f + RationalGF.from_poly((0,) * len(f.numerator) + (lead,), ())
+    assert partial_fractions(improper).poly
+    results = [f + g, f - g, f * g, f * c, c * f, f * 3, f.scale_t(m), f.scale_t(2),
+               f.over_linear(m), f.times_t(), improper, -f]
+    for h in results:
+        assert all(_exact(v) for v in _gf_values(h)), h
+        pf = partial_fractions(h)
+        assert all(_exact(v) for v in _pf_values(pf)), pf
+        assert pf.recombine() == h
+
+
+def test_raw_generating_functions_run_on_ints():
+    for label, g in small_catalog():
+        for f in (a_of_t(g), b_of_t(g)):
+            assert all(type(v) is int for v in _gf_values(f)), (label, f)
 
 
 @given(rational_gfs(), rational_gfs())
@@ -178,12 +241,17 @@ def test_partial_fractions_match_sympy_apart_on_catalog(catalog):
     pytest.importorskip("sympy")
     cases = [((label, which), f) for label, g in catalog.items()
              for which, f in (("A", a_of_t(g)), ("B", b_of_t(g)))]
-    # and a double pole and a polynomial part, which no catalog A or B has
-    cases += [("double pole", RationalGF.from_poly((1, 1), ((2, 2), (5, 1)))),
-              ("improper", RationalGF.from_poly((1, 0, 0, F(-1, 2)), ((2, 1), (3, 1))))]
+    # and a double pole, rational poles and a polynomial part, which no raw A or B has
+    double = RationalGF.from_poly((1, 1), ((2, 2), (5, 1)))
+    cases += [("double pole", double),
+              ("scaled double pole", double.scale_t(F(1, 4))),
+              ("improper", RationalGF.from_poly((1, 0, 0, F(-1, 2)), ((2, 1), (3, 1)))),
+              ("normalized B(Q8) plus t^3", normalize(b_of_t(catalog["Q8"]), 8)
+               + RationalGF.from_poly((0, 0, 0, F(1, 3)), ()))]
     for case, f in cases:
         pf = partial_fractions(f)
         assert pf.recombine() == f, case
+        assert all(_exact(v) for v in _pf_values(pf)), case
         terms, poly = _sympy_partial_fractions(f)
         assert {(m, e): c for c, m, e in pf.terms} == terms, case
         assert pf.poly == poly, case
