@@ -1,9 +1,10 @@
 """Structural invariants of a group table.
 
 Conjugacy classes, the commuting relation on G/Z(G), centralizers, center,
-derived subgroup, lower central series, the AC-group test and the maximal
-subgroups of a p-group.  Everything here is a pure function of an immutable
-GroupTable; results are memoized write-once on the table's private cache.
+derived subgroup, lower central series, the AC-group test and whether a
+p-group has an abelian maximal subgroup, read from the commuting relation.
+Everything here is a pure function of an immutable GroupTable; results are
+memoized write-once on the table's private cache.
 """
 
 from __future__ import annotations
@@ -14,14 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotPrimePower
-from .groups import (
-    GroupTable,
-    is_abelian_subset,
-    memoized,
-    normal_closure,
-    quotient_table,
-    subgroup_closure,
-)
+from .groups import LINE_BLOCK, GroupTable, is_abelian_subset, memoized, normal_closure
 from .pcp import is_prime
 
 
@@ -92,9 +86,20 @@ def commuting_cosets(g: GroupTable) -> tuple[np.ndarray, np.ndarray]:
     their cosets do.  Not cached: with Z(G) trivial K is |G|^2, and `mul` is
     compared with its own transpose, uncopied."""
     z = np.asarray(center_elements(g), dtype=np.intp)
-    reps = np.unique(g.mul[:, z].min(axis=1))
-    sub = g.mul if reps.size == g.order else g.mul[reps[:, None], reps]
+    reps = np.unique(g.mul[z].min(axis=0))  # x z = z x: whole rows, not strided columns
+    if reps.size == g.order:
+        sub = g.mul
+    else:  # LINE_BLOCK whole rows, then their columns: faster than one 2-D gather
+        sub = np.empty((reps.size, reps.size), dtype=g.mul.dtype)
+        for lo in range(0, reps.size, LINE_BLOCK):
+            sub[lo:lo + LINE_BLOCK] = g.mul.take(reps[lo:lo + LINE_BLOCK], axis=0).take(reps, axis=1)
     return sub == sub.T, reps
+
+
+def packed_rows(block: np.ndarray) -> np.ndarray:
+    """Each row of a boolean block as one opaque bytes value, for np.unique."""
+    packed = np.packbits(block, axis=1)
+    return packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
 
 
 @memoized
@@ -181,63 +186,23 @@ def _p_log(order: int, p: int) -> int:
     return m
 
 
-def frattini_elements(g: GroupTable, p: int) -> tuple[int, ...]:
-    """Frattini subgroup of a p-group: closure of commutators and p-th powers."""
-    pw = np.arange(g.order)
-    for _ in range(p - 1):
-        pw = g.mul[pw, np.arange(g.order)]
-    return subgroup_closure(g, np.union1d(pw, derived_subgroup(g)).tolist())
+def has_abelian_maximal_subgroup(g: GroupTable, p: int) -> bool:
+    """Some maximal subgroup of the p-group G is abelian.
 
-
-def maximal_subgroup_generators(g: GroupTable, p: int) -> list[tuple[int, ...]]:
-    """A generating set of each maximal subgroup of a p-group.
-
-    A basis b_0..b_(k-1) of G/Phi(G) is picked greedily.  The hyperplane
-    lam = 0 (lam_j = 1 its first nonzero entry) has the basis e_i - lam_i e_j
-    for i != j, so its preimage M is generated by Phi(G) and the elements
-    x_i x_j^(-lam_i), where x_i lifts b_i.
+    Such an M of a non-abelian G contains Z(G), or M Z(G) = G would be
+    abelian, and M = C_G(x) for every x in M - Z(G).  In the commuting block
+    on the R = |G/Z(G)| cosets, M is then a row with R/p members, repeated by
+    the R/p - 1 non-central cosets in it.  Conversely, the rows equal to a row
+    C_G(x) of R/p members are non-central cosets inside C_G(x), as y lies in
+    C_G(y); R/p - 1 of them are all of its non-central cosets, which then
+    commute with all of C_G(x): it is an abelian subgroup of index p.
     """
     _p_log(g.order, p)
     if g.order == 1:
-        return []
-    frat = frattini_elements(g, p)
-    q, reps, _ = quotient_table(g, frat)
-    basis: list[int] = []
-    span = {0}
-    for x in range(1, q.order):
-        if x not in span:
-            basis.append(x)
-            span = set(subgroup_closure(q, span | {x}))
-    frat_gens: list[int] = []
-    span = {0}
-    for x in frat:
-        if x not in span:
-            frat_gens.append(x)
-            span = set(subgroup_closure(g, frat_gens))
-    lifts = [reps[b] for b in basis]
-    gens: list[tuple[int, ...]] = []
-    for functional in _unit_functionals(p, len(lifts)):
-        j = functional.index(1)
-        kernel = []
-        for i, (x, lam) in enumerate(zip(lifts, functional)):
-            if i != j:
-                for _ in range(-lam % p):
-                    x = g.mul_index(x, lifts[j])
-                kernel.append(x)
-        gens.append(tuple(frat_gens + kernel))
-    return gens
-
-
-def _unit_functionals(p: int, k: int):
-    """Nonzero functionals on F_p^k up to scalar (first nonzero entry = 1)."""
-    from itertools import product
-
-    for vec in product(range(p), repeat=k):
-        nz = next((i for i, v in enumerate(vec) if v), None)
-        if nz is not None and vec[nz] == 1:
-            yield vec
-
-
-def has_abelian_maximal_subgroup(g: GroupTable, p: int) -> bool:
-    """Some maximal subgroup is abelian: its generating set pairwise commutes."""
-    return any(is_abelian_subset(g, gens) for gens in maximal_subgroup_generators(g, p))
+        return False
+    block, _ = commuting_cosets(g)
+    if len(block) == 1:
+        return True
+    size = len(block) // p
+    _, repeats = np.unique(packed_rows(block[block.sum(axis=1) == size]), return_counts=True)
+    return bool((repeats == size - 1).any())

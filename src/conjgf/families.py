@@ -212,10 +212,11 @@ def _check_fingerprint(g: GroupTable, spec: FamilySpec) -> GroupTable:
             f"{spec.family}(p={spec.p}): built (order,|Z|,|G'|,class)={got}, expected {want}"
         )
     if spec.has_abelian_maximal is not None:
-        root = prime_power_root(g.order)
-        if has_abelian_maximal_subgroup(g, root[0]) != spec.has_abelian_maximal:
+        flag = has_abelian_maximal_subgroup(g, prime_power_root(g.order)[0])
+        if flag != spec.has_abelian_maximal:
             raise FingerprintMismatch(
-                f"{spec.family}(p={spec.p}): abelian-maximal-subgroup flag mismatch"
+                f"{spec.family}(p={spec.p}): built abelian-maximal-subgroup flag {flag}, "
+                f"expected {spec.has_abelian_maximal}"
             )
     return g
 

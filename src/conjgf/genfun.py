@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 import numpy as np
 
-from .analysis import centralizer_histogram, commuting_cosets
+from .analysis import centralizer_histogram, commuting_cosets, packed_rows
 from .errors import RecursionDepthExceeded
 from .groups import GroupTable
 from .ratfun import PartialFractions, RationalGF, gf_sum, partial_fractions
@@ -83,7 +83,7 @@ def _commuting_sum(
             "centralizer chain failed to shrink; the table must be corrupt"
         )
     work[0] += 1
-    _, first, rows = np.unique(_packed_rows(block), return_index=True, return_counts=True)
+    _, first, rows = np.unique(packed_rows(block), return_index=True, return_counts=True)
     zsize = 0
     terms: dict[RationalGF, int] = {}  # N_C -> summed multiplicity
     for i, m in zip(first.tolist(), (rows * zg).tolist()):
@@ -110,12 +110,6 @@ def _commuting_sum(
 def _count_series(zsize: int, s: RationalGF) -> RationalGF:
     """N_H = (1 + t S_H) / (1 - |Z(H)| t)."""
     return (RationalGF.one() + s.times_t()).over_linear(zsize)
-
-
-def _packed_rows(block: np.ndarray) -> np.ndarray:
-    """Each row of a boolean block as one opaque bytes value, for np.unique."""
-    packed = np.packbits(block, axis=1)
-    return packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
 
 
 def beta_coefficient(g: GroupTable, n: int) -> int:

@@ -78,7 +78,7 @@ def is_abelian_subset(g: GroupTable, elements: Sequence[int]) -> bool:
 def subgroup_closure(g: GroupTable, seed: Iterable[int]) -> tuple[int, ...]:
     """Smallest subgroup containing the seeds: a BFS from the identity and the seeds
     (marked first) by right multiplication with the seeds, so every positive word."""
-    seeds = np.asarray(sorted({int(x) for x in seed}), dtype=np.intp)
+    seeds = np.unique(np.fromiter(seed, dtype=np.intp))
     inside = np.zeros(g.order, dtype=bool)
     inside[0] = True
     inside[seeds] = True
@@ -92,15 +92,20 @@ def subgroup_closure(g: GroupTable, seed: Iterable[int]) -> tuple[int, ...]:
 
 def normal_closure(g: GroupTable, seed: Iterable[int]) -> tuple[int, ...]:
     """Smallest normal subgroup containing the seed elements."""
-    cur = subgroup_closure(g, seed)
+    seeds = np.fromiter(seed, dtype=np.intp)
+    cur = subgroup_closure(g, seeds)
+    gens = np.asarray(g.generators, dtype=np.intp)[:, None]
     while True:
         arr = np.asarray(cur, dtype=np.intp)
-        conjugates: set[int] = set()
-        for s in g.generators:
-            conjugates.update(int(x) for x in g.conj_by(s)[arr])
-        if conjugates.issubset(cur):
+        # s x s^-1 for every x in cur and every generator s at once
+        conjugates = g.mul[g.mul[gens, arr], g.inv[gens]].ravel()
+        inside = np.zeros(g.order, dtype=bool)
+        inside[arr] = True
+        outside = conjugates[~inside[conjugates]]
+        if not outside.size:
             return cur
-        cur = subgroup_closure(g, set(cur) | conjugates)
+        seeds = np.union1d(seeds, outside)
+        cur = subgroup_closure(g, seeds)
 
 
 def minimal_generating_indices(g: GroupTable) -> tuple[int, ...]:

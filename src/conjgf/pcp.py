@@ -232,6 +232,9 @@ def build_from_pcp(pres: PcPresentation) -> GroupTable:
     when a + b >= r_i.  phi(g_j) = g_j [g_j, g_i] on generators, and extends
     to N_(i+1) through each normal form's parent u = parent * g_k.
 
+    The inverse of g_i^a u is u^-1 g_i^-a, one product of two inverses found
+    before: inv of N_(i+1) and a scan of the r rows g_i^a alone.
+
     Starting from the trivial group, each level is proved a group by
     `_holder_conditions` on N_(i+1), phi and w, so a consistent presentation
     returns without `certify`.  If a level fails, the finished table is not a
@@ -248,6 +251,7 @@ def build_from_pcp(pres: PcPresentation) -> GroupTable:
         return 0 if w is None else sum(e * radix[k] for k, e in enumerate(w))
 
     mul = np.zeros((1, 1), dtype=INDEX_DTYPE)
+    inv = np.zeros(1, dtype=INDEX_DTYPE)
     proved = True
     for i in range(d - 1, -1, -1):
         r, m = orders[i], len(mul)
@@ -267,9 +271,14 @@ def build_from_pcp(pres: PcPresentation) -> GroupTable:
                 # the offset and the sum stay below r * m <= the order cap: no uint16 wrap
                 np.add(mul.take(rows, axis=0), (a + b) % r * m, out=grown[a, :, b, :])
             phi_b = phi.take(phi_b)
+        # (g_i^a u)^-1 = u^-1 g_i^-a, where only the r rows of the g_i^a are scanned
+        ginv = np.argmax(grown[:, 0].reshape(r, r * m) == 0, axis=1)
         mul = grown.reshape(r * m, r * m)
+        inv = mul[inv[None, :], ginv[:, None]].ravel()
 
-    table = GroupTable(order=n, mul=mul, inv=inverses(mul), generators=tuple(radix),
+    if not proved:  # the table is no group: take the scan's inverses, which certify reads
+        inv = inverses(mul)
+    table = GroupTable(order=n, mul=mul, inv=inv, generators=tuple(radix),
                        label=pres.label or f"pcp({n})")
     bad = None if proved else certify(table).first_failure()
     if bad is not None:

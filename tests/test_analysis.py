@@ -13,19 +13,25 @@ from conjgf.analysis import (
     derived_subgroup,
     element_orders,
     exponent,
-    frattini_elements,
     has_abelian_maximal_subgroup,
     is_ac_group,
     lower_central_series,
-    maximal_subgroup_generators,
     nilpotency_class,
 )
 from conjgf import families
 from conjgf.errors import NotPrimePower
-from conjgf.families import GAMMA_FAMILIES, PHI_FAMILIES, cyclic, dihedral, stem_group
+from conjgf.families import (
+    GAMMA_FAMILIES,
+    PHI_FAMILIES,
+    cyclic,
+    dihedral,
+    elementary_abelian,
+    stem_group,
+)
 from conjgf.groups import (
     GroupTable,
     build_from_permutations,
+    inverses,
     is_abelian_subset,
     quotient_table,
     subgroup_closure,
@@ -33,18 +39,69 @@ from conjgf.groups import (
 from conjgf.pcp import prime_power_root
 
 
-def maximal_subgroups(g, p):
-    """Reference: every index-p subgroup of a p-group as a sorted element tuple,
-    the preimage of a hyperplane of G/Phi(G) = F_p^k.  Enumerated in the order
-    of `maximal_subgroup_generators`: the same greedy basis of G/Phi(G), and
-    functionals with first nonzero entry 1 in lexicographic order."""
-    q, _reps, coset_of = quotient_table(g, frattini_elements(g, p))
+def frattini_elements(g, p):
+    """Frattini subgroup of a p-group: closure of commutators and p-th powers."""
+    pw = np.arange(g.order)
+    for _ in range(p - 1):
+        pw = g.mul[pw, np.arange(g.order)]
+    return subgroup_closure(g, np.union1d(pw, derived_subgroup(g)).tolist())
+
+
+def _greedy_basis(q):
+    """A basis of the elementary abelian G/Phi(G), adjoining the smallest
+    element outside the span each time."""
     basis: list[int] = []
     span = {0}
     for x in range(1, q.order):
         if x not in span:
             basis.append(x)
             span = set(subgroup_closure(q, span | {x}))
+    return basis
+
+
+def _unit_functionals(p, k):
+    """Nonzero functionals on F_p^k up to scalar (first nonzero entry = 1), in
+    lexicographic order."""
+    for vec in product(range(p), repeat=k):
+        if next((v for v in vec if v), None) == 1:
+            yield vec
+
+
+def maximal_subgroup_generators(g, p):
+    """Reference: a generating set of each maximal subgroup of a p-group.
+
+    The hyperplane lam = 0 of G/Phi(G) (lam_j = 1 its first nonzero entry) has
+    the basis e_i - lam_i e_j for i != j, so its preimage M is generated by
+    Phi(G) and the elements x_i x_j^(-lam_i), where x_i lifts b_i.
+    """
+    frat = frattini_elements(g, p)
+    q, reps, _ = quotient_table(g, frat)
+    frat_gens: list[int] = []
+    span = {0}
+    for x in frat:
+        if x not in span:
+            frat_gens.append(x)
+            span = set(subgroup_closure(g, frat_gens))
+    lifts = [reps[b] for b in _greedy_basis(q)]
+    gens: list[tuple[int, ...]] = []
+    for functional in _unit_functionals(p, len(lifts)):
+        j = functional.index(1)
+        kernel = []
+        for i, (x, lam) in enumerate(zip(lifts, functional)):
+            if i != j:
+                for _ in range(-lam % p):
+                    x = g.mul_index(x, lifts[j])
+                kernel.append(x)
+        gens.append(tuple(frat_gens + kernel))
+    return gens
+
+
+def maximal_subgroups(g, p):
+    """Reference: every index-p subgroup of a p-group as a sorted element tuple,
+    the preimage of a hyperplane of G/Phi(G) = F_p^k.  Enumerated in the order
+    of `maximal_subgroup_generators`."""
+    q, _reps, coset_of = quotient_table(g, frattini_elements(g, p))
+    basis = _greedy_basis(q)
     coords = np.zeros((q.order, len(basis)), dtype=np.int64)
     for vec in product(range(p), repeat=len(basis)):
         elem = 0
@@ -53,11 +110,27 @@ def maximal_subgroups(g, p):
                 elem = q.mul_index(elem, b)
         coords[elem] = vec
     subs = []
-    for lam in product(range(p), repeat=len(basis)):
-        if next((v for v in lam if v), None) == 1:
-            in_plane = (coords @ np.asarray(lam)) % p == 0
-            subs.append(tuple(int(v) for v in np.nonzero(in_plane[coset_of])[0]))
+    for lam in _unit_functionals(p, len(basis)):
+        in_plane = (coords @ np.asarray(lam)) % p == 0
+        subs.append(tuple(int(v) for v in np.nonzero(in_plane[coset_of])[0]))
     return subs
+
+
+def _relabelled(g: GroupTable, seed: int) -> GroupTable:
+    """A copy of g with its non-identity elements permuted."""
+    perm = np.concatenate(([0], 1 + np.random.default_rng(seed).permutation(g.order - 1)))
+    mul = np.empty_like(g.mul)
+    mul[np.ix_(perm, perm)] = perm[g.mul]
+    gens = tuple(int(perm[s]) for s in g.generators)
+    return GroupTable(order=g.order, mul=mul, inv=inverses(mul), generators=gens, label=f"{g.label}~{seed}")
+
+
+def _p_groups(catalog) -> list[tuple[GroupTable, int]]:
+    """(G, p) for every catalog p-group, Gamma(2), Phi(3) and Phi(5)."""
+    cases = [(g, prime_power_root(g.order)) for g in catalog.values() if g.order > 1]
+    cases = [(g, root[0]) for g, root in cases if root]
+    cases += [(stem_group(f, 2), 2) for f in GAMMA_FAMILIES]
+    return cases + [(stem_group(f, p), p) for p in (3, 5) for f in PHI_FAMILIES]
 
 
 def test_s3_classes(catalog):
@@ -172,27 +245,39 @@ def test_maximal_subgroups(catalog):
     assert all(len(s) == 4 for s in subs)
     assert has_abelian_maximal_subgroup(g, 2)
     with pytest.raises(NotPrimePower):
-        maximal_subgroup_generators(catalog["S3"], 2)
+        has_abelian_maximal_subgroup(catalog["S3"], 2)
 
 
 @pytest.mark.parametrize("p", [0, 1, 4])
 def test_maximal_subgroups_need_a_prime(p):
     # p = 1 used to loop forever, p = 0 to divide by zero, p = 4 to answer for C4
-    for g in (dihedral(8), cyclic(4)):
+    for g in (cyclic(1), dihedral(8), cyclic(4)):
         with pytest.raises(NotPrimePower):
             has_abelian_maximal_subgroup(g, p)
-        with pytest.raises(NotPrimePower):
-            maximal_subgroup_generators(g, p)
+
+
+def test_abelian_maximal_flag_edges():
+    # the trivial group has no maximal subgroup; in an abelian p-group every one is abelian
+    for p in (2, 3, 5):
+        assert not has_abelian_maximal_subgroup(cyclic(1), p)
+        assert maximal_subgroups(cyclic(p), p) == [(0,)]
+        for g in (cyclic(p), elementary_abelian(p, 3)):
+            assert has_abelian_maximal_subgroup(g, p), g.label
+
+
+def test_abelian_maximal_flag_matches_enumeration(catalog):
+    # the centralizer criterion against every maximal subgroup, on each group and
+    # a relabelling of it; Phi5, Phi7 and Phi8 have non-abelian centralizers of index p
+    for seed, (g0, p) in enumerate(_p_groups(catalog)):
+        for g in (g0, _relabelled(g0, seed)):
+            want = any(is_abelian_subset(g, sub) for sub in maximal_subgroups(g, p))
+            assert has_abelian_maximal_subgroup(g, p) == want, g.label
 
 
 def test_maximal_subgroup_generators_against_blocks(catalog):
     # each generating set spans its maximal subgroup and commutes pairwise
     # exactly when the subgroup's full |M|^2 block does
-    cases = [(g, prime_power_root(g.order)) for g in catalog.values() if g.order > 1]
-    cases = [(g, root[0]) for g, root in cases if root]
-    cases += [(stem_group(f, 2), 2) for f in GAMMA_FAMILIES]
-    cases += [(stem_group(f, p), p) for p in (3, 5) for f in PHI_FAMILIES]
-    for g, p in cases:
+    for g, p in _p_groups(catalog):
         subs = maximal_subgroups(g, p)
         gens = maximal_subgroup_generators(g, p)
         assert len(gens) == len(subs), g.label
@@ -200,7 +285,6 @@ def test_maximal_subgroup_generators_against_blocks(catalog):
         for sub, gen, ab in zip(subs, gens, abelian):
             assert subgroup_closure(g, gen) == sub, g.label
             assert is_abelian_subset(g, gen) == ab, g.label
-        assert has_abelian_maximal_subgroup(g, p) == any(abelian), g.label
 
 
 def test_maximal_class_p_series_sizes(catalog):

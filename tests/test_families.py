@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from conjgf.analysis import (
@@ -140,6 +142,19 @@ def test_fingerprint_guard_fires():
     wrong = dataclasses.replace(family_spec("Phi5", 3), center_order=9)
     with pytest.raises(FingerprintMismatch):
         _check_fingerprint(g, wrong)
+
+
+def test_fingerprint_guard_names_the_abelian_maximal_flags():
+    import dataclasses
+
+    from conjgf.errors import FingerprintMismatch
+    from conjgf.families import _check_fingerprint
+
+    for family, p, built in (("Phi5", 3, False), ("Phi2", 3, True), ("Gamma8", 2, True)):
+        flipped = dataclasses.replace(family_spec(family, p), has_abelian_maximal=not built)
+        want = f"{family}(p={p}): built abelian-maximal-subgroup flag {built}, expected {not built}"
+        with pytest.raises(FingerprintMismatch, match=re.escape(want)):
+            _check_fingerprint(stem_group(family, p), flipped)
 
 
 def test_family_spec_shapes():

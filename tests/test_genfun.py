@@ -22,7 +22,7 @@ from conjgf.genfun import (
     gf_equal,
     normalize,
 )
-from conjgf.groups import GroupTable, quotient_table
+from conjgf.groups import LINE_BLOCK, GroupTable, quotient_table
 from conjgf.ratfun import RationalGF, gf_sum, partial_fractions
 
 F = Fraction
@@ -247,11 +247,17 @@ def test_b_memory_and_cache_on_order_3125():
 
 def test_commuting_block_of_groups(catalog):
     # the block on G/Z(G), read through each element's coset, is the whole commuting block
+    sizes = set()
     for g in _relation_groups(catalog):
         block, reps = commuting_cosets(g)
         _, coset_minima, coset_of = quotient_table(g, center_elements(g))
         assert reps.tolist() == list(coset_minima), g.label
         assert np.array_equal(block[np.ix_(coset_of, coset_of)], g.mul == g.mul.T), g.label
+        sizes.add((reps.size, reps.size == g.order))
+    # the block is filled LINE_BLOCK rows at a time: R below it (Phi(3)), R not a
+    # multiple of it (Phi(5)), and R = n, where nothing is gathered (S5, S6)
+    assert {(81, False), (625, False), (120, True), (720, True)} <= sizes
+    assert 81 < LINE_BLOCK and 625 % LINE_BLOCK
 
 
 def test_centralizer_histogram_against_classes(catalog):

@@ -302,3 +302,25 @@ def test_consistent_build_does_not_certify():
                            commutator_words={(1, 0): (0, 1)})
     _, error, certified = _build_spying_on_certify(bogus)
     assert error is not None and len(certified) == 1
+
+
+def test_consistent_build_does_not_scan_for_inverses():
+    # the levels give inv; only a table that fails the proof is scanned, for certify's witness
+    scanned = []
+    bogus = PcPresentation(p=2, relative_orders=(2, 2), power_words=((0, 1), None),
+                           commutator_words={(1, 0): (0, 1)})
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pcp, "inverses", lambda mul: scanned.append(len(mul)) or groups.inverses(mul))
+        build_from_pcp(_phi_presentation("Phi5", 5))
+        assert scanned == []
+        with pytest.raises(InconsistentPresentation):
+            build_from_pcp(bogus)
+    assert scanned == [4]
+
+
+def test_level_inverses_match_the_scan():
+    stems = list(_GAMMA_PRESENTATIONS.values()) + [_phi_presentation(f, p) for p in (3, 5) for f in PHI_FAMILIES]
+    for pres in stems:
+        g = build_from_pcp(pres)
+        assert g.inv.dtype == groups.INDEX_DTYPE, pres.label
+        assert np.array_equal(g.inv, groups.inverses(g.mul)), pres.label
