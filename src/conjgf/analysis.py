@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotPrimePower
-from .groups import LINE_BLOCK, GroupTable, is_abelian_subset, memoized, normal_closure
+from .groups import LINE_BLOCK, GroupTable, is_abelian_subset, memoized, normal_closure, orbit_labels
 from .pcp import is_prime
 
 
@@ -36,27 +36,13 @@ class ClassData:
 
 @memoized
 def conjugacy_data(g: GroupTable) -> ClassData:
-    """Partition the elements into conjugacy classes (order: smallest member)."""
-    moves = [g.conj_by(s) for s in g.generators]
-    seen = np.zeros(g.order, dtype=bool)
-    classes: list[tuple[int, ...]] = []
-    for x in range(g.order):
-        if seen[x]:
-            continue
-        orbit = {x}
-        frontier = [x]
-        seen[x] = True
-        while frontier:
-            nxt = []
-            for y in frontier:
-                for mv in moves:
-                    z = int(mv[y])
-                    if not seen[z]:
-                        seen[z] = True
-                        orbit.add(z)
-                        nxt.append(z)
-            frontier = nxt
-        classes.append(tuple(sorted(orbit)))
+    """Partition the elements into conjugacy classes (order: smallest member),
+    the orbits of conjugation by the generators."""
+    labels = orbit_labels(g.order, [g.conj_by(s) for s in g.generators], np.intp)
+    sizes = np.unique(labels, return_counts=True)[1]
+    # a stable sort by class minimum keeps each class's members ascending
+    members = np.split(np.argsort(labels, kind="stable"), np.cumsum(sizes)[:-1])
+    classes = [tuple(c.tolist()) for c in members]
     return ClassData(
         classes=tuple(classes),
         representatives=tuple(c[0] for c in classes),
@@ -80,11 +66,12 @@ def center_elements(g: GroupTable) -> tuple[int, ...]:
     return tuple(int(v) for v in np.nonzero(mask)[0])
 
 
+@memoized
 def commuting_cosets(g: GroupTable) -> tuple[np.ndarray, np.ndarray]:
     """(K, reps): reps are the minima of the cosets of Z(G), ascending, and
     K[i, j] says whether reps[i] and reps[j] commute, as x and y commute iff
-    their cosets do.  Not cached: with Z(G) trivial K is |G|^2, and `mul` is
-    compared with its own transpose, uncopied."""
+    their cosets do.  With Z(G) trivial, `mul` is compared with its own
+    transpose, uncopied."""
     z = np.asarray(center_elements(g), dtype=np.intp)
     reps = np.unique(g.mul[z].min(axis=0))  # x z = z x: whole rows, not strided columns
     if reps.size == g.order:

@@ -119,7 +119,6 @@ def cmd_genfun(args) -> RunReport:
                                   "normalized": args.normalized,
                                   "partial_fractions": args.partial_fractions,
                                   "coefficients": args.coefficients})
-    t0 = time.perf_counter()
     g = load_group_spec(args.spec)
     report.results["group"] = {"label": g.label, "order": g.order}
     which = args.which
@@ -137,13 +136,11 @@ def cmd_genfun(args) -> RunReport:
         report.results["B"] = _gf_payload(gf, args.partial_fractions)
         if args.coefficients:
             report.results["beta"] = [beta_coefficient(g, n) for n in range(args.coefficients + 1)]
-    report.timing["seconds"] = time.perf_counter() - t0
     return report
 
 
 def cmd_certify(args) -> RunReport:
     report = RunReport("certify", {"spec": args.spec})
-    t0 = time.perf_counter()
     g = load_group_spec(args.spec)
     cert = certify(g)
     report.results["group"] = {"label": g.label, "order": g.order}
@@ -151,7 +148,6 @@ def cmd_certify(args) -> RunReport:
         {"check": c.name, "status": c.status, "detail": c.detail} for c in cert.checks
     ]
     report.check("certificate", cert.ok, "all checks pass", cert.first_failure())
-    report.timing["seconds"] = time.perf_counter() - t0
     return report
 
 
@@ -164,7 +160,6 @@ def _admissible_families(p: int) -> list[str]:
 def cmd_verify_table(args) -> RunReport:
     primes = args.p or [2, 3]
     report = RunReport("verify-table", {"primes": primes})
-    t0 = time.perf_counter()
     for p in primes:
         if p not in VERIFY_PRIMES:
             report.check(f"p={p} admissible", False, f"p in {VERIFY_PRIMES}", p)
@@ -183,13 +178,11 @@ def cmd_verify_table(args) -> RunReport:
             g = None  # uncached: release this table before the next one is built
     report.results["rows_checked"] = len(report.checks)
     report.results["rows_failed"] = sum(1 for c in report.checks if not c["passed"])
-    report.timing["seconds"] = time.perf_counter() - t0
     return report
 
 
 def cmd_equiv(args) -> RunReport:
     report = RunReport("equiv", {"spec1": args.spec1, "spec2": args.spec2, "mode": args.mode})
-    t0 = time.perf_counter()
     g = load_group_spec(args.spec1)
     h = load_group_spec(args.spec2)
     report.results["groups"] = [
@@ -216,7 +209,6 @@ def cmd_equiv(args) -> RunReport:
                 "phi": {str(k): v for k, v in sorted(witness.phi.items())},
                 "verified": witness.verify(g, h),
             }
-    report.timing["seconds"] = time.perf_counter() - t0
     return report
 
 
@@ -228,7 +220,6 @@ def _check_n_max(n_max: int, least: int) -> None:
 def cmd_oracle(args) -> RunReport:
     _check_n_max(args.n_max, 0)
     report = RunReport("oracle", {"spec": args.spec, "n_max": args.n_max})
-    t0 = time.perf_counter()
     g = load_group_spec(args.spec)
     report.results["group"] = {"label": g.label, "order": g.order}
     rows = []
@@ -246,7 +237,6 @@ def cmd_oracle(args) -> RunReport:
         report.check(f"alpha n={n}", a_oracle.count == a_series, a_series, a_oracle.count)
         report.check(f"beta n={n}", b_oracle.count == b_series, b_series, b_oracle.count)
     report.results["table"] = rows
-    report.timing["seconds"] = time.perf_counter() - t0
     return report
 
 
@@ -292,7 +282,6 @@ def cmd_bench(args) -> RunReport:
     _check_n_max(args.n_max, 1)
     labels = args.groups or ["S3", "D8", "Q8", "D16", "D32"]
     report = RunReport("bench", {"groups": labels, "n_max": args.n_max, "out": args.out})
-    t0 = time.perf_counter()
     rows = _bench_rows(labels, args.n_max)
     report.results["rows"] = len(rows)
     if args.out:
@@ -310,7 +299,6 @@ def cmd_bench(args) -> RunReport:
         ratio = d32[("brute_alpha", 2)]["work"] / d32[("eq1_histogram", 2)]["work"]
         report.results["d32_n2_work_ratio"] = ratio
         report.check("D32 n=2 eq1 at least 100x cheaper by work", ratio >= 100, ">= 100", ratio)
-    report.timing["seconds"] = time.perf_counter() - t0
     return report
 
 
@@ -362,11 +350,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    t0 = time.perf_counter()
     try:
         report: RunReport = args.func(args)
     except ConjGFError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    report.timing["seconds"] = time.perf_counter() - t0
     print(report.to_json() if args.json else report.render())
     return 0 if report.ok else 1
 

@@ -155,26 +155,25 @@ def _gamma_table(family: str) -> GroupTable:
 
 
 _FINGERPRINTS: dict[str, tuple] = {
-    # family -> (center, derived, class, abelian max) as powers of p or ints
-    "Phi2": ("p", "p", 2, True),
-    "Phi3": ("p", "p2", 3, True),
-    "Phi4": ("p2", "p2", 2, True),
-    "Phi5": ("p", "p", 2, False),
-    "Phi6": ("p2", "p3", 3, False),
-    "Phi7": ("p", "p2", 3, False),
-    "Phi8": ("p", "p2", 3, False),
-    "Phi9": ("p", "p3", 4, True),
-    "Phi10": ("p", "p3", 4, False),
-    "Gamma2": (2, 2, 2, True),
-    "Gamma3": (2, 4, 3, True),
-    "Gamma4": (4, 4, 2, True),
-    "Gamma5": (2, 2, 2, False),
-    "Gamma6": (2, 4, 3, False),
-    "Gamma7": (2, 4, 3, False),
-    "Gamma8": (2, 8, 4, True),
+    # family -> (rank, center, derived, class, abelian max); the order, center
+    # and derived subgroup are p to the powers given
+    "Phi2": (3, 1, 1, 2, True),
+    "Phi3": (4, 1, 2, 3, True),
+    "Phi4": (5, 2, 2, 2, True),
+    "Phi5": (5, 1, 1, 2, False),
+    "Phi6": (5, 2, 3, 3, False),
+    "Phi7": (5, 1, 2, 3, False),
+    "Phi8": (5, 1, 2, 3, False),
+    "Phi9": (5, 1, 3, 4, True),
+    "Phi10": (5, 1, 3, 4, False),
+    "Gamma2": (3, 1, 1, 2, True),
+    "Gamma3": (4, 1, 2, 3, True),
+    "Gamma4": (5, 2, 2, 2, True),
+    "Gamma5": (5, 1, 1, 2, False),
+    "Gamma6": (5, 1, 2, 3, False),
+    "Gamma7": (5, 1, 2, 3, False),
+    "Gamma8": (5, 1, 3, 4, True),
 }
-
-_FAMILY_RANK = {"Phi2": 3, "Phi3": 4, "Gamma2": 3, "Gamma3": 4}
 
 
 def family_spec(family: str, p: int) -> FamilySpec:
@@ -182,23 +181,17 @@ def family_spec(family: str, p: int) -> FamilySpec:
         if p < 1:
             raise InvalidParameters("abelian family parameter must be a positive order")
         return FamilySpec("abelian", p, p, p, 1, 0 if p == 1 else 1, None)
-    if family in GAMMA_FAMILIES:
-        if p != 2:
-            raise InvalidParameters(f"{family} is a family of 2-groups; p must be 2")
-        rank = _FAMILY_RANK.get(family, 5)
-        z, d, cls, abmax = _FINGERPRINTS[family]
-        return FamilySpec(family, 2, 2**rank, z, d, cls, abmax)
-    if family in PHI_FAMILIES:
-        if p not in CATALOG_PHI_PRIMES:
-            raise InvalidParameters(
-                f"{family} needs one of the catalog primes {CATALOG_PHI_PRIMES}, got {p}: "
-                "other odd primes stay under the order cap only by accident"
-            )
-        rank = _FAMILY_RANK.get(family, 5)
-        z, d, cls, abmax = _FINGERPRINTS[family]
-        to_int = {"p": p, "p2": p * p, "p3": p**3}
-        return FamilySpec(family, p, p**rank, to_int.get(z, z), to_int.get(d, d), cls, abmax)
-    raise InvalidParameters(f"unknown family {family!r}")
+    if family in GAMMA_FAMILIES and p != 2:
+        raise InvalidParameters(f"{family} is a family of 2-groups; p must be 2")
+    if family in PHI_FAMILIES and p not in CATALOG_PHI_PRIMES:
+        raise InvalidParameters(
+            f"{family} needs one of the catalog primes {CATALOG_PHI_PRIMES}, got {p}: "
+            "other odd primes stay under the order cap only by accident"
+        )
+    if family not in GAMMA_FAMILIES + PHI_FAMILIES:
+        raise InvalidParameters(f"unknown family {family!r}")
+    rank, z, d, cls, abmax = _FINGERPRINTS[family]
+    return FamilySpec(family, p, p**rank, p**z, p**d, cls, abmax)
 
 
 def _check_fingerprint(g: GroupTable, spec: FamilySpec) -> GroupTable:

@@ -52,8 +52,7 @@ def b_of_t(g: GroupTable) -> RationalGF:
     """B_G(t) in Burnside form, exact and reduced.
 
     The work done (distinct non-central rows summed plus non-abelian nodes
-    computed) is left beside the result in the table's cache as "b_work".
-    The commuting block is built once per call and never cached."""
+    computed) is left beside the result in the table's cache as "b_work"."""
     cached = g._cache.get("b_of_t")
     if cached is None:
         work = [0]

@@ -75,6 +75,25 @@ def is_abelian_subset(g: GroupTable, elements: Sequence[int]) -> bool:
     return bool(np.array_equal(block, block.T))
 
 
+def orbit_labels(size: int, images: list[np.ndarray], dtype: type) -> np.ndarray:
+    """The minimum of each point's orbit on range(size) under the group
+    generated by the permutations `images`.
+
+    Each label only ever falls to a smaller index in its own orbit.  At the
+    fixed point a label is no larger than the label of any image, so it is
+    constant along every generator cycle, hence on the orbit, and equal to
+    the orbit's minimum.  Every inverse is a positive power of a permutation,
+    so forward pulls reach the whole orbit."""
+    labels = np.arange(size, dtype=dtype)
+    while True:
+        new = labels[labels]
+        for image in images:
+            np.minimum(new, labels[image], out=new)
+        if np.array_equal(new, labels):
+            return labels
+        labels = new
+
+
 def subgroup_closure(g: GroupTable, seed: Iterable[int]) -> tuple[int, ...]:
     """Smallest subgroup containing the seeds: a BFS from the identity and the seeds
     (marked first) by right multiplication with the seeds, so every positive word."""

@@ -17,15 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import (
-    center_elements,
-    commuting_cosets,
-    conjugacy_data,
-    derived_subgroup,
-    element_orders,
-)
+from .analysis import center_elements, commuting_cosets, derived_subgroup, element_orders
 from .errors import QuotientTooLarge
-from .groups import GroupTable, memoized, minimal_generating_indices, quotient_table
+from .groups import LINE_BLOCK, GroupTable, memoized, minimal_generating_indices, quotient_table
 
 DEFAULT_QUOTIENT_CAP = 256
 
@@ -45,39 +39,34 @@ class IsoclinismWitness:
     h_coset_reps: tuple[int, ...]
 
     def verify(self, g: GroupTable, h: GroupTable) -> bool:
-        """Exhaustively re-check the commutative diagram."""
+        """Re-check the commutative diagram on every pair, LINE_BLOCK rows at a time."""
         sizes = tuple(x.order // len(center_elements(x)) for x in (g, h))
         if (len(self.g_coset_reps), len(self.h_coset_reps)) != sizes:
             return False  # before either quotient table is built
-        gq, greps, gcoset = _central_quotient(g)
-        hq, hreps, hcoset = _central_quotient(h)
+        gq, greps, _ = _central_quotient(g)
+        hq, hreps, _ = _central_quotient(h)
         if greps != self.g_coset_reps or hreps != self.h_coset_reps:
             return False
-        theta = self.theta
-        if len(theta) != hq.order or sorted(theta) != list(range(gq.order)):
+        if len(self.theta) != hq.order or sorted(self.theta) != list(range(gq.order)):
             return False
-        # theta is an isomorphism of the quotients
-        for a in range(gq.order):
-            for b in range(gq.order):
-                if theta[gq.mul_index(a, b)] != hq.mul_index(theta[a], theta[b]):
-                    return False
-        # phi is a bijection of the derived subgroups
         gder = derived_subgroup(g)
         hder = derived_subgroup(h)
         if sorted(self.phi) != list(gder) or sorted(self.phi.values()) != list(hder):
             return False
-        # phi is a homomorphism
-        for x in gder:
-            for y in gder:
-                if self.phi[g.mul_index(x, y)] != h.mul_index(self.phi[x], self.phi[y]):
-                    return False
-        # the square commutes on every coset pair
-        for a in range(gq.order):
-            for b in range(gq.order):
-                cg = g.commutator(greps[a], greps[b])
-                ch = h.commutator(hreps[theta[a]], hreps[theta[b]])
-                if self.phi[cg] != ch:
-                    return False
+        theta = np.asarray(self.theta, dtype=hq.mul.dtype)  # the table dtype keeps each block small
+        phi = np.zeros(g.order, dtype=h.mul.dtype)
+        phi[list(self.phi)] = list(self.phi.values())
+        der = np.asarray(gder, dtype=np.intp)
+        greps, himages = np.asarray(greps, dtype=np.intp), np.asarray(hreps, dtype=np.intp)[theta]
+        for lo in range(0, max(gq.order, der.size), LINE_BLOCK):
+            rows = slice(lo, lo + LINE_BLOCK)
+            # theta and phi are homomorphisms, and the square commutes on every coset
+            # pair; a block past the end of the quotient or of G' is empty
+            if not (np.array_equal(theta[gq.mul[rows]], hq.mul[theta[rows, None], theta])
+                    and np.array_equal(phi[g.mul[der[rows, None], der]], h.mul[phi[der[rows], None], phi[der]])
+                    and np.array_equal(phi[_commutators(g, greps[rows], greps)],
+                                       _commutators(h, himages[rows], himages))):
+                return False
         return True
 
 
@@ -92,16 +81,50 @@ def _element_invariants(g: GroupTable) -> list[tuple[int, int, int]]:
     the cosets by their minima), and |G : C_G(x)| = |Q| / its row sum."""
     q = _central_quotient(g)[0]
     orders = element_orders(q)
-    cd = conjugacy_data(q)
-    class_size = np.empty(q.order, dtype=np.int64)
-    for cls in cd.classes:
-        class_size[list(cls)] = len(cls)
+    class_size = q.order // (q.mul == q.mul.T).sum(axis=1)
     lifted = q.order // commuting_cosets(g)[0].sum(axis=1)
     return [(int(orders[x]), int(class_size[x]), int(lifted[x])) for x in range(q.order)]
 
 
+def _commutators(g: GroupTable, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """[xs[i], ys[j]] = xs[i]^-1 ys[j]^-1 xs[i] ys[j] for every i and j, as one gather."""
+    return g.mul[g.mul[g.inv[xs][:, None], g.inv[ys]], g.mul[xs[:, None], ys]]
+
+
+@memoized
+def _coset_commutators(g: GroupTable) -> np.ndarray:
+    """C[a, b] = [reps[a], reps[b]] on the minima of the cosets of Z(G)."""
+    reps = np.asarray(_central_quotient(g)[1], dtype=np.intp)
+    return _commutators(g, reps, reps)
+
+
+def _extend(mul1: np.ndarray, mul2: np.ndarray, pairs) -> list[int] | None:
+    """The injective homomorphism on the subgroup generated by the s of `pairs`
+    that sends each s to its t, as a list of images (-1 off that subgroup), or
+    None if there is none.  Closes breadth-first by right multiplication from
+    the identity, checking every product of a reached element by an s."""
+    src, dst = np.asarray(pairs, dtype=np.intp).reshape(-1, 2).T
+    steps = list(zip(mul1[:, src].T.tolist(), mul2[:, dst].T.tolist()))
+    image = [-1] * len(mul1)
+    image[0] = 0
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for right1, right2 in steps:
+                xs, ys = right1[x], right2[image[x]]
+                if image[xs] < 0:
+                    image[xs] = ys
+                    nxt.append(xs)
+                elif image[xs] != ys:
+                    return None
+        frontier = nxt
+    reached = [y for y in image if y >= 0]
+    return image if len(set(reached)) == len(reached) else None
+
+
 def _iso_images(g: GroupTable, h: GroupTable):
-    """Yield isomorphisms G/Z(G) -> H/Z(H) as index arrays, generator-image
+    """Yield isomorphisms G/Z(G) -> H/Z(H) as index tuples, generator-image
     backtracking."""
     q1 = _central_quotient(g)[0]
     q2 = _central_quotient(h)[0]
@@ -112,87 +135,35 @@ def _iso_images(g: GroupTable, h: GroupTable):
         return
     candidates = [[y for y in range(q2.order) if inv2[y] == inv1[s]] for s in gens]
 
-    def close(images: tuple[int, ...]):
-        """Partial map on <gens[:k]> by right-multiplication closure; None on conflict."""
-        mapping = {0: 0}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for s, t in zip(gens[: len(images)], images):
-                    xs = q1.mul_index(x, s)
-                    yt = q2.mul_index(mapping[x], t)
-                    seen = mapping.get(xs)
-                    if seen is None:
-                        mapping[xs] = yt
-                        nxt.append(xs)
-                    elif seen != yt:
-                        return None
-            frontier = nxt
-        if len(set(mapping.values())) != len(mapping):
-            return None
-        return mapping
-
-    def backtrack(k: int, images: tuple[int, ...]):
-        if k == len(gens):
-            mapping = close(images)
-            if mapping is not None and len(mapping) == q1.order:
-                theta = [0] * q1.order
-                for x, y in mapping.items():
-                    theta[x] = y
-                yield tuple(theta)
-            return
-        for cand in candidates[k]:
+    def backtrack(images: tuple[int, ...]):
+        for cand in candidates[len(images)]:
             trial = images + (cand,)
-            if close(trial) is None:
+            image = _extend(q1.mul, q2.mul, list(zip(gens, trial)))
+            if image is None:
                 continue
-            yield from backtrack(k + 1, trial)
+            if len(trial) < len(gens):
+                yield from backtrack(trial)
+            elif min(image) >= 0:
+                yield tuple(image)
 
-    yield from backtrack(0, ())
+    yield from backtrack(())
 
 
-def _derive_phi(
-    g: GroupTable, h: GroupTable,
-    greps: tuple[int, ...], hreps: tuple[int, ...],
-    theta: tuple[int, ...],
-) -> dict[int, int] | None:
-    """Force phi on commutator values and extend along products; None if it breaks."""
-    gder = derived_subgroup(g)
-    hder = derived_subgroup(h)
-    if len(gder) != len(hder):
+def _derive_phi(g: GroupTable, h: GroupTable, theta: tuple[int, ...]) -> dict[int, int] | None:
+    """Force phi on commutator values and extend along products; None if it breaks.
+
+    The commutators of the coset representatives are all of G's and H's, so
+    phi, if it exists, is a bijection of G' onto H'."""
+    theta = np.asarray(theta, dtype=np.intp)
+    cg = _coset_commutators(g)
+    ch = _coset_commutators(h)[theta[:, None], theta]
+    forced = np.full(g.order, -1, dtype=np.intp)
+    forced[cg] = ch
+    if (forced[cg] != ch).any():
         return None
-    phi: dict[int, int] = {0: 0}
-    pairs: list[tuple[int, int]] = [(0, 0)]
-    for a in range(len(greps)):
-        for b in range(len(greps)):
-            cg = g.commutator(greps[a], greps[b])
-            ch = h.commutator(hreps[theta[a]], hreps[theta[b]])
-            seen = phi.get(cg)
-            if seen is None:
-                phi[cg] = ch
-                pairs.append((cg, ch))
-            elif seen != ch:
-                return None
-    # multiplicative closure over the generating set of commutator values
-    frontier = list(pairs)
-    while frontier:
-        nxt = []
-        for x, y in frontier:
-            for u, v in pairs:
-                xu = g.mul_index(x, u)
-                yv = h.mul_index(y, v)
-                seen = phi.get(xu)
-                if seen is None:
-                    phi[xu] = yv
-                    nxt.append((xu, yv))
-                elif seen != yv:
-                    return None
-        frontier = nxt
-    if len(phi) != len(gder) or sorted(phi) != list(gder):
-        return None
-    if sorted(phi.values()) != list(hder):
-        return None
-    return phi
+    values = np.flatnonzero(forced >= 0)
+    phi = _extend(g.mul, h.mul, np.column_stack((values, forced[values])))
+    return None if phi is None else {x: y for x, y in enumerate(phi) if y >= 0}
 
 
 def are_isoclinic(g: GroupTable, h: GroupTable) -> IsoclinismWitness | None:
@@ -207,16 +178,10 @@ def are_isoclinic(g: GroupTable, h: GroupTable) -> IsoclinismWitness | None:
     if len(derived_subgroup(g)) != len(derived_subgroup(h)):
         return None
     for theta in _iso_images(g, h):
-        phi = _derive_phi(g, h, greps, hreps, theta)
+        phi = _derive_phi(g, h, theta)
         if phi is not None:
             witness = IsoclinismWitness(theta=theta, phi=phi,
                                         g_coset_reps=greps, h_coset_reps=hreps)
             return witness
     return None
 
-
-def stem_order(g: GroupTable) -> int:
-    """|G/Z(G)| * |Z(G) cap G'|: the order of the stem groups of G's family."""
-    z = set(center_elements(g))
-    der = set(derived_subgroup(g))
-    return (g.order // len(z)) * len(z & der)

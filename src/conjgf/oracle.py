@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameters, NotAGroup, TupleCapExceeded
-from .groups import GroupTable
+from .groups import GroupTable, orbit_labels
 
 DEFAULT_TUPLE_CAP = 10_000_000
 
@@ -52,21 +52,8 @@ def _code_dtype(g: GroupTable, n: int) -> type:
 
 
 def _orbit_count(size: int, images: list[np.ndarray], dtype: type) -> int:
-    """Number of orbits on range(size) of the group generated by the permutations `images`.
-
-    Each label only ever falls to a smaller index in its own orbit.  At the
-    fixed point a label is no larger than the label of any image, so it is
-    constant along every generator cycle, hence on the orbit, and equal to
-    the orbit's minimum.  Every inverse is a positive power of a permutation,
-    so forward pulls reach the whole orbit."""
-    labels = np.arange(size, dtype=dtype)
-    while True:
-        new = labels[labels]
-        for image in images:
-            np.minimum(new, labels[image], out=new)
-        if np.array_equal(new, labels):
-            return int(np.count_nonzero(labels == np.arange(size, dtype=dtype)))
-        labels = new
+    """Number of orbits on range(size) of the group generated by the permutations `images`."""
+    return int(np.count_nonzero(orbit_labels(size, images, dtype) == np.arange(size, dtype=dtype)))
 
 
 def alpha_brute(g: GroupTable, n: int) -> OrbitCount:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conjgf.analysis import (
+    ClassData,
     center_elements,
     centralizer_elements,
     centralizer_histogram,
@@ -27,6 +28,7 @@ from conjgf.families import (
     dihedral,
     elementary_abelian,
     stem_group,
+    symmetric,
 )
 from conjgf.groups import (
     GroupTable,
@@ -149,6 +151,50 @@ def test_abelian_classes(catalog):
 
 def test_d16_histogram(catalog):
     assert centralizer_histogram(catalog["D16"]) == {16: 2, 8: 6, 4: 8}
+
+
+def _classes_by_bfs(g: GroupTable) -> ClassData:
+    """Reference: each conjugacy class by breadth-first search from its smallest
+    member over conjugation by the generators."""
+    moves = [g.conj_by(s) for s in g.generators]
+    seen = np.zeros(g.order, dtype=bool)
+    classes: list[tuple[int, ...]] = []
+    for x in range(g.order):
+        if seen[x]:
+            continue
+        orbit = {x}
+        frontier = [x]
+        seen[x] = True
+        while frontier:
+            nxt = []
+            for y in frontier:
+                for mv in moves:
+                    z = int(mv[y])
+                    if not seen[z]:
+                        seen[z] = True
+                        orbit.add(z)
+                        nxt.append(z)
+            frontier = nxt
+        classes.append(tuple(sorted(orbit)))
+    return ClassData(
+        classes=tuple(classes),
+        representatives=tuple(c[0] for c in classes),
+        centralizer_sizes=tuple(g.order // len(c) for c in classes),
+        class_equation=tuple(sorted(len(c) for c in classes)),
+    )
+
+
+def test_conjugacy_data_matches_bfs(catalog):
+    # orbit labels against the search, field by field and down to the Python int type
+    groups = [*catalog.values(), *(stem_group(f, 3) for f in PHI_FAMILIES)]
+    groups += [_relabelled(symmetric(5), 5), _relabelled(symmetric(6), 6)]
+    for g in groups:
+        got = conjugacy_data(g)
+        assert got == _classes_by_bfs(g), g.label
+        values = [*(x for c in got.classes for x in c), *got.representatives,
+                  *got.centralizer_sizes, *got.class_equation]
+        assert {type(v) for v in values} == {int}, g.label
+        assert type(got.classes) is tuple and all(type(c) is tuple for c in got.classes), g.label
 
 
 def test_orbit_stabilizer_on_catalog(catalog):

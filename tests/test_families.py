@@ -30,7 +30,7 @@ from conjgf.families import (
     symmetric,
 )
 from conjgf.groups import certify
-from conjgf.isoclinism import stem_order
+from test_isoclinism import stem_order
 
 
 def test_all_stem_groups_certify_and_fingerprint():

@@ -21,7 +21,6 @@ from conjgf.isoclinism import (
     _element_invariants,
     _iso_images,
     are_isoclinic,
-    stem_order,
 )
 from conjgf.pcp import PcPresentation, build_from_pcp
 
@@ -33,6 +32,43 @@ def _relabelled(g: GroupTable, perm: np.ndarray) -> GroupTable:
     mul[np.ix_(perm, perm)] = perm[g.mul]
     gens = tuple(int(perm[s]) for s in g.generators)
     return GroupTable(order=g.order, mul=mul, inv=inverses(mul), generators=gens, label=f"{g.label}'")
+
+
+def stem_order(g: GroupTable) -> int:
+    """|G/Z(G)| * |Z(G) cap G'|: the order of the stem groups of G's family."""
+    z = set(center_elements(g))
+    der = set(derived_subgroup(g))
+    return (g.order // len(z)) * len(z & der)
+
+
+def _verify_by_loops(w: IsoclinismWitness, g: GroupTable, h: GroupTable) -> bool:
+    """Reference: the commutative diagram re-checked pair by pair."""
+    gq, greps, _ = _central_quotient(g)
+    hq, hreps, _ = _central_quotient(h)
+    if greps != w.g_coset_reps or hreps != w.h_coset_reps:
+        return False
+    theta = w.theta
+    if len(theta) != hq.order or sorted(theta) != list(range(gq.order)):
+        return False
+    for a in range(gq.order):
+        for b in range(gq.order):
+            if theta[gq.mul_index(a, b)] != hq.mul_index(theta[a], theta[b]):
+                return False
+    gder = derived_subgroup(g)
+    hder = derived_subgroup(h)
+    if sorted(w.phi) != list(gder) or sorted(w.phi.values()) != list(hder):
+        return False
+    for x in gder:
+        for y in gder:
+            if w.phi[g.mul_index(x, y)] != h.mul_index(w.phi[x], w.phi[y]):
+                return False
+    for a in range(gq.order):
+        for b in range(gq.order):
+            cg = g.commutator(greps[a], greps[b])
+            ch = h.commutator(hreps[theta[a]], hreps[theta[b]])
+            if w.phi[cg] != ch:
+                return False
+    return True
 
 
 def _exp9() -> GroupTable:
@@ -238,7 +274,7 @@ def test_derive_phi_rejects_a_quotient_isomorphism(monkeypatch):
     full = isoclinism._element_invariants
     monkeypatch.setattr(isoclinism, "_element_invariants", lambda x: [t[:2] for t in full(x)])
     theta = next(_iso_images(g, h))
-    assert _derive_phi(g, h, _central_quotient(g)[1], _central_quotient(h)[1], theta) is None
+    assert _derive_phi(g, h, theta) is None
 
 
 def test_lifted_class_size_prunes_phi9_phi10(monkeypatch):
@@ -251,3 +287,62 @@ def test_lifted_class_size_prunes_phi9_phi10(monkeypatch):
     assert are_isoclinic(g, h) is None
     assert calls == []
 
+
+
+def _catalog_witnesses(catalog):
+    """Every witness the search finds between equal-order catalog groups, itself included."""
+    groups = list(catalog.values())
+    for i, g in enumerate(groups):
+        for h in groups[i:]:
+            if g.order == h.order and (w := are_isoclinic(g, h)) is not None:
+                yield g, h, w
+
+
+def test_verify_matches_loop_form(catalog):
+    swaps = []
+    for g, h, w in _catalog_witnesses(catalog):
+        assert w.verify(g, h) and _verify_by_loops(w, g, h), (g.label, h.label)
+        theta, keys, values = list(w.theta), list(w.phi), list(w.phi.values())
+        hder = derived_subgroup(h)
+        changed = []  # (theta, phi values, must fail)
+        for i in range(len(theta)):
+            # one entry moved to another value, and two neighbouring entries swapped
+            bumped, swap = theta.copy(), theta.copy()
+            bumped[i] = (bumped[i] + 1) % len(theta)
+            j = (i + 1) % len(theta)
+            swap[i], swap[j] = swap[j], swap[i]
+            changed += [(bumped, values, True), (swap, values, False)]
+        for i in range(len(values)):
+            bumped, swap = values.copy(), values.copy()
+            bumped[i] = hder[(hder.index(bumped[i]) + 1) % len(hder)]
+            j = (i + 1) % len(values)
+            swap[i], swap[j] = swap[j], swap[i]
+            changed += [(theta, bumped, True), (theta, swap, False)]
+        for new_theta, new_values, must_fail in changed:
+            if new_theta == theta and new_values == values:
+                continue
+            v = IsoclinismWitness(tuple(new_theta), dict(zip(keys, new_values)), w.g_coset_reps, w.h_coset_reps)
+            verdict = v.verify(g, h)
+            assert verdict == _verify_by_loops(v, g, h), (g.label, h.label, new_theta, new_values)
+            assert not (must_fail and verdict), (g.label, h.label, new_theta, new_values)
+            if not must_fail:
+                swaps.append(verdict)
+    # swaps keep theta and phi bijective, so the homomorphism and square checks decide them
+    assert True in swaps and False in swaps
+
+
+def test_verify_memory_on_a_large_derived_subgroup():
+    # Z(D2046) is trivial and G' is the 1023 rotations: each check runs LINE_BLOCK rows
+    # at a time, never a |G'| x |G'| or R x R array of intp
+    g = dihedral(2046)
+    r = _central_quotient(g)[1]  # the quotient table is built before tracing
+    der = derived_subgroup(g)
+    assert len(r) == 2046 and len(der) == 1023
+    w = IsoclinismWitness(tuple(range(len(r))), {x: x for x in der}, r, r)
+    tracemalloc.start()
+    try:
+        assert w.verify(g, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= len(der) ** 2 * np.dtype(np.intp).itemsize // 2, peak
