@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotPrimePower
-from .groups import LINE_BLOCK, GroupTable, is_abelian_subset, memoized, normal_closure, orbit_labels
+from .groups import LINE_BLOCK, GroupTable, commutators, is_abelian_subset, memoized, normal_closure, orbit_labels
 from .pcp import is_prime
 
 
@@ -102,19 +102,17 @@ def centralizer_histogram(g: GroupTable) -> dict[int, int]:
 @memoized
 def derived_subgroup(g: GroupTable) -> tuple[int, ...]:
     """Normal closure of the commutators of the generators, sorted."""
-    seed = {g.commutator(s, t) for s in g.generators for t in g.generators}
-    return normal_closure(g, seed)
+    gens = np.asarray(g.generators, dtype=np.intp)
+    return normal_closure(g, commutators(g, gens, gens).ravel())
 
 
 @memoized
 def lower_central_series(g: GroupTable) -> tuple[tuple[int, ...], ...]:
     """gamma_1 = G, gamma_{i+1} = [gamma_i, G]; stops once the series is stable."""
     terms: list[tuple[int, ...]] = [tuple(range(g.order))]
+    gens = np.asarray(g.generators, dtype=np.intp)
     while True:
-        cur = np.asarray(terms[-1], dtype=np.intp)[:, None]
-        gens = np.asarray(g.generators, dtype=np.intp)[None, :]
-        # [x, s] = x^-1 s^-1 x s for every x in gamma_i and generator s at once
-        comm = g.mul[g.mul[g.inv[cur], g.inv[gens]], g.mul[cur, gens]]
+        comm = commutators(g, np.asarray(terms[-1], dtype=np.intp), gens)
         nxt = normal_closure(g, np.unique(comm).tolist())
         if nxt == terms[-1]:
             return tuple(terms)

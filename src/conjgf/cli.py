@@ -36,7 +36,7 @@ from .isoclinism import are_isoclinic
 from .oracle import alpha_brute, beta_brute
 from .ratfun import partial_fractions
 
-VERIFY_PRIMES = (2, 3, 5)
+VERIFY_PRIMES = (2,) + families.CATALOG_PHI_PRIMES
 
 
 @dataclass
@@ -240,6 +240,17 @@ def cmd_oracle(args) -> RunReport:
     return report
 
 
+# (strategy, the timed call, its (count, work) read after the clock stops);
+# eq4's work is what b_of_t leaves in the table's cache
+_BENCH_STRATEGIES = (
+    ("eq1_histogram", alpha_coefficient, lambda g, count: (count, len(centralizer_histogram(g)))),
+    ("brute_alpha", alpha_brute, lambda g, res: (res.count, res.tuples_visited)),
+    ("eq4_recursion", lambda g, n: b_of_t(g).coefficient(n),
+     lambda g, value: (int(value), max(g._cache["b_work"], 1))),
+    ("brute_beta", beta_brute, lambda g, res: (res.count, res.tuples_visited)),
+)
+
+
 def _bench_rows(labels: list[str], n_max: int) -> list[dict]:
     catalog = dict(families.small_catalog())
     if unknown := [label for label in labels if label not in catalog]:
@@ -247,34 +258,15 @@ def _bench_rows(labels: list[str], n_max: int) -> list[dict]:
     rows = []
     for label in labels:
         g = catalog[label]
-        hist = centralizer_histogram(g)
+        centralizer_histogram(g)  # built before the first timing
         for n in range(1, n_max + 1):
-            t0 = time.perf_counter_ns()
-            count = alpha_coefficient(g, n)
-            nanos = time.perf_counter_ns() - t0
-            rows.append({"strategy": "eq1_histogram", "group": label, "order": g.order,
-                         "n": n, "count": count, "nanos": nanos, "work": len(hist)})
-
-            t0 = time.perf_counter_ns()
-            brute = alpha_brute(g, n)
-            nanos = time.perf_counter_ns() - t0
-            rows.append({"strategy": "brute_alpha", "group": label, "order": g.order,
-                         "n": n, "count": brute.count, "nanos": nanos,
-                         "work": brute.tuples_visited})
-
-            t0 = time.perf_counter_ns()
-            value = b_of_t(g).coefficient(n)
-            nanos = time.perf_counter_ns() - t0
-            rows.append({"strategy": "eq4_recursion", "group": label, "order": g.order,
-                         "n": n, "count": int(value), "nanos": nanos,
-                         "work": max(g._cache["b_work"], 1)})
-
-            t0 = time.perf_counter_ns()
-            bbrute = beta_brute(g, n)
-            nanos = time.perf_counter_ns() - t0
-            rows.append({"strategy": "brute_beta", "group": label, "order": g.order,
-                         "n": n, "count": bbrute.count, "nanos": nanos,
-                         "work": bbrute.tuples_visited})
+            for strategy, run, read in _BENCH_STRATEGIES:
+                t0 = time.perf_counter_ns()
+                out = run(g, n)
+                nanos = time.perf_counter_ns() - t0
+                count, work = read(g, out)
+                rows.append({"strategy": strategy, "group": label, "order": g.order,
+                             "n": n, "count": count, "nanos": nanos, "work": work})
     return rows
 
 

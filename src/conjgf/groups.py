@@ -56,17 +56,14 @@ class GroupTable:
     label: str = ""
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def mul_index(self, x: int, y: int) -> int:
-        return int(self.mul[x, y])
-
-    def commutator(self, x: int, y: int) -> int:
-        """[x, y] = x^-1 y^-1 x y."""
-        left = self.mul[self.inv[x], self.inv[y]]
-        return int(self.mul[left, self.mul[x, y]])
-
     def conj_by(self, g: int) -> np.ndarray:
         """The permutation x -> g x g^-1 as an index array."""
         return self.mul[self.mul[g], self.inv[g]]
+
+
+def commutators(g: GroupTable, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """[xs[i], ys[j]] = xs[i]^-1 ys[j]^-1 xs[i] ys[j] for every i and j, as one gather."""
+    return g.mul[g.mul[g.inv[xs][:, None], g.inv[ys]], g.mul[xs[:, None], ys]]
 
 
 def is_abelian_subset(g: GroupTable, elements: Sequence[int]) -> bool:

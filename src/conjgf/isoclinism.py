@@ -19,7 +19,7 @@ import numpy as np
 
 from .analysis import center_elements, commuting_cosets, derived_subgroup, element_orders
 from .errors import QuotientTooLarge
-from .groups import LINE_BLOCK, GroupTable, memoized, minimal_generating_indices, quotient_table
+from .groups import LINE_BLOCK, GroupTable, commutators, memoized, minimal_generating_indices, quotient_table
 
 DEFAULT_QUOTIENT_CAP = 256
 
@@ -64,8 +64,8 @@ class IsoclinismWitness:
             # pair; a block past the end of the quotient or of G' is empty
             if not (np.array_equal(theta[gq.mul[rows]], hq.mul[theta[rows, None], theta])
                     and np.array_equal(phi[g.mul[der[rows, None], der]], h.mul[phi[der[rows], None], phi[der]])
-                    and np.array_equal(phi[_commutators(g, greps[rows], greps)],
-                                       _commutators(h, himages[rows], himages))):
+                    and np.array_equal(phi[commutators(g, greps[rows], greps)],
+                                       commutators(h, himages[rows], himages))):
                 return False
         return True
 
@@ -86,16 +86,11 @@ def _element_invariants(g: GroupTable) -> list[tuple[int, int, int]]:
     return [(int(orders[x]), int(class_size[x]), int(lifted[x])) for x in range(q.order)]
 
 
-def _commutators(g: GroupTable, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """[xs[i], ys[j]] = xs[i]^-1 ys[j]^-1 xs[i] ys[j] for every i and j, as one gather."""
-    return g.mul[g.mul[g.inv[xs][:, None], g.inv[ys]], g.mul[xs[:, None], ys]]
-
-
 @memoized
 def _coset_commutators(g: GroupTable) -> np.ndarray:
     """C[a, b] = [reps[a], reps[b]] on the minima of the cosets of Z(G)."""
     reps = np.asarray(_central_quotient(g)[1], dtype=np.intp)
-    return _commutators(g, reps, reps)
+    return commutators(g, reps, reps)
 
 
 def _extend(mul1: np.ndarray, mul2: np.ndarray, pairs) -> list[int] | None:

@@ -1,9 +1,12 @@
-"""Exact rational functions with factored (1 - m t)^e denominators.
+"""Exact rational functions, stored as their partial fractions.
 
-Coefficients and pole parameters are int when integral, else Fraction; never
-float, so every operation is exact.  The raw generating functions have integer
-coefficients and poles and run on Python ints; poles become rationals (p^-k)
-after normalization.  Fraction(n) == n and hash(Fraction(n)) == hash(n), so
+A RationalGF is poly(t) + sum c / (1 - m t)^e.  Partial fractions are unique,
+so equal functions have equal fields and == is exact, with no reduction step;
+the reduced numerator and the poles are read back from the terms.  Values are
+int when integral, else Fraction; never float.  The raw A and B have integer
+poles and numerators but, in general, Fraction terms: z_m/|G| in A, and
+t/(1 - m t) = (1/m)/(1 - m t) - 1/m in B.  Poles become rationals (p^-k) after
+normalization.  Fraction(n) == n and hash(Fraction(n)) == hash(n), so
 equality, hashing and printing do not depend on which type holds a value.
 """
 
@@ -11,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import comb
 from typing import Sequence
 
@@ -36,6 +40,13 @@ def _frac(x) -> Exact:
     raise InvalidParameters(f"exact values must be int or Fraction, got {type(x).__name__} {x!r}")
 
 
+def _pole(m) -> Exact:
+    mf = _frac(m)
+    if mf <= 0:
+        raise ValueError(f"pole parameter must be positive, got {mf}")
+    return mf
+
+
 def _trim(coeffs: Sequence[Exact]) -> Poly:
     out = list(coeffs)
     while out and out[-1] == 0:
@@ -59,80 +70,40 @@ def _pmul(a: Poly, b: Poly) -> Poly:
     return _trim(out)
 
 
-def _pscale(a: Poly, c: Exact) -> Poly:
-    return _trim([x * c for x in a])
+def _divmod_linear(p: Poly, m: Exact) -> tuple[Poly, Exact]:
+    """(q, r) with p = (1 - m t) q + r: r = p(1/m), q_k = p_k + m q_(k-1), less r at k = 0."""
+    r = reduce(lambda acc, c: acc * m + c, p, 0)  # Horner: sum p_k m^(deg-k), then over m^deg
+    r = _frac(Fraction(r, m ** (len(p) - 1))) if len(p) > 1 else r
+    q = list(p[:-1])
+    for k in range(len(q)):
+        q[k] = _frac(q[k] + (m * q[k - 1] if k else -r))
+    return tuple(q), r
 
 
-def _vanishes_at_inverse(a: Poly, m: Exact) -> bool:
-    """a(1/m) == 0, tested without dividing as sum a_k m^(deg-k) == 0 (Horner)."""
-    acc = 0
-    for c in a:
-        acc = acc * m + c
-    return acc == 0
+def _put(acc: dict, key: tuple[Exact, int], n: Exact, d: Exact) -> None:
+    """acc[key] += n/d as an unreduced pair: cheaper than a Fraction sum, built once in _build."""
+    if key in acc:
+        n0, d0 = acc[key]
+        n, d = n0 * d + n * d0, d0 * d
+    acc[key] = (n, d)
 
 
-def _linear_power(m: Exact, e: int) -> Poly:
-    """(1 - m t)^e as a coefficient tuple."""
-    return tuple(comb(e, k) * (-m) ** k for k in range(e + 1))
-
-
-def _pdivmod(num: Poly, den: Poly) -> tuple[Poly, Poly]:
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(_trim(num))
-    q = [0] * max(len(rem) - len(den) + 1, 0)
-    d = len(den) - 1
-    lead = den[-1]
-    while len(rem) > d:
-        k = len(rem) - 1 - d
-        c = _frac(Fraction(rem[-1], lead))
-        q[k] = c
-        for i, dc in enumerate(den):
-            rem[k + i] -= c * dc
-        rem = list(_trim(rem))
-    return _trim(q), tuple(rem)
-
-
-def _div_linear(num: Poly, m: Exact) -> Poly:
-    """Exact division of a polynomial by (1 - m t); caller guarantees divisibility."""
-    out: list[Exact] = []
-    carry = 0
-    for k in range(len(num) - 1):
-        carry = _frac(num[k] + m * carry)
-        out.append(carry)
-    return _trim(out)
+def _build(poly: Sequence[Exact], acc: dict) -> "RationalGF":
+    """poly + sum n/d / (1 - m t)^e over acc[m, e] = (n, d), values int when integral."""
+    terms = tuple((m, e, _frac(Fraction(n, d))) for (m, e), (n, d) in sorted(acc.items()) if n)
+    return RationalGF(_trim([_frac(c) for c in poly]), terms)
 
 
 @dataclass(frozen=True)
 class RationalGF:
-    """numerator(t) / prod (1 - m t)^e, kept reduced.
+    """poly(t) + sum c / (1 - m t)^e: one (m, e, c) term per pole m and
+    exponent e, sorted, each c != 0, and poly without trailing zeros.
 
-    Reduced means the numerator does not vanish at any pole's 1/m, so two
-    equal functions have identical representations and == is exact equality.
-    """
+    The constructor takes these fields as they are; the classmethods and
+    operators check and coerce their inputs and keep the form."""
 
-    numerator: Poly
-    poles: tuple[tuple[Exact, int], ...]
-
-    def __post_init__(self):
-        num = _trim(tuple(_frac(c) for c in self.numerator))
-        merged: dict[Exact, int] = {}
-        for m, e in self.poles:
-            mf = _frac(m)
-            if mf <= 0:
-                raise ValueError(f"pole parameter must be positive, got {mf}")
-            if e > 0:
-                merged[mf] = merged.get(mf, 0) + int(e)
-        if not num:
-            poles: tuple[tuple[Exact, int], ...] = ()
-        else:
-            for m in sorted(merged):
-                while merged[m] > 0 and _vanishes_at_inverse(num, m):
-                    num = _div_linear(num, m)
-                    merged[m] -= 1
-            poles = tuple((m, merged[m]) for m in sorted(merged) if merged[m] > 0)
-        object.__setattr__(self, "numerator", num)
-        object.__setattr__(self, "poles", poles)
+    poly: Poly
+    terms: tuple[tuple[Exact, int, Exact], ...]  # (pole m, exponent e >= 1, coefficient c != 0)
 
     # -- constructors ------------------------------------------------------
 
@@ -147,94 +118,127 @@ class RationalGF:
     @classmethod
     def simple(cls, c, m, e: int = 1) -> "RationalGF":
         """c / (1 - m t)^e."""
-        return cls((_frac(c),), ((_frac(m), e),))
+        c, m, e = _frac(c), _pole(m), int(e)
+        return cls((), ((m, e, c),)) if c and e > 0 else cls.from_poly((c,))
 
     @classmethod
     def from_poly(cls, coeffs: Sequence, poles: Sequence[tuple] = ()) -> "RationalGF":
-        return cls(tuple(_frac(c) for c in coeffs), tuple((_frac(m), int(e)) for m, e in poles))
+        """coeffs(t) / prod (1 - m t)^e, divided by one (1 - m t) at a time."""
+        linears = [_pole(m) for m, e in poles for _ in range(int(e))]
+        return reduce(RationalGF._over, linears, cls(_trim([_frac(c) for c in coeffs]), ()))
 
     # -- structure ---------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not self.numerator
+        return not self.poly and not self.terms
 
-    def denominator_poly(self) -> Poly:
-        out: Poly = (1,)
+    @property
+    def poles(self) -> tuple[tuple[Exact, int], ...]:
+        """(m, top exponent) for each pole m, ascending."""
+        return tuple({m: e for m, e, _ in self.terms}.items())
+
+    @property
+    def numerator(self) -> Poly:
+        """poly den + sum c den / (1 - m t)^e over den = prod (1 - m t)^e of the poles.
+
+        It does not vanish at any 1/m, since the top term at m is nonzero, so
+        numerator / den is reduced."""
+        den: Poly = (1,)
         for m, e in self.poles:
-            out = _pmul(out, _linear_power(m, e))
-        return out
+            for _ in range(e):
+                den = _pmul(den, (1, -m))
+        num = _pmul(self.poly, den)
+        for m, e, c in self.terms:
+            cof = den
+            for _ in range(e):
+                cof = _divmod_linear(cof, m)[0]
+            num = _padd(num, tuple(c * x for x in cof))
+        return tuple(_frac(x) for x in num)
 
     # -- arithmetic ----------------------------------------------------------
-
-    def _cofactor(self, union: dict[Exact, int]) -> Poly:
-        mine = dict(self.poles)
-        out: Poly = (1,)
-        for m, e in union.items():
-            extra = e - mine.get(m, 0)
-            if extra:
-                out = _pmul(out, _linear_power(m, extra))
-        return out
 
     def __add__(self, other: "RationalGF") -> "RationalGF":
         if not isinstance(other, RationalGF):
             return NotImplemented
-        union: dict[Exact, int] = {}
-        for m, e in self.poles + other.poles:
-            union[m] = max(union.get(m, 0), e)
-        num = _padd(
-            _pmul(self.numerator, self._cofactor(union)),
-            _pmul(other.numerator, other._cofactor(union)),
-        )
-        return RationalGF(num, tuple(union.items()))
+        return gf_sum((self, other))
 
     def __neg__(self) -> "RationalGF":
-        return RationalGF(_pscale(self.numerator, -1), self.poles)
+        return self * -1
 
     def __sub__(self, other: "RationalGF") -> "RationalGF":
         return self + (-other)
 
     def __mul__(self, other) -> "RationalGF":
-        if isinstance(other, RationalGF):
-            merged: dict[Exact, int] = {}
-            for m, e in self.poles + other.poles:
-                merged[m] = merged.get(m, 0) + e
-            return RationalGF(_pmul(self.numerator, other.numerator), tuple(merged.items()))
-        return RationalGF(_pscale(self.numerator, _frac(other)), self.poles)
+        if not isinstance(other, RationalGF):
+            s = _frac(other)
+            pairs = {(m, e): (c.numerator * s.numerator, c.denominator * s.denominator)
+                     for m, e, c in self.terms}
+            return _build([c * s for c in self.poly], pairs)
+        # self / (1 - m t)^e for each of other's terms, and self t^i for its poly
+        parts = [reduce(RationalGF._over, [m] * e, self) * c for m, e, c in other.terms]
+        h = self
+        for c in other.poly:
+            parts.append(h * c)
+            h = h.times_t()
+        return gf_sum(parts)
 
     __rmul__ = __mul__
 
     def times_t(self) -> "RationalGF":
-        """Multiply by t."""
-        if self.is_zero:
-            return self
-        return RationalGF((0,) + self.numerator, self.poles)
+        """Multiply by t: t/(1 - m t)^e = (1/(1 - m t)^e - 1/(1 - m t)^(e-1)) / m."""
+        poly = [0, *self.poly]
+        acc: dict = {}
+        for m, e, c in self.terms:
+            n, d = c.numerator, c.denominator * m
+            _put(acc, (m, e), n, d)
+            if e > 1:
+                _put(acc, (m, e - 1), -n, d)
+            else:
+                poly[0] -= Fraction(n, d)
+        return _build(poly, acc)
 
     def over_linear(self, m) -> "RationalGF":
         """Divide by (1 - m t)."""
-        return RationalGF(self.numerator, self.poles + ((_frac(m), 1),))
+        return self._over(_pole(m))
+
+    def _over(self, z: Exact) -> "RationalGF":
+        q, r = _divmod_linear(self.poly, z)
+        acc: dict = {(z, 1): (r, 1)}
+        for m, e, c in self.terms:
+            n, d = c.numerator, c.denominator
+            if m == z:
+                acc[m, e + 1] = (n, d)
+                continue
+            # 1/((1-mt)^e (1-zt)) = (m/(m-z))/(1-mt)^e - (z/(m-z))/((1-mt)^(e-1) (1-zt)),
+            # down to e = 0
+            for k in range(e, 0, -1):
+                d *= m - z
+                _put(acc, (m, k), n * m, d)
+                n *= -z
+            _put(acc, (z, 1), n, d)
+        return _build(q, acc)
 
     def scale_t(self, s) -> "RationalGF":
-        """Substitute t -> s t (exactly)."""
+        """Substitute t -> s t (exactly): each pole m becomes m s."""
         sf = _frac(s)
-        num = tuple(c * sf**i for i, c in enumerate(self.numerator))
-        return RationalGF(num, tuple((m * sf, e) for m, e in self.poles))
+        poly = _trim([_frac(c * sf**i) for i, c in enumerate(self.poly)])
+        return RationalGF(poly, tuple((_pole(m * sf), e, c) for m, e, c in self.terms))
 
     # -- series --------------------------------------------------------------
 
     def series(self, count: int) -> tuple[Exact, ...]:
         """First `count` Taylor coefficients at t = 0."""
-        den = self.denominator_poly()
-        out: list[Exact] = []
-        for k in range(count):
-            acc = self.numerator[k] if k < len(self.numerator) else 0
-            for i in range(1, min(k, len(den) - 1) + 1):
-                acc -= den[i] * out[k - i]
-            out.append(acc)  # den[0] == 1
-        return tuple(out)
+        return tuple(self.coefficient(n) for n in range(count))
 
     def coefficient(self, n: int) -> Exact:
-        return self.series(n + 1)[n]
+        """poly[n] + sum c C(n+e-1, e-1) m^n."""
+        if n < 0:
+            raise ValueError(f"coefficient index must be nonnegative, got {n}")
+        value = self.poly[n] if n < len(self.poly) else 0
+        for m, e, c in self.terms:
+            value += c * comb(n + e - 1, e - 1) * m**n
+        return _frac(value)
 
     # -- presentation ----------------------------------------------------------
 
@@ -246,7 +250,7 @@ class RationalGF:
 
     def __str__(self) -> str:
         num = _poly_str(self.numerator)
-        if not self.poles:
+        if not self.terms:
             return num
         den = "".join(
             f"(1-{_pole_str(m)}t)" + (f"^{e}" if e > 1 else "") for m, e in self.poles
@@ -283,10 +287,13 @@ def _poly_str(p: Poly) -> str:
 
 
 def gf_sum(terms: Sequence[RationalGF]) -> RationalGF:
-    acc = RationalGF.zero()
-    for t in terms:
-        acc = acc + t
-    return acc
+    poly: Poly = ()
+    acc: dict = {}
+    for f in terms:
+        poly = _padd(poly, f.poly)
+        for m, e, c in f.terms:
+            _put(acc, (m, e), c.numerator, c.denominator)
+    return _build(poly, acc)
 
 
 @dataclass(frozen=True)
@@ -297,10 +304,8 @@ class PartialFractions:
     poly: Poly = ()
 
     def recombine(self) -> RationalGF:
-        acc = RationalGF(self.poly, ())
-        for c, m, e in self.terms:
-            acc = acc + RationalGF.simple(c, m, e)
-        return acc
+        parts = [RationalGF.simple(c, m, e) for c, m, e in self.terms]
+        return gf_sum([RationalGF.from_poly(self.poly)] + parts)
 
     def to_payload(self) -> list:
         out = [
@@ -321,41 +326,6 @@ class PartialFractions:
         return " + ".join(bits) if bits else "0"
 
 
-def _solve_exact(matrix: list[list[Exact]], rhs: list[Exact]) -> list[Exact]:
-    """Gaussian elimination over the rationals; the system must be square+regular."""
-    n = len(matrix)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if a[r][col] != 0)
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = Fraction(1, a[col][col])
-        a[col] = [v * inv for v in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-    return [_frac(a[r][n]) for r in range(n)]
-
-
 def partial_fractions(f: RationalGF) -> PartialFractions:
-    """Exact decomposition into c/(1 - m t)^e terms (poles ascending)."""
-    if not f.poles:
-        return PartialFractions((), f.numerator)
-    den = f.denominator_poly()
-    poly_part, rem = _pdivmod(f.numerator, den)
-    slots: list[tuple[Exact, int]] = []
-    basis: list[Poly] = []
-    for m, e in f.poles:
-        others: Poly = (1,)
-        for m2, e2 in f.poles:
-            if m2 != m:
-                others = _pmul(others, _linear_power(m2, e2))
-        for j in range(1, e + 1):
-            slots.append((m, j))
-            basis.append(_pmul(others, _linear_power(m, e - j)))
-    dim = len(slots)
-    matrix = [[b[r] if r < len(b) else 0 for b in basis] for r in range(dim)]
-    rhs = [rem[r] if r < len(rem) else 0 for r in range(dim)]
-    coeffs = _solve_exact(matrix, rhs)
-    terms = tuple((c, m, e) for c, (m, e) in zip(coeffs, slots) if c != 0)
-    return PartialFractions(terms, poly_part)
+    """f's own terms as c/(1 - m t)^e (poles ascending) and its polynomial part."""
+    return PartialFractions(tuple((c, m, e) for m, e, c in f.terms), f.poly)

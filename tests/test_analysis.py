@@ -92,7 +92,7 @@ def maximal_subgroup_generators(g, p):
         for i, (x, lam) in enumerate(zip(lifts, functional)):
             if i != j:
                 for _ in range(-lam % p):
-                    x = g.mul_index(x, lifts[j])
+                    x = int(g.mul[x, lifts[j]])
                 kernel.append(x)
         gens.append(tuple(frat_gens + kernel))
     return gens
@@ -109,7 +109,7 @@ def maximal_subgroups(g, p):
         elem = 0
         for b, c in zip(basis, vec):
             for _ in range(c):
-                elem = q.mul_index(elem, b)
+                elem = int(q.mul[elem, b])
         coords[elem] = vec
     subs = []
     for lam in _unit_functionals(p, len(basis)):

@@ -21,7 +21,7 @@ from conjgf.oracle import alpha_brute, beta_brute, commuting_tuples
 def commuting_tuples_filter(g: GroupTable, n: int) -> list[tuple[int, ...]]:
     """Reference enumeration: filter G^n for pairwise commuting tuples."""
     return sorted(tup for tup in product(range(g.order), repeat=n)
-                  if all(g.mul_index(tup[i], tup[j]) == g.mul_index(tup[j], tup[i])
+                  if all(g.mul[tup[i], tup[j]] == g.mul[tup[j], tup[i]]
                          for i in range(n) for j in range(i + 1, n)))
 
 

@@ -162,16 +162,64 @@ def test_integral_values_are_stored_as_int():
        _rationals(1, 6, (1, 2)), st.sampled_from((-2, -1, 1, 3)))
 @settings(max_examples=80, deadline=None)
 def test_values_stay_int_or_fraction_through_every_operation(f, g, c, m, lead):
-    # a term above f's numerator degree leaves a polynomial part for _pdivmod
+    # a term above f's numerator degree leaves a polynomial part
     improper = f + RationalGF.from_poly((0,) * len(f.numerator) + (lead,), ())
     assert partial_fractions(improper).poly
     results = [f + g, f - g, f * g, f * c, c * f, f * 3, f.scale_t(m), f.scale_t(2),
-               f.over_linear(m), f.times_t(), improper, -f]
+               f.over_linear(m), f.times_t(), improper, -f, improper.over_linear(m)]
     for h in results:
+        _check_normal_form(h)
         assert all(_exact(v) for v in _gf_values(h)), h
         pf = partial_fractions(h)
         assert all(_exact(v) for v in _pf_values(pf)), pf
         assert pf.recombine() == h
+
+
+def _vanishes_at_inverse(a: tuple, m) -> bool:
+    """a(1/m) == 0, tested without dividing as sum a_k m^(deg-k) == 0 (Horner)."""
+    acc = 0
+    for c in a:
+        acc = acc * m + c
+    return acc == 0
+
+
+def _check_normal_form(f: RationalGF) -> None:
+    """One term per (m, e), sorted, each c != 0; the numerator read back is
+    reduced and rebuilds f."""
+    keys = [(m, e) for m, e, _ in f.terms]
+    assert keys == sorted(set(keys)), f.terms
+    assert all(m > 0 and e >= 1 and c != 0 for m, e, c in f.terms), f.terms
+    assert not f.poly or f.poly[-1] != 0, f.poly
+    assert not any(_vanishes_at_inverse(f.numerator, m) for m, _ in f.poles), f
+    assert RationalGF.from_poly(f.numerator, f.poles) == f
+
+
+@given(rational_gfs(), _rationals(1, 6, (1, 2)))
+@settings(max_examples=25, deadline=None)
+def test_numerator_and_poles_match_sympy_cancel(f, m):
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    q = lambda x: sympy.Rational(x.numerator, x.denominator)  # noqa: E731
+    for h in (f, f.times_t(), f.over_linear(m), f * f, f.scale_t(m)):
+        _check_normal_form(h)
+        # the sum of h's own terms, cancelled, with the denominator's constant term 1
+        expr = sum(q(c) * t**k for k, c in enumerate(h.poly)) + sum(
+            q(c) / (1 - q(p) * t) ** e for p, e, c in h.terms)
+        num, den = sympy.fraction(sympy.cancel(sympy.together(expr)))
+        lead = den.subs(t, 0)
+        num, den = sympy.Poly(num / lead, t), sympy.Poly(den / lead, t)
+        got_den = sympy.Mul(*[(1 - q(p) * t) ** e for p, e in h.poles])
+        assert num.all_coeffs()[::-1] == [q(c) for c in h.numerator] or (num.is_zero and not h.numerator), h
+        assert sympy.expand(den.as_expr() - got_den) == 0, h
+
+
+@given(rational_gfs(), _rationals(1, 6, (1, 2)))
+@settings(max_examples=60, deadline=None)
+def test_over_linear_and_times_t_act_on_the_series(f, m):
+    a, b = f.series(7), f.over_linear(m).series(7)
+    # b = a / (1 - m t): b_n = a_n + m b_(n-1)
+    assert b == tuple(a[n] + (m * b[n - 1] if n else 0) for n in range(7))
+    assert f.times_t().series(7) == (0,) + a[:6]
 
 
 def test_raw_generating_functions_run_on_ints():
