@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NotPrimePower
 from .groups import LINE_BLOCK, GroupTable, commutators, is_abelian_subset, memoized, normal_closure, orbit_labels
-from .pcp import is_prime
+from .pcp import is_prime, prime_power_root
 
 
 @dataclass(frozen=True)
@@ -108,15 +108,13 @@ def derived_subgroup(g: GroupTable) -> tuple[int, ...]:
 
 @memoized
 def lower_central_series(g: GroupTable) -> tuple[tuple[int, ...], ...]:
-    """gamma_1 = G, gamma_{i+1} = [gamma_i, G]; stops once the series is stable."""
-    terms: list[tuple[int, ...]] = [tuple(range(g.order))]
+    """gamma_1 = G, gamma_2 = G', gamma_{i+1} = [gamma_i, G]; stops once the series is stable."""
+    terms: list[tuple[int, ...]] = [tuple(range(g.order)), derived_subgroup(g)]
     gens = np.asarray(g.generators, dtype=np.intp)
-    while True:
+    while terms[-1] != terms[-2]:
         comm = commutators(g, np.asarray(terms[-1], dtype=np.intp), gens)
-        nxt = normal_closure(g, np.unique(comm).tolist())
-        if nxt == terms[-1]:
-            return tuple(terms)
-        terms.append(nxt)
+        terms.append(normal_closure(g, np.unique(comm).tolist()))
+    return tuple(terms[:-1])
 
 
 def nilpotency_class(g: GroupTable) -> int | None:
@@ -158,19 +156,6 @@ def is_ac_group(g: GroupTable) -> bool:
     return True
 
 
-def _p_log(order: int, p: int) -> int:
-    if not is_prime(p):
-        raise NotPrimePower(f"{p} is not prime")
-    m = 0
-    n = order
-    while n % p == 0:
-        n //= p
-        m += 1
-    if n != 1:
-        raise NotPrimePower(f"order {order} is not a power of {p}")
-    return m
-
-
 def has_abelian_maximal_subgroup(g: GroupTable, p: int) -> bool:
     """Some maximal subgroup of the p-group G is abelian.
 
@@ -182,9 +167,13 @@ def has_abelian_maximal_subgroup(g: GroupTable, p: int) -> bool:
     C_G(y); R/p - 1 of them are all of its non-central cosets, which then
     commute with all of C_G(x): it is an abelian subgroup of index p.
     """
-    _p_log(g.order, p)
+    if not is_prime(p):
+        raise NotPrimePower(f"{p} is not prime")
     if g.order == 1:
         return False
+    root = prime_power_root(g.order)
+    if root is None or root[0] != p:
+        raise NotPrimePower(f"order {g.order} is not a power of {p}")
     block, _ = commuting_cosets(g)
     if len(block) == 1:
         return True

@@ -24,6 +24,7 @@ from .genfun import (
     a_equivalent,
     a_of_t,
     alpha_coefficient,
+    b_and_work,
     b_equivalent,
     b_of_t,
     beta_coefficient,
@@ -121,21 +122,16 @@ def cmd_genfun(args) -> RunReport:
                                   "coefficients": args.coefficients})
     g = load_group_spec(args.spec)
     report.results["group"] = {"label": g.label, "order": g.order}
-    which = args.which
-    if which in ("A", "both"):
-        gf = a_of_t(g)
+    for name, of_t, coefficient, series in (("A", a_of_t, alpha_coefficient, "alpha"),
+                                            ("B", b_of_t, beta_coefficient, "beta")):
+        if args.which not in (name, "both"):
+            continue
+        gf = of_t(g)
         if args.normalized:
             gf = normalize(gf, g.order)
-        report.results["A"] = _gf_payload(gf, args.partial_fractions)
+        report.results[name] = _gf_payload(gf, args.partial_fractions)
         if args.coefficients:
-            report.results["alpha"] = [alpha_coefficient(g, n) for n in range(args.coefficients + 1)]
-    if which in ("B", "both"):
-        gf = b_of_t(g)
-        if args.normalized:
-            gf = normalize(gf, g.order)
-        report.results["B"] = _gf_payload(gf, args.partial_fractions)
-        if args.coefficients:
-            report.results["beta"] = [beta_coefficient(g, n) for n in range(args.coefficients + 1)]
+            report.results[series] = [coefficient(g, n) for n in range(args.coefficients + 1)]
     return report
 
 
@@ -240,13 +236,12 @@ def cmd_oracle(args) -> RunReport:
     return report
 
 
-# (strategy, the timed call, its (count, work) read after the clock stops);
-# eq4's work is what b_of_t leaves in the table's cache
+# (strategy, the timed call, its (count, work) read after the clock stops)
 _BENCH_STRATEGIES = (
     ("eq1_histogram", alpha_coefficient, lambda g, count: (count, len(centralizer_histogram(g)))),
     ("brute_alpha", alpha_brute, lambda g, res: (res.count, res.tuples_visited)),
     ("eq4_recursion", lambda g, n: b_of_t(g).coefficient(n),
-     lambda g, value: (int(value), max(g._cache["b_work"], 1))),
+     lambda g, value: (int(value), b_and_work(g)[1])),
     ("brute_beta", beta_brute, lambda g, res: (res.count, res.tuples_visited)),
 )
 

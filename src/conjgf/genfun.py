@@ -7,13 +7,16 @@ block K on the R = |G/Z(G)| coset minima (`analysis.commuting_cosets`), with
 of n-tuples: alpha_n = (1/|G|) sum_g |C_G(g)|^n, and |C_G(g)| is |Z(G)| times
 the row sum of g's coset.  B_G(t) does the same for pairwise commuting
 n-tuples.  By Burnside's lemma beta_n |G| = c_{n+1}(G), the number of
-commuting (n+1)-tuples, and N_H(t) = sum c_n(H) t^n satisfies
-    (1 - |Z(H)| t) N_H(t) = 1 + t S_H(t),   S_H = sum_C mult(C) N_C(t),
+commuting (n+1)-tuples.  B is counted in cosets of Z(G): for H >= Z(G),
+c_n(H) = |Z(G)|^n c~_n(H) and N~_H(u) = sum c~_n(H) u^n satisfies
+    (1 - |Z(H)/Z(G)| u) N~_H(u) = 1 + u S~_H(u),   S~_H = sum_C mult(C) N~_C(u),
 over the distinct non-central centralizers C = C_H(y), with mult(C) the
-number of y in H that have it, N_C = 1/(1 - |C| t) for abelian C, and
-    B_G(t) = (|Z(G)| N_G(t) + S_G(t)) / |G|.
-Every node H contains Z(G): its block is K's rows and columns of H's cosets,
-its distinct rows are the centralizers, and each row stands for |Z(G)| y.
+number of cosets of Z(G) in H that have it, N~_C = 1/(1 - |C/Z(G)| u) for
+abelian C, and
+    B_G(t) = B~(|Z(G)| t),   B~(u) = (N~_G(u) + S~_G(u)) / R,
+so the normalized B_G(t/|G|) = B~(t/R) depends on K alone.  Each node H's
+block is K's rows and columns of its cosets; its distinct rows are the
+centralizers.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 
 from .analysis import centralizer_histogram, commuting_cosets, packed_rows
 from .errors import RecursionDepthExceeded
-from .groups import GroupTable
+from .groups import GroupTable, memoized
 from .ratfun import PartialFractions, RationalGF, gf_sum, partial_fractions
 
 MAX_B_DEPTH = 64
@@ -49,48 +52,45 @@ def alpha_coefficient(g: GroupTable, n: int) -> int:
 
 
 def b_of_t(g: GroupTable) -> RationalGF:
-    """B_G(t) in Burnside form, exact and reduced.
+    """B_G(t) in Burnside form, exact and reduced."""
+    return b_and_work(g)[0]
 
-    The work done (distinct non-central rows summed plus non-abelian nodes
-    computed) is left beside the result in the table's cache as "b_work"."""
-    cached = g._cache.get("b_of_t")
-    if cached is None:
-        work = [0]
-        block, reps = commuting_cosets(g)
-        if reps.size == 1:
-            cached = RationalGF.simple(1, g.order)
-        else:
-            zsize, s = _commuting_sum(block, reps, g.order // reps.size, {}, 0, work)
-            cached = (_count_series(zsize, s) * zsize + s) * Fraction(1, g.order)
-        g._cache.setdefault("b_work", work[0])
-        cached = g._cache.setdefault("b_of_t", cached)
-    return cached
+
+@memoized
+def b_and_work(g: GroupTable) -> tuple[RationalGF, int]:
+    """(B_G, work), with work the nodes computed plus the distinct non-central
+    rows summed.  G has one central coset, Z(G), so B~ = (N~_G + S~_G) / R."""
+    block, reps = commuting_cosets(g)
+    central, s, work = _commuting_sum(block, reps, {}, 0)
+    b = (_count_series(central, s) + s) * Fraction(1, reps.size)
+    return b.scale_t(g.order // reps.size), work
 
 
 def _commuting_sum(
-    block: np.ndarray, idx: np.ndarray, zg: int, memo: dict, depth: int, work: list[int]
-) -> tuple[int, RationalGF]:
-    """(|Z(H)|, S_H) for a non-abelian subgroup H >= Z(G) with commuting block `block`.
+    block: np.ndarray, idx: np.ndarray, memo: dict, depth: int
+) -> tuple[int, RationalGF, int]:
+    """(central cosets, S~_H, work) for a subgroup H >= Z(G) with commuting block `block`.
 
-    `idx` holds the minima of H's cosets of Z(G), in block order, and zg is
-    |Z(G)|; child series are memoized in `memo` under that exact coset set.
-    S_H = sum over distinct non-central centralizers C of mult(C) * N_C, where
-    mult(C) counts the y in H with C_H(y) = C and N_C = sum c_n(C) t^n.
+    `idx` holds the minima of H's cosets of Z(G), in block order; child series
+    are memoized in `memo` under that exact coset set.  S~_H = sum over
+    distinct non-central centralizers C of mult(C) * N~_C, where mult(C)
+    counts the cosets in H whose centralizer in H is C.  The work is this
+    node, its distinct non-central rows and the work of the children it
+    computes.
     """
     if depth > MAX_B_DEPTH:
         raise RecursionDepthExceeded(
             "centralizer chain failed to shrink; the table must be corrupt"
         )
-    work[0] += 1
     _, first, rows = np.unique(packed_rows(block), return_index=True, return_counts=True)
-    zsize = 0
-    terms: dict[RationalGF, int] = {}  # N_C -> summed multiplicity
-    for i, m in zip(first.tolist(), (rows * zg).tolist()):
+    central, work = 0, 1
+    terms: dict[RationalGF, int] = {}  # N~_C -> summed multiplicity
+    for i, m in zip(first.tolist(), rows.tolist()):
         members = np.flatnonzero(block[i])
         if members.size == block.shape[0]:
-            zsize += m
+            central += m
             continue
-        work[0] += 1
+        work += 1
         sub_idx = idx[members]
         key = sub_idx.tobytes()
         n_c = memo.get(key)
@@ -98,17 +98,19 @@ def _commuting_sum(
             # rows, then columns: about 3x faster than one np.ix_ gather
             sub = block.take(members, axis=0).take(members, axis=1)
             if sub.all():
-                n_c = RationalGF.simple(1, members.size * zg)
+                n_c = RationalGF.simple(1, members.size)
             else:
-                n_c = _count_series(*_commuting_sum(sub, sub_idx, zg, memo, depth + 1, work))
+                sub_central, sub_s, sub_work = _commuting_sum(sub, sub_idx, memo, depth + 1)
+                n_c = _count_series(sub_central, sub_s)
+                work += sub_work
             memo[key] = n_c
         terms[n_c] = terms.get(n_c, 0) + m
-    return zsize, gf_sum([n_c * m for n_c, m in terms.items()])
+    return central, gf_sum([n_c * m for n_c, m in terms.items()]), work
 
 
-def _count_series(zsize: int, s: RationalGF) -> RationalGF:
-    """N_H = (1 + t S_H) / (1 - |Z(H)| t)."""
-    return (RationalGF.one() + s.times_t()).over_linear(zsize)
+def _count_series(central: int, s: RationalGF) -> RationalGF:
+    """N~_H = (1 + u S~_H) / (1 - |Z(H)/Z(G)| u)."""
+    return (RationalGF.one() + s.times_t()).over_linear(central)
 
 
 def beta_coefficient(g: GroupTable, n: int) -> int:

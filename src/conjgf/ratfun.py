@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from math import comb
 from typing import Sequence
 
@@ -100,7 +100,8 @@ class RationalGF:
     exponent e, sorted, each c != 0, and poly without trailing zeros.
 
     The constructor takes these fields as they are; the classmethods and
-    operators check and coerce their inputs and keep the form."""
+    operators check and coerce their inputs and keep the form.  `numerator`
+    and `poles` are built once per value; == and hash read the fields alone."""
 
     poly: Poly
     terms: tuple[tuple[Exact, int, Exact], ...]  # (pole m, exponent e >= 1, coefficient c != 0)
@@ -133,12 +134,12 @@ class RationalGF:
     def is_zero(self) -> bool:
         return not self.poly and not self.terms
 
-    @property
+    @cached_property
     def poles(self) -> tuple[tuple[Exact, int], ...]:
         """(m, top exponent) for each pole m, ascending."""
         return tuple({m: e for m, e, _ in self.terms}.items())
 
-    @property
+    @cached_property
     def numerator(self) -> Poly:
         """poly den + sum c den / (1 - m t)^e over den = prod (1 - m t)^e of the poles.
 

@@ -12,7 +12,7 @@ from conjgf import isoclinism
 from conjgf.analysis import center_elements, commuting_cosets, derived_subgroup
 from conjgf.errors import QuotientTooLarge
 from conjgf.families import PHI_FAMILIES, cyclic, dihedral, stem_group
-from conjgf.genfun import a_of_t, b_of_t
+from conjgf.genfun import a_of_t, b_of_t, normalize
 from conjgf.groups import GroupTable, inverses, subgroup_closure
 from conjgf.isoclinism import (
     IsoclinismWitness,
@@ -134,6 +134,23 @@ def test_isoclinic_same_order_pairs_have_equal_functions(catalog):
         assert w is not None and w.verify(d32, other), label
         assert a_of_t(d32) == a_of_t(other), label
         assert b_of_t(d32) == b_of_t(other), label
+
+
+def test_isoclinism_carries_the_commuting_block(catalog):
+    # theta carries K on G/Z(G) onto K on H/Z(H), so the normalized A and B,
+    # which read K alone, agree on every isoclinic pair
+    groups = [*catalog.values(), *(stem_group(f, 3) for f in PHI_FAMILIES)]
+    witnesses = 0
+    for g, h in combinations(groups, 2):
+        w = are_isoclinic(g, h)
+        if w is None:
+            continue
+        witnesses += 1
+        theta = np.asarray(w.theta)
+        assert np.array_equal(commuting_cosets(h)[0][np.ix_(theta, theta)], commuting_cosets(g)[0]), (g.label, h.label)
+        for of_t in (a_of_t, b_of_t):
+            assert normalize(of_t(g), g.order) == normalize(of_t(h), h.order), (of_t.__name__, g.label, h.label)
+    assert witnesses == 145
 
 
 def test_stem_orders(catalog):

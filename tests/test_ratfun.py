@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conjgf import ratfun
 from conjgf.errors import InvalidParameters
 from conjgf.families import small_catalog
 from conjgf.genfun import a_of_t, b_of_t, normalize
@@ -120,6 +121,24 @@ def test_payload_shapes():
     # improper fractions carry their polynomial part as a trailing entry
     improper = partial_fractions(f).to_payload()
     assert improper[-1] == {"poly": ["1/4"]}
+
+
+def test_payload_then_display_builds_the_numerator_once(monkeypatch):
+    # the CLI prints to_payload() and str() of one value; the second reads the
+    # first's numerator and poles, and == and hash still read the fields alone
+    f = RationalGF.from_poly((1, -1), ((8, 1), (4, 2)))
+    fresh = RationalGF(f.poly, f.terms)
+    want = str(fresh)
+    payload = f.to_payload()
+
+    def rebuilt(*args):
+        raise AssertionError("numerator rebuilt")
+
+    monkeypatch.setattr(ratfun, "_pmul", rebuilt)
+    monkeypatch.setattr(ratfun, "_divmod_linear", rebuilt)
+    assert str(f) == want
+    assert f.to_payload() == payload
+    assert f == fresh and hash(f) == hash(fresh)
 
 
 def _rationals(lo: int, hi: int, dens: tuple[int, ...]):
