@@ -67,11 +67,10 @@ def center_elements(g: GroupTable) -> tuple[int, ...]:
 
 
 @memoized
-def commuting_cosets(g: GroupTable) -> tuple[np.ndarray, np.ndarray]:
-    """(K, reps): reps are the minima of the cosets of Z(G), ascending, and
-    K[i, j] says whether reps[i] and reps[j] commute, as x and y commute iff
-    their cosets do.  With Z(G) trivial, `mul` is compared with its own
-    transpose, uncopied."""
+def commuting_cosets(g: GroupTable) -> np.ndarray:
+    """K: K[i, j] says whether the i-th and j-th cosets of Z(G), ordered by
+    their minima, commute, as x and y commute iff their cosets do.  With Z(G)
+    trivial, `mul` is compared with its own transpose, uncopied."""
     z = np.asarray(center_elements(g), dtype=np.intp)
     reps = np.unique(g.mul[z].min(axis=0))  # x z = z x: whole rows, not strided columns
     if reps.size == g.order:
@@ -80,23 +79,13 @@ def commuting_cosets(g: GroupTable) -> tuple[np.ndarray, np.ndarray]:
         sub = np.empty((reps.size, reps.size), dtype=g.mul.dtype)
         for lo in range(0, reps.size, LINE_BLOCK):
             sub[lo:lo + LINE_BLOCK] = g.mul.take(reps[lo:lo + LINE_BLOCK], axis=0).take(reps, axis=1)
-    return sub == sub.T, reps
+    return sub == sub.T
 
 
 def packed_rows(block: np.ndarray) -> np.ndarray:
     """Each row of a boolean block as one opaque bytes value, for np.unique."""
     packed = np.packbits(block, axis=1)
     return packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-
-
-@memoized
-def centralizer_histogram(g: GroupTable) -> dict[int, int]:
-    """Maps m to the number of x with |C_G(x)| = m: |Z(G)| times the row sum
-    of x's coset in `commuting_cosets`, for each of its |Z(G)| elements."""
-    block, reps = commuting_cosets(g)
-    zsize = g.order // reps.size
-    sizes, cosets = np.unique(block.sum(axis=1), return_counts=True)
-    return {zsize * int(m): zsize * int(c) for m, c in zip(sizes, cosets)}
 
 
 @memoized
@@ -174,7 +163,7 @@ def has_abelian_maximal_subgroup(g: GroupTable, p: int) -> bool:
     root = prime_power_root(g.order)
     if root is None or root[0] != p:
         raise NotPrimePower(f"order {g.order} is not a power of {p}")
-    block, _ = commuting_cosets(g)
+    block = commuting_cosets(g)
     if len(block) == 1:
         return True
     size = len(block) // p

@@ -1,22 +1,25 @@
 """The two core computations, A_G(t) and B_G(t), both read from one relation,
 plus coefficient extraction, normalization and the equivalence predicates.
 
-x and y commute iff their cosets mod Z(G) do, so both read the commuting
-block K on the R = |G/Z(G)| coset minima (`analysis.commuting_cosets`), with
-|Z(G)| elements behind each row.  A_G(t) counts simultaneous-conjugacy orbits
-of n-tuples: alpha_n = (1/|G|) sum_g |C_G(g)|^n, and |C_G(g)| is |Z(G)| times
-the row sum of g's coset.  B_G(t) does the same for pairwise commuting
-n-tuples.  By Burnside's lemma beta_n |G| = c_{n+1}(G), the number of
-commuting (n+1)-tuples.  B is counted in cosets of Z(G): for H >= Z(G),
-c_n(H) = |Z(G)|^n c~_n(H) and N~_H(u) = sum c~_n(H) u^n satisfies
+x and y commute iff their cosets mod Z(G) do, so both are functions of the
+commuting block K on the R = |G/Z(G)| cosets (`analysis.commuting_cosets`),
+with |Z(G)| elements behind each row; |Z(G)| enters only as t -> |Z(G)| t.
+A_G(t) counts simultaneous-conjugacy orbits of n-tuples:
+alpha_n = (1/|G|) sum_g |C_G(g)|^n, and |C_G(g)| is |Z(G)| times the row sum
+of g's coset, so
+    A_G(t) = A~(|Z(G)| t),   A~(u) = (1/R) sum over K's rows of 1/(1 - (row sum) u).
+B_G(t) does the same for pairwise commuting n-tuples.  By Burnside's lemma
+beta_n |G| = c_{n+1}(G), the number of commuting (n+1)-tuples.  B is counted
+in cosets of Z(G): for H >= Z(G), c_n(H) = |Z(G)|^n c~_n(H) and
+N~_H(u) = sum c~_n(H) u^n satisfies
     (1 - |Z(H)/Z(G)| u) N~_H(u) = 1 + u S~_H(u),   S~_H = sum_C mult(C) N~_C(u),
 over the distinct non-central centralizers C = C_H(y), with mult(C) the
 number of cosets of Z(G) in H that have it, N~_C = 1/(1 - |C/Z(G)| u) for
 abelian C, and
     B_G(t) = B~(|Z(G)| t),   B~(u) = (N~_G(u) + S~_G(u)) / R,
-so the normalized B_G(t/|G|) = B~(t/R) depends on K alone.  Each node H's
-block is K's rows and columns of its cosets; its distinct rows are the
-centralizers.
+so the normalized A_G(t/|G|) = A~(t/R) and B_G(t/|G|) = B~(t/R) depend on K
+alone.  Each node H's block is K's rows and columns of its cosets; its
+distinct rows are the centralizers.
 """
 
 from __future__ import annotations
@@ -24,31 +27,26 @@ from __future__ import annotations
 from fractions import Fraction
 import numpy as np
 
-from .analysis import centralizer_histogram, commuting_cosets, packed_rows
+from .analysis import commuting_cosets, packed_rows
 from .errors import RecursionDepthExceeded
 from .groups import GroupTable, memoized
-from .ratfun import PartialFractions, RationalGF, gf_sum, partial_fractions
+from .ratfun import RationalGF, gf_sum
 
 MAX_B_DEPTH = 64
 
 
+@memoized
 def a_of_t(g: GroupTable) -> RationalGF:
-    """A_G(t) = (1/|G|) sum_m z_m / (1 - m t), combined and reduced."""
-    hist = centralizer_histogram(g)
-    acc = RationalGF.zero()
-    for m in sorted(hist):
-        acc = acc + RationalGF.simple(hist[m], m)
-    return acc * Fraction(1, g.order)
+    """A_G(t) = A~(|Z(G)| t), A~(u) = (1/R) sum over K's rows of 1/(1 - (row sum) u)."""
+    block = commuting_cosets(g)
+    sizes, rows = np.unique(block.sum(axis=1), return_counts=True)
+    a = gf_sum([RationalGF.simple(c, m) for m, c in zip(sizes.tolist(), rows.tolist())])
+    return (a * Fraction(1, len(block))).scale_t(g.order // len(block))
 
 
 def alpha_coefficient(g: GroupTable, n: int) -> int:
     """Number of simultaneous-conjugacy orbits on n-tuples (orbit counting lemma)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    total = sum(count * m**n for m, count in centralizer_histogram(g).items())
-    if total % g.order:
-        raise ArithmeticError("orbit count sum is not divisible by |G|; table is corrupt")
-    return total // g.order
+    return _integral_coefficient(a_of_t(g), n)
 
 
 def b_of_t(g: GroupTable) -> RationalGF:
@@ -60,10 +58,10 @@ def b_of_t(g: GroupTable) -> RationalGF:
 def b_and_work(g: GroupTable) -> tuple[RationalGF, int]:
     """(B_G, work), with work the nodes computed plus the distinct non-central
     rows summed.  G has one central coset, Z(G), so B~ = (N~_G + S~_G) / R."""
-    block, reps = commuting_cosets(g)
-    central, s, work = _commuting_sum(block, reps, {}, 0)
-    b = (_count_series(central, s) + s) * Fraction(1, reps.size)
-    return b.scale_t(g.order // reps.size), work
+    block = commuting_cosets(g)
+    central, s, work = _commuting_sum(block, np.arange(len(block)), {}, 0)
+    b = (_count_series(central, s) + s) * Fraction(1, len(block))
+    return b.scale_t(g.order // len(block)), work
 
 
 def _commuting_sum(
@@ -71,12 +69,12 @@ def _commuting_sum(
 ) -> tuple[int, RationalGF, int]:
     """(central cosets, S~_H, work) for a subgroup H >= Z(G) with commuting block `block`.
 
-    `idx` holds the minima of H's cosets of Z(G), in block order; child series
-    are memoized in `memo` under that exact coset set.  S~_H = sum over
-    distinct non-central centralizers C of mult(C) * N~_C, where mult(C)
-    counts the cosets in H whose centralizer in H is C.  The work is this
-    node, its distinct non-central rows and the work of the children it
-    computes.
+    `idx` holds the positions in K of H's cosets of Z(G), in block order;
+    child series are memoized in `memo` under that exact coset set.
+    S~_H = sum over distinct non-central centralizers C of mult(C) * N~_C,
+    where mult(C) counts the cosets in H whose centralizer in H is C.  The
+    work is this node, its distinct non-central rows and the work of the
+    children it computes.
     """
     if depth > MAX_B_DEPTH:
         raise RecursionDepthExceeded(
@@ -115,11 +113,15 @@ def _count_series(central: int, s: RationalGF) -> RationalGF:
 
 def beta_coefficient(g: GroupTable, n: int) -> int:
     """Number of simultaneous-conjugacy orbits on commuting n-tuples."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    value = b_of_t(g).coefficient(n)
+    return _integral_coefficient(b_of_t(g), n)
+
+
+def _integral_coefficient(f: RationalGF, n: int) -> int:
+    """f's coefficient of t^n, which counts orbits and so must be an integer;
+    `coefficient` raises ValueError for n < 0."""
+    value = f.coefficient(n)
     if value.denominator != 1:
-        raise ArithmeticError("beta coefficient is not an integer; recursion is corrupt")
+        raise ArithmeticError(f"coefficient {n} is {value}, not an integer; the table is corrupt")
     return int(value)
 
 
@@ -144,7 +146,6 @@ def b_equivalent(g: GroupTable, h: GroupTable) -> bool:
 
 
 __all__ = [
-    "PartialFractions",
     "a_equivalent",
     "a_of_t",
     "alpha_coefficient",
@@ -153,5 +154,4 @@ __all__ = [
     "beta_coefficient",
     "gf_equal",
     "normalize",
-    "partial_fractions",
 ]

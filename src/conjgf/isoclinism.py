@@ -82,7 +82,7 @@ def _element_invariants(g: GroupTable) -> list[tuple[int, int, int]]:
     q = _central_quotient(g)[0]
     orders = element_orders(q)
     class_size = q.order // (q.mul == q.mul.T).sum(axis=1)
-    lifted = q.order // commuting_cosets(g)[0].sum(axis=1)
+    lifted = q.order // commuting_cosets(g).sum(axis=1)
     return [(int(orders[x]), int(class_size[x]), int(lifted[x])) for x in range(q.order)]
 
 

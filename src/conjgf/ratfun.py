@@ -130,10 +130,6 @@ class RationalGF:
 
     # -- structure ---------------------------------------------------------
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.poly and not self.terms
-
     @cached_property
     def poles(self) -> tuple[tuple[Exact, int], ...]:
         """(m, top exponent) for each pole m, ascending."""

@@ -9,7 +9,6 @@ from conjgf.analysis import (
     ClassData,
     center_elements,
     centralizer_elements,
-    centralizer_histogram,
     conjugacy_data,
     derived_subgroup,
     element_orders,
@@ -30,6 +29,7 @@ from conjgf.families import (
     stem_group,
     symmetric,
 )
+from conjgf.genfun import a_of_t
 from conjgf.groups import (
     GroupTable,
     build_from_permutations,
@@ -135,22 +135,27 @@ def _p_groups(catalog) -> list[tuple[GroupTable, int]]:
     return cases + [(stem_group(f, p), p) for p in (3, 5) for f in PHI_FAMILIES]
 
 
+def centralizer_orders(g: GroupTable) -> dict:
+    """Maps m to the number of x with |C_G(x)| = m, read from A's terms z_m/|G| / (1 - m t)."""
+    return {m: c * g.order for m, _, c in a_of_t(g).terms}
+
+
 def test_s3_classes(catalog):
     cd = conjugacy_data(catalog["S3"])
     assert cd.num_classes == 3
     assert cd.class_equation == (1, 2, 3)
-    assert centralizer_histogram(catalog["S3"]) == {6: 1, 3: 2, 2: 3}
+    assert centralizer_orders(catalog["S3"]) == {6: 1, 3: 2, 2: 3}
 
 
 def test_abelian_classes(catalog):
     g = catalog["C12"]
     cd = conjugacy_data(g)
     assert cd.num_classes == 12
-    assert centralizer_histogram(g) == {12: 12}
+    assert centralizer_orders(g) == {12: 12}
 
 
 def test_d16_histogram(catalog):
-    assert centralizer_histogram(catalog["D16"]) == {16: 2, 8: 6, 4: 8}
+    assert centralizer_orders(catalog["D16"]) == {16: 2, 8: 6, 4: 8}
 
 
 def _classes_by_bfs(g: GroupTable) -> ClassData:
@@ -203,7 +208,7 @@ def test_orbit_stabilizer_on_catalog(catalog):
         assert sum(len(c) for c in cd.classes) == g.order, label
         for cls, csize in zip(cd.classes, cd.centralizer_sizes):
             assert len(cls) * csize == g.order, label
-        hist = centralizer_histogram(g)
+        hist = centralizer_orders(g)
         assert sum(hist.values()) == g.order, label
         assert all(g.order % m == 0 for m in hist), label
         singletons = sum(1 for c in cd.classes if len(c) == 1)
@@ -403,7 +408,7 @@ def test_permutation_groups_match_sympy(monkeypatch):
         hist: dict[int, int] = {}
         for m, cls in zip(orders, cd.classes):
             hist[m] = hist.get(m, 0) + len(cls)
-        assert centralizer_histogram(g) == hist, g.label
+        assert centralizer_orders(g) == hist, g.label
         assert {tuple(rows[x]) for x in center_elements(g)} == set(map(key, group.center().elements)), g.label
         series = [len(term) for term in lower_central_series(g)]
         assert series == [term.order() for term in group.lower_central_series()], g.label

@@ -150,6 +150,29 @@ def test_verify_table_payload_is_pinned(capsys):
         "0e90d39c5d1663c4f11ccd1be6c110c342eb539800378c1b940a9f9a7a35657e")
 
 
+@pytest.mark.parametrize("spec, normalized, digest", [
+    ("gamma3.json", False, "dd3db721e96efff59db4b8f09d4bcab6d76f47acc89ba43884f719f1587f5aa6"),
+    ("gamma3.json", True, "4d1d9822f63d212f1c77343ad0d5ef447c1bd6ae64dab6d1cd5e5a062c7b297e"),
+    ("heisenberg27.json", False, "1e14bcd1c057ec82e6b6298bf6b7afc38e13925612c89b70516f5e9f6a1a2073"),
+    ("heisenberg27.json", True, "05ec8369f6a9d1abcbfc7e9f3e3575bc09dcbe3528e0698efb4441d43cda7944"),
+    ("phi5_p3.json", False, "34f7e314ae7139d45e0403788169627da10a0640fb7b2e478f04ce08b6c2440e"),
+    ("phi5_p3.json", True, "c70cb3dd2fbb40347ebf91653c5814e26d063939c628b6553ffeb366f2569a82"),
+    ("s3.json", False, "a26d3415363341ada17d90a5d8d17e4c2c7b55aea612023fdf78795124fa8428"),
+    ("s3.json", True, "124904b7b4d5bc54b7a3c0442309023ebd38dd51ba7f05234c7f69c20fabdc97"),
+])
+def test_genfun_payload_is_pinned(capsys, spec, normalized, digest):
+    # A, B, their partial fractions and coefficients, byte for byte, for each shipped spec
+    argv = ["--json", "genfun", str(REPO_ROOT / "specs" / spec), "--partial-fractions",
+            "--coefficients", "4", *(["--normalized"] if normalized else [])]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    report = json.loads(out)
+    del report["timing"]
+    report["inputs"]["spec"] = spec
+    payload = json.dumps(report, indent=2, sort_keys=True).encode()
+    assert hashlib.sha256(payload).hexdigest() == digest
+
+
 def test_module_entry_point_runs_from_a_checkout():
     # `python -m conjgf` from an uninstalled checkout, with only src/ on the path
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -219,6 +242,9 @@ def test_bench_csv(capsys, tmp_path):
     # distinct non-central rows summed plus non-abelian nodes computed
     eq4_work = {(r["group"], int(r["work"])) for r in rows if r["strategy"] == "eq4_recursion"}
     assert eq4_work == {("D32", 10), ("Gamma5a1", 76), ("S4", 26)}
+    # the distinct centralizer orders, one term of A each
+    eq1_work = {(r["group"], int(r["work"])) for r in rows if r["strategy"] == "eq1_histogram"}
+    assert eq1_work == {("D32", 3), ("Gamma5a1", 2), ("S4", 4)}
 
 
 def test_bench_rejects_unknown_group(capsys):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conjgf import genfun
-from conjgf.analysis import center_elements, centralizer_histogram, commuting_cosets, conjugacy_data
+from conjgf.analysis import center_elements, commuting_cosets, conjugacy_data
 from conjgf.errors import RecursionDepthExceeded
 from conjgf.families import GAMMA_FAMILIES, PHI_FAMILIES, cyclic, stem_group, symmetric
 from conjgf.genfun import (
@@ -24,6 +24,7 @@ from conjgf.genfun import (
 )
 from conjgf.groups import LINE_BLOCK, GroupTable, quotient_table
 from conjgf.ratfun import RationalGF, gf_sum, partial_fractions
+from test_analysis import centralizer_orders
 
 F = Fraction
 
@@ -114,10 +115,26 @@ def test_abelian_b_is_single_pole(catalog):
 
 
 def test_alpha_equals_series_coefficient(catalog):
+    # slow path: alpha_n = sum over classes of |cls| |C(x)|^n / |G|, from the class data
     for label, g in catalog.items():
-        series = a_of_t(g).series(9)
+        cd = conjugacy_data(g)
         for n in range(9):
-            assert alpha_coefficient(g, n) == int(series[n]), label
+            total = sum(len(cls) * m**n for cls, m in zip(cd.classes, cd.centralizer_sizes))
+            assert total % g.order == 0, (label, n)
+            assert alpha_coefficient(g, n) == total // g.order, (label, n)
+
+
+def test_non_integral_coefficient_is_an_error():
+    # not a group: 1 and 2 do not commute, yet nothing else is wrong with the
+    # commuting block, so alpha_1 = (3 + 2 + 2)/3 and beta_1 = c_2/|G| = 7/3
+    mul = np.array([[0, 1, 2], [1, 2, 0], [2, 1, 0]], dtype=np.uint16)
+    g = GroupTable(3, mul, np.array([0, 2, 1], dtype=np.uint16), (1, 2), "not a group")
+    assert alpha_coefficient(g, 0) == beta_coefficient(g, 0) == 1
+    for coefficient in (alpha_coefficient, beta_coefficient):
+        with pytest.raises(ArithmeticError):
+            coefficient(g, 1)
+        with pytest.raises(ValueError):
+            coefficient(g, -1)
 
 
 def test_series_sanity_on_catalog(catalog):
@@ -235,10 +252,10 @@ def test_b_memory_and_cache_on_order_3125():
     assert peak <= 2 * g.order**2, peak
     # the block is R x R over G/Z(G), never n x n
     assert peak <= 6 * r**2, peak
-    # the only arrays kept on the table are the memoized R x R bool block and its R coset minima
+    # the only array kept on the table is the memoized R x R bool block
     kept = [a for v in g._cache.values() for a in (v if isinstance(v, tuple) else (v,))
             if isinstance(a, np.ndarray)]
-    assert [(a.shape, a.dtype) for a in kept] == [((r, r), np.dtype(bool)), ((r,), g.mul.dtype)], set(g._cache)
+    assert [(a.shape, a.dtype) for a in kept] == [((r, r), np.dtype(bool))], set(g._cache)
     assert b_of_t(g) == b_of_t(g0)
     # Z(S6) is trivial, so R = n: the table is compared with its transpose, never copied
     s6 = symmetric(6)
@@ -251,11 +268,10 @@ def test_commuting_block_of_groups(catalog):
     # the block on G/Z(G), read through each element's coset, is the whole commuting block
     sizes = set()
     for g in _relation_groups(catalog):
-        block, reps = commuting_cosets(g)
-        _, coset_minima, coset_of = quotient_table(g, center_elements(g))
-        assert reps.tolist() == list(coset_minima), g.label
+        block = commuting_cosets(g)
+        _, _, coset_of = quotient_table(g, center_elements(g))
         assert np.array_equal(block[np.ix_(coset_of, coset_of)], g.mul == g.mul.T), g.label
-        sizes.add((reps.size, reps.size == g.order))
+        sizes.add((len(block), len(block) == g.order))
     # the block is filled LINE_BLOCK rows at a time: R below it (Phi(3)), R not a
     # multiple of it (Phi(5)), and R = n, where nothing is gathered (S5, S6)
     assert {(81, False), (625, False), (120, True), (720, True)} <= sizes
@@ -269,7 +285,7 @@ def test_centralizer_histogram_against_classes(catalog):
         hist: dict[int, int] = {}
         for cls, m in zip(cd.classes, cd.centralizer_sizes):
             hist[m] = hist.get(m, 0) + len(cls)
-        assert centralizer_histogram(g) == hist, g.label
+        assert centralizer_orders(g) == hist, g.label
 
 
 @given(st.randoms(use_true_random=False))

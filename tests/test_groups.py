@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conjgf.analysis import (
     center_elements,
-    centralizer_histogram,
+    commuting_cosets,
     derived_subgroup,
     has_abelian_maximal_subgroup,
     nilpotency_class,
@@ -598,7 +598,7 @@ def _results(g: GroupTable, alpha_n: int = 2) -> dict:
     except QuotientTooLarge as exc:
         witness, verified = str(exc), None
     return {
-        "A": a_of_t(g), "B": b_of_t(g), "centralizers": centralizer_histogram(g),
+        "A": a_of_t(g), "B": b_of_t(g), "K": commuting_cosets(g).tolist(),
         "|Z|": len(z), "|G'|": len(derived_subgroup(g)), "class": nilpotency_class(g),
         "abelian maximal": root is not None and has_abelian_maximal_subgroup(g, root[0]),
         "G/Z": (q.mul.tolist(), q.inv.tolist(), q.generators, reps, coset_of.tolist()),
