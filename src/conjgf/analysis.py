@@ -1,22 +1,22 @@
 """Structural invariants of a group table.
 
-Conjugacy classes, the commuting relation on G/Z(G), centralizers, center,
-derived subgroup, lower central series, the AC-group test and whether a
-p-group has an abelian maximal subgroup, read from the commuting relation.
-Everything here is a pure function of an immutable GroupTable; results are
+Conjugacy classes, the cosets of Z(G) and their commuting relation, centralizers,
+center, derived subgroup, lower central series, the AC-group test and whether a
+p-group has an abelian maximal subgroup, read from the commuting relation.  All
+are pure functions of an immutable GroupTable; all but the coset products are
 memoized write-once on the table's private cache.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NotPrimePower
-from .groups import LINE_BLOCK, GroupTable, commutators, is_abelian_subset, memoized, normal_closure, orbit_labels
-from .pcp import is_prime, prime_power_root
+from .groups import (INDEX_DTYPE, LINE_BLOCK, GroupTable, commutators, is_abelian_subset, memoized,
+                     normal_closure, orbit_labels)
+from .pcp import prime_power_root
 
 
 @dataclass(frozen=True)
@@ -66,20 +66,29 @@ def center_elements(g: GroupTable) -> tuple[int, ...]:
     return tuple(int(v) for v in np.nonzero(mask)[0])
 
 
+def central_cosets(g: GroupTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(reps, coset_of, block) for the cosets of Z(G): the coset minima,
+    ascending; each element's coset index, as INDEX_DTYPE; and the products
+    block[i, j] = reps[i] reps[j].  With Z(G) trivial the block is `mul`
+    itself, uncopied.  Not memoized: of the block only K is kept."""
+    z = np.asarray(center_elements(g), dtype=np.intp)
+    # x z = z x: the minima are read along whole rows, not strided columns
+    reps, coset_of = np.unique(g.mul[z].min(axis=0), return_inverse=True)
+    coset_of = coset_of.astype(INDEX_DTYPE)
+    if reps.size == g.order:
+        return reps, coset_of, g.mul
+    block = np.empty((reps.size, reps.size), dtype=g.mul.dtype)
+    for lo in range(0, reps.size, LINE_BLOCK):  # whole rows, then their columns: faster than one 2-D gather
+        block[lo:lo + LINE_BLOCK] = g.mul.take(reps[lo:lo + LINE_BLOCK], axis=0).take(reps, axis=1)
+    return reps, coset_of, block
+
+
 @memoized
 def commuting_cosets(g: GroupTable) -> np.ndarray:
-    """K: K[i, j] says whether the i-th and j-th cosets of Z(G), ordered by
-    their minima, commute, as x and y commute iff their cosets do.  With Z(G)
-    trivial, `mul` is compared with its own transpose, uncopied."""
-    z = np.asarray(center_elements(g), dtype=np.intp)
-    reps = np.unique(g.mul[z].min(axis=0))  # x z = z x: whole rows, not strided columns
-    if reps.size == g.order:
-        sub = g.mul
-    else:  # LINE_BLOCK whole rows, then their columns: faster than one 2-D gather
-        sub = np.empty((reps.size, reps.size), dtype=g.mul.dtype)
-        for lo in range(0, reps.size, LINE_BLOCK):
-            sub[lo:lo + LINE_BLOCK] = g.mul.take(reps[lo:lo + LINE_BLOCK], axis=0).take(reps, axis=1)
-    return sub == sub.T
+    """K: K[i, j] says whether the i-th and j-th cosets of Z(G) commute, as x
+    and y commute iff their cosets do."""
+    block = central_cosets(g)[2]
+    return block == block.T
 
 
 def packed_rows(block: np.ndarray) -> np.ndarray:
@@ -130,10 +139,6 @@ def element_orders(g: GroupTable) -> np.ndarray:
     return orders
 
 
-def exponent(g: GroupTable) -> int:
-    return int(math.lcm(*(int(v) for v in np.unique(element_orders(g)))))
-
-
 def is_ac_group(g: GroupTable) -> bool:
     """True iff every non-central element has an abelian centralizer."""
     zset = set(center_elements(g))
@@ -145,7 +150,7 @@ def is_ac_group(g: GroupTable) -> bool:
     return True
 
 
-def has_abelian_maximal_subgroup(g: GroupTable, p: int) -> bool:
+def has_abelian_maximal_subgroup(g: GroupTable) -> bool:
     """Some maximal subgroup of the p-group G is abelian.
 
     Such an M of a non-abelian G contains Z(G), or M Z(G) = G would be
@@ -156,16 +161,14 @@ def has_abelian_maximal_subgroup(g: GroupTable, p: int) -> bool:
     C_G(y); R/p - 1 of them are all of its non-central cosets, which then
     commute with all of C_G(x): it is an abelian subgroup of index p.
     """
-    if not is_prime(p):
-        raise NotPrimePower(f"{p} is not prime")
     if g.order == 1:
         return False
     root = prime_power_root(g.order)
-    if root is None or root[0] != p:
-        raise NotPrimePower(f"order {g.order} is not a power of {p}")
+    if root is None:
+        raise NotPrimePower(f"order {g.order} is not a prime power")
     block = commuting_cosets(g)
     if len(block) == 1:
         return True
-    size = len(block) // p
+    size = len(block) // root[0]
     _, repeats = np.unique(packed_rows(block[block.sum(axis=1) == size]), return_counts=True)
     return bool((repeats == size - 1).any())

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -344,7 +345,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report.timing["seconds"] = time.perf_counter() - t0
-    print(report.to_json() if args.json else report.render())
+    try:
+        print(report.to_json() if args.json else report.render(), flush=True)
+    except BrokenPipeError:
+        # the reader has gone: the rest goes to devnull, so the exit flush cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0 if report.ok else 1
 
 

@@ -205,7 +205,7 @@ def _check_fingerprint(g: GroupTable, spec: FamilySpec) -> GroupTable:
             f"{spec.family}(p={spec.p}): built (order,|Z|,|G'|,class)={got}, expected {want}"
         )
     if spec.has_abelian_maximal is not None:
-        flag = has_abelian_maximal_subgroup(g, prime_power_root(g.order)[0])
+        flag = has_abelian_maximal_subgroup(g)
         if flag != spec.has_abelian_maximal:
             raise FingerprintMismatch(
                 f"{spec.family}(p={spec.p}): built abelian-maximal-subgroup flag {flag}, "

@@ -1,4 +1,4 @@
-"""Element-indexed finite groups: construction, validation, subgroups, quotients.
+"""Element-indexed finite groups: construction, validation, subgroups.
 
 A group is materialized as a full multiplication table over element indices
 0..order-1 with the identity fixed at index 0, stored as INDEX_DTYPE.  Tables
@@ -156,34 +156,6 @@ def induced_table(g: GroupTable, elements: Sequence[int], label: str = "") -> Gr
     gens = minimal_generating_indices(sub)
     sub.generators = gens if gens else (0,)
     return sub
-
-
-def quotient_table(
-    g: GroupTable, normal_elements: Sequence[int], label: str = ""
-) -> tuple[GroupTable, tuple[int, ...], np.ndarray]:
-    """Quotient by a normal subgroup.
-
-    Returns (quotient table, coset representatives, coset index of each parent
-    element).  Cosets are represented by their smallest member and ordered by
-    that representative, so the construction is deterministic.
-    """
-    nset = np.asarray(sorted(int(x) for x in normal_elements), dtype=np.intp)
-    coset_min = g.mul[:, nset].min(axis=1)
-    reps, coset_of = np.unique(coset_min, return_inverse=True)
-    coset_of = coset_of.astype(INDEX_DTYPE)
-    q = len(reps)
-    mul = coset_of[g.mul[np.ix_(reps, reps)]]
-    inv = coset_of[g.inv[reps]]
-    table = GroupTable(
-        order=q,
-        mul=mul,
-        inv=inv,
-        generators=(),
-        label=label or f"{g.label}/N{len(nset)}",
-    )
-    gens = tuple(dict.fromkeys(int(coset_of[s]) for s in g.generators if coset_of[s] != 0))
-    table.generators = gens if gens else (0,)
-    return table, tuple(int(r) for r in reps), coset_of
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import center_elements, commuting_cosets, derived_subgroup, element_orders
+from .analysis import center_elements, central_cosets, commuting_cosets, derived_subgroup, element_orders
 from .errors import QuotientTooLarge
-from .groups import LINE_BLOCK, GroupTable, commutators, memoized, minimal_generating_indices, quotient_table
+from .groups import LINE_BLOCK, GroupTable, commutators, memoized, minimal_generating_indices
 
 DEFAULT_QUOTIENT_CAP = 256
 
@@ -71,14 +71,20 @@ class IsoclinismWitness:
 
 
 @memoized
-def _central_quotient(g: GroupTable):
-    return quotient_table(g, center_elements(g), label=f"{g.label}/Z")
+def _central_quotient(g: GroupTable) -> tuple[GroupTable, tuple[int, ...], np.ndarray]:
+    """(Q = G/Z(G), the coset minima, each element's coset index) from `central_cosets`;
+    Q is generated by the distinct non-identity images of g's generators."""
+    reps, coset_of, block = central_cosets(g)
+    gens = tuple(dict.fromkeys(int(coset_of[s]) for s in g.generators if coset_of[s] != 0))
+    q = GroupTable(order=reps.size, mul=coset_of[block], inv=coset_of[g.inv[reps]],
+                   generators=gens or (0,), label=f"{g.label}/Z")
+    return q, tuple(reps.tolist()), coset_of
 
 
 def _element_invariants(g: GroupTable) -> list[tuple[int, int, int]]:
     """(order in Q, class size in Q, |G : C_G(x)|) for each element of
-    Q = G/Z(G).  Row i of `commuting_cosets` is quotient element i (both order
-    the cosets by their minima), and |G : C_G(x)| = |Q| / its row sum."""
+    Q = G/Z(G).  Row i of `commuting_cosets` is quotient element i, as both
+    are read from `central_cosets`, and |G : C_G(x)| = |Q| / its row sum."""
     q = _central_quotient(g)[0]
     orders = element_orders(q)
     class_size = q.order // (q.mul == q.mul.T).sum(axis=1)
@@ -88,9 +94,9 @@ def _element_invariants(g: GroupTable) -> list[tuple[int, int, int]]:
 
 @memoized
 def _coset_commutators(g: GroupTable) -> np.ndarray:
-    """C[a, b] = [reps[a], reps[b]] on the minima of the cosets of Z(G)."""
-    reps = np.asarray(_central_quotient(g)[1], dtype=np.intp)
-    return commutators(g, reps, reps)
+    """C[a, b] = [x, y] = (yx)^-1 xy on the minima x, y of the a-th and b-th cosets of Z(G)."""
+    block = central_cosets(g)[2]
+    return g.mul[g.inv[block.T], block]
 
 
 def _extend(mul1: np.ndarray, mul2: np.ndarray, pairs) -> list[int] | None:

@@ -12,7 +12,6 @@ from conjgf.analysis import (
     conjugacy_data,
     derived_subgroup,
     element_orders,
-    exponent,
     has_abelian_maximal_subgroup,
     is_ac_group,
     lower_central_series,
@@ -35,10 +34,10 @@ from conjgf.groups import (
     build_from_permutations,
     inverses,
     is_abelian_subset,
-    quotient_table,
     subgroup_closure,
 )
 from conjgf.pcp import prime_power_root
+from test_groups import quotient_table
 
 
 def frattini_elements(g, p):
@@ -294,26 +293,18 @@ def test_maximal_subgroups(catalog):
     subs = maximal_subgroups(g, 2)
     assert len(subs) == 3
     assert all(len(s) == 4 for s in subs)
-    assert has_abelian_maximal_subgroup(g, 2)
+    assert has_abelian_maximal_subgroup(g)
     with pytest.raises(NotPrimePower):
-        has_abelian_maximal_subgroup(catalog["S3"], 2)
-
-
-@pytest.mark.parametrize("p", [0, 1, 4])
-def test_maximal_subgroups_need_a_prime(p):
-    # p = 1 used to loop forever, p = 0 to divide by zero, p = 4 to answer for C4
-    for g in (cyclic(1), dihedral(8), cyclic(4)):
-        with pytest.raises(NotPrimePower):
-            has_abelian_maximal_subgroup(g, p)
+        has_abelian_maximal_subgroup(catalog["S3"])
 
 
 def test_abelian_maximal_flag_edges():
     # the trivial group has no maximal subgroup; in an abelian p-group every one is abelian
+    assert not has_abelian_maximal_subgroup(cyclic(1))
     for p in (2, 3, 5):
-        assert not has_abelian_maximal_subgroup(cyclic(1), p)
         assert maximal_subgroups(cyclic(p), p) == [(0,)]
         for g in (cyclic(p), elementary_abelian(p, 3)):
-            assert has_abelian_maximal_subgroup(g, p), g.label
+            assert has_abelian_maximal_subgroup(g), g.label
 
 
 def test_abelian_maximal_flag_matches_enumeration(catalog):
@@ -322,7 +313,7 @@ def test_abelian_maximal_flag_matches_enumeration(catalog):
     for seed, (g0, p) in enumerate(_p_groups(catalog)):
         for g in (g0, _relabelled(g0, seed)):
             want = any(is_abelian_subset(g, sub) for sub in maximal_subgroups(g, p))
-            assert has_abelian_maximal_subgroup(g, p) == want, g.label
+            assert has_abelian_maximal_subgroup(g) == want, g.label
 
 
 def test_maximal_subgroup_generators_against_blocks(catalog):
@@ -351,12 +342,6 @@ def test_maximal_class_p_series_sizes(catalog):
         assert nilpotency_class(g) == m - 1, g.label
         assert [len(term) for term in series[1:]] == [p ** (m - i) for i in range(2, m + 1)], g.label
         assert len(center_elements(g)) == p, g.label
-
-
-def test_exponent(catalog):
-    assert exponent(catalog["Q8"]) == 4
-    assert exponent(catalog["C12"]) == 12
-    assert exponent(stem_group("Phi5", 3)) == 3
 
 
 def _permutation_catalog(monkeypatch) -> list[tuple[GroupTable, list[tuple[int, ...]]]]:

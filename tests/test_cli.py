@@ -52,6 +52,15 @@ def test_genfun_gamma3_partial_fractions(capsys, gamma3_spec):
     assert payload["results"]["A"]["numerator"] == ["1", "-21", "92"]
 
 
+def test_closed_pipe_exits_quietly(monkeypatch, gamma3_spec):
+    # a stdout whose reader has gone: each write raises BrokenPipeError
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(["genfun", gamma3_spec, "--partial-fractions"]) == 0
+
+
 def test_genfun_abelian_both(capsys, tmp_path):
     spec = write_spec(tmp_path, "c7.json", {"kind": "family", "name": "abelian", "p": 7})
     code, out = run_cli(capsys, "--json", "genfun", spec, "--which", "both")

@@ -30,6 +30,7 @@ from conjgf.families import (
     symmetric,
 )
 from conjgf.groups import certify
+from test_groups import quotient_table
 from test_isoclinism import stem_order
 
 
@@ -62,8 +63,6 @@ def test_gamma5_extraspecial():
     z = center_elements(g)
     assert len(z) == 2
     assert set(derived_subgroup(g)) == set(z)
-    from conjgf.groups import quotient_table
-
     q, _, _ = quotient_table(g, z)
     assert (q.mul == q.mul.T).all() and (element_orders(q) <= 2).all()
 
@@ -75,8 +74,6 @@ def test_phi2_central_quotient():
 
 
 def test_phi5_quotient_elementary_abelian():
-    from conjgf.groups import quotient_table
-
     g = stem_group("Phi5", 3)
     z = center_elements(g)
     assert len(z) == 3

@@ -22,9 +22,10 @@ from conjgf.genfun import (
     gf_equal,
     normalize,
 )
-from conjgf.groups import LINE_BLOCK, GroupTable, quotient_table
+from conjgf.groups import LINE_BLOCK, GroupTable
 from conjgf.ratfun import RationalGF, gf_sum, partial_fractions
 from test_analysis import centralizer_orders
+from test_groups import quotient_table
 
 F = Fraction
 

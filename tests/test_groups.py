@@ -27,15 +27,29 @@ from conjgf.groups import (
     induced_table,
     inverses,
     minimal_generating_indices,
-    quotient_table,
     subgroup_closure,
 )
 from conjgf.genfun import a_of_t, b_of_t
-from conjgf.isoclinism import are_isoclinic
+from conjgf.isoclinism import _central_quotient, are_isoclinic
 from conjgf.oracle import alpha_brute, beta_brute
 from conjgf.pcp import prime_power_root
 
 S3_GENS = [(1, 2, 0), (1, 0, 2)]
+
+
+def quotient_table(g: GroupTable, normal_elements) -> tuple[GroupTable, tuple[int, ...], np.ndarray]:
+    """Reference: the quotient by a normal subgroup, as (table, coset minima,
+    coset index of each element).  Cosets are ordered by their smallest
+    member, read as column minima of `mul` over the subgroup; the quotient is
+    generated by the distinct non-identity images of g's generators."""
+    nset = np.asarray(sorted(int(x) for x in normal_elements), dtype=np.intp)
+    reps, coset_of = np.unique(g.mul[:, nset].min(axis=1), return_inverse=True)
+    coset_of = coset_of.astype(groups.INDEX_DTYPE)
+    gens = tuple(dict.fromkeys(int(coset_of[s]) for s in g.generators if coset_of[s] != 0))
+    table = GroupTable(order=len(reps), mul=coset_of[g.mul[np.ix_(reps, reps)]], inv=coset_of[g.inv[reps]],
+                       generators=gens or (0,), label=f"{g.label}/N{len(nset)}")
+    return table, tuple(int(r) for r in reps), coset_of
+
 
 # 6x6 Latin square with identity and two-sided inverses that is not associative
 NONASSOC_LOOP = [
@@ -227,9 +241,7 @@ def test_induced_table_is_group(catalog):
 
 def test_quotient_table_by_center(catalog):
     g = catalog["Q8"]
-    from conjgf.analysis import center_elements
-
-    q, reps, coset_of = quotient_table(g, center_elements(g))
+    q, reps, coset_of = _central_quotient(g)
     assert q.order == 4
     assert certify(q).ok
     assert (q.mul == q.mul.T).all()  # Q8 / Z = Klein four-group
@@ -244,7 +256,7 @@ def test_order_cap_fits_the_index_type():
 
 def test_built_tables_use_the_index_type(catalog):
     d16 = catalog["D16"]  # closed from permutations
-    q, _, coset_of = quotient_table(d16, center_elements(d16))
+    q, _, coset_of = _central_quotient(d16)
     sub = induced_table(d16, subgroup_closure(d16, d16.generators[:1]))
     tables = [d16, catalog["Q8"], stem_group("Phi5", 3), q, sub, build_from_cayley(d16.mul.tolist())]
     for g in tables:
@@ -590,7 +602,7 @@ def test_certify_reports_equal_at_int32_and_uint16(catalog):
 def _results(g: GroupTable, alpha_n: int = 2) -> dict:
     """Everything downstream of a table that does arithmetic on its entries."""
     z = center_elements(g)
-    q, reps, coset_of = quotient_table(g, z)
+    q, reps, coset_of = _central_quotient(g)
     root = prime_power_root(g.order)
     try:
         witness = are_isoclinic(g, g)
@@ -600,7 +612,7 @@ def _results(g: GroupTable, alpha_n: int = 2) -> dict:
     return {
         "A": a_of_t(g), "B": b_of_t(g), "K": commuting_cosets(g).tolist(),
         "|Z|": len(z), "|G'|": len(derived_subgroup(g)), "class": nilpotency_class(g),
-        "abelian maximal": root is not None and has_abelian_maximal_subgroup(g, root[0]),
+        "abelian maximal": root is not None and has_abelian_maximal_subgroup(g),
         "G/Z": (q.mul.tolist(), q.inv.tolist(), q.generators, reps, coset_of.tolist()),
         "alpha": [alpha_brute(g, n).count for n in range(alpha_n + 1)],
         "beta": [beta_brute(g, n).count for n in range(3)],

@@ -11,18 +11,20 @@ from hypothesis import strategies as st
 from conjgf import isoclinism
 from conjgf.analysis import center_elements, commuting_cosets, derived_subgroup
 from conjgf.errors import QuotientTooLarge
-from conjgf.families import PHI_FAMILIES, cyclic, dihedral, stem_group
+from conjgf.families import PHI_FAMILIES, cyclic, dihedral, stem_group, symmetric
 from conjgf.genfun import a_of_t, b_of_t, normalize
-from conjgf.groups import GroupTable, inverses, subgroup_closure
+from conjgf.groups import GroupTable, certify, commutators, inverses, subgroup_closure
 from conjgf.isoclinism import (
     IsoclinismWitness,
     _central_quotient,
+    _coset_commutators,
     _derive_phi,
     _element_invariants,
     _iso_images,
     are_isoclinic,
 )
 from conjgf.pcp import PcPresentation, build_from_pcp
+from test_groups import quotient_table
 
 
 def _relabelled(g: GroupTable, perm: np.ndarray) -> GroupTable:
@@ -170,13 +172,13 @@ def test_semidihedral_isoclinic_to_dihedral(catalog):
 def test_both_nonabelian_order_27_groups_isoclinic(catalog):
     # the rank-3 family contains two isomorphism types of order-27 stem
     # groups (exponent 3 and exponent 9); they share A, B and the table row
-    from conjgf.analysis import exponent
+    from conjgf.analysis import element_orders
     from conjgf.closed_forms import table_row
     from conjgf.genfun import normalize
 
     exp9 = _exp9()
     heis = catalog["Heis27"]
-    assert exponent(exp9) == 9 and exponent(heis) == 3
+    assert element_orders(exp9).max() == 9 and element_orders(heis).max() == 3
     assert stem_order(exp9) == 27
     w = are_isoclinic(exp9, heis)
     assert w is not None and w.verify(exp9, heis)
@@ -283,6 +285,26 @@ def test_commuting_cosets_rows_are_quotient_elements(catalog):
         for x in range(g.order):
             centralizer = np.count_nonzero(g.mul[x] == g.mul[:, x])
             assert lifted[coset_of[x]] == g.order // centralizer, (g.label, x)
+
+
+def test_central_quotient_and_coset_commutators_match_the_reference(catalog):
+    # Q, its coset minima and coset indices, and C, all read from one block of
+    # coset-minimum products, against the generic quotient and commutator gather;
+    # Z(S5) and Z(S6) are trivial, so there the block is `mul` itself
+    groups = [*catalog.values(), symmetric(5), symmetric(6)]
+    groups += [stem_group(f, p) for p in (3, 5) for f in PHI_FAMILIES]
+    for seed, g0 in enumerate(groups):
+        perm = np.concatenate(([0], 1 + np.random.default_rng(seed).permutation(g0.order - 1)))
+        for g in (g0, _relabelled(g0, perm)):
+            q, reps, coset_of = _central_quotient(g)
+            want, want_reps, want_coset_of = quotient_table(g, center_elements(g))
+            assert (q.order, q.generators, reps) == (want.order, want.generators, want_reps), g.label
+            assert certify(q).ok, g.label
+            r = np.asarray(reps, dtype=np.intp)
+            pairs = [(q.mul, want.mul), (q.inv, want.inv), (coset_of, want_coset_of),
+                     (_coset_commutators(g), commutators(g, r, r))]
+            for got, ref in pairs:
+                assert got.dtype == ref.dtype and np.array_equal(got, ref), g.label
 
 
 def test_derive_phi_rejects_a_quotient_isomorphism(monkeypatch):
