@@ -36,9 +36,8 @@ from .groups import certify
 from .groupspec import load_group_spec
 from .isoclinism import are_isoclinic
 from .oracle import alpha_brute, beta_brute
+from .pcp import is_prime
 from .ratfun import partial_fractions
-
-VERIFY_PRIMES = (2,) + families.CATALOG_PHI_PRIMES
 
 
 @dataclass
@@ -148,20 +147,14 @@ def cmd_certify(args) -> RunReport:
     return report
 
 
-def _admissible_families(p: int) -> list[str]:
-    if p == 2:
-        return ["abelian"] + list(families.GAMMA_FAMILIES)
-    return ["abelian"] + list(families.PHI_FAMILIES)
-
-
 def cmd_verify_table(args) -> RunReport:
     primes = args.p or [2, 3]
     report = RunReport("verify-table", {"primes": primes})
     for p in primes:
-        if p not in VERIFY_PRIMES:
-            report.check(f"p={p} admissible", False, f"p in {VERIFY_PRIMES}", p)
+        if not is_prime(p):
+            report.check(f"p={p} prime", False, "a prime", p)
             continue
-        for family in _admissible_families(p):
+        for family in ("abelian",) + (families.GAMMA_FAMILIES if p == 2 else families.PHI_FAMILIES):
             name = f"{family}(p={p})"
             try:
                 g = families.build_stem_group(family, p)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InvalidParameters
-from .families import GAMMA_FAMILIES, PHI_FAMILIES
+from .families import family_spec
 from .pcp import EXACT_PRIME_LIMIT, is_prime
 from .ratfun import RationalGF, gf_sum
 
@@ -296,16 +296,9 @@ def _eval_row(row: Row, p: Fraction) -> RationalGF:
 
 def table_row(family: str, p: int) -> tuple[RationalGF, RationalGF]:
     """The Table-1 pair (normalized A, normalized B) for a family at prime p."""
-    if family not in TABLE_ROWS:
-        raise InvalidParameters(f"unknown family {family!r}")
     _require(p < EXACT_PRIME_LIMIT,
              f"p = {p} is not below {EXACT_PRIME_LIMIT}, where primality is decided exactly")
-    if family in GAMMA_FAMILIES:
-        _require(p == 2, f"{family} is a family of 2-groups; p must be 2")
-    elif family in PHI_FAMILIES:
-        _require(is_prime(p) and p % 2 == 1, f"{family} needs an odd prime, got {p}")
-    else:
-        _require(p >= 1, "parameter must be positive")
+    family_spec(family, p)
     a_row, b_row = TABLE_ROWS[family]
     P = Fraction(p)
     return _eval_row(a_row, P), _eval_row(b_row, P)

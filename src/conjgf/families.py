@@ -27,13 +27,11 @@ from .analysis import (
 )
 from .errors import FingerprintMismatch, InvalidParameters
 from .groups import GroupTable, build_from_permutations, check_order_cap
-from .pcp import PcPresentation, build_from_pcp, prime_power_root
+from .pcp import PcPresentation, build_from_pcp, is_prime, prime_power_root
 
 PHI_FAMILIES = tuple(f"Phi{k}" for k in range(2, 11))
 GAMMA_FAMILIES = tuple(f"Gamma{k}" for k in range(2, 9))
 ALL_FAMILIES = ("abelian",) + PHI_FAMILIES + GAMMA_FAMILIES
-
-CATALOG_PHI_PRIMES = (3, 5)
 
 
 @dataclass(frozen=True)
@@ -177,19 +175,17 @@ _FINGERPRINTS: dict[str, tuple] = {
 
 
 def family_spec(family: str, p: int) -> FamilySpec:
+    """The one (family, p) rule; the order cap refuses a group too large to build."""
     if family == "abelian":
         if p < 1:
             raise InvalidParameters("abelian family parameter must be a positive order")
         return FamilySpec("abelian", p, p, p, 1, 0 if p == 1 else 1, None)
+    if family not in _FINGERPRINTS:
+        raise InvalidParameters(f"unknown family {family!r}")
     if family in GAMMA_FAMILIES and p != 2:
         raise InvalidParameters(f"{family} is a family of 2-groups; p must be 2")
-    if family in PHI_FAMILIES and p not in CATALOG_PHI_PRIMES:
-        raise InvalidParameters(
-            f"{family} needs one of the catalog primes {CATALOG_PHI_PRIMES}, got {p}: "
-            "other odd primes stay under the order cap only by accident"
-        )
-    if family not in GAMMA_FAMILIES + PHI_FAMILIES:
-        raise InvalidParameters(f"unknown family {family!r}")
+    if family in PHI_FAMILIES and (p % 2 == 0 or not is_prime(p)):
+        raise InvalidParameters(f"{family} needs an odd prime, got {p}")
     rank, z, d, cls, abmax = _FINGERPRINTS[family]
     return FamilySpec(family, p, p**rank, p**z, p**d, cls, abmax)
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ClosureExceedsCap, InvalidPermutation, NotAGroup
 
-DEFAULT_ORDER_CAP = 10_000
+DEFAULT_ORDER_CAP = 16_807  # 7^5: every group of order p^5 for p <= 7
 # The element index of every table built here.  It holds every index below the
 # cap, but arithmetic with a Python int stays in it and wraps past 65535, so
 # any product or offset of entries that can pass the order is widened first.

@@ -94,9 +94,10 @@ def _element_invariants(g: GroupTable) -> list[tuple[int, int, int]]:
 
 @memoized
 def _coset_commutators(g: GroupTable) -> np.ndarray:
-    """C[a, b] = [x, y] = (yx)^-1 xy on the minima x, y of the a-th and b-th cosets of Z(G)."""
-    block = central_cosets(g)[2]
-    return g.mul[g.inv[block.T], block]
+    """C[a, b] = [x, y] on the minima x, y of the a-th and b-th cosets of Z(G),
+    gathered from `mul` at the minima `_central_quotient` already found."""
+    reps = np.asarray(_central_quotient(g)[1], dtype=np.intp)
+    return commutators(g, reps, reps)
 
 
 def _extend(mul1: np.ndarray, mul2: np.ndarray, pairs) -> list[int] | None:

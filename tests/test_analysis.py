@@ -399,3 +399,19 @@ def test_permutation_groups_match_sympy(monkeypatch):
         assert series == [term.order() for term in group.lower_central_series()], g.label
         checked.add(g.label)
     assert {"S3", "S4", "D8", "D12", "SD32", "C4xC2"} <= checked
+
+
+def test_pc_groups_match_sympy_by_regular_representation(catalog):
+    # the pc-built catalog groups have no permutations to give sympy; the rows
+    # g.mul[s] of the generators, x -> sx, are their left regular representation
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    for label in ("Q8", "Q16", "Q32", "Heis27", "Gamma4a2", "Gamma5a1", "Gamma6a1", "Gamma7a1"):
+        g = catalog[label]
+        group = combinatorics.PermutationGroup(
+            [combinatorics.Permutation(g.mul[s].tolist()) for s in g.generators])
+        ours = (g.order, len(center_elements(g)), len(derived_subgroup(g)),
+                [len(term) for term in lower_central_series(g)], list(conjugacy_data(g).class_equation))
+        theirs = (group.order(), group.center().order(), group.derived_subgroup().order(),
+                  [term.order() for term in group.lower_central_series()],
+                  sorted(len(cls) for cls in group.conjugacy_classes()))
+        assert ours == theirs, label

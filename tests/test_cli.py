@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from conjgf import families
 from conjgf.cli import main
 from conjgf.families import stem_group
 from test_groups import NONASSOC_LOOP
@@ -192,11 +193,23 @@ def test_module_entry_point_runs_from_a_checkout():
     assert json.loads(proc.stdout)["results"]["rows_failed"] == 0
 
 
-def test_verify_table_rejects_large_prime(capsys):
-    code, out = run_cli(capsys, "--json", "verify-table", "--p", "7")
+def test_verify_table_rejects_large_prime(capsys, monkeypatch):
+    # p = 13: the abelian and Phi2 rows verify, and each group of order 13^4 or
+    # 13^5 is refused by the order cap before its table is built
+    code, out = run_cli(capsys, "--json", "verify-table", "--p", "13")
     assert code == 1
-    payload = json.loads(out)
-    assert payload["checks"][0]["passed"] is False
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks["abelian(p=13) A"]["passed"] and checks["Phi2(p=13) B"]["passed"]
+    assert "ClosureExceedsCap" in checks["Phi3(p=13)"]["actual"]
+    assert len(checks) == 2 * 2 + 8
+    # p = 9 is not prime: one failed check, and no stem group is built
+    built = []
+    monkeypatch.setattr(families, "build_stem_group", lambda *args: built.append(args))
+    code, out = run_cli(capsys, "--json", "verify-table", "--p", "9")
+    assert code == 1
+    assert json.loads(out)["checks"] == [
+        {"name": "p=9 prime", "passed": False, "expected": "a prime", "actual": "9"}]
+    assert built == []
 
 
 def test_equiv_modes(capsys, tmp_path):

@@ -33,19 +33,30 @@ def _names_read(node: ast.AST) -> set[str]:
             | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)})
 
 
+def _constants_assigned(stmt: ast.stmt) -> set[str]:
+    """The UPPER_CASE module-level names a statement assigns."""
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, ast.AnnAssign):
+        targets = [stmt.target]
+    else:
+        return set()
+    return {t.id for t in targets if isinstance(t, ast.Name) and t.id.isupper()}
+
+
 def test_every_src_name_has_a_caller():
-    # no API that only tests call: each top-level function and class in src/conjgf
-    # is read in src/conjgf or perfbench outside its own definition, or exported
+    # no API that only tests call: each top-level function, class and UPPER_CASE
+    # constant in src/conjgf is read in src/conjgf or perfbench outside its own
+    # definition, or exported
     defined: dict[str, str] = {}
     read: set[str] = set()
     src = sorted((REPO_ROOT / "src" / "conjgf").glob("*.py"))
     for path in src + sorted((REPO_ROOT / "perfbench").glob("*.py")):
         for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
             names = _names_read(stmt)
-            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-                if path in src:
-                    defined[stmt.name] = path.name
-                names.discard(stmt.name)
-            read |= names
+            own = {stmt.name} if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else _constants_assigned(stmt)
+            if path in src:
+                defined.update(dict.fromkeys(own, path.name))
+            read |= names - own
     unread = {name: where for name, where in defined.items() if name not in read | set(conjgf.__all__)}
     assert unread == {}

@@ -17,6 +17,7 @@ from conjgf.families import (
     ALL_FAMILIES,
     GAMMA_FAMILIES,
     PHI_FAMILIES,
+    _phi_presentation,
     abelian_group,
     build_stem_group,
     cyclic,
@@ -29,6 +30,8 @@ from conjgf.families import (
     stem_group,
     symmetric,
 )
+from conjgf.closed_forms import table_row
+from conjgf.genfun import a_of_t, b_of_t, normalize
 from conjgf.groups import certify
 from test_groups import quotient_table
 from test_isoclinism import stem_order
@@ -112,13 +115,33 @@ def test_named_group_dispatch():
         named_group("elementary_abelian", 12)
 
 
+def test_order_cap_admits_every_rank_5_group_at_p_7():
+    assert groups.DEFAULT_ORDER_CAP == 7**5
+    # a presentation validates itself and checks the cap on construction; nothing is built
+    for family in PHI_FAMILIES:
+        assert _phi_presentation(family, 7).compiled_order() == family_spec(family, 7).order
+        if family in ("Phi2", "Phi3"):  # 11^3 and 11^4 stay under the cap
+            assert _phi_presentation(family, 11).compiled_order() == family_spec(family, 11).order
+        else:
+            with pytest.raises(ClosureExceedsCap):
+                _phi_presentation(family, 11)
+
+
+def test_small_stem_groups_at_p_7_match_the_table():
+    # orders 343 and 2401: the rank-5 groups at p = 7 are left to `verify-table --p 7`
+    for family in ("Phi2", "Phi3"):
+        g = build_stem_group(family, 7)
+        assert g.order == family_spec(family, 7).order
+        assert (normalize(a_of_t(g), g.order), normalize(b_of_t(g), g.order)) == table_row(family, 7)
+
+
 def test_invalid_family_parameters():
     with pytest.raises(InvalidParameters):
         stem_group("Gamma3", 3)
     with pytest.raises(InvalidParameters):
         stem_group("Phi5", 2)
     with pytest.raises(InvalidParameters):
-        stem_group("Phi5", 7)  # outside the catalog primes
+        stem_group("Phi5", 9)  # not a prime
     with pytest.raises(InvalidParameters):
         stem_group("Phi1", 3)
     with pytest.raises(InvalidParameters):
@@ -164,8 +187,6 @@ def test_family_spec_shapes():
 
 
 def test_maximal_class_trio_same_functions(catalog):
-    from conjgf.genfun import a_of_t, b_of_t
-
     for n, labels in ((16, ("D16", "SD16", "Q16")), (32, ("D32", "SD32", "Q32"))):
         groups = [catalog[lbl] for lbl in labels]
         a0, b0 = a_of_t(groups[0]), b_of_t(groups[0])
@@ -201,7 +222,8 @@ def test_oversized_requests_fail_before_building():
 
     huge = 2**89 - 1
     for build in (
-        lambda: group_from_spec({"kind": "family", "name": "cyclic", "p": 12000}),
+        lambda: group_from_spec({"kind": "family", "name": "cyclic", "p": groups.DEFAULT_ORDER_CAP + 1}),
+        lambda: stem_group("Phi5", 11),
         lambda: stem_group("abelian", 10**12),
         lambda: abelian_group((10**6, 10**6)),
         lambda: dihedral(10**12),

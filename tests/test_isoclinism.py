@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conjgf import isoclinism
-from conjgf.analysis import center_elements, commuting_cosets, derived_subgroup
+from conjgf import analysis, isoclinism
+from conjgf.analysis import center_elements, central_cosets, commuting_cosets, derived_subgroup
 from conjgf.errors import QuotientTooLarge
 from conjgf.families import PHI_FAMILIES, cyclic, dihedral, stem_group, symmetric
 from conjgf.genfun import a_of_t, b_of_t, normalize
-from conjgf.groups import GroupTable, certify, commutators, inverses, subgroup_closure
+from conjgf.groups import GroupTable, certify, inverses, subgroup_closure
 from conjgf.isoclinism import (
     IsoclinismWitness,
     _central_quotient,
@@ -288,9 +288,10 @@ def test_commuting_cosets_rows_are_quotient_elements(catalog):
 
 
 def test_central_quotient_and_coset_commutators_match_the_reference(catalog):
-    # Q, its coset minima and coset indices, and C, all read from one block of
-    # coset-minimum products, against the generic quotient and commutator gather;
-    # Z(S5) and Z(S6) are trivial, so there the block is `mul` itself
+    # Q, its coset minima and coset indices, read from one block of coset-minimum
+    # products, and C, gathered at those minima, against the generic quotient and
+    # (yx)^-1 xy read from the table; Z(S5) and Z(S6) are trivial, so there the
+    # block is `mul` itself
     groups = [*catalog.values(), symmetric(5), symmetric(6)]
     groups += [stem_group(f, p) for p in (3, 5) for f in PHI_FAMILIES]
     for seed, g0 in enumerate(groups):
@@ -302,9 +303,25 @@ def test_central_quotient_and_coset_commutators_match_the_reference(catalog):
             assert certify(q).ok, g.label
             r = np.asarray(reps, dtype=np.intp)
             pairs = [(q.mul, want.mul), (q.inv, want.inv), (coset_of, want_coset_of),
-                     (_coset_commutators(g), commutators(g, r, r))]
+                     (_coset_commutators(g), g.mul[g.inv[g.mul[r, r[:, None]]], g.mul[r[:, None], r]])]
             for got, ref in pairs:
                 assert got.dtype == ref.dtype and np.array_equal(got, ref), g.label
+
+
+def test_isoclinism_search_builds_the_coset_block_twice_per_group(monkeypatch):
+    # one build for G/Z(G) and its coset commutators, one for K
+    calls = []
+
+    def spy(g):
+        calls.append(g.label)
+        return central_cosets(g)
+
+    monkeypatch.setattr(isoclinism, "central_cosets", spy)
+    monkeypatch.setattr(analysis, "central_cosets", spy)
+    g0 = stem_group("Phi7", 3)
+    g, h = (GroupTable(g0.order, g0.mul, g0.inv, g0.generators, label) for label in ("G", "H"))
+    assert are_isoclinic(g, h) is not None
+    assert sorted(calls) == ["G", "G", "H", "H"]
 
 
 def test_derive_phi_rejects_a_quotient_isomorphism(monkeypatch):
