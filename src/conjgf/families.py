@@ -331,24 +331,21 @@ _NAMED = {
 }
 
 
-def named_group(name: str, *params: int) -> GroupTable:
-    """Dispatch for the generic named families used by tests and the CLI."""
+def named_group(name: str, size: int) -> GroupTable:
+    """The group a spec's `family` kind names: a catalog family's stem group at
+    p = size, or a named family of that order (degree, for `symmetric`)."""
+    if name in ALL_FAMILIES:
+        return stem_group(name, size)
     if name == "elementary_abelian":
-        if len(params) == 1:
-            check_order_cap(params[0], f"elementary_abelian({params[0]})")
-            root = prime_power_root(params[0])
-            if root is None:
-                raise InvalidParameters(f"{params[0]} is not a prime power")
-            return elementary_abelian(*root)
-        return elementary_abelian(*params)
-    if name == "abelian":
-        return abelian_group(tuple(params)) if len(params) != 1 else cyclic(params[0])
+        check_order_cap(size, f"elementary_abelian({size})")
+        root = prime_power_root(size)
+        if root is None:
+            raise InvalidParameters(f"{size} is not a prime power")
+        return elementary_abelian(*root)
     fn = _NAMED.get(name)
     if fn is None:
         raise InvalidParameters(f"unknown named group {name!r}")
-    if len(params) != 1:
-        raise InvalidParameters(f"{name} takes exactly one size parameter")
-    return fn(params[0])
+    return fn(size)
 
 
 # -- test/benchmark catalog -------------------------------------------------------

@@ -126,16 +126,30 @@ def normal_closure(g: GroupTable, seed: Iterable[int]) -> tuple[int, ...]:
 
 def minimal_generating_indices(g: GroupTable) -> tuple[int, ...]:
     """Greedy small generating set: repeatedly adjoin the smallest uncovered element."""
-    covered = {0}
-    gens: list[int] = []
-    while len(covered) < g.order:
-        x = next(i for i in range(g.order) if i not in covered)
-        gens.append(x)
-        covered = set(subgroup_closure(g, covered | {x}))
-    return tuple(gens)
+    return _spanning_generators(g, range(g.order))[0]
 
 
-def induced_table(g: GroupTable, elements: Sequence[int], label: str = "") -> GroupTable:
+def _spanning_generators(
+    g: GroupTable, candidates: Iterable[int]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(S, closure of S): the candidates in order, each kept only when it lies
+    outside the closure of those kept before it, stopping once that closure is
+    the whole table."""
+    kept: list[int] = []
+    span: tuple[int, ...] = (0,)
+    inside = np.zeros(g.order, dtype=bool)
+    inside[0] = True
+    for s in candidates:
+        if not inside[s]:
+            kept.append(s)
+            span = subgroup_closure(g, kept)
+            if len(span) == g.order:
+                break
+            inside[list(span)] = True
+    return tuple(kept), span
+
+
+def induced_table(g: GroupTable, elements: Sequence[int]) -> GroupTable:
     """Re-index a subgroup's element set to 0..|H|-1 (by parent index order)."""
     elems = np.asarray(sorted(int(x) for x in elements), dtype=np.intp)
     if elems[0] != 0:
@@ -151,7 +165,7 @@ def induced_table(g: GroupTable, elements: Sequence[int], label: str = "") -> Gr
         mul=mul.astype(INDEX_DTYPE),
         inv=inv.astype(INDEX_DTYPE),
         generators=(),
-        label=label or f"{g.label}|sub{elems.size}",
+        label=f"{g.label}|sub{elems.size}",
     )
     gens = minimal_generating_indices(sub)
     sub.generators = gens if gens else (0,)
@@ -237,7 +251,7 @@ def certify(g: GroupTable) -> CertificateReport:
 
     exhaustive = n <= FULL_ASSOCIATIVITY_LIMIT
     mode = "all triples" if exhaustive else "generator triples"
-    kept, span = _spanning_generators(g) if bad_id is None else ((), ())
+    kept, span = _spanning_generators(g, g.generators) if bad_id is None else ((), ())
     bad_assoc = None
     if len(span) < n or _associativity_witness_generators(mul, kept) is not None:
         span = None
@@ -263,21 +277,6 @@ def certify(g: GroupTable) -> CertificateReport:
     else:
         checks.append(CheckResult("generation", "skip", "earlier checks failed"))
     return CertificateReport(g.label, tuple(checks))
-
-
-def _spanning_generators(g: GroupTable) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(S, closure of S): the generators in order, each kept only when it lies
-    outside the closure of those kept before it, stopping once that closure is
-    the whole table."""
-    kept: list[int] = []
-    span: tuple[int, ...] = (0,)
-    for s in g.generators:
-        if s not in span:
-            kept.append(s)
-            span = subgroup_closure(g, kept)
-            if len(span) == g.order:
-                break
-    return tuple(kept), span
 
 
 def _associativity_witness_full(mul: np.ndarray) -> tuple[int, int, int] | None:

@@ -100,13 +100,8 @@ def group_from_spec(doc: dict) -> GroupTable:
         )
         return build_from_pcp(pres)
     if kind == "family":
-        # family groups are cached and keep their catalog labels
         _require_fields(doc, {"kind", "name", "p"}, set())
-        name = _str_field(doc["name"], "name")
-        p = _int_field(doc["p"], "p")
-        if name in families.ALL_FAMILIES:
-            return families.stem_group(name, p)
-        return families.named_group(name, p)
+        return families.named_group(_str_field(doc["name"], "name"), _int_field(doc["p"], "p"))
     raise GroupSpecError(f"unknown kind {kind!r}")
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import InvalidParameters, NotAGroup, TupleCapExceeded
 from .groups import GroupTable, orbit_labels
 
-DEFAULT_TUPLE_CAP = 10_000_000
+DEFAULT_TUPLE_CAP = 10_000_000  # below 2**31, so every tuple code is an int32
 
 ALL_TUPLES = "all_tuples"
 COMMUTING_TUPLES = "commuting_tuples"
@@ -42,13 +42,13 @@ class OrbitCount:
 
 def _code_dtype(g: GroupTable, n: int) -> type:
     """Refuse a negative n or |G|^n over the cap, before anything is allocated;
-    return the integer type that holds every tuple code."""
+    return the integer type of the tuple codes, all below the cap."""
     if n < 0:
         raise InvalidParameters(f"tuple length n = {n} must be nonnegative")
     total = g.order**n
     if total > DEFAULT_TUPLE_CAP:
         raise TupleCapExceeded(f"|G|^n = {total} exceeds cap {DEFAULT_TUPLE_CAP}")
-    return np.int32 if total < 2**31 else np.int64
+    return np.int32
 
 
 def _orbit_count(size: int, images: list[np.ndarray], dtype: type) -> int:

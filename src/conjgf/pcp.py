@@ -138,65 +138,56 @@ def _word_syllables(w: Word) -> list[list[int]]:
     return [[g, e] for g, e in enumerate(w) if e]
 
 
-def collect(
-    pres: PcPresentation,
-    syllables: list[list[int]],
-    budget: int = DEFAULT_REWRITE_BUDGET,
-) -> Word:
+def collect(pres: PcPresentation, syllables: list[list[int]]) -> Word:
     """Collection from the left: rewrite a syllable word into normal form.
 
     Repeatedly fixes the leftmost defect (an over-range exponent or an
-    out-of-order adjacent pair).  The rewrite budget converts a
-    non-terminating presentation bug into a diagnosable error.
+    out-of-order adjacent pair).  The rewrite budget, DEFAULT_REWRITE_BUDGET
+    read at call time, converts a non-terminating presentation bug into a
+    diagnosable error: the rewrite past it raises.
     """
     orders = pres.relative_orders
     powers = pres.power_words
     comms = pres.commutator_words
+    budget = DEFAULT_REWRITE_BUDGET
     word = [[g, e] for g, e in syllables if e]
     steps = 0
     i = 0
     while i < len(word):
         g, e = word[i]
+        # past the last syllable, a generator deeper than any: nothing to merge or swap
+        h, a = word[i + 1] if i + 1 < len(word) else (pres.num_generators, 0)
         if e >= orders[g]:
-            steps += 1
-            if steps > budget:
-                raise InconsistentPresentation(
-                    f"{pres.label or 'pcp'}: rewrite budget {budget} exceeded"
-                )
+            width = 1
             replacement = [[g, e - orders[g]]] if e > orders[g] else []
             pw = powers[g]
             if pw is not None:
                 replacement += _word_syllables(pw)
-            word[i : i + 1] = replacement
-            i = max(i - 1, 0)
+        elif h == g:
+            word[i : i + 2] = [[g, e + a]]
             continue
-        if i + 1 < len(word):
-            h, a = word[i + 1]
-            if h == g:
-                word[i : i + 2] = [[g, e + a]]
-                continue
-            if h < g:
-                steps += 1
-                if steps > budget:
-                    raise InconsistentPresentation(
-                        f"{pres.label or 'pcp'}: rewrite budget {budget} exceeded"
-                    )
-                comm = comms.get((g, h))
-                if comm is None:
-                    word[i : i + 2] = [[h, a], [g, e]]
-                else:
-                    # g^e h^a  ->  g^(e-1) h g [g,h] h^(a-1)
-                    replacement = []
-                    if e > 1:
-                        replacement.append([g, e - 1])
-                    replacement += [[h, 1], [g, 1]]
-                    replacement += _word_syllables(comm)
-                    if a > 1:
-                        replacement.append([h, a - 1])
-                    word[i : i + 2] = replacement
-                i = max(i - 1, 0)
-                continue
-        i += 1
+        elif h < g:
+            width = 2
+            comm = comms.get((g, h))
+            if comm is None:
+                replacement = [[h, a], [g, e]]
+            else:
+                # g^e h^a  ->  g^(e-1) h g [g,h] h^(a-1)
+                replacement = []
+                if e > 1:
+                    replacement.append([g, e - 1])
+                replacement += [[h, 1], [g, 1]]
+                replacement += _word_syllables(comm)
+                if a > 1:
+                    replacement.append([h, a - 1])
+        else:
+            i += 1
+            continue
+        steps += 1
+        if steps > budget:
+            raise InconsistentPresentation(f"{pres.label or 'pcp'}: rewrite budget {budget} exceeded")
+        word[i : i + width] = replacement
+        i = max(i - 1, 0)
     vec = [0] * pres.num_generators
     for g, e in word:
         vec[g] = e

@@ -117,7 +117,7 @@ def test_certify_command_certifies_once(capsys, tmp_path, monkeypatch):
     runs = []
     spanning = groups._spanning_generators
     monkeypatch.setattr(groups, "_spanning_generators",
-                        lambda g: runs.append(g.order) or spanning(g))
+                        lambda g, candidates: runs.append(g.order) or spanning(g, candidates))
     stem_group.cache_clear()
     spec = write_spec(tmp_path, "phi5.json", {"kind": "family", "name": "Phi5", "p": 3})
     code, _ = run_cli(capsys, "--json", "certify", spec)
@@ -212,6 +212,18 @@ def test_verify_table_rejects_large_prime(capsys, monkeypatch):
     assert built == []
 
 
+def test_verify_table_huge_prime_fails_its_own_row(capsys):
+    # primality is exact only below EXACT_PRIME_LIMIT: 2^89 - 1 (prime) past it fails
+    # its own check with the error, and the p = 2 rows after it still run
+    huge = 2**89 - 1
+    code, out = run_cli(capsys, "--json", "verify-table", "--p", str(huge), "--p", "2")
+    assert code == 1
+    checks = json.loads(out)["checks"]
+    assert checks[0]["name"] == f"p={huge} prime" and not checks[0]["passed"]
+    assert "InvalidParameters" in checks[0]["actual"] and "exactly" in checks[0]["actual"]
+    assert len(checks) == 1 + 8 * 2 and all(c["passed"] for c in checks[1:])
+
+
 def test_equiv_modes(capsys, tmp_path):
     d8 = write_spec(tmp_path, "d8.json", {"kind": "family", "name": "dihedral", "p": 8})
     q8 = write_spec(tmp_path, "q8.json", {"kind": "family", "name": "quaternion", "p": 8})
@@ -267,6 +279,27 @@ def test_bench_csv(capsys, tmp_path):
     # the distinct centralizer orders, one term of A each
     eq1_work = {(r["group"], int(r["work"])) for r in rows if r["strategy"] == "eq1_histogram"}
     assert eq1_work == {("D32", 3), ("Gamma5a1", 2), ("S4", 4)}
+
+
+def test_bench_builds_a_and_b_before_the_first_timing(monkeypatch):
+    # eq4's n = 1 row times one coefficient read, as eq1's does, not the B recursion
+    from conjgf import cli
+    from conjgf.families import dihedral
+
+    d8 = dihedral(8)
+    monkeypatch.setattr(families, "small_catalog", lambda: (("D8", d8),))
+    memo_at_first_timing = []
+    clock = cli.time.perf_counter_ns
+
+    def spy():
+        if not memo_at_first_timing:
+            memo_at_first_timing.append(set(d8._cache))
+        return clock()
+
+    monkeypatch.setattr(cli.time, "perf_counter_ns", spy)
+    rows = cli._bench_rows(["D8"], 1)
+    assert {"a_of_t", "b_and_work"} <= memo_at_first_timing[0]
+    assert [r["strategy"] for r in rows] == ["eq1_histogram", "brute_alpha", "eq4_recursion", "brute_beta"]
 
 
 def test_bench_rejects_unknown_group(capsys):

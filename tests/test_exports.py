@@ -60,3 +60,59 @@ def test_every_src_name_has_a_caller():
             read |= names - own
     unread = {name: where for name, where in defined.items() if name not in read | set(conjgf.__all__)}
     assert unread == {}
+
+
+def _functions(tree: ast.Module):
+    """(the name a call uses, the def, whether a call binds its first parameter)
+    for every function and method; a class's __init__ is called by the class name."""
+    methods = {}
+    for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+        for item in cls.body:
+            if isinstance(item, ast.FunctionDef):
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in item.decorator_list)
+                methods[item] = (cls.name if item.name == "__init__" else item.name, not static)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            name, bound = methods.get(node, (node.name, False))
+            yield name, node, bound
+
+
+def _arguments_passed(tree: ast.Module) -> dict[str, list[tuple[float, set[str] | None]]]:
+    """For each called name, one (positional count, keyword names) per call; a
+    *args call passes every position and a **kwargs call every keyword (None)."""
+    passed: dict[str, list] = {}
+    for call in (n for n in ast.walk(tree) if isinstance(n, ast.Call)):
+        func = call.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name is None:
+            continue
+        starred = any(isinstance(a, ast.Starred) for a in call.args)
+        keywords = {k.arg for k in call.keywords}
+        passed.setdefault(name, []).append(
+            (float("inf") if starred else len(call.args), None if None in keywords else keywords))
+    return passed
+
+
+def test_every_defaulted_src_parameter_is_passed():
+    # no parameter nobody sets: each defaulted parameter of a function in
+    # src/conjgf is passed, by position or keyword, by some call in src/conjgf
+    # or perfbench to a function of that name
+    src = sorted((REPO_ROOT / "src" / "conjgf").glob("*.py"))
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in src + sorted((REPO_ROOT / "perfbench").glob("*.py"))}
+    passed: dict[str, list] = {}
+    for tree in trees.values():
+        for name, calls in _arguments_passed(tree).items():
+            passed.setdefault(name, []).extend(calls)
+    unset = []
+    for path in src:
+        for name, fn, bound in _functions(trees[path]):
+            params = [a.arg for a in fn.args.posonlyargs + fn.args.args][bound:]
+            defaulted = list(enumerate(params))[len(params) - len(fn.args.defaults):]
+            defaulted += [(float("inf"), a.arg) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                          if d is not None]
+            for at, param in defaulted:
+                if not any(count > at or keywords is None or param in keywords
+                           for count, keywords in passed.get(name, [])):
+                    unset.append(f"{path.name}:{fn.lineno} {name}({param}=)")
+    assert unset == []

@@ -109,6 +109,9 @@ def test_named_group_dispatch():
     assert named_group("cyclic", 6).order == 6
     assert named_group("elementary_abelian", 8).order == 8  # parsed as 2^3
     assert named_group("symmetric", 3).order == 6
+    # the catalog families share the one dispatch and the stem-group cache
+    assert named_group("Phi2", 3) is stem_group("Phi2", 3)
+    assert named_group("abelian", 6).label == "C6"
     with pytest.raises(InvalidParameters):
         named_group("frobnicator", 3)
     with pytest.raises(InvalidParameters):

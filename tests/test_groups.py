@@ -426,7 +426,7 @@ def _redundant_generator_loops(m: int) -> tuple[GroupTable, GroupTable]:
 @pytest.mark.parametrize("m", [50, 60])
 def test_associativity_witness_with_redundant_generator(m):
     plain, shifted = _redundant_generator_loops(m)
-    kept, _ = groups._spanning_generators(shifted)
+    kept, _ = groups._spanning_generators(shifted, shifted.generators)
     assert kept == (1, 3 * m)
     assert (groups._associativity_witness_generators(shifted.mul, kept)
             != _generator_scan(shifted.mul, shifted.generators))
@@ -449,7 +449,7 @@ def test_spanning_subset_needs_the_identity():
     # no identity
     g = _no_identity_table()
     mul = g.mul
-    kept, span = groups._spanning_generators(g)
+    kept, span = groups._spanning_generators(g, g.generators)
     assert (kept, len(span)) == ((11,), 300)
     assert groups._associativity_witness_generators(mul, kept) is None
     checks = {c.name: c for c in certify(g).checks}
@@ -473,12 +473,12 @@ def test_spanning_subset_of_stem_groups():
     sizes = {}
     for family, p in stems:
         g = stem_group(family, p)
-        kept, span = groups._spanning_generators(g)
+        kept, span = groups._spanning_generators(g, g.generators)
         rest = iter(g.generators)
         assert all(s in rest for s in kept), (family, p)  # a subsequence
         assert span == subgroup_closure(g, kept) == tuple(range(g.order)), (family, p)
         h, perm = _relabelled(g, seed=g.order + len(sizes))
-        assert groups._spanning_generators(h) == (tuple(int(perm[s]) for s in kept),
+        assert groups._spanning_generators(h, h.generators) == (tuple(int(perm[s]) for s in kept),
                                                   tuple(range(g.order))), (family, p)
         sizes[family, p] = len(kept)
     assert [sizes[f, 5] for f in ("Phi6", "Phi9", "Phi10")] == [2, 2, 2]

@@ -134,6 +134,12 @@ def test_cap_enforced(catalog, monkeypatch):
     assert beta_brute(d32, 2).tuples_visited == 32 * 11  # |G| k(G) commuting pairs
 
 
+def test_tuple_cap_keeps_codes_in_int32():
+    # every tuple code is below |G|^n <= the cap, and the oracles code tuples as int32
+    assert oracle.DEFAULT_TUPLE_CAP < 2**31
+    assert oracle._code_dtype(dihedral(8), 2) is np.int32
+
+
 def test_prefix_centralizer_enumeration_matches_filter(catalog):
     for label in ("C6", "S3", "D8", "Q8", "C12"):
         g = catalog[label]

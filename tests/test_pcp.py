@@ -92,6 +92,28 @@ def test_collection_normalizes_words():
     assert collect(pres, [[0, 2], [0, 2]]) == (1, 0, 0)
 
 
+_C2XC2 = PcPresentation(p=2, relative_orders=(2, 2), power_words=(None, None))
+_HEIS3 = PcPresentation(p=3, relative_orders=(3, 3, 3), power_words=(None,) * 3,
+                        commutator_words={(1, 0): (0, 0, 2)})
+
+
+@pytest.mark.parametrize("pres, word, rewrites, normal", [
+    # (g1 g0)^2: one swap, then g1^2 and g0^2 each rewritten by a power relation
+    (_C2XC2, [[1, 1], [0, 1], [1, 1], [0, 1]], 3, (0, 0)),
+    # g1 g0 g0^2 = g1: two commutator rewrites, two swaps, three powers and one more
+    # commutator rewrite, counted by hand
+    (_HEIS3, [[1, 1], [0, 1], [0, 2]], 8, (0, 1, 0)),
+], ids=["C2xC2", "Heisenberg"])
+def test_rewrite_budget_at_its_edge(monkeypatch, pres, word, rewrites, normal):
+    # the budget is read at call time: the word's exact rewrite count passes and
+    # one less raises at the (budget + 1)-th rewrite
+    monkeypatch.setattr(pcp, "DEFAULT_REWRITE_BUDGET", rewrites)
+    assert collect(pres, word) == normal
+    monkeypatch.setattr(pcp, "DEFAULT_REWRITE_BUDGET", rewrites - 1)
+    with pytest.raises(InconsistentPresentation, match=f"rewrite budget {rewrites - 1} exceeded"):
+        collect(pres, word)
+
+
 def test_weight_ordering_enforced():
     with pytest.raises(InvalidParameters):
         PcPresentation(p=2, relative_orders=(2, 2), power_words=((1, 0), None))
