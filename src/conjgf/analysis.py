@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotPrimePower
-from .groups import (INDEX_DTYPE, LINE_BLOCK, GroupTable, commutators, is_abelian_subset, memoized,
-                     normal_closure, orbit_labels)
+from .groups import INDEX_DTYPE, LINE_BLOCK, GroupTable, commutators, memoized, normal_closure, orbit_labels
 from .pcp import prime_power_root
 
 
@@ -140,12 +139,12 @@ def element_orders(g: GroupTable) -> np.ndarray:
 
 
 def is_ac_group(g: GroupTable) -> bool:
-    """True iff every non-central element has an abelian centralizer."""
-    zset = set(center_elements(g))
-    for rep in conjugacy_data(g).representatives:
-        if rep in zset:
-            continue
-        if not is_abelian_subset(g, centralizer_elements(g, rep)):
+    """True iff every non-central element has an abelian centralizer: the
+    cosets in each distinct non-central row of K commute pairwise."""
+    block = commuting_cosets(g)
+    for i in np.unique(packed_rows(block), return_index=True)[1]:
+        members = np.flatnonzero(block[i])
+        if members.size < len(block) and not block.take(members, axis=0).take(members, axis=1).all():
             return False
     return True
 

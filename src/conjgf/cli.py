@@ -18,7 +18,6 @@ import time
 from dataclasses import dataclass, field
 
 from . import families
-from .analysis import conjugacy_data
 from .closed_forms import table_row
 from .errors import ConjGFError, InvalidParameters
 from .genfun import (
@@ -186,10 +185,9 @@ def cmd_equiv(args) -> RunReport:
     if args.mode == "A":
         verdict = a_equivalent(g, h)
         report.results["a_equivalent"] = verdict
+        # A's term c/(1 - m t) stands for c m classes of size |G|/m
         report.results["class_equations"] = [
-            list(conjugacy_data(g).class_equation),
-            list(conjugacy_data(h).class_equation),
-        ]
+            sorted(x.order // m for m, _, c in a_of_t(x).terms for _ in range(int(c * m))) for x in (g, h)]
     elif args.mode == "B":
         verdict = b_equivalent(g, h)
         report.results["b_equivalent"] = verdict

@@ -121,7 +121,15 @@ def _phi_presentation(family: str, p: int) -> PcPresentation:
     raise InvalidParameters(f"unknown family {family!r}")
 
 
+def _dihedral_presentation(n: int) -> PcPresentation:
+    """D_2n: g0 inverts g1, so [g1, g0] = g1^(n-2)."""
+    return PcPresentation(p=2, relative_orders=(2, n), power_words=(None, None),
+                          commutator_words={(1, 0): (0, n - 2)}, label=f"D{2 * n}")
+
+
 _GAMMA_PRESENTATIONS = {
+    "Gamma2": _dihedral_presentation(4),
+    "Gamma3": _dihedral_presentation(8),
     # (C4 x C4) : C2 with the inverting involution
     "Gamma4": PcPresentation(
         p=2, relative_orders=(2, 4, 4), power_words=(None,) * 3,
@@ -139,17 +147,8 @@ _GAMMA_PRESENTATIONS = {
     "Gamma7": PcPresentation(
         p=2, relative_orders=(4, 2, 2, 2), power_words=(None,) * 4,
         commutator_words={(1, 0): (0, 0, 1, 1), (2, 0): (0, 0, 0, 1)}, label="Gamma7a1"),
+    "Gamma8": _dihedral_presentation(16),
 }
-
-_GAMMA_DIHEDRAL_ORDERS = {"Gamma2": 8, "Gamma3": 16, "Gamma8": 32}
-
-
-def _gamma_table(family: str) -> GroupTable:
-    if family in _GAMMA_PRESENTATIONS:
-        return build_from_pcp(_GAMMA_PRESENTATIONS[family])
-    if family in _GAMMA_DIHEDRAL_ORDERS:
-        return dihedral(_GAMMA_DIHEDRAL_ORDERS[family])
-    raise InvalidParameters(f"unknown family {family!r}")
 
 
 _FINGERPRINTS: dict[str, tuple] = {
@@ -211,15 +210,12 @@ def _check_fingerprint(g: GroupTable, spec: FamilySpec) -> GroupTable:
 
 
 def build_stem_group(family: str, p: int) -> GroupTable:
-    """Build the catalog stem group of a family, fingerprint-checked, uncached."""
+    """A family's stem group, non-abelian ones from their pc presentation; fingerprint-checked, uncached."""
     spec = family_spec(family, p)
     if family == "abelian":
         return cyclic(p)
-    if family in GAMMA_FAMILIES:
-        g = _gamma_table(family)
-    else:
-        g = build_from_pcp(_phi_presentation(family, p))
-    return _check_fingerprint(g, spec)
+    pres = _GAMMA_PRESENTATIONS[family] if family in GAMMA_FAMILIES else _phi_presentation(family, p)
+    return _check_fingerprint(build_from_pcp(pres), spec)
 
 
 # library callers share one table per (family, p); a caller that walks the whole

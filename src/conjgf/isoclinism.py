@@ -43,8 +43,8 @@ class IsoclinismWitness:
         sizes = tuple(x.order // len(center_elements(x)) for x in (g, h))
         if (len(self.g_coset_reps), len(self.h_coset_reps)) != sizes:
             return False  # before either quotient table is built
-        gq, greps, _ = _central_quotient(g)
-        hq, hreps, _ = _central_quotient(h)
+        gq, greps = _central_quotient(g)
+        hq, hreps = _central_quotient(h)
         if greps != self.g_coset_reps or hreps != self.h_coset_reps:
             return False
         if len(self.theta) != hq.order or sorted(self.theta) != list(range(gq.order)):
@@ -71,14 +71,14 @@ class IsoclinismWitness:
 
 
 @memoized
-def _central_quotient(g: GroupTable) -> tuple[GroupTable, tuple[int, ...], np.ndarray]:
-    """(Q = G/Z(G), the coset minima, each element's coset index) from `central_cosets`;
-    Q is generated by the distinct non-identity images of g's generators."""
+def _central_quotient(g: GroupTable) -> tuple[GroupTable, tuple[int, ...]]:
+    """(Q = G/Z(G), the coset minima) from `central_cosets`; Q is generated by
+    the distinct non-identity images of g's generators."""
     reps, coset_of, block = central_cosets(g)
     gens = tuple(dict.fromkeys(int(coset_of[s]) for s in g.generators if coset_of[s] != 0))
     q = GroupTable(order=reps.size, mul=coset_of[block], inv=coset_of[g.inv[reps]],
                    generators=gens or (0,), label=f"{g.label}/Z")
-    return q, tuple(reps.tolist()), coset_of
+    return q, tuple(reps.tolist())
 
 
 def _element_invariants(g: GroupTable) -> list[tuple[int, int, int]]:
@@ -173,8 +173,8 @@ def are_isoclinic(g: GroupTable, h: GroupTable) -> IsoclinismWitness | None:
     largest = max(x.order // len(center_elements(x)) for x in (g, h))
     if largest > DEFAULT_QUOTIENT_CAP:
         raise QuotientTooLarge(f"central quotient of order {largest} exceeds cap {DEFAULT_QUOTIENT_CAP}")
-    gq, greps, _ = _central_quotient(g)
-    hq, hreps, _ = _central_quotient(h)
+    gq, greps = _central_quotient(g)
+    hq, hreps = _central_quotient(h)
     if gq.order != hq.order:
         return None
     if len(derived_subgroup(g)) != len(derived_subgroup(h)):

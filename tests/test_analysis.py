@@ -288,6 +288,24 @@ def test_ac_group_abelian_vacuous(catalog):
     assert is_ac_group(catalog["C3xC3"])
 
 
+def _is_ac_by_centralizers(g: GroupTable) -> bool:
+    """Reference: the centralizer of each non-central class representative,
+    as an element set, is abelian."""
+    z = set(center_elements(g))
+    return all(is_abelian_subset(g, centralizer_elements(g, rep))
+               for rep in conjugacy_data(g).representatives if rep not in z)
+
+
+def test_ac_group_from_k_matches_the_centralizer_loop(survey):
+    # is_ac_group reads K alone; the reference walks class representatives
+    verdicts = []
+    for seed, g in enumerate(survey):
+        for h in (g, _relabelled(g, seed)):
+            verdicts.append(is_ac_group(h))
+            assert verdicts[-1] == _is_ac_by_centralizers(h), h.label
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
 def test_maximal_subgroups(catalog):
     g = catalog["D8"]
     subs = maximal_subgroups(g, 2)

@@ -12,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from conjgf import families
+from conjgf import cli, families
+from conjgf.analysis import conjugacy_data
 from conjgf.cli import main
 from conjgf.families import stem_group
 from test_groups import NONASSOC_LOOP
@@ -239,6 +240,18 @@ def test_equiv_modes(capsys, tmp_path):
 
     code, out = run_cli(capsys, "--json", "equiv", c6, s3, "--mode", "B")
     assert code == 0 and json.loads(out)["results"]["b_equivalent"] is False
+
+
+def test_equiv_a_reads_class_equations_from_a(capsys, monkeypatch, survey):
+    # the class equations printed from A's terms equal the orbit sizes of conjugation
+    by_name = {str(i): g for i, g in enumerate(survey)}
+    monkeypatch.setattr(cli, "load_group_spec", by_name.__getitem__)
+    names = list(by_name)
+    for first, second in zip(names[::2], names[1::2]):
+        code, out = run_cli(capsys, "--json", "equiv", first, second, "--mode", "A")
+        printed = json.loads(out)["results"]["class_equations"]
+        want = [list(conjugacy_data(by_name[n]).class_equation) for n in (first, second)]
+        assert code == 0 and printed == want, (by_name[first].label, by_name[second].label)
 
 
 def test_equiv_phi9_phi10_not_isoclinic(capsys, tmp_path):

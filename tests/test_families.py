@@ -11,7 +11,7 @@ from conjgf.analysis import (
     element_orders,
     nilpotency_class,
 )
-from conjgf import groups
+from conjgf import families, groups, pcp
 from conjgf.errors import ClosureExceedsCap, InvalidParameters
 from conjgf.families import (
     ALL_FAMILIES,
@@ -33,6 +33,7 @@ from conjgf.families import (
 from conjgf.closed_forms import table_row
 from conjgf.genfun import a_of_t, b_of_t, normalize
 from conjgf.groups import certify
+from conjgf.isoclinism import are_isoclinic
 from test_groups import quotient_table
 from test_isoclinism import stem_order
 
@@ -49,6 +50,36 @@ def test_all_stem_groups_certify_and_fingerprint():
         assert certify(g).ok, family
         # uncached at p = 5, one order-3125 table at a time
         assert certify(build_stem_group(family, 5)).ok, family
+
+
+def test_stem_groups_have_one_build_route(monkeypatch):
+    # every non-abelian family is compiled from its pc presentation, which
+    # Hoelder's conditions prove: no permutation closure and no certificate
+    calls = []
+
+    def spy(module, name):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, **k: calls.append(name) or real(*a, **k))
+
+    spy(families, "build_from_permutations")
+    spy(groups, "certify")
+    spy(pcp, "certify")
+    flagged = []
+    for family, p in [(f, 2) for f in GAMMA_FAMILIES] + [(f, 3) for f in PHI_FAMILIES]:
+        calls.clear()
+        build_stem_group(family, p)
+        flagged += [family] if calls else []
+    assert flagged == []
+
+
+def test_dihedral_stem_groups_match_the_permutation_dihedral_groups():
+    for family, order in (("Gamma2", 8), ("Gamma3", 16), ("Gamma8", 32)):
+        g = stem_group(family, 2)
+        assert g.label == f"D{order}"
+        assert (a_of_t(g), b_of_t(g)) == (a_of_t(dihedral(order)), b_of_t(dihedral(order))), family
+        for h in (dihedral(order), quaternion(order)):
+            witness = are_isoclinic(g, h)
+            assert witness is not None and witness.verify(g, h), (family, h.label)
 
 
 def test_stem_order_equals_rank_order():

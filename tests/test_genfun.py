@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import tracemalloc
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from conjgf import genfun
 from conjgf.analysis import center_elements, commuting_cosets, conjugacy_data
 from conjgf.errors import RecursionDepthExceeded
-from conjgf.families import GAMMA_FAMILIES, PHI_FAMILIES, cyclic, stem_group, symmetric
+from conjgf.families import cyclic, stem_group, symmetric
 from conjgf.genfun import (
     a_equivalent,
     a_of_t,
@@ -220,18 +221,50 @@ def _commuting_counts(g: GroupTable) -> tuple[int, int]:
     return int(block.sum()), c3
 
 
-def _relation_groups(catalog) -> list[GroupTable]:
-    """Every catalog group, S5, S6 (trivial center) and every stem group at p <= 5."""
-    stems = [stem_group(f, 2) for f in GAMMA_FAMILIES] + [stem_group(f, p) for p in (3, 5) for f in PHI_FAMILIES]
-    return [*catalog.values(), symmetric(5), symmetric(6), *stems]
-
-
-def test_b_against_commuting_counts(catalog):
+def test_b_against_commuting_counts(survey):
     # Burnside: beta_n |G| = c_(n+1), the number of commuting (n+1)-tuples
-    for g in _relation_groups(catalog):
+    for g in survey:
         c2, c3 = _commuting_counts(g)
         series = b_of_t(g).series(3)
         assert (series[1] * g.order, series[2] * g.order) == (c2, c3), g.label
+
+
+def test_beta_1_and_2_from_the_commuting_block(survey):
+    # c_2 = |Z|^2 sum K and c_3 = |Z|^3 sum K o (K K) over the cosets of Z(G);
+    # each sum is at most R^3 <= 720^3 < 2^53, so a float64 product is exact
+    for g in survey:
+        k = commuting_cosets(g).astype(np.float64)
+        z = g.order // len(k)
+        c2, c3 = z**2 * int(k.sum()), z**3 * int((k * (k @ k)).sum())
+        assert (g.order * beta_coefficient(g, 1), g.order * beta_coefficient(g, 2)) == (c2, c3), g.label
+
+
+def direct_product(g: GroupTable, h: GroupTable) -> GroupTable:
+    """G x H on the indices a |H| + b, generated by the (s, 1) and the (1, t)."""
+    n = h.order
+    mul = g.mul[:, None, :, None].astype(np.intp) * n + h.mul[None, :, None, :]
+    gens = [s * n for s in g.generators if s] + [t for t in h.generators if t]
+    return GroupTable(order=g.order * n, mul=mul.reshape(g.order * n, -1).astype(g.mul.dtype),
+                      inv=(g.inv[:, None].astype(np.intp) * n + h.inv).ravel().astype(g.inv.dtype),
+                      generators=tuple(gens) or (0,), label=f"{g.label}x{h.label}")
+
+
+def test_product_identities_without_an_oracle(catalog):
+    # conjugacy in G x H is coordinatewise, so alpha and beta multiply, A of the
+    # product is the Hadamard product of the stored terms, and an abelian factor
+    # of order k only rescales t by k
+    pairs = [(g, h) for g, h in combinations_with_replacement(catalog.values(), 2) if g.order * h.order <= 256]
+    assert len(pairs) == 395
+    for g, h in pairs:
+        gh = direct_product(g, h)
+        hadamard = gf_sum([RationalGF.simple(c * d, m * n)
+                           for m, _, c in a_of_t(g).terms for n, _, d in a_of_t(h).terms])
+        assert a_of_t(gh) == hadamard, gh.label
+        assert [beta_coefficient(gh, n) for n in range(6)] == [
+            beta_coefficient(g, n) * beta_coefficient(h, n) for n in range(6)], gh.label
+        for x, y in ((g, h), (h, g)):
+            if len(center_elements(y)) == y.order:
+                assert (a_of_t(gh), b_of_t(gh)) == (a_of_t(x).scale_t(y.order), b_of_t(x).scale_t(y.order)), gh.label
 
 
 def _traced_b_peak(g: GroupTable) -> int:
@@ -265,10 +298,10 @@ def test_b_memory_and_cache_on_order_3125():
     assert peak <= 3 * s6.order**2, peak
 
 
-def test_commuting_block_of_groups(catalog):
+def test_commuting_block_of_groups(survey):
     # the block on G/Z(G), read through each element's coset, is the whole commuting block
     sizes = set()
-    for g in _relation_groups(catalog):
+    for g in survey:
         block = commuting_cosets(g)
         _, _, coset_of = quotient_table(g, center_elements(g))
         assert np.array_equal(block[np.ix_(coset_of, coset_of)], g.mul == g.mul.T), g.label
@@ -279,9 +312,9 @@ def test_commuting_block_of_groups(catalog):
     assert 81 < LINE_BLOCK and 625 % LINE_BLOCK
 
 
-def test_centralizer_histogram_against_classes(catalog):
+def test_centralizer_histogram_against_classes(survey):
     # slow path: each conjugacy class contributes its size at its centralizer order
-    for g in _relation_groups(catalog):
+    for g in survey:
         cd = conjugacy_data(g)
         hist: dict[int, int] = {}
         for cls, m in zip(cd.classes, cd.centralizer_sizes):

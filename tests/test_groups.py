@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conjgf.analysis import (
     center_elements,
+    central_cosets,
     commuting_cosets,
     derived_subgroup,
     has_abelian_maximal_subgroup,
@@ -241,7 +242,8 @@ def test_induced_table_is_group(catalog):
 
 def test_quotient_table_by_center(catalog):
     g = catalog["Q8"]
-    q, reps, coset_of = _central_quotient(g)
+    q, reps = _central_quotient(g)
+    coset_of = central_cosets(g)[1]
     assert q.order == 4
     assert certify(q).ok
     assert (q.mul == q.mul.T).all()  # Q8 / Z = Klein four-group
@@ -256,7 +258,8 @@ def test_order_cap_fits_the_index_type():
 
 def test_built_tables_use_the_index_type(catalog):
     d16 = catalog["D16"]  # closed from permutations
-    q, _, coset_of = _central_quotient(d16)
+    q = _central_quotient(d16)[0]
+    coset_of = central_cosets(d16)[1]
     sub = induced_table(d16, subgroup_closure(d16, d16.generators[:1]))
     tables = [d16, catalog["Q8"], stem_group("Phi5", 3), q, sub, build_from_cayley(d16.mul.tolist())]
     for g in tables:
@@ -602,7 +605,8 @@ def test_certify_reports_equal_at_int32_and_uint16(catalog):
 def _results(g: GroupTable, alpha_n: int = 2) -> dict:
     """Everything downstream of a table that does arithmetic on its entries."""
     z = center_elements(g)
-    q, reps, coset_of = _central_quotient(g)
+    q, reps = _central_quotient(g)
+    coset_of = central_cosets(g)[1]
     root = prime_power_root(g.order)
     try:
         witness = are_isoclinic(g, g)
