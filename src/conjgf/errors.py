@@ -29,7 +29,8 @@ class NotAGroup(ConjGFError):
 
 
 class InconsistentPresentation(ConjGFError):
-    """A compiled presentation fails its certificate, or `collect` ran past its rewrite budget."""
+    """A level of a presentation's build fails Hoelder's conditions, or `collect`
+    ran past its rewrite budget."""
 
 
 class NotPrimePower(ConjGFError):

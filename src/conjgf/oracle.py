@@ -40,41 +40,39 @@ class OrbitCount:
         return f"{self.label} {self.mode} {self.n} {self.count} {self.tuples_visited}"
 
 
-def _code_dtype(g: GroupTable, n: int) -> type:
-    """Refuse a negative n or |G|^n over the cap, before anything is allocated;
-    return the integer type of the tuple codes, all below the cap."""
+def _check_tuple_cap(g: GroupTable, n: int) -> None:
+    """Refuse a negative n or |G|^n over the cap, before anything is allocated."""
     if n < 0:
         raise InvalidParameters(f"tuple length n = {n} must be nonnegative")
     total = g.order**n
     if total > DEFAULT_TUPLE_CAP:
         raise TupleCapExceeded(f"|G|^n = {total} exceeds cap {DEFAULT_TUPLE_CAP}")
-    return np.int32
 
 
-def _orbit_count(size: int, images: list[np.ndarray], dtype: type) -> int:
+def _orbit_count(size: int, images: list[np.ndarray]) -> int:
     """Number of orbits on range(size) of the group generated by the permutations `images`."""
-    return int(np.count_nonzero(orbit_labels(size, images, dtype) == np.arange(size, dtype=dtype)))
+    return int(np.count_nonzero(orbit_labels(size, images, np.int32) == np.arange(size, dtype=np.int32)))
 
 
 def alpha_brute(g: GroupTable, n: int) -> OrbitCount:
     """Count orbits of G on G^n by label propagation over generator moves."""
-    dtype = _code_dtype(g, n)
+    _check_tuple_cap(g, n)
     images = []
     for s in g.generators:
-        move = g.conj_by(s).astype(dtype)
-        image = np.zeros(1, dtype=dtype)
+        move = g.conj_by(s).astype(np.int32)
+        image = np.zeros(1, dtype=np.int32)
         for _ in range(n):
             image = (image[:, None] * g.order + move).ravel()
         images.append(image)
     total = g.order**n
-    return OrbitCount(g.label, n, ALL_TUPLES, _orbit_count(total, images, dtype), total)
+    return OrbitCount(g.label, n, ALL_TUPLES, _orbit_count(total, images), total)
 
 
 def commuting_tuples(g: GroupTable, n: int) -> np.ndarray:
     """All pairwise-commuting n-tuples as the rows of an (m, n) array in
     lexicographic order, each coordinate drawn from the centralizer of the
     coordinates before it."""
-    _code_dtype(g, n)
+    _check_tuple_cap(g, n)
     commute = g.mul == g.mul.T if n > 1 else None  # |G|^2 <= |G|^n is under the cap
     rows = np.zeros((1, 0), dtype=np.int32)
     for _ in range(n):
@@ -86,8 +84,8 @@ def commuting_tuples(g: GroupTable, n: int) -> np.ndarray:
     return rows
 
 
-def _codes(rows: np.ndarray, order: int, dtype: type) -> np.ndarray:
-    codes = np.zeros(len(rows), dtype=dtype)
+def _codes(rows: np.ndarray, order: int) -> np.ndarray:
+    codes = np.zeros(len(rows), dtype=np.int32)
     for col in rows.T:
         codes = codes * order + col
     return codes
@@ -95,16 +93,15 @@ def _codes(rows: np.ndarray, order: int, dtype: type) -> np.ndarray:
 
 def beta_brute(g: GroupTable, n: int) -> OrbitCount:
     """Count orbits of G on commuting n-tuples by label propagation over generator moves."""
-    dtype = _code_dtype(g, n)
     rows = commuting_tuples(g, n)
-    codes = _codes(rows, g.order, dtype)  # increasing, since the rows are in lexicographic order
+    codes = _codes(rows, g.order)  # increasing, since the rows are in lexicographic order
     images = []
     for s in g.generators:
-        image = _codes(g.conj_by(s)[rows], g.order, dtype)
+        image = _codes(g.conj_by(s)[rows], g.order)
         at = np.minimum(np.searchsorted(codes, image), len(codes) - 1)
         if (miss := np.flatnonzero(codes[at] != image)).size:
             tup = tuple(rows[miss[0]].tolist())
             raise NotAGroup("conjugation preserves commuting tuples", (s, tup),
                             f"conjugating the commuting tuple {tup} by generator {s} gives a non-commuting tuple")
-        images.append(at.astype(dtype))
-    return OrbitCount(g.label, n, COMMUTING_TUPLES, _orbit_count(len(rows), images, dtype), len(rows))
+        images.append(at.astype(np.int32))
+    return OrbitCount(g.label, n, COMMUTING_TUPLES, _orbit_count(len(rows), images), len(rows))

@@ -9,9 +9,9 @@ reference generators strictly deeper than the smaller index of its relation
 Elements of the compiled group are the normal forms g_1^e1 ... g_d^ed with
 0 <= e_i < r_i, indexed lexicographically by exponent vector.  The build
 proves each cyclic extension a group by Hoelder's conditions, in O(|N| d)
-per level; `certify` runs only when a level fails, to name the witness.
-`collect` (collection from the left) is the reference that tests check the
-cyclic extension build against; only it has a rewrite budget.
+per level, and raises at the first level that fails them, before building
+its table.  `collect` (collection from the left) is the reference that tests
+check the cyclic extension build against; only it has a rewrite budget.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import InconsistentPresentation, InvalidParameters
-from .groups import INDEX_DTYPE, GroupTable, certify, check_order_cap, inverses
+from .groups import INDEX_DTYPE, GroupTable, check_order_cap
 
 DEFAULT_REWRITE_BUDGET = 1_000_000
 
@@ -194,21 +194,28 @@ def collect(pres: PcPresentation, syllables: list[list[int]]) -> Word:
     return tuple(vec)
 
 
-def _holder_conditions(mul: np.ndarray, phi: np.ndarray, w: int, r: int, gens: list[int]) -> bool:
-    """Hoelder's conditions for extending the group N (table `mul`, generated by
-    `gens`) by g with g^r = w and g^-1 u g = phi(u): phi is an automorphism of
-    N fixing w, and phi^r is conjugation by w.  Both sides of the homomorphism
-    and of the phi^r identity are homomorphisms, so checking them on `gens`
-    suffices, and phi^r = conjugation makes phi a bijection.  When they hold,
-    a group of order r|N| exists whose product is the build's block formula
-    (M. Hall, The Theory of Groups, Thm 15.3.1)."""
+def _holder_conditions(mul: np.ndarray, phi: np.ndarray, w: int, r: int,
+                       gens: dict[int, int]) -> str | None:
+    """The first of Hoelder's conditions that fails, or None, for extending the
+    group N (table `mul`, generated by the elements gens[j], each g_j named by
+    its number j) by g with g^r = w and g^-1 u g = phi(u): phi is an
+    automorphism of N fixing w, and phi^r is conjugation by w.  Both sides of
+    the homomorphism and of the phi^r identity are homomorphisms, so checking
+    them on `gens` suffices, and phi^r = conjugation makes phi a bijection.
+    When they hold, a group of order r|N| exists whose product is the build's
+    block formula (M. Hall, The Theory of Groups, Thm 15.3.1)."""
     if phi[w] != w:
-        return False
-    power = np.asarray(gens, dtype=np.intp)
-    for _ in range(r):
-        power = phi.take(power)
-    return (all(np.array_equal(phi.take(mul[:, s]), mul[phi, phi[s]]) for s in gens)
-            and np.array_equal(mul[w].take(power), mul[gens, w]))
+        return "phi(w) != w"
+    for j, s in gens.items():
+        if not np.array_equal(phi.take(mul[:, s]), mul[phi, phi[s]]):
+            return f"phi is not a homomorphism at g{j}"
+    for j, s in gens.items():
+        power = s
+        for _ in range(r):
+            power = phi[power]
+        if mul[w, power] != mul[s, w]:
+            return f"phi^{r} is not conjugation by w at g{j}"
+    return None
 
 
 def build_from_pcp(pres: PcPresentation) -> GroupTable:
@@ -227,13 +234,15 @@ def build_from_pcp(pres: PcPresentation) -> GroupTable:
     before: inv of N_(i+1) and a scan of the r rows g_i^a alone.
 
     Starting from the trivial group, each level is proved a group by
-    `_holder_conditions` on N_(i+1), phi and w, so a consistent presentation
-    returns without `certify`.  If a level fails, the finished table is not a
-    group either (in a group table every N_(i+1) is a subgroup, conjugation by
-    g_i is phi and g_i^r_i = w), and `certify` names the first failed axiom.
+    `_holder_conditions` on N_(i+1), phi and w before its table is built.  A
+    level that fails them raises InconsistentPresentation naming g_i and the
+    failed condition: no group has this presentation's normal forms, since in
+    one every N_(i+1) is a subgroup, conjugation by g_i is phi and
+    g_i^r_i = w.
     """
     orders, comms = pres.relative_orders, pres.commutator_words
     d, n = len(orders), pres.compiled_order()
+    label = pres.label or f"pcp({n})"
     radix = [1] * d
     for i in range(d - 2, -1, -1):
         radix[i] = radix[i + 1] * orders[i + 1]
@@ -243,7 +252,6 @@ def build_from_pcp(pres: PcPresentation) -> GroupTable:
 
     mul = np.zeros((1, 1), dtype=INDEX_DTYPE)
     inv = np.zeros(1, dtype=INDEX_DTYPE)
-    proved = True
     for i in range(d - 1, -1, -1):
         r, m = orders[i], len(mul)
         image = {j: mul[radix[j], idx_of(comms.get((j, i)))] for j in range(i + 1, d)}
@@ -252,7 +260,9 @@ def build_from_pcp(pres: PcPresentation) -> GroupTable:
             k = next(k for k in range(i + 1, d) if u % radix[k] == 0)
             phi[u] = mul[phi[u - radix[k]], image[k]]
         w = idx_of(pres.power_words[i])
-        proved = proved and _holder_conditions(mul, phi, w, r, radix[i + 1:])
+        failed = _holder_conditions(mul, phi, w, r, {j: radix[j] for j in range(i + 1, d)})
+        if failed is not None:
+            raise InconsistentPresentation(f"{label}: level g{i} fails Hoelder's conditions: {failed}")
         grown = np.empty((r, m, r, m), dtype=INDEX_DTYPE)
         phi_b = np.arange(m)
         for b in range(r):  # block (a, b): rows X = [w] phi^b(u) of mul, written in place
@@ -266,14 +276,4 @@ def build_from_pcp(pres: PcPresentation) -> GroupTable:
         ginv = np.argmax(grown[:, 0].reshape(r, r * m) == 0, axis=1)
         mul = grown.reshape(r * m, r * m)
         inv = mul[inv[None, :], ginv[:, None]].ravel()
-
-    if not proved:  # the table is no group: take the scan's inverses, which certify reads
-        inv = inverses(mul)
-    table = GroupTable(order=n, mul=mul, inv=inv, generators=tuple(radix),
-                       label=pres.label or f"pcp({n})")
-    bad = None if proved else certify(table).first_failure()
-    if bad is not None:
-        raise InconsistentPresentation(
-            f"{table.label}: certificate failed at {bad.name} {bad.witness} ({bad.detail})"
-        )
-    return table
+    return GroupTable(order=n, mul=mul, inv=inv, generators=tuple(radix), label=label)

@@ -109,10 +109,6 @@ class RationalGF:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "RationalGF":
-        return cls((), ())
-
-    @classmethod
     def one(cls) -> "RationalGF":
         return cls((1,), ())
 

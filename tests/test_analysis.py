@@ -32,11 +32,11 @@ from conjgf.genfun import a_of_t
 from conjgf.groups import (
     GroupTable,
     build_from_permutations,
-    inverses,
     is_abelian_subset,
     subgroup_closure,
 )
 from conjgf.pcp import prime_power_root
+from conftest import relabelled
 from test_groups import quotient_table
 
 
@@ -117,15 +117,6 @@ def maximal_subgroups(g, p):
     return subs
 
 
-def _relabelled(g: GroupTable, seed: int) -> GroupTable:
-    """A copy of g with its non-identity elements permuted."""
-    perm = np.concatenate(([0], 1 + np.random.default_rng(seed).permutation(g.order - 1)))
-    mul = np.empty_like(g.mul)
-    mul[np.ix_(perm, perm)] = perm[g.mul]
-    gens = tuple(int(perm[s]) for s in g.generators)
-    return GroupTable(order=g.order, mul=mul, inv=inverses(mul), generators=gens, label=f"{g.label}~{seed}")
-
-
 def _p_groups(catalog) -> list[tuple[GroupTable, int]]:
     """(G, p) for every catalog p-group, Gamma(2), Phi(3) and Phi(5)."""
     cases = [(g, prime_power_root(g.order)) for g in catalog.values() if g.order > 1]
@@ -191,7 +182,7 @@ def _classes_by_bfs(g: GroupTable) -> ClassData:
 def test_conjugacy_data_matches_bfs(catalog):
     # orbit labels against the search, field by field and down to the Python int type
     groups = [*catalog.values(), *(stem_group(f, 3) for f in PHI_FAMILIES)]
-    groups += [_relabelled(symmetric(5), 5), _relabelled(symmetric(6), 6)]
+    groups += [relabelled(symmetric(5), 5), relabelled(symmetric(6), 6)]
     for g in groups:
         got = conjugacy_data(g)
         assert got == _classes_by_bfs(g), g.label
@@ -300,7 +291,7 @@ def test_ac_group_from_k_matches_the_centralizer_loop(survey):
     # is_ac_group reads K alone; the reference walks class representatives
     verdicts = []
     for seed, g in enumerate(survey):
-        for h in (g, _relabelled(g, seed)):
+        for h in (g, relabelled(g, seed)):
             verdicts.append(is_ac_group(h))
             assert verdicts[-1] == _is_ac_by_centralizers(h), h.label
     assert 0 < sum(verdicts) < len(verdicts)
@@ -329,7 +320,7 @@ def test_abelian_maximal_flag_matches_enumeration(catalog):
     # the centralizer criterion against every maximal subgroup, on each group and
     # a relabelling of it; Phi5, Phi7 and Phi8 have non-abelian centralizers of index p
     for seed, (g0, p) in enumerate(_p_groups(catalog)):
-        for g in (g0, _relabelled(g0, seed)):
+        for g in (g0, relabelled(g0, seed)):
             want = any(is_abelian_subset(g, sub) for sub in maximal_subgroups(g, p))
             assert has_abelian_maximal_subgroup(g) == want, g.label
 

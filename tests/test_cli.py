@@ -112,6 +112,18 @@ def test_certify_names_failing_axiom_and_witness(capsys, tmp_path):
     assert re.search(r"\(\d+, \d+, \d+\)", err)
 
 
+@pytest.mark.parametrize("command", ["genfun", "certify"])
+def test_inconsistent_pcp_spec_names_its_condition(capsys, tmp_path, command):
+    # [g1, g0] = g1 with g1 of order 9: phi^3(g1) = g1^8, not g1
+    spec = write_spec(tmp_path, "bad.json", {
+        "kind": "pcp", "p": 3, "relative_orders": [3, 9], "power_words": [None, None],
+        "commutators": [{"left": 1, "right": 0, "word": [0, 1]}], "label": "bad"})
+    assert main([command, spec]) == 2
+    captured = capsys.readouterr()
+    assert "bad: level g0 fails Hoelder's conditions: phi^3 is not conjugation by w at g1" in captured.err
+    assert captured.out == ""
+
+
 def test_certify_command_certifies_once(capsys, tmp_path, monkeypatch):
     from conjgf import groups
 

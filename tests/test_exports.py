@@ -44,20 +44,37 @@ def _constants_assigned(stmt: ast.stmt) -> set[str]:
     return {t.id for t in targets if isinstance(t, ast.Name) and t.id.isupper()}
 
 
+def _own_and_read(stmt: ast.stmt) -> tuple[dict[str, str], set[str]]:
+    """The names a top-level statement defines, each with what it is, and the
+    names it reads outside each definition's own body.  A statement defines
+    its function or class, its UPPER_CASE constants, and a class's methods and
+    properties other than dunders."""
+    if not isinstance(stmt, ast.ClassDef):
+        own = {stmt.name} if isinstance(stmt, ast.FunctionDef) else _constants_assigned(stmt)
+        return dict.fromkeys(own, ""), _names_read(stmt) - own
+    own, read = {stmt.name: ""}, set()
+    for part in [*stmt.decorator_list, *stmt.bases, *stmt.keywords, *stmt.body]:
+        names = _names_read(part)
+        if isinstance(part, ast.FunctionDef) and not (part.name.startswith("__") and part.name.endswith("__")):
+            own[part.name] = f"{stmt.name}."
+            names.discard(part.name)
+        read |= names
+    return own, read - {stmt.name}
+
+
 def test_every_src_name_has_a_caller():
     # no API that only tests call: each top-level function, class and UPPER_CASE
-    # constant in src/conjgf is read in src/conjgf or perfbench outside its own
-    # definition, or exported
+    # constant in src/conjgf, and each method and property of its classes, is
+    # read in src/conjgf or perfbench outside its own definition, or exported
     defined: dict[str, str] = {}
     read: set[str] = set()
     src = sorted((REPO_ROOT / "src" / "conjgf").glob("*.py"))
     for path in src + sorted((REPO_ROOT / "perfbench").glob("*.py")):
         for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
-            names = _names_read(stmt)
-            own = {stmt.name} if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else _constants_assigned(stmt)
+            own, names = _own_and_read(stmt)
             if path in src:
-                defined.update(dict.fromkeys(own, path.name))
-            read |= names - own
+                defined.update({name: f"{path.name} {cls}{name}" for name, cls in own.items()})
+            read |= names
     unread = {name: where for name, where in defined.items() if name not in read | set(conjgf.__all__)}
     assert unread == {}
 

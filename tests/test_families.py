@@ -11,7 +11,7 @@ from conjgf.analysis import (
     element_orders,
     nilpotency_class,
 )
-from conjgf import families, groups, pcp
+from conjgf import families, groups
 from conjgf.errors import ClosureExceedsCap, InvalidParameters
 from conjgf.families import (
     ALL_FAMILIES,
@@ -63,7 +63,6 @@ def test_stem_groups_have_one_build_route(monkeypatch):
 
     spy(families, "build_from_permutations")
     spy(groups, "certify")
-    spy(pcp, "certify")
     flagged = []
     for family, p in [(f, 2) for f in GAMMA_FAMILIES] + [(f, 3) for f in PHI_FAMILIES]:
         calls.clear()

@@ -34,6 +34,7 @@ from conjgf.genfun import a_of_t, b_of_t
 from conjgf.isoclinism import _central_quotient, are_isoclinic
 from conjgf.oracle import alpha_brute, beta_brute
 from conjgf.pcp import prime_power_root
+from conftest import relabelled
 
 S3_GENS = [(1, 2, 0), (1, 0, 2)]
 
@@ -462,15 +463,6 @@ def test_spanning_subset_needs_the_identity():
     assert checks["associativity"] == CheckResult("associativity", "fail", "generator triples", want)
 
 
-def _relabelled(g: GroupTable, seed: int) -> tuple[GroupTable, np.ndarray]:
-    """A copy of g with its non-identity elements permuted, and the permutation."""
-    perm = np.concatenate(([0], 1 + np.random.default_rng(seed).permutation(g.order - 1)))
-    mul = np.empty_like(g.mul)
-    mul[np.ix_(perm, perm)] = perm[g.mul]
-    gens = tuple(int(perm[s]) for s in g.generators)
-    return GroupTable(order=g.order, mul=mul, inv=inverses(mul), generators=gens, label="relabelled"), perm
-
-
 def test_spanning_subset_of_stem_groups():
     stems = [(f, 2) for f in GAMMA_FAMILIES] + [(f, p) for p in (3, 5) for f in PHI_FAMILIES]
     sizes = {}
@@ -480,8 +472,9 @@ def test_spanning_subset_of_stem_groups():
         rest = iter(g.generators)
         assert all(s in rest for s in kept), (family, p)  # a subsequence
         assert span == subgroup_closure(g, kept) == tuple(range(g.order)), (family, p)
-        h, perm = _relabelled(g, seed=g.order + len(sizes))
-        assert groups._spanning_generators(h, h.generators) == (tuple(int(perm[s]) for s in kept),
+        h = relabelled(g, g.order + len(sizes))
+        renamed = dict(zip(g.generators, h.generators))
+        assert groups._spanning_generators(h, h.generators) == (tuple(renamed[s] for s in kept),
                                                   tuple(range(g.order))), (family, p)
         sizes[family, p] = len(kept)
     assert [sizes[f, 5] for f in ("Phi6", "Phi9", "Phi10")] == [2, 2, 2]

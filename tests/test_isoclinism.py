@@ -13,7 +13,7 @@ from conjgf.analysis import center_elements, central_cosets, commuting_cosets, d
 from conjgf.errors import QuotientTooLarge
 from conjgf.families import PHI_FAMILIES, cyclic, dihedral, stem_group, symmetric
 from conjgf.genfun import a_of_t, b_of_t, normalize
-from conjgf.groups import GroupTable, certify, inverses, subgroup_closure
+from conjgf.groups import GroupTable, certify, subgroup_closure
 from conjgf.isoclinism import (
     IsoclinismWitness,
     _central_quotient,
@@ -24,16 +24,8 @@ from conjgf.isoclinism import (
     are_isoclinic,
 )
 from conjgf.pcp import PcPresentation, build_from_pcp
+from conftest import relabelled
 from test_groups import quotient_table
-
-
-def _relabelled(g: GroupTable, perm: np.ndarray) -> GroupTable:
-    """A copy of g in which element x is renamed perm[x] (perm[0] must be 0)."""
-    perm = np.asarray(perm, dtype=g.mul.dtype)
-    mul = np.empty_like(g.mul)
-    mul[np.ix_(perm, perm)] = perm[g.mul]
-    gens = tuple(int(perm[s]) for s in g.generators)
-    return GroupTable(order=g.order, mul=mul, inv=inverses(mul), generators=gens, label=f"{g.label}'")
 
 
 def stem_order(g: GroupTable) -> int:
@@ -232,7 +224,7 @@ def test_verify_rejects_theta_not_onto(catalog):
     rest = [e for e in range(base.order) if e not in set(sub)]
     perm = np.empty(base.order, dtype=np.int64)
     perm[list(sub) + rest] = np.arange(base.order)
-    h = _relabelled(base, perm)
+    h = relabelled(base, perm)
     greps, hreps = _central_quotient(g)[1], _central_quotient(h)[1]
     assert len(hreps) == 16
     phi = dict(zip(derived_subgroup(g), derived_subgroup(h)))
@@ -249,8 +241,7 @@ def test_pruning_keeps_every_relabelling(catalog, data):
     label = data.draw(st.sampled_from(sorted(groups)))
     g = groups[label]
     seed = data.draw(st.integers(0, 2**32 - 1))
-    perm = np.concatenate(([0], 1 + np.random.default_rng(seed).permutation(g.order - 1)))
-    h = _relabelled(g, perm)
+    h = relabelled(g, seed)
     w = are_isoclinic(g, h)
     assert w is not None and w.verify(g, h), (label, seed)
 
@@ -295,8 +286,7 @@ def test_central_quotient_and_coset_commutators_match_the_reference(catalog):
     groups = [*catalog.values(), symmetric(5), symmetric(6)]
     groups += [stem_group(f, p) for p in (3, 5) for f in PHI_FAMILIES]
     for seed, g0 in enumerate(groups):
-        perm = np.concatenate(([0], 1 + np.random.default_rng(seed).permutation(g0.order - 1)))
-        for g in (g0, _relabelled(g0, perm)):
+        for g in (g0, relabelled(g0, seed)):
             q, reps = _central_quotient(g)
             coset_of = central_cosets(g)[1]
             want, want_reps, want_coset_of = quotient_table(g, center_elements(g))

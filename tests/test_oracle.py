@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 from conjgf.errors import InvalidParameters, NotAGroup, TupleCapExceeded
 from conjgf.families import dihedral, symmetric
 from conjgf.genfun import alpha_coefficient, beta_coefficient
-from conjgf.groups import GroupTable, inverses
+from conjgf.groups import GroupTable
 from conjgf import oracle
 from conjgf.oracle import alpha_brute, beta_brute, commuting_tuples
+from conftest import relabelled
 
 
 def commuting_tuples_filter(g: GroupTable, n: int) -> list[tuple[int, ...]]:
@@ -78,15 +79,6 @@ def beta_reference(g: GroupTable, n: int) -> tuple[int, int]:
     return uf.count, len(tuples)
 
 
-def _relabelled(g: GroupTable, seed: int) -> GroupTable:
-    """A copy of g with its non-identity elements permuted."""
-    perm = np.concatenate(([0], 1 + np.random.default_rng(seed).permutation(g.order - 1)))
-    mul = np.empty_like(g.mul)
-    mul[np.ix_(perm, perm)] = perm[g.mul]
-    gens = tuple(int(perm[s]) for s in g.generators)
-    return GroupTable(order=g.order, mul=mul, inv=inverses(mul), generators=gens, label=f"{g.label}~{seed}")
-
-
 def test_alpha_brute_basics(catalog):
     s3 = catalog["S3"]
     assert alpha_brute(s3, 0).count == 1
@@ -137,7 +129,8 @@ def test_cap_enforced(catalog, monkeypatch):
 def test_tuple_cap_keeps_codes_in_int32():
     # every tuple code is below |G|^n <= the cap, and the oracles code tuples as int32
     assert oracle.DEFAULT_TUPLE_CAP < 2**31
-    assert oracle._code_dtype(dihedral(8), 2) is np.int32
+    d8 = dihedral(8)
+    assert oracle._codes(commuting_tuples(d8, 2), d8.order).dtype == np.int32
 
 
 def test_prefix_centralizer_enumeration_matches_filter(catalog):
@@ -168,7 +161,7 @@ def test_negative_n_is_invalid(catalog):
 @settings(max_examples=25, deadline=None)
 def test_oracles_match_union_find_reference(catalog, data):
     label = data.draw(st.sampled_from(sorted(k for k, g in catalog.items() if g.order <= 24)))
-    g = _relabelled(catalog[label], data.draw(st.integers(0, 2**32 - 1)))
+    g = relabelled(catalog[label], data.draw(st.integers(0, 2**32 - 1)))
     n = data.draw(st.integers(0, 3))
     a, b = alpha_brute(g, n), beta_brute(g, n)
     assert (a.count, a.tuples_visited) == alpha_reference(g, n), (label, n)

@@ -141,15 +141,20 @@ def test_phi8_example_order_and_center():
     assert set(z) == {0, p, 2 * p}
 
 
+def _holder_message(label: str, level: int, condition: str) -> str:
+    return re.escape(f"{label}: level g{level} fails Hoelder's conditions: {condition}")
+
+
+# C4 presented with relative order 2 and a bogus central power word:
+# g0^2 = g1 with [g1, g0] = g1 forces a non-associative table
+FAILS_FIXING_W = PcPresentation(p=2, relative_orders=(2, 2), power_words=((0, 1), None),
+                                commutator_words={(1, 0): (0, 1)})
+
+
 def test_inconsistent_presentation_rejected():
-    # C4 presented with relative order 2 and a bogus central power word:
-    # g0^2 = g1 with [g1, g0] = g1 forces a non-associative table
-    pres = PcPresentation(
-        p=2, relative_orders=(2, 2), power_words=((0, 1), None),
-        commutator_words={(1, 0): (0, 1)},
-    )
-    with pytest.raises(InconsistentPresentation, match=re.escape("certificate failed at inverses (2,)")):
-        build_from_pcp(pres)
+    # phi(g1) = g1^2 moves w = g1
+    with pytest.raises(InconsistentPresentation, match=_holder_message("pcp(4)", 0, "phi(w) != w")):
+        build_from_pcp(FAILS_FIXING_W)
 
 
 @pytest.mark.parametrize("family", ["Phi9", "Phi10"])
@@ -158,8 +163,40 @@ def test_p3_presentation_without_power_words_rejected(family):
     pres = _phi_presentation(family, 3)
     bare = PcPresentation(p=3, relative_orders=pres.relative_orders, power_words=(None,) * 5,
                           commutator_words=pres.commutator_words, label=family)
-    with pytest.raises(InconsistentPresentation, match=re.escape("certificate failed at inverses (108,)")):
+    with pytest.raises(InconsistentPresentation,
+                       match=_holder_message(family, 0, "phi^3 is not conjugation by w at g1")):
         build_from_pcp(bare)
+
+
+@pytest.mark.parametrize("pres, condition", [
+    # [g2, g1] = g3 but phi([g2, g1]) = [g2, g1] != g3 g2 = phi(g3)
+    (PcPresentation(p=3, relative_orders=(3,) * 4, power_words=(None,) * 4,
+                    commutator_words={(2, 1): (0, 0, 0, 1), (3, 0): (0, 0, 1, 0)}, label="b"),
+     "phi is not a homomorphism at g1"),
+    # phi(g1) = g1^2, so phi^3(g1) = g1^8 while w = 1 conjugates g1 to itself
+    (PcPresentation(p=3, relative_orders=(3, 9), power_words=(None, None),
+                    commutator_words={(1, 0): (0, 1)}, label="c"),
+     "phi^3 is not conjugation by w at g1"),
+], ids=["homomorphism", "conjugation"])
+def test_each_holder_condition_names_its_witness(pres, condition):
+    # test_inconsistent_presentation_rejected covers the third condition, phi(w) = w
+    with pytest.raises(InconsistentPresentation, match=_holder_message(pres.label, 0, condition)):
+        build_from_pcp(pres)
+
+
+def test_inconsistent_order_7_5_raises_before_the_top_table():
+    # g0^7 = g1 with [g1, g0] = g1 fails at level g0, so only N_1's table,
+    # of order 7^4, is ever built: not the 7^5 x 7^5 one
+    pres = PcPresentation(p=7, relative_orders=(7,) * 5, power_words=((0, 1, 0, 0, 0),) + (None,) * 4,
+                          commutator_words={(1, 0): (0, 1, 0, 0, 0)}, label="bad7")
+    tracemalloc.start()
+    try:
+        with pytest.raises(InconsistentPresentation, match=_holder_message("bad7", 0, "phi(w) != w")):
+            build_from_pcp(pres)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 2 * 2401**2, f"peak {peak} bytes"
 
 
 def _assert_matches_collect(pres: PcPresentation) -> None:
@@ -263,22 +300,6 @@ def test_build_memory_bound_at_order_3125():
     assert peak <= 1.25 * 2 * g.order**2, f"build peak {peak} bytes at order {g.order}"
 
 
-def _build_spying_on_certify(pres: PcPresentation, bypass_proof: bool = False):
-    """(table or None, the InconsistentPresentation message or None, every table
-    `build_from_pcp` handed to `certify`); with bypass_proof every level's
-    Hoelder check reports failure, so the build certifies its table as it
-    did before the proof."""
-    certified = []
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pcp, "certify", lambda t: certified.append(t) or certify(t))
-        if bypass_proof:
-            mp.setattr(pcp, "_holder_conditions", lambda *args: False)
-        try:
-            return build_from_pcp(pres), None, certified
-        except InconsistentPresentation as exc:
-            return None, str(exc), certified
-
-
 @st.composite
 def weight_ordered_presentations(draw):
     """Random weight-ordered presentations with p in {2, 3}, d <= 5 and order
@@ -306,38 +327,34 @@ def weight_ordered_presentations(draw):
 @given(weight_ordered_presentations())
 @settings(max_examples=150, deadline=None)
 def test_holder_proof_agrees_with_certify(pres):
-    _, want_error, [table] = _build_spying_on_certify(pres, bypass_proof=True)
-    is_group = certify(table).ok
-    got, error, certified = _build_spying_on_certify(pres)
-    assert error == want_error
-    assert (error is None) == is_group
-    # the proof alone accepts exactly the presentations whose table is a group
-    assert len(certified) == (0 if is_group else 1)
-    if got is not None:
-        assert np.array_equal(got.mul, table.mul) and np.array_equal(got.inv, table.inv)
-
-
-def test_consistent_build_does_not_certify():
-    _, error, certified = _build_spying_on_certify(_phi_presentation("Phi5", 5))
-    assert error is None and certified == []
-    bogus = PcPresentation(p=2, relative_orders=(2, 2), power_words=((0, 1), None),
-                           commutator_words={(1, 0): (0, 1)})
-    _, error, certified = _build_spying_on_certify(bogus)
-    assert error is not None and len(certified) == 1
-
-
-def test_consistent_build_does_not_scan_for_inverses():
-    # the levels give inv; only a table that fails the proof is scanned, for certify's witness
-    scanned = []
-    bogus = PcPresentation(p=2, relative_orders=(2, 2), power_words=((0, 1), None),
-                           commutator_words={(1, 0): (0, 1)})
+    # the block formula's table, built with the proof bypassed, certified with the
+    # scan's inverses: the level formula's inverses mean nothing on a non-group
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pcp, "inverses", lambda mul: scanned.append(len(mul)) or groups.inverses(mul))
-        build_from_pcp(_phi_presentation("Phi5", 5))
-        assert scanned == []
-        with pytest.raises(InconsistentPresentation):
-            build_from_pcp(bogus)
-    assert scanned == [4]
+        mp.setattr(pcp, "_holder_conditions", lambda *args: None)
+        raw = build_from_pcp(pres)
+    is_group = certify(groups.GroupTable(order=raw.order, mul=raw.mul, inv=groups.inverses(raw.mul),
+                                         generators=raw.generators)).ok
+    try:
+        got = build_from_pcp(pres)
+    except InconsistentPresentation:
+        got = None
+    # the proof accepts exactly the presentations whose table is a group
+    assert (got is not None) == is_group
+    if got is not None:
+        assert np.array_equal(got.mul, raw.mul) and np.array_equal(got.inv, raw.inv)
+
+
+def test_build_neither_certifies_nor_scans_for_inverses(monkeypatch):
+    # the levels give inv and Hoelder's conditions the proof, on either verdict
+    assert not hasattr(pcp, "certify") and not hasattr(pcp, "inverses")
+    calls = []
+    for name in ("certify", "inverses"):
+        real = getattr(groups, name)
+        monkeypatch.setattr(groups, name, lambda *a, name=name, real=real: calls.append(name) or real(*a))
+    build_from_pcp(_phi_presentation("Phi5", 5))
+    with pytest.raises(InconsistentPresentation):
+        build_from_pcp(FAILS_FIXING_W)
+    assert calls == []
 
 
 def test_level_inverses_match_the_scan():

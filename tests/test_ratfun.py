@@ -70,7 +70,7 @@ def test_scale_t_is_exact():
 
 
 def test_zero_and_identity_substitution():
-    z = RationalGF.zero()
+    z = RationalGF((), ())
     assert z == RationalGF.from_poly((0,)) == RationalGF.simple(0, 3) and z.poles == ()
     f = RationalGF.from_poly((1, -3), ((2, 1), (7, 1)))
     assert f.scale_t(1) == f
