@@ -344,17 +344,27 @@ def test_holder_proof_agrees_with_certify(pres):
         assert np.array_equal(got.mul, raw.mul) and np.array_equal(got.inv, raw.inv)
 
 
-def test_build_neither_certifies_nor_scans_for_inverses(monkeypatch):
-    # the levels give inv and Hoelder's conditions the proof, on either verdict
-    assert not hasattr(pcp, "certify") and not hasattr(pcp, "inverses")
+def _build_spying_on(monkeypatch, name):
+    # calls of groups.<name> by a consistent Phi5(5) build and by a failing build
     calls = []
-    for name in ("certify", "inverses"):
-        real = getattr(groups, name)
-        monkeypatch.setattr(groups, name, lambda *a, name=name, real=real: calls.append(name) or real(*a))
+    real = getattr(groups, name)
+    monkeypatch.setattr(groups, name, lambda *a: calls.append(name) or real(*a))
     build_from_pcp(_phi_presentation("Phi5", 5))
     with pytest.raises(InconsistentPresentation):
         build_from_pcp(FAILS_FIXING_W)
-    assert calls == []
+    return calls
+
+
+def test_consistent_build_does_not_certify(monkeypatch):
+    # Hoelder's conditions are the proof, on either verdict
+    assert not hasattr(pcp, "certify")
+    assert _build_spying_on(monkeypatch, "certify") == []
+
+
+def test_consistent_build_does_not_scan_for_inverses(monkeypatch):
+    # the levels give inv, and a failing build stops before its table exists
+    assert not hasattr(pcp, "inverses")
+    assert _build_spying_on(monkeypatch, "inverses") == []
 
 
 def test_level_inverses_match_the_scan():
