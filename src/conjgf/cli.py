@@ -115,6 +115,7 @@ def _gf_payload(gf, want_pf: bool) -> dict:
 
 
 def cmd_genfun(args) -> RunReport:
+    _check_count("--coefficients", args.coefficients, 0)
     report = RunReport("genfun", {"spec": args.spec, "which": args.which,
                                   "normalized": args.normalized,
                                   "partial_fractions": args.partial_fractions,
@@ -204,13 +205,13 @@ def cmd_equiv(args) -> RunReport:
     return report
 
 
-def _check_n_max(n_max: int, least: int) -> None:
-    if n_max < least:
-        raise InvalidParameters(f"--n-max {n_max} is below {least}, so no coefficient would be checked")
+def _check_count(flag: str, count: int, least: int) -> None:
+    if count < least:
+        raise InvalidParameters(f"{flag} {count} is below {least}")
 
 
 def cmd_oracle(args) -> RunReport:
-    _check_n_max(args.n_max, 0)
+    _check_count("--n-max", args.n_max, 0)
     report = RunReport("oracle", {"spec": args.spec, "n_max": args.n_max})
     g = load_group_spec(args.spec)
     report.results["group"] = {"label": g.label, "order": g.order}
@@ -262,7 +263,7 @@ def _bench_rows(labels: list[str], n_max: int) -> list[dict]:
 
 
 def cmd_bench(args) -> RunReport:
-    _check_n_max(args.n_max, 1)
+    _check_count("--n-max", args.n_max, 1)
     labels = args.groups or ["S3", "D8", "Q8", "D16", "D32"]
     report = RunReport("bench", {"groups": labels, "n_max": args.n_max, "out": args.out})
     rows = _bench_rows(labels, args.n_max)

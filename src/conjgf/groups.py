@@ -21,8 +21,7 @@ DEFAULT_ORDER_CAP = 16_807  # 7^5: every group of order p^5 for p <= 7
 # cap, but arithmetic with a Python int stays in it and wraps past 65535, so
 # any product or offset of entries that can pass the order is widened first.
 INDEX_DTYPE = np.uint16
-FULL_ASSOCIATIVITY_LIMIT = 256
-ASSOCIATIVITY_BLOCK = 64  # rows per block of the generator-triple check
+ASSOCIATIVITY_BLOCK = 64  # rows per block of the associativity scan
 LINE_BLOCK = 128  # rows or columns per block of the cancellation scatter and the inverse scan
 
 
@@ -216,16 +215,17 @@ def _first_true(mask: np.ndarray) -> tuple[int, ...] | None:
 def certify(g: GroupTable) -> CertificateReport:
     """Verify the group axioms on a table (once per table; the report is cached).
 
-    Associativity is first checked as (xy)s = x(ys) for all x, y and each s
+    Associativity is checked once, as (xy)s = x(ys) for all x, y and each s
     in S, the greedy subsequence of the generators that `_spanning_generators`
-    keeps: once the identity holds and S's closure is the whole table, this
-    implies full associativity by induction on word length, and with it
-    generation.  Any other outcome runs the exact witness search: every
-    triple up to order 256 ("all triples"), every generator past it
-    ("generator triples"), so the witness is always the first failing triple
-    in that order.  Cancellation follows from the identity, two-sided
-    inverses and associativity, so its scan runs only when one of those
-    fails, to name the first row or column that is not a permutation.
+    keeps.  With the identity, that gives (xy)z = x(yz) for every z in S's
+    closure by induction on word length, so when the closure is the whole
+    table the report reads "all triples", and otherwise "generator triples".
+    Without the identity the induction has no base, and the check is skipped.
+    A failure names the first (x, y, s), s outermost, then row-major.
+    Cancellation follows from the identity, two-sided inverses and full
+    associativity, so its scan runs only when that proof is incomplete, to
+    name the first row or column that is not a permutation.  Generation reads
+    the same closure, which is the span of all the generators.
     A failing check names its witness: an entry of mul or an element whose
     inv entry is not an index (table_shape), an element (identity, inverses,
     cancellation, generation) or a triple (associativity).
@@ -249,45 +249,29 @@ def certify(g: GroupTable) -> CertificateReport:
     bad_inv = _first_true((mul[ident, inv] != 0) | (mul[inv, ident] != 0))
     checks.append(_verdict("inverses", bad_inv, "inv[x] must be a two-sided inverse of x"))
 
-    exhaustive = n <= FULL_ASSOCIATIVITY_LIMIT
-    mode = "all triples" if exhaustive else "generator triples"
-    kept, span = _spanning_generators(g, g.generators) if bad_id is None else ((), ())
-    bad_assoc = None
-    if len(span) < n or _associativity_witness_generators(mul, kept) is not None:
-        span = None
-        bad_assoc = (_associativity_witness_full(mul) if exhaustive
-                     else _associativity_witness_generators(mul, g.generators))
+    kept, span = _spanning_generators(g, g.generators)
+    if bad_id is None:
+        bad_assoc = _associativity_witness_generators(mul, kept)
+        proved = bad_assoc is None and len(span) == n
+        assoc = _verdict("associativity", bad_assoc, "all triples" if proved else "generator triples")
+    else:
+        proved = False
+        assoc = CheckResult("associativity", "skip", "needs the identity")
 
-    line = None
-    if bad_id is not None or bad_inv is not None or bad_assoc is not None:
-        line = _first_non_permutation_line(mul)
+    line = None if proved and bad_inv is None else _first_non_permutation_line(mul)
     if line is None:
         cancel = CheckResult("cancellation", "pass", "every row and column is a permutation")
     else:
         kind, at = line
         cancel = CheckResult("cancellation", "fail", f"{kind} {at} is not a permutation", (at,))
-    checks.append(cancel)
-    checks.append(_verdict("associativity", bad_assoc, mode))
+    checks += [cancel, assoc]
 
-    if cancel.status == "pass" and bad_assoc is None:
-        if span is None:
-            span = subgroup_closure(g, g.generators)
+    if cancel.status == assoc.status == "pass":
         missing = None if len(span) == n else (min(set(range(n)).difference(span)),)
         checks.append(_verdict("generation", missing, f"generators span {len(span)} of {n} elements"))
     else:
         checks.append(CheckResult("generation", "skip", "earlier checks failed"))
     return CertificateReport(g.label, tuple(checks))
-
-
-def _associativity_witness_full(mul: np.ndarray) -> tuple[int, int, int] | None:
-    n = mul.shape[0]
-    for x in range(n):
-        left = mul.take(mul[x], axis=0)  # (x y) z
-        right = mul[x].take(mul)         # x (y z)
-        if not np.array_equal(left, right):
-            bad = np.argwhere(left != right)[0]
-            return (x, int(bad[0]), int(bad[1]))
-    return None
 
 
 def _associativity_witness_generators(

@@ -13,7 +13,8 @@ Schema (unknown fields are rejected):
    "commutators": [{"left": 1, "right": 0, "word": [0,0,2]}],
    "label": "..."}
       Words are normal-form exponent vectors over the generators (0-based);
-      a commutator entry gives [g_left, g_right] for left > right.
+      a commutator entry gives [g_left, g_right] for left > right, each pair
+      at most once.
 
   {"kind": "family", "name": "Phi5", "p": 3}
       Catalog families: abelian (p = any order), Phi2..Phi10 (p odd prime),
@@ -90,6 +91,8 @@ def group_from_spec(doc: dict) -> GroupTable:
         for entry in entries:
             _require_fields(entry, {"left", "right", "word"}, set())
             key = (_int_field(entry["left"], "left"), _int_field(entry["right"], "right"))
+            if key in comms:
+                raise GroupSpecError(f"commutators list [g{key[0]}, g{key[1]}] twice")
             comms[key] = _int_list(entry["word"], "a commutator word")
         pres = PcPresentation(
             p=_int_field(doc["p"], "p"),

@@ -220,10 +220,6 @@ class RationalGF:
 
     # -- series --------------------------------------------------------------
 
-    def series(self, count: int) -> tuple[Exact, ...]:
-        """First `count` Taylor coefficients at t = 0."""
-        return tuple(self.coefficient(n) for n in range(count))
-
     def coefficient(self, n: int) -> Exact:
         """poly[n] + sum c C(n+e-1, e-1) m^n."""
         if n < 0:

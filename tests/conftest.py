@@ -21,6 +21,11 @@ def relabelled(g: GroupTable, labelling: int | np.ndarray) -> GroupTable:
     return GroupTable(order=g.order, mul=mul, inv=inverses(mul), generators=gens, label=label)
 
 
+def taylor(f, count: int) -> tuple:
+    """The first `count` Taylor coefficients of a `RationalGF` at t = 0."""
+    return tuple(f.coefficient(n) for n in range(count))
+
+
 @pytest.fixture(scope="session")
 def catalog():
     """Labeled groups of order <= 64 shared across the suite (build once)."""

@@ -346,6 +346,13 @@ def test_n_max_that_checks_nothing_is_rejected(capsys, argv):
     assert captured.out == ""
 
 
+def test_negative_coefficient_count_is_rejected(capsys):
+    assert main(["--json", "genfun", str(REPO_ROOT / "specs" / "s3.json"), "--coefficients", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "--coefficients -3" in captured.err
+    assert captured.out == ""
+
+
 def test_error_exit_code(capsys, tmp_path):
     missing = str(tmp_path / "nope.json")
     with pytest.raises(SystemExit):

@@ -144,7 +144,7 @@ def test_certify_reports_associativity_witness():
 
 
 def test_cayley_nonassociative_above_exhaustive_limit():
-    # NONASSOC_LOOP x C50 (order 300, index a*50 + b) is checked on generator triples only
+    # NONASSOC_LOOP x C50 (order 300, index a*50 + b) fails the scan over its spanning generators
     n = 300
     table = [[(NONASSOC_LOOP[i // 50][j // 50]) * 50 + (i + j) % 50 for j in range(n)] for i in range(n)]
     with pytest.raises(NotAGroup) as err:
@@ -282,15 +282,14 @@ def test_quotient_by_whole_group(catalog):
     assert certify(q).ok
 
 
-def test_cayley_large_order_uses_generator_triples():
-    # a cyclic table above the exhaustive-associativity limit goes through
-    # the generator-triple reduction and still round-trips
+def test_cayley_reads_all_triples_at_any_order():
+    # the label follows the proof, not the order: C300's one generator spans it
     n = 300
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
     g = build_from_cayley(table, label="C300")
     assert g.order == n
     assoc = {c.name: c for c in certify(g).checks}["associativity"]
-    assert (assoc.status, assoc.detail) == ("pass", "generator triples")
+    assert (assoc.status, assoc.detail) == ("pass", "all triples")
 
 
 def _cyclic_product(a: int, b: int) -> np.ndarray:
@@ -416,7 +415,7 @@ def _redundant_generator_loops(m: int) -> tuple[GroupTable, GroupTable]:
     """NONASSOC_LOOP x C_m with a redundant generator, as is and with the identity
     relabelled away from index 0."""
     mul = _loop_times_cyclic(m)
-    # (0, 2) lies in the closure of (0, 1): the check runs on S = (1, m, 2m) first
+    # (0, 2) lies in the closure of (0, 1): the check runs on S = (1, m, 2m)
     plain = _table(mul, (1, 2, m, 2 * m))
     # with the labels of the identity and (2, 0) swapped, index 0 is no identity;
     # 2m + 1 lies in the closure of 1 and 3m, and fails before 3m does
@@ -427,18 +426,31 @@ def _redundant_generator_loops(m: int) -> tuple[GroupTable, GroupTable]:
     return plain, _table(moved, (1, 2 * m + 1, 3 * m))
 
 
+def _fails(mul: np.ndarray, triple: tuple[int, int, int]) -> bool:
+    x, y, z = triple
+    return mul[mul[x, y], z] != mul[x, mul[y, z]]
+
+
 @pytest.mark.parametrize("m", [50, 60])
 def test_associativity_witness_with_redundant_generator(m):
     plain, shifted = _redundant_generator_loops(m)
+    kept, _ = groups._spanning_generators(plain, plain.generators)
+    assert kept == (1, m, 2 * m)
+    want = _generator_scan(plain.mul, kept)
+    assert _fails(plain.mul, want)
+    assoc = {c.name: c for c in certify(plain).checks}["associativity"]
+    assert assoc == CheckResult("associativity", "fail", "generator triples", want)
+    # without the identity the scan over S still names a failing triple, and
+    # so does the scan over every generator, but certify reports neither
     kept, _ = groups._spanning_generators(shifted, shifted.generators)
     assert kept == (1, 3 * m)
-    assert (groups._associativity_witness_generators(shifted.mul, kept)
-            != _generator_scan(shifted.mul, shifted.generators))
-    for g in (plain, shifted):
-        assoc = {c.name: c for c in certify(g).checks}["associativity"]
-        want = _generator_scan(g.mul, g.generators)
-        assert want is not None
-        assert assoc == CheckResult("associativity", "fail", "generator triples", want)
+    witness = groups._associativity_witness_generators(shifted.mul, kept)
+    assert witness == _generator_scan(shifted.mul, kept)
+    assert _fails(shifted.mul, witness)
+    assert _generator_scan(shifted.mul, shifted.generators) is not None
+    checks = {c.name: c for c in certify(shifted).checks}
+    assert checks["identity"].status == "fail"
+    assert checks["associativity"] == CheckResult("associativity", "skip", "needs the identity")
 
 
 def _no_identity_table() -> GroupTable:
@@ -450,17 +462,16 @@ def _no_identity_table() -> GroupTable:
 def test_spanning_subset_needs_the_identity():
     # s = 11 passes, since x o 11 = x + 14 keeps parity, and 0 o 11 = 14 lets
     # the closure of 11 reach every element, 2 included; but 2 fails, and 0 is
-    # no identity
+    # no identity, so S's passing scan proves nothing
     g = _no_identity_table()
     mul = g.mul
     kept, span = groups._spanning_generators(g, g.generators)
     assert (kept, len(span)) == ((11,), 300)
     assert groups._associativity_witness_generators(mul, kept) is None
+    assert _generator_scan(mul, g.generators) == (0, 0, 2)
     checks = {c.name: c for c in certify(g).checks}
     assert checks["identity"].status == "fail"
-    want = _generator_scan(mul, g.generators)
-    assert want == (0, 0, 2)
-    assert checks["associativity"] == CheckResult("associativity", "fail", "generator triples", want)
+    assert checks["associativity"] == CheckResult("associativity", "skip", "needs the identity")
 
 
 def test_spanning_subset_of_stem_groups():
@@ -480,24 +491,58 @@ def test_spanning_subset_of_stem_groups():
     assert [sizes[f, 5] for f in ("Phi6", "Phi9", "Phi10")] == [2, 2, 2]
 
 
+def _unspanned_non_latin_table() -> GroupTable:
+    """C3 x C100 (element a*100 + b) generated by 1 = (0, 1), with row 100 = (1, 0)
+    sending (1, b) to (1, b) in place of (2, b).  Row 100 still commutes with
+    y -> y (0, 1), so the scan over S = (1,) passes, and the identity and the
+    inverses hold; but row 100 is no permutation, and 1 spans only 100 elements."""
+    mul = _cyclic_product(3, 100)
+    mul[100, 100:200] = np.arange(100, 200)
+    return _table(mul, (1,))
+
+
+def test_cancellation_is_scanned_when_the_generators_do_not_span():
+    g = _unspanned_non_latin_table()
+    assert _generator_scan(g.mul, g.generators) is None
+    assert len(subgroup_closure(g, g.generators)) == 100
+    assert _first_bad_line(g.mul) == ("row", 100)
+    checks = {c.name: c for c in certify(g).checks}
+    assert checks["identity"].status == checks["inverses"].status == "pass"
+    assert checks["associativity"] == CheckResult("associativity", "pass", "generator triples")
+    assert checks["cancellation"] == CheckResult("cancellation", "fail", "row 100 is not a permutation", (100,))
+    assert checks["generation"].status == "skip"
+
+
+def _reference_span(g: GroupTable) -> tuple[tuple[int, ...], int]:
+    """Reference: (S, |closure of S|), S kept greedily from the generators in
+    order, each only when the closure of those kept before it misses it."""
+    kept: list[int] = []
+    span: tuple[int, ...] = (0,)
+    for s in g.generators:
+        if s not in span and len(span) < g.order:
+            kept.append(s)
+            span = subgroup_closure(g, kept)
+    return tuple(kept), len(span)
+
+
 def _reference_certificate(g: GroupTable) -> CertificateReport:
-    """Reference for an in-range square table: both cancellation scans always, every
-    triple up to order 256 and every generator past it, the span of all generators."""
+    """Reference for an in-range square table: both cancellation scans always,
+    and with the identity the generator scan over S, read as "all triples"
+    when it passes and S spans the table."""
     mul, inv, n = g.mul, g.inv, g.order
     ident = np.arange(n)
     bad_id = groups._first_true((mul[0] != ident) | (mul[:, 0] != ident))
     bad_inv = groups._first_true((mul[ident, inv] != 0) | (mul[inv, ident] != 0))
     line = _first_bad_line(mul)
-    if n <= groups.FULL_ASSOCIATIVITY_LIMIT:
-        mode = "all triples"
-        # at [y, z]: (x y) z against x (y z)
-        bad_assoc = next(((x, *hit) for x in range(n)
-                          if (hit := groups._first_true(mul[mul[x]] != mul[x][mul])) is not None), None)
-    else:
-        mode = "generator triples"
+    kept, spanned = _reference_span(g)
+    if bad_id is None:
         # at [x, y]: (x y) s against x (y s)
-        bad_assoc = next(((*hit, s) for s in g.generators
+        bad_assoc = next(((*hit, s) for s in kept
                           if (hit := groups._first_true(mul[mul, s] != mul[:, mul[:, s]])) is not None), None)
+        mode = "all triples" if bad_assoc is None and spanned == n else "generator triples"
+        assoc = CheckResult("associativity", "pass" if bad_assoc is None else "fail", mode, bad_assoc or ())
+    else:
+        assoc = CheckResult("associativity", "skip", "needs the identity")
     checks = [
         CheckResult("table_shape", "pass"),
         CheckResult("identity", "pass" if bad_id is None else "fail",
@@ -506,9 +551,9 @@ def _reference_certificate(g: GroupTable) -> CertificateReport:
                     "inv[x] must be a two-sided inverse of x", bad_inv or ()),
         CheckResult("cancellation", "pass", "every row and column is a permutation") if line is None
         else CheckResult("cancellation", "fail", f"{line[0]} {line[1]} is not a permutation", (line[1],)),
-        CheckResult("associativity", "pass" if bad_assoc is None else "fail", mode, bad_assoc or ()),
+        assoc,
     ]
-    if line is None and bad_assoc is None:
+    if line is None and assoc.status == "pass":
         span = subgroup_closure(g, g.generators)
         missing = min(set(range(n)) - set(span), default=None)
         checks.append(CheckResult("generation", "pass" if missing is None else "fail",
@@ -517,6 +562,39 @@ def _reference_certificate(g: GroupTable) -> CertificateReport:
     else:
         checks.append(CheckResult("generation", "skip", "earlier checks failed"))
     return CertificateReport(g.label, tuple(checks))
+
+
+def _all_triples_hold(mul: np.ndarray) -> bool:
+    """(xy)z = x(yz) for every triple, one x at a time: at [y, z], (x y) z against x (y z)."""
+    return all(np.array_equal(mul[mul[x]], mul[x][mul]) for x in range(len(mul)))
+
+
+def _is_group_by_brute_force(g: GroupTable) -> bool:
+    """Reference for an in-range square table: the identity, two-sided inverses,
+    every triple, and the generators' closure under all products is the table."""
+    mul, inv, n = g.mul, g.inv, g.order
+    ident = np.arange(n)
+    if not ((mul[0] == ident).all() and (mul[:, 0] == ident).all()
+            and (mul[ident, inv] == 0).all() and (mul[inv, ident] == 0).all() and _all_triples_hold(mul)):
+        return False
+    inside = np.zeros(n, dtype=bool)
+    inside[[0, *g.generators]] = True
+    while True:
+        members = np.flatnonzero(inside)
+        grown = inside.copy()
+        grown[mul[np.ix_(members, members)]] = True
+        if np.array_equal(grown, inside):
+            return bool(inside.all())
+        inside = grown
+
+
+def _assert_agrees_with_brute_force(g: GroupTable, report: CertificateReport) -> None:
+    """Up to order 256: the report passes exactly when g is a group, and an
+    "all triples" pass holds on every triple."""
+    if g.order <= 256:
+        assoc = {c.name: c for c in report.checks}["associativity"]
+        assert (assoc.status, assoc.detail) != ("pass", "all triples") or _all_triples_hold(g.mul), g.label
+        assert report.ok == _is_group_by_brute_force(g), g.label
 
 
 def _unchecked_cayley(mul) -> GroupTable:
@@ -545,7 +623,7 @@ def _corrupted_tables(catalog) -> list[GroupTable]:
         tables.append(_table(mul, (1,)))
     for m in (50, 60):
         tables += _redundant_generator_loops(m)
-    tables.append(_no_identity_table())
+    tables += [_no_identity_table(), _unspanned_non_latin_table()]
     # x o y = max(x, y): identity 0 and associative, but no inverses, so no row is a permutation
     tables += [_unchecked_cayley(np.maximum.outer(np.arange(n), np.arange(n))) for n in (6, 300)]
     return tables
@@ -556,13 +634,16 @@ def test_certify_matches_the_reference_certificate(catalog):
     assert sum(not certify(g).ok for g in corrupted) == len(corrupted)
     for g in [*catalog.values(), *corrupted]:
         fresh = GroupTable(order=g.order, mul=g.mul, inv=g.inv, generators=g.generators, label=g.label)
-        assert certify(fresh) == _reference_certificate(fresh), g.label
+        report = certify(fresh)
+        assert report == _reference_certificate(fresh), g.label
+        _assert_agrees_with_brute_force(fresh, report)
 
 
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_certify_matches_the_reference_on_corrupted_entries(catalog, data):
-    # catalog tables, plus one table on each side of the exhaustive limit of 256
+    # catalog tables, plus one table on each side of order 256, past which the
+    # brute-force check is not run
     sources = {**catalog, "Phi10(3)": stem_group("Phi10", 3),
                "C3xC100": _table(_cyclic_product(3, 100), (1, 100))}
     g = sources[data.draw(st.sampled_from(sorted(sources)))]
@@ -575,7 +656,9 @@ def test_certify_matches_the_reference_on_corrupted_entries(catalog, data):
             x, y = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
             mul[x, y] = data.draw(st.integers(0, n - 1))
     corrupt = GroupTable(order=n, mul=mul, inv=inv, generators=g.generators, label="corrupt")
-    assert certify(corrupt) == _reference_certificate(corrupt)
+    report = certify(corrupt)
+    assert report == _reference_certificate(corrupt)
+    _assert_agrees_with_brute_force(corrupt, report)
 
 
 def _as_dtype(g: GroupTable, dtype) -> GroupTable:

@@ -109,6 +109,12 @@ def test_unknown_fields_rejected():
                          "power_words": [None], "commutators": [{"left": 1, "word": [0]}]})
 
 
+def test_pcp_commutator_listed_twice_rejected():
+    twice = {**HEIS27, "commutators": _comm() + _comm(word=[0, 0, 1])}
+    with pytest.raises(GroupSpecError, match=r"\[g1, g0\] twice"):
+        group_from_spec(twice)
+
+
 def test_load_group_spec_file(tmp_path):
     path = tmp_path / "g.json"
     path.write_text(json.dumps({"kind": "family", "name": "Gamma5", "p": 2}), encoding="utf-8")

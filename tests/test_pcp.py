@@ -265,7 +265,7 @@ def test_huge_prime_is_refused_before_trial_division():
         PcPresentation(p=p, relative_orders=(2,), power_words=(None,))
 
 
-def test_certificate_skips_full_check_above_256():
+def test_certificate_label_does_not_depend_on_order():
     pres = PcPresentation(p=3, relative_orders=(3,) * 5, power_words=(None,) * 5,
                           commutator_words={(1, 0): (0, 0, 0, 0, 2)}, label="big")
     g = build_from_pcp(pres)
@@ -274,8 +274,9 @@ def test_certificate_skips_full_check_above_256():
     assert (assoc.status, assoc.detail) == ("pass", "all triples")
     bigger = PcPresentation(p=2, relative_orders=(2,) * 9, power_words=(None,) * 9, label="C2^9")
     h = build_from_pcp(bigger)
+    assert h.order == 512
     assoc = {c.name: c for c in certify(h).checks}["associativity"]
-    assert (assoc.status, assoc.detail) == ("pass", "generator triples")
+    assert (assoc.status, assoc.detail) == ("pass", "all triples")
 
 
 def test_quaternion_presentation():
