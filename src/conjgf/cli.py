@@ -115,7 +115,8 @@ def _gf_payload(gf, want_pf: bool) -> dict:
 
 
 def cmd_genfun(args) -> RunReport:
-    _check_count("--coefficients", args.coefficients, 0)
+    if args.coefficients is not None:
+        _check_count("--coefficients", args.coefficients, 0)
     report = RunReport("genfun", {"spec": args.spec, "which": args.which,
                                   "normalized": args.normalized,
                                   "partial_fractions": args.partial_fractions,
@@ -130,7 +131,7 @@ def cmd_genfun(args) -> RunReport:
         if args.normalized:
             gf = normalize(gf, g.order)
         report.results[name] = _gf_payload(gf, args.partial_fractions)
-        if args.coefficients:
+        if args.coefficients is not None:
             report.results[series] = [coefficient(g, n) for n in range(args.coefficients + 1)]
     return report
 
@@ -299,8 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--which", choices=["A", "B", "both"], default="both")
     p.add_argument("--normalized", action="store_true", help="substitute t -> t/|G|")
     p.add_argument("--partial-fractions", action="store_true", dest="partial_fractions")
-    p.add_argument("--coefficients", type=int, default=0, metavar="N",
-                   help="also print the series coefficients up to n = N")
+    p.add_argument("--coefficients", type=int, metavar="N",
+                   help="also print the series coefficients for n = 0..N")
     p.set_defaults(func=cmd_genfun)
 
     p = sub.add_parser("certify", help="run the group-axiom certificate")

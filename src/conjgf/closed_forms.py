@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InvalidParameters
-from .families import family_spec
+from .families import check_family
 from .pcp import EXACT_PRIME_LIMIT, is_prime
 from .ratfun import RationalGF, gf_sum
 
@@ -298,7 +298,7 @@ def table_row(family: str, p: int) -> tuple[RationalGF, RationalGF]:
     """The Table-1 pair (normalized A, normalized B) for a family at prime p."""
     _require(p < EXACT_PRIME_LIMIT,
              f"p = {p} is not below {EXACT_PRIME_LIMIT}, where primality is decided exactly")
-    family_spec(family, p)
+    check_family(family, p)
     a_row, b_row = TABLE_ROWS[family]
     P = Fraction(p)
     return _eval_row(a_row, P), _eval_row(b_row, P)

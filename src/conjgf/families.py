@@ -1,10 +1,10 @@
 """Catalog of constructible stem groups and named small groups.
 
-Each stem-group entry carries an expected structural fingerprint (order,
-center size, derived-subgroup size, nilpotency class, abelian-maximal-subgroup
-flag); construction re-computes the fingerprint and refuses to hand out a
-group that does not match, so a transcription slip in a presentation cannot
-silently poison downstream results.
+Each stem family carries one p-free fingerprint in `_FINGERPRINTS`: the
+exponents of p in its order, center and derived subgroup, its nilpotency class
+and its abelian-maximal-subgroup flag. Construction re-computes the fingerprint
+at the requested p and refuses to hand out a group that does not match, so a
+transcription slip in a presentation cannot silently poison downstream results.
 
 Power-commutator relations fix the orders of the *generators* only, so the
 p = 3 stem groups may have exponent p^2 even when every listed generator has
@@ -16,7 +16,6 @@ compile consistently as printed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .analysis import (
@@ -32,19 +31,6 @@ from .pcp import PcPresentation, build_from_pcp, is_prime, prime_power_root
 PHI_FAMILIES = tuple(f"Phi{k}" for k in range(2, 11))
 GAMMA_FAMILIES = tuple(f"Gamma{k}" for k in range(2, 9))
 ALL_FAMILIES = ("abelian",) + PHI_FAMILIES + GAMMA_FAMILIES
-
-
-@dataclass(frozen=True)
-class FamilySpec:
-    """A catalog entry: how to build a stem group and what it must look like."""
-
-    family: str
-    p: int
-    order: int
-    center_order: int
-    derived_order: int
-    nilpotency_class: int
-    has_abelian_maximal: bool | None  # None skips the check
 
 
 def _vec(d: int, **at: int) -> tuple[int, ...]:
@@ -173,49 +159,43 @@ _FINGERPRINTS: dict[str, tuple] = {
 }
 
 
-def family_spec(family: str, p: int) -> FamilySpec:
+def check_family(family: str, p: int) -> None:
     """The one (family, p) rule; the order cap refuses a group too large to build."""
     if family == "abelian":
         if p < 1:
             raise InvalidParameters("abelian family parameter must be a positive order")
-        return FamilySpec("abelian", p, p, p, 1, 0 if p == 1 else 1, None)
+        return
     if family not in _FINGERPRINTS:
         raise InvalidParameters(f"unknown family {family!r}")
     if family in GAMMA_FAMILIES and p != 2:
         raise InvalidParameters(f"{family} is a family of 2-groups; p must be 2")
     if family in PHI_FAMILIES and (p % 2 == 0 or not is_prime(p)):
         raise InvalidParameters(f"{family} needs an odd prime, got {p}")
+
+
+def _check_fingerprint(g: GroupTable, family: str, p: int) -> GroupTable:
     rank, z, d, cls, abmax = _FINGERPRINTS[family]
-    return FamilySpec(family, p, p**rank, p**z, p**d, cls, abmax)
-
-
-def _check_fingerprint(g: GroupTable, spec: FamilySpec) -> GroupTable:
-    z = len(center_elements(g))
-    d = len(derived_subgroup(g))
-    cls = nilpotency_class(g)
-    got = (g.order, z, d, cls)
-    want = (spec.order, spec.center_order, spec.derived_order, spec.nilpotency_class)
+    got = (g.order, len(center_elements(g)), len(derived_subgroup(g)), nilpotency_class(g))
+    want = (p**rank, p**z, p**d, cls)
     if got != want:
         raise FingerprintMismatch(
-            f"{spec.family}(p={spec.p}): built (order,|Z|,|G'|,class)={got}, expected {want}"
+            f"{family}(p={p}): built (order,|Z|,|G'|,class)={got}, expected {want}"
         )
-    if spec.has_abelian_maximal is not None:
-        flag = has_abelian_maximal_subgroup(g)
-        if flag != spec.has_abelian_maximal:
-            raise FingerprintMismatch(
-                f"{spec.family}(p={spec.p}): built abelian-maximal-subgroup flag {flag}, "
-                f"expected {spec.has_abelian_maximal}"
-            )
+    flag = has_abelian_maximal_subgroup(g)
+    if flag != abmax:
+        raise FingerprintMismatch(
+            f"{family}(p={p}): built abelian-maximal-subgroup flag {flag}, expected {abmax}"
+        )
     return g
 
 
 def build_stem_group(family: str, p: int) -> GroupTable:
     """A family's stem group, non-abelian ones from their pc presentation; fingerprint-checked, uncached."""
-    spec = family_spec(family, p)
+    check_family(family, p)
     if family == "abelian":
         return cyclic(p)
     pres = _GAMMA_PRESENTATIONS[family] if family in GAMMA_FAMILIES else _phi_presentation(family, p)
-    return _check_fingerprint(build_from_pcp(pres), spec)
+    return _check_fingerprint(build_from_pcp(pres), family, p)
 
 
 # library callers share one table per (family, p); a caller that walks the whole

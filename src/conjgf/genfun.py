@@ -28,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .analysis import commuting_cosets, packed_rows
-from .errors import RecursionDepthExceeded
+from .errors import InvalidParameters, RecursionDepthExceeded
 from .groups import GroupTable, memoized
 from .ratfun import RationalGF, gf_sum
 
@@ -118,7 +118,7 @@ def beta_coefficient(g: GroupTable, n: int) -> int:
 
 def _integral_coefficient(f: RationalGF, n: int) -> int:
     """f's coefficient of t^n, which counts orbits and so must be an integer;
-    `coefficient` raises ValueError for n < 0."""
+    `coefficient` raises InvalidParameters for n < 0."""
     value = f.coefficient(n)
     if value.denominator != 1:
         raise ArithmeticError(f"coefficient {n} is {value}, not an integer; the table is corrupt")
@@ -128,7 +128,7 @@ def _integral_coefficient(f: RationalGF, n: int) -> int:
 def normalize(f: RationalGF, order: int) -> RationalGF:
     """Substitute t -> t/order; poles m become exact rationals m/order."""
     if order < 1:
-        raise ValueError("order must be positive")
+        raise InvalidParameters("order must be positive")
     return f.scale_t(Fraction(1, order))
 
 

@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ClosureExceedsCap, InvalidPermutation, NotAGroup
+from .errors import ClosureExceedsCap, InvalidParameters, InvalidPermutation, NotAGroup
 
 DEFAULT_ORDER_CAP = 16_807  # 7^5: every group of order p^5 for p <= 7
 # The element index of every table built here.  It holds every index below the
@@ -152,12 +152,12 @@ def induced_table(g: GroupTable, elements: Sequence[int]) -> GroupTable:
     """Re-index a subgroup's element set to 0..|H|-1 (by parent index order)."""
     elems = np.asarray(sorted(int(x) for x in elements), dtype=np.intp)
     if elems[0] != 0:
-        raise ValueError("induced table requires the identity in the element set")
+        raise InvalidParameters("induced table requires the identity in the element set")
     local = np.full(g.order, -1, dtype=np.int32)
     local[elems] = np.arange(elems.size, dtype=np.int32)
     mul = local[g.mul[np.ix_(elems, elems)]]
     if (mul < 0).any():
-        raise ValueError("element set is not closed under multiplication")
+        raise InvalidParameters("element set is not closed under multiplication")
     inv = local[g.inv[elems]]
     sub = GroupTable(
         order=int(elems.size),

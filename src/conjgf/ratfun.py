@@ -43,7 +43,7 @@ def _frac(x) -> Exact:
 def _pole(m) -> Exact:
     mf = _frac(m)
     if mf <= 0:
-        raise ValueError(f"pole parameter must be positive, got {mf}")
+        raise InvalidParameters(f"pole parameter must be positive, got {mf}")
     return mf
 
 
@@ -223,7 +223,7 @@ class RationalGF:
     def coefficient(self, n: int) -> Exact:
         """poly[n] + sum c C(n+e-1, e-1) m^n."""
         if n < 0:
-            raise ValueError(f"coefficient index must be nonnegative, got {n}")
+            raise InvalidParameters(f"coefficient index must be nonnegative, got {n}")
         value = self.poly[n] if n < len(self.poly) else 0
         for m, e, c in self.terms:
             value += c * comb(n + e - 1, e - 1) * m**n

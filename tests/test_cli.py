@@ -353,6 +353,16 @@ def test_negative_coefficient_count_is_rejected(capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("extra, want", [([], None), (["--coefficients", "0"], [1])],
+                         ids=["absent", "0"])
+def test_coefficient_count_zero_prints_n_0_alone(capsys, extra, want):
+    _, out = run_cli(capsys, "--json", "genfun", str(REPO_ROOT / "specs" / "s3.json"), *extra)
+    payload = json.loads(out)
+    assert payload["inputs"]["coefficients"] == (None if want is None else 0)
+    assert payload["results"].get("alpha") == want
+    assert payload["results"].get("beta") == want
+
+
 def test_error_exit_code(capsys, tmp_path):
     missing = str(tmp_path / "nope.json")
     with pytest.raises(SystemExit):

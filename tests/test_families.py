@@ -12,18 +12,20 @@ from conjgf.analysis import (
     nilpotency_class,
 )
 from conjgf import families, groups
-from conjgf.errors import ClosureExceedsCap, InvalidParameters
+from conjgf.errors import ClosureExceedsCap, FingerprintMismatch, InvalidParameters
 from conjgf.families import (
     ALL_FAMILIES,
     GAMMA_FAMILIES,
     PHI_FAMILIES,
+    _FINGERPRINTS,
+    _check_fingerprint,
     _phi_presentation,
     abelian_group,
     build_stem_group,
+    check_family,
     cyclic,
     dihedral,
     elementary_abelian,
-    family_spec,
     named_group,
     quaternion,
     semidihedral,
@@ -152,9 +154,9 @@ def test_order_cap_admits_every_rank_5_group_at_p_7():
     assert groups.DEFAULT_ORDER_CAP == 7**5
     # a presentation validates itself and checks the cap on construction; nothing is built
     for family in PHI_FAMILIES:
-        assert _phi_presentation(family, 7).compiled_order() == family_spec(family, 7).order
+        assert _phi_presentation(family, 7).compiled_order() == 7 ** _FINGERPRINTS[family][0]
         if family in ("Phi2", "Phi3"):  # 11^3 and 11^4 stay under the cap
-            assert _phi_presentation(family, 11).compiled_order() == family_spec(family, 11).order
+            assert _phi_presentation(family, 11).compiled_order() == 11 ** _FINGERPRINTS[family][0]
         else:
             with pytest.raises(ClosureExceedsCap):
                 _phi_presentation(family, 11)
@@ -164,7 +166,7 @@ def test_small_stem_groups_at_p_7_match_the_table():
     # orders 343 and 2401: the rank-5 groups at p = 7 are left to `verify-table --p 7`
     for family in ("Phi2", "Phi3"):
         g = build_stem_group(family, 7)
-        assert g.order == family_spec(family, 7).order
+        assert g.order == 7 ** _FINGERPRINTS[family][0]
         assert (normalize(a_of_t(g), g.order), normalize(b_of_t(g), g.order)) == table_row(family, 7)
 
 
@@ -185,37 +187,37 @@ def test_invalid_family_parameters():
         quaternion(12)
 
 
-def test_fingerprint_guard_fires():
-    import dataclasses
-
-    from conjgf.errors import FingerprintMismatch
-    from conjgf.families import _check_fingerprint
-
+def test_fingerprint_guard_fires(monkeypatch):
     g = stem_group("Phi5", 3)
-    wrong = dataclasses.replace(family_spec("Phi5", 3), center_order=9)
-    with pytest.raises(FingerprintMismatch):
-        _check_fingerprint(g, wrong)
+    monkeypatch.setitem(_FINGERPRINTS, "Phi5", (5, 2, 1, 2, False))  # |Z| = 9
+    want = "Phi5(p=3): built (order,|Z|,|G'|,class)=(243, 3, 3, 2), expected (243, 9, 3, 2)"
+    with pytest.raises(FingerprintMismatch, match=re.escape(want)):
+        _check_fingerprint(g, "Phi5", 3)
 
 
-def test_fingerprint_guard_names_the_abelian_maximal_flags():
-    import dataclasses
-
-    from conjgf.errors import FingerprintMismatch
-    from conjgf.families import _check_fingerprint
-
+def test_fingerprint_guard_names_the_abelian_maximal_flags(monkeypatch):
     for family, p, built in (("Phi5", 3, False), ("Phi2", 3, True), ("Gamma8", 2, True)):
-        flipped = dataclasses.replace(family_spec(family, p), has_abelian_maximal=not built)
+        g = stem_group(family, p)
+        monkeypatch.setitem(_FINGERPRINTS, family, _FINGERPRINTS[family][:4] + (not built,))
         want = f"{family}(p={p}): built abelian-maximal-subgroup flag {built}, expected {not built}"
         with pytest.raises(FingerprintMismatch, match=re.escape(want)):
-            _check_fingerprint(stem_group(family, p), flipped)
+            _check_fingerprint(g, family, p)
 
 
-def test_family_spec_shapes():
-    spec = family_spec("Phi6", 3)
-    assert (spec.order, spec.center_order, spec.derived_order) == (243, 9, 27)
-    assert spec.nilpotency_class == 3
-    assert spec.has_abelian_maximal is False
-    assert family_spec("Gamma8", 2).has_abelian_maximal is True
+@pytest.mark.parametrize("entry", range(5), ids=["rank", "center", "derived", "class", "abelian max"])
+def test_fingerprint_guard_checks_every_entry(monkeypatch, entry):
+    record = list(_FINGERPRINTS["Phi6"])
+    record[entry] = not record[entry] if entry == 4 else record[entry] + 1
+    monkeypatch.setitem(_FINGERPRINTS, "Phi6", tuple(record))
+    with pytest.raises(FingerprintMismatch, match=re.escape("Phi6(p=3): built ")):
+        build_stem_group("Phi6", 3)
+
+
+def test_fingerprint_record_shapes():
+    rank, z, d, cls, abmax = _FINGERPRINTS["Phi6"]
+    assert (rank, z, d, cls, abmax) == (5, 2, 3, 3, False)
+    assert (3**rank, 3**z, 3**d) == (243, 9, 27)
+    assert _FINGERPRINTS["Gamma8"][4] is True
     assert len(ALL_FAMILIES) == 17
 
 
@@ -269,4 +271,4 @@ def test_oversized_requests_fail_before_building():
         with pytest.raises(ClosureExceedsCap):
             build()
     with pytest.raises(InvalidParameters):
-        family_spec("Phi5", huge)
+        check_family("Phi5", huge)

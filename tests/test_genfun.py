@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conjgf import genfun
 from conjgf.analysis import center_elements, commuting_cosets, conjugacy_data
-from conjgf.errors import RecursionDepthExceeded
+from conjgf.errors import InvalidParameters, RecursionDepthExceeded
 from conjgf.families import cyclic, stem_group, symmetric
 from conjgf.genfun import (
     a_equivalent,
@@ -136,7 +136,7 @@ def test_non_integral_coefficient_is_an_error():
     for coefficient in (alpha_coefficient, beta_coefficient):
         with pytest.raises(ArithmeticError):
             coefficient(g, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParameters):
             coefficient(g, -1)
 
 
@@ -164,6 +164,12 @@ def test_normalize_examples(catalog):
     assert a16 == expected
     f = a_of_t(catalog["S3"])
     assert normalize(f, 1) == f
+
+
+@pytest.mark.parametrize("order", [0, -6])
+def test_normalize_rejects_a_nonpositive_order(order):
+    with pytest.raises(InvalidParameters, match="order must be positive"):
+        normalize(RationalGF.simple(1, 2), order)
 
 
 def test_equivalences(catalog):

@@ -15,9 +15,9 @@ from conjgf.analysis import (
     has_abelian_maximal_subgroup,
     nilpotency_class,
 )
-from conjgf.errors import ClosureExceedsCap, InvalidPermutation, NotAGroup, QuotientTooLarge
+from conjgf.errors import ClosureExceedsCap, InvalidParameters, InvalidPermutation, NotAGroup, QuotientTooLarge
 from conjgf import groups
-from conjgf.families import GAMMA_FAMILIES, PHI_FAMILIES, stem_group
+from conjgf.families import GAMMA_FAMILIES, PHI_FAMILIES, cyclic, stem_group
 from conjgf.groups import (
     CertificateReport,
     CheckResult,
@@ -143,7 +143,7 @@ def test_certify_reports_associativity_witness():
     assert mul[mul[x, y], z] != mul[x, mul[y, z]]
 
 
-def test_cayley_nonassociative_above_exhaustive_limit():
+def test_cayley_nonassociative_names_first_failing_generator_triple():
     # NONASSOC_LOOP x C50 (order 300, index a*50 + b) fails the scan over its spanning generators
     n = 300
     table = [[(NONASSOC_LOOP[i // 50][j // 50]) * 50 + (i + j) % 50 for j in range(n)] for i in range(n)]
@@ -239,6 +239,15 @@ def test_induced_table_is_group(catalog):
 
     sub = induced_table(g, centralizer_elements(g, g.generators[0]))
     assert certify(sub).ok
+
+
+@pytest.mark.parametrize("elements, detail", [((1, 2, 3), "requires the identity"),
+                                              ((0, 1), "not closed under multiplication")],
+                         ids=["no identity", "not closed"])
+def test_induced_table_rejects_a_non_subgroup(elements, detail):
+    # C4 from one 4-cycle: index 1 is the generator, so {0, 1} is not closed
+    with pytest.raises(InvalidParameters, match=detail):
+        induced_table(cyclic(4), elements)
 
 
 def test_quotient_table_by_center(catalog):
@@ -347,7 +356,7 @@ def _swap_in_last_columns(mul):
                                            (_swap_within_row, ("column", 10)),
                                            (_duplicate_in_last_row, ("row", 299)),
                                            (_swap_in_last_columns, ("column", 270))])
-def test_cancellation_witness_above_exhaustive_limit(corrupt, want):
+def test_cancellation_witness_is_first_bad_line(corrupt, want):
     mul = _cyclic_product(1, 300)
     corrupt(mul)
     kind, line = _first_bad_line(mul)
@@ -356,7 +365,7 @@ def test_cancellation_witness_above_exhaustive_limit(corrupt, want):
     assert failure == CheckResult("cancellation", "fail", f"{kind} {line} is not a permutation", (line,))
 
 
-def test_generation_witness_above_exhaustive_limit():
+def test_generation_witness_is_first_missing_element():
     # in C3 x C100 the element 1 = (0, 1) spans only the first 100 indices
     mul = _cyclic_product(3, 100)
     span = _product_closure(mul.tolist(), (1,))

@@ -170,6 +170,15 @@ def test_non_exact_values_are_rejected(bad):
             make()
 
 
+@pytest.mark.parametrize("pole", [0, -2, F(-1, 3)], ids=["0", "-2", "-1/3"])
+def test_nonpositive_poles_are_rejected(pole):
+    f = RationalGF.simple(1, 2)
+    for make in (lambda: RationalGF.simple(1, pole), lambda: RationalGF.from_poly((1,), ((pole, 1),)),
+                 lambda: f.over_linear(pole), lambda: f.scale_t(pole)):
+        with pytest.raises(InvalidParameters, match="pole parameter must be positive"):
+            make()
+
+
 def test_integral_values_are_stored_as_int():
     f = RationalGF.simple(np.int64(3), np.uint16(4)) * F(4, 2)
     assert f.numerator == (6,) and f.poles == ((4, 1),)
