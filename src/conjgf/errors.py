@@ -46,7 +46,8 @@ class FingerprintMismatch(ConjGFError):
 
 
 class RecursionDepthExceeded(ConjGFError):
-    """Centralizer recursion failed to descend; indicates a bug, not bad input."""
+    """A non-central centralizer row of the B recursion held more than half its
+    node's cosets, which Lagrange forbids; indicates a corrupt table, not bad input."""
 
 
 class TupleCapExceeded(ConjGFError):

@@ -1,16 +1,19 @@
 """Catalog of constructible stem groups and named small groups.
 
-Each stem family carries one p-free fingerprint in `_FINGERPRINTS`: the
-exponents of p in its order, center and derived subgroup, its nilpotency class
-and its abelian-maximal-subgroup flag. Construction re-computes the fingerprint
-at the requested p and refuses to hand out a group that does not match, so a
-transcription slip in a presentation cannot silently poison downstream results.
+Each stem family has one p-free row in `_PRESENTATIONS`, its pc presentation
+with the relative orders written as exponents of p, and one p-free fingerprint
+in `_FINGERPRINTS`: the exponents of p in its order, center and derived
+subgroup, its nilpotency class and its abelian-maximal-subgroup flag.
+`_stem_presentation` compiles a row at the requested p, and construction
+re-computes the fingerprint and refuses to hand out a group that does not
+match, so a transcription slip in a presentation cannot silently poison
+downstream results.
 
 Power-commutator relations fix the orders of the *generators* only, so the
 p = 3 stem groups may have exponent p^2 even when every listed generator has
-order p; the p = 3 power words below (Phi3, Phi7, Phi9, Phi10) are the stated
-reductions of the binomial power relations, and the remaining families
-compile consistently as printed.
+order p; `_P3_POWER_WORDS` holds the stated reductions of the binomial power
+relations for Phi3, Phi7, Phi9 and Phi10, applied over the row's own power
+words, and the remaining families compile consistently as printed.
 """
 
 from __future__ import annotations
@@ -26,115 +29,83 @@ from .analysis import (
 )
 from .errors import FingerprintMismatch, InvalidParameters
 from .groups import GroupTable, build_from_permutations, check_order_cap
-from .pcp import PcPresentation, build_from_pcp, is_prime, prime_power_root
+from .pcp import PcPresentation, Word, build_from_pcp, is_prime, prime_power_root
 
 PHI_FAMILIES = tuple(f"Phi{k}" for k in range(2, 11))
 GAMMA_FAMILIES = tuple(f"Gamma{k}" for k in range(2, 9))
 ALL_FAMILIES = ("abelian",) + PHI_FAMILIES + GAMMA_FAMILIES
 
-
-def _vec(d: int, **at: int) -> tuple[int, ...]:
-    out = [0] * d
-    for key, value in at.items():
-        out[int(key[1:])] = value
-    return tuple(out)
-
-
-def _phi_presentation(family: str, p: int) -> PcPresentation:
-    label = f"{family}({p})"
-    if family == "Phi2":
-        # Heisenberg group: gens a, b, c with [a, b] = c, exponent p
-        return PcPresentation(p=p, relative_orders=(p,) * 3, power_words=(None,) * 3,
-                              commutator_words={(1, 0): _vec(3, g2=p - 1)}, label=label)
-    if family == "Phi3":
-        # gens a, a1, a2, a3 with [a1,a]=a2, [a2,a]=a3; at p=3 the binomial
-        # power relation forces a1^3 = a3^-1
-        pw: list = [None] * 4
-        if p == 3:
-            pw[1] = _vec(4, g3=2)
-        return PcPresentation(p=p, relative_orders=(p,) * 4, power_words=tuple(pw),
-                              commutator_words={(1, 0): _vec(4, g2=1), (2, 0): _vec(4, g3=1)},
-                              label=label)
-    if family == "Phi4":
-        # gens a, a1, a2, b1, b2 with [ai, a] = bi
-        return PcPresentation(p=p, relative_orders=(p,) * 5, power_words=(None,) * 5,
-                              commutator_words={(1, 0): _vec(5, g3=1), (2, 0): _vec(5, g4=1)},
-                              label=label)
-    if family == "Phi5":
-        # gens a1..a4, b with [a1,a2] = [a3,a4] = b (extraspecial of exponent p)
-        return PcPresentation(p=p, relative_orders=(p,) * 5, power_words=(None,) * 5,
-                              commutator_words={(1, 0): _vec(5, g4=p - 1), (3, 2): _vec(5, g4=p - 1)},
-                              label=label)
-    if family == "Phi6":
-        # gens a1, a2, b, b1, b2 with [a1,a2]=b, [b,ai]=bi
-        return PcPresentation(p=p, relative_orders=(p,) * 5, power_words=(None,) * 5,
-                              commutator_words={(1, 0): _vec(5, g2=p - 1),
-                                                (2, 0): _vec(5, g3=1),
-                                                (2, 1): _vec(5, g4=1)},
-                              label=label)
-    if family == "Phi7":
-        # gens a, a1, a2, a3, b with [a1,a]=a2, [a2,a]=a3, [a1,b]=a3;
-        # at p=3 the binomial power relation forces a1^3 a3 = 1
-        pw = [None] * 5
-        if p == 3:
-            pw[1] = _vec(5, g3=2)
-        return PcPresentation(p=p, relative_orders=(p,) * 5, power_words=tuple(pw),
-                              commutator_words={(1, 0): _vec(5, g2=1),
-                                                (2, 0): _vec(5, g3=1),
-                                                (4, 1): _vec(5, g3=p - 1)},
-                              label=label)
-    if family == "Phi8":
-        # gens a1, a2, b of relative orders p, p^2, p^2 with a1^p = b,
-        # [a1,a2] = b, [b,a2] = b^p
-        return PcPresentation(p=p, relative_orders=(p, p * p, p * p),
-                              power_words=(_vec(3, g2=1), None, None),
-                              commutator_words={(1, 0): _vec(3, g2=p * p - 1),
-                                                (2, 1): _vec(3, g2=p)},
-                              label=label)
-    if family in ("Phi9", "Phi10"):
-        # gens a, a1..a4 with [ai,a]=a_{i+1} (and [a1,a2]=a4 for Phi10);
-        # at p=3 the binomial power relations force a2^3 a4 = 1 and
-        # a1^3 a2^3 a3 = 1
-        pw = [None] * 5
-        if p == 3:
-            pw[1] = _vec(5, g3=2, g4=1)
-            pw[2] = _vec(5, g4=2)
-        comms = {(1, 0): _vec(5, g2=1), (2, 0): _vec(5, g3=1), (3, 0): _vec(5, g4=1)}
-        if family == "Phi10":
-            comms[(2, 1)] = _vec(5, g4=p - 1)
-        return PcPresentation(p=p, relative_orders=(p,) * 5, power_words=tuple(pw),
-                              commutator_words=comms, label=label)
-    raise InvalidParameters(f"unknown family {family!r}")
-
-
-def _dihedral_presentation(n: int) -> PcPresentation:
-    """D_2n: g0 inverts g1, so [g1, g0] = g1^(n-2)."""
-    return PcPresentation(p=2, relative_orders=(2, n), power_words=(None, None),
-                          commutator_words={(1, 0): (0, n - 2)}, label=f"D{2 * n}")
-
-
-_GAMMA_PRESENTATIONS = {
-    "Gamma2": _dihedral_presentation(4),
-    "Gamma3": _dihedral_presentation(8),
+# family -> (relative orders as exponents of p, commutator words [g_j, g_i],
+# power words of g_i^(r_i), label or None for "family(p)").  A word is a sparse
+# {k: e} for the product of the g_k^e, with e read mod g_k's relative order r_k,
+# so -1 is g_k^(r_k - 1); the marker "p" is the exponent p itself, which only
+# Phi8's [b, a2] = b^p needs.  A generator with no power word has g_i^(r_i) = 1.
+_PRESENTATIONS: dict[str, tuple] = {
+    # Heisenberg group: gens a, b, c with [a, b] = c, exponent p
+    "Phi2": ((1, 1, 1), {(1, 0): {2: -1}}, {}, None),
+    # gens a, a1, a2, a3 with [a1,a]=a2, [a2,a]=a3
+    "Phi3": ((1, 1, 1, 1), {(1, 0): {2: 1}, (2, 0): {3: 1}}, {}, None),
+    # gens a, a1, a2, b1, b2 with [ai, a] = bi
+    "Phi4": ((1,) * 5, {(1, 0): {3: 1}, (2, 0): {4: 1}}, {}, None),
+    # gens a1..a4, b with [a1,a2] = [a3,a4] = b (extraspecial of exponent p)
+    "Phi5": ((1,) * 5, {(1, 0): {4: -1}, (3, 2): {4: -1}}, {}, None),
+    # gens a1, a2, b, b1, b2 with [a1,a2]=b, [b,ai]=bi
+    "Phi6": ((1,) * 5, {(1, 0): {2: -1}, (2, 0): {3: 1}, (2, 1): {4: 1}}, {}, None),
+    # gens a, a1, a2, a3, b with [a1,a]=a2, [a2,a]=a3, [a1,b]=a3
+    "Phi7": ((1,) * 5, {(1, 0): {2: 1}, (2, 0): {3: 1}, (4, 1): {3: -1}}, {}, None),
+    # gens a1, a2, b of relative orders p, p^2, p^2 with a1^p = b,
+    # [a1,a2] = b, [b,a2] = b^p
+    "Phi8": ((1, 2, 2), {(1, 0): {2: -1}, (2, 1): {2: "p"}}, {0: {2: 1}}, None),
+    # gens a, a1..a4 with [ai,a]=a_{i+1}
+    "Phi9": ((1,) * 5, {(1, 0): {2: 1}, (2, 0): {3: 1}, (3, 0): {4: 1}}, {}, None),
+    # Phi9's relations and [a1,a2]=a4
+    "Phi10": ((1,) * 5, {(1, 0): {2: 1}, (2, 0): {3: 1}, (3, 0): {4: 1}, (2, 1): {4: -1}},
+              {}, None),
+    # D8: g0 inverts g1, so [g1, g0] = g1^-2
+    "Gamma2": ((1, 2), {(1, 0): {1: -2}}, {}, "D8"),
+    # D16, likewise
+    "Gamma3": ((1, 3), {(1, 0): {1: -2}}, {}, "D16"),
     # (C4 x C4) : C2 with the inverting involution
-    "Gamma4": PcPresentation(
-        p=2, relative_orders=(2, 4, 4), power_words=(None,) * 3,
-        commutator_words={(1, 0): (0, 2, 0), (2, 0): (0, 0, 2)}, label="Gamma4a2"),
+    "Gamma4": ((1, 2, 2), {(1, 0): {1: -2}, (2, 0): {2: -2}}, {}, "Gamma4a2"),
     # extraspecial of order 32: five involutions, [a2,a1]=[a4,a1]=[a3,a2]=b
-    "Gamma5": PcPresentation(
-        p=2, relative_orders=(2,) * 5, power_words=(None,) * 5,
-        commutator_words={(1, 0): (0, 0, 0, 0, 1), (3, 0): (0, 0, 0, 0, 1),
-                          (2, 1): (0, 0, 0, 0, 1)}, label="Gamma5a1"),
+    "Gamma5": ((1,) * 5, {(1, 0): {4: 1}, (3, 0): {4: 1}, (2, 1): {4: 1}}, {}, "Gamma5a1"),
     # C8 : (C2 x C2); one factor inverts, the other is the 5th-power map
-    "Gamma6": PcPresentation(
-        p=2, relative_orders=(2, 2, 8), power_words=(None,) * 3,
-        commutator_words={(2, 0): (0, 0, 6), (2, 1): (0, 0, 4)}, label="Gamma6a1"),
+    "Gamma6": ((1, 1, 3), {(2, 0): {2: -2}, (2, 1): {2: 4}}, {}, "Gamma6a1"),
     # C2^3 : C4 acting as a single unipotent Jordan block
-    "Gamma7": PcPresentation(
-        p=2, relative_orders=(4, 2, 2, 2), power_words=(None,) * 4,
-        commutator_words={(1, 0): (0, 0, 1, 1), (2, 0): (0, 0, 0, 1)}, label="Gamma7a1"),
-    "Gamma8": _dihedral_presentation(16),
+    "Gamma7": ((2, 1, 1, 1), {(1, 0): {2: 1, 3: 1}, (2, 0): {3: 1}}, {}, "Gamma7a1"),
+    # D32, likewise
+    "Gamma8": ((1, 4), {(1, 0): {1: -2}}, {}, "D32"),
 }
+
+# at p = 3 the binomial power relations force a1^3 = a3^-1 (Phi3, Phi7), and
+# a2^3 a4 = 1 and a1^3 a2^3 a3 = 1 (Phi9, Phi10)
+_P3_POWER_WORDS = {
+    "Phi3": {1: {3: -1}},
+    "Phi7": {1: {3: -1}},
+    "Phi9": {1: {3: -1, 4: 1}, 2: {4: -1}},
+    "Phi10": {1: {3: -1, 4: 1}, 2: {4: -1}},
+}
+
+
+def _stem_presentation(family: str, p: int) -> PcPresentation:
+    """Compile a family's `_PRESENTATIONS` row at p, refusing what `check_family` refuses."""
+    check_family(family, p)
+    exponents, comms, powers, label = _PRESENTATIONS[family]
+    if p == 3:
+        powers = {**powers, **_P3_POWER_WORDS.get(family, {})}
+    orders = tuple(p**e for e in exponents)
+
+    def word(sparse: dict) -> Word:
+        out = [0] * len(orders)
+        for k, e in sparse.items():
+            out[k] = (p if e == "p" else e) % orders[k]
+        return tuple(out)
+
+    return PcPresentation(
+        p=p, relative_orders=orders,
+        power_words=tuple(word(powers[i]) if i in powers else None for i in range(len(orders))),
+        commutator_words={key: word(w) for key, w in comms.items()},
+        label=label or f"{family}({p})")
 
 
 _FINGERPRINTS: dict[str, tuple] = {
@@ -191,11 +162,10 @@ def _check_fingerprint(g: GroupTable, family: str, p: int) -> GroupTable:
 
 def build_stem_group(family: str, p: int) -> GroupTable:
     """A family's stem group, non-abelian ones from their pc presentation; fingerprint-checked, uncached."""
-    check_family(family, p)
     if family == "abelian":
+        check_family(family, p)
         return cyclic(p)
-    pres = _GAMMA_PRESENTATIONS[family] if family in GAMMA_FAMILIES else _phi_presentation(family, p)
-    return _check_fingerprint(build_from_pcp(pres), family, p)
+    return _check_fingerprint(build_from_pcp(_stem_presentation(family, p)), family, p)
 
 
 # library callers share one table per (family, p); a caller that walks the whole

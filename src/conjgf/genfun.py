@@ -32,8 +32,6 @@ from .errors import InvalidParameters, RecursionDepthExceeded
 from .groups import GroupTable, memoized
 from .ratfun import RationalGF, gf_sum
 
-MAX_B_DEPTH = 64
-
 
 @memoized
 def a_of_t(g: GroupTable) -> RationalGF:
@@ -59,14 +57,12 @@ def b_and_work(g: GroupTable) -> tuple[RationalGF, int]:
     """(B_G, work), with work the nodes computed plus the distinct non-central
     rows summed.  G has one central coset, Z(G), so B~ = (N~_G + S~_G) / R."""
     block = commuting_cosets(g)
-    central, s, work = _commuting_sum(block, np.arange(len(block)), {}, 0)
+    central, s, work = _commuting_sum(block, np.arange(len(block)), {})
     b = (_count_series(central, s) + s) * Fraction(1, len(block))
     return b.scale_t(g.order // len(block)), work
 
 
-def _commuting_sum(
-    block: np.ndarray, idx: np.ndarray, memo: dict, depth: int
-) -> tuple[int, RationalGF, int]:
+def _commuting_sum(block: np.ndarray, idx: np.ndarray, memo: dict) -> tuple[int, RationalGF, int]:
     """(central cosets, S~_H, work) for a subgroup H >= Z(G) with commuting block `block`.
 
     `idx` holds the positions in K of H's cosets of Z(G), in block order;
@@ -74,12 +70,10 @@ def _commuting_sum(
     S~_H = sum over distinct non-central centralizers C of mult(C) * N~_C,
     where mult(C) counts the cosets in H whose centralizer in H is C.  The
     work is this node, its distinct non-central rows and the work of the
-    children it computes.
+    children it computes.  C/Z(G) is a proper subgroup of H/Z(G), so by
+    Lagrange a non-central row holds at most half the block's rows; a row that
+    recurses is checked for that, so the recursion is at most log2 R deep.
     """
-    if depth > MAX_B_DEPTH:
-        raise RecursionDepthExceeded(
-            "centralizer chain failed to shrink; the table must be corrupt"
-        )
     _, first, rows = np.unique(packed_rows(block), return_index=True, return_counts=True)
     central, work = 0, 1
     terms: dict[RationalGF, int] = {}  # N~_C -> summed multiplicity
@@ -97,8 +91,13 @@ def _commuting_sum(
             sub = block.take(members, axis=0).take(members, axis=1)
             if sub.all():
                 n_c = RationalGF.simple(1, members.size)
+            elif 2 * members.size > block.shape[0]:
+                raise RecursionDepthExceeded(
+                    f"row {int(idx[i])} of K commutes with {members.size} of its node's "
+                    f"{block.shape[0]} cosets, more than half; the table must be corrupt"
+                )
             else:
-                sub_central, sub_s, sub_work = _commuting_sum(sub, sub_idx, memo, depth + 1)
+                sub_central, sub_s, sub_work = _commuting_sum(sub, sub_idx, memo)
                 n_c = _count_series(sub_central, sub_s)
                 work += sub_work
             memo[key] = n_c

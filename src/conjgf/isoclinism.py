@@ -170,13 +170,13 @@ def _derive_phi(g: GroupTable, h: GroupTable, theta: tuple[int, ...]) -> dict[in
 
 def are_isoclinic(g: GroupTable, h: GroupTable) -> IsoclinismWitness | None:
     """Search for an isoclinism witness; None when provably none exists."""
-    largest = max(x.order // len(center_elements(x)) for x in (g, h))
-    if largest > DEFAULT_QUOTIENT_CAP:
-        raise QuotientTooLarge(f"central quotient of order {largest} exceeds cap {DEFAULT_QUOTIENT_CAP}")
-    gq, greps = _central_quotient(g)
-    hq, hreps = _central_quotient(h)
-    if gq.order != hq.order:
+    size, other = (x.order // len(center_elements(x)) for x in (g, h))
+    if size != other:
         return None
+    if size > DEFAULT_QUOTIENT_CAP:
+        raise QuotientTooLarge(f"central quotient of order {size} exceeds cap {DEFAULT_QUOTIENT_CAP}")
+    greps = _central_quotient(g)[1]
+    hreps = _central_quotient(h)[1]
     if len(derived_subgroup(g)) != len(derived_subgroup(h)):
         return None
     for theta in _iso_images(g, h):

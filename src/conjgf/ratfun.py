@@ -156,27 +156,12 @@ class RationalGF:
             return NotImplemented
         return gf_sum((self, other))
 
-    def __neg__(self) -> "RationalGF":
-        return self * -1
-
-    def __sub__(self, other: "RationalGF") -> "RationalGF":
-        return self + (-other)
-
     def __mul__(self, other) -> "RationalGF":
-        if not isinstance(other, RationalGF):
-            s = _frac(other)
-            pairs = {(m, e): (c.numerator * s.numerator, c.denominator * s.denominator)
-                     for m, e, c in self.terms}
-            return _build([c * s for c in self.poly], pairs)
-        # self / (1 - m t)^e for each of other's terms, and self t^i for its poly
-        parts = [reduce(RationalGF._over, [m] * e, self) * c for m, e, c in other.terms]
-        h = self
-        for c in other.poly:
-            parts.append(h * c)
-            h = h.times_t()
-        return gf_sum(parts)
-
-    __rmul__ = __mul__
+        """Multiply by an exact scalar, int or Fraction."""
+        s = _frac(other)
+        pairs = {(m, e): (c.numerator * s.numerator, c.denominator * s.denominator)
+                 for m, e, c in self.terms}
+        return _build([c * s for c in self.poly], pairs)
 
     def times_t(self) -> "RationalGF":
         """Multiply by t: t/(1 - m t)^e = (1/(1 - m t)^e - 1/(1 - m t)^(e-1)) / m."""

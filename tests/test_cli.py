@@ -274,6 +274,14 @@ def test_equiv_phi9_phi10_not_isoclinic(capsys, tmp_path):
     assert code == 0 and json.loads(out)["results"]["isoclinic"] is False
 
 
+@pytest.mark.parametrize("other", ["s3.json", "heisenberg27.json"])
+def test_equiv_unequal_quotient_orders_not_isoclinic_past_the_cap(capsys, tmp_path, other):
+    # |Phi5(5)/Z| = 625 is over the quotient cap; 6 and 9 differ from it
+    phi5 = write_spec(tmp_path, "phi5.json", {"kind": "family", "name": "Phi5", "p": 5})
+    code, out = run_cli(capsys, "--json", "equiv", phi5, str(REPO_ROOT / "specs" / other), "--mode", "isoclinic")
+    assert code == 0 and json.loads(out)["results"]["isoclinic"] is False
+
+
 def test_oracle_command(capsys, tmp_path):
     s3 = write_spec(tmp_path, "s3.json", {"kind": "family", "name": "symmetric", "p": 3})
     code, out = run_cli(capsys, "--json", "oracle", s3, "--n-max", "3")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import re
 
 import pytest
@@ -18,8 +19,9 @@ from conjgf.families import (
     GAMMA_FAMILIES,
     PHI_FAMILIES,
     _FINGERPRINTS,
+    _PRESENTATIONS,
     _check_fingerprint,
-    _phi_presentation,
+    _stem_presentation,
     abelian_group,
     build_stem_group,
     check_family,
@@ -32,7 +34,7 @@ from conjgf.families import (
     stem_group,
     symmetric,
 )
-from conjgf.closed_forms import table_row
+from conjgf.closed_forms import TABLE_ROWS, table_row
 from conjgf.genfun import a_of_t, b_of_t, normalize
 from conjgf.groups import certify
 from conjgf.isoclinism import are_isoclinic
@@ -71,6 +73,51 @@ def test_stem_groups_have_one_build_route(monkeypatch):
         build_stem_group(family, p)
         flagged += [family] if calls else []
     assert flagged == []
+
+
+# sha256 of each stem group's mul, inv, generators and label: A and B are
+# invariant under relabelling, so only these pins notice a presentation edit
+# that keeps them
+STEM_TABLE_DIGESTS = {
+    ("Gamma2", 2): "399a219e8d46333a1b423f3c95c8fb0c7b8e6c930a702c53e7ac2e2066ae168c",
+    ("Gamma3", 2): "99987fb2c050ee87d65455e29d7e14495a0f5a9f0a75b3c8452fb1fc719365d5",
+    ("Gamma4", 2): "e2ef8ec039f1127894431de49a0e2974865fa170d13c092fbc531f92fd0321a2",
+    ("Gamma5", 2): "eb938edc7a52a95ac290c025a7344c295d42cb517b3886ed7ead50ec2fa6aa4a",
+    ("Gamma6", 2): "b3140361352ac38d417fddb2603075d0573927b5bcb424e8241b284af1b10d06",
+    ("Gamma7", 2): "761ddd99ac22c015380e1b1d81b007e51532ac0c427798334f7f9645150faaf4",
+    ("Gamma8", 2): "48eac9c4a7b1a450d42479ef3c523373e4ff63b513287e72f5aa8621b2526b34",
+    ("Phi2", 3): "3858ec8199855fb7b3b9dc8a8198096e89fc0343c6a1a78e365f32e07e555277",
+    ("Phi3", 3): "8967e8b979f370c7ee4aebfa55e0cb9a26f3bbe342c25f9e0f5c259827e917fe",
+    ("Phi4", 3): "50413939979cf837b69d00977a7ce7314e09673c6923422eeeddb9049c391c71",
+    ("Phi5", 3): "8d44efaf126517169ca25ce36d298d04dd0106d0575f34ad2c97c6ff8f997a6d",
+    ("Phi6", 3): "f172a7d1e9a0636d022e6ffef1b5bb2d1647c85627464a6a955d4fe33e561bbc",
+    ("Phi7", 3): "1aa09c148d600d9ff06f247c2ce79bf459825cc4af4eb6e01751a90f63a36426",
+    ("Phi8", 3): "91e2fe280d5bff6934a50126bfd8507002498ee44c62b506306d7310b8c882f3",
+    ("Phi9", 3): "c43b6b97e207bebae444d713a9678ae20f52ac3451373f8bcea8ea0b8cfe80c3",
+    ("Phi10", 3): "47cd22c03c7d9bd9130f87217baf46c96a6769672cf5f440c5664c171eb6c9b5",
+    ("Phi2", 5): "f7f85d7f77f480fb4a62a9c2808c71a1bc10979cbfa23201d9faa37094247b33",
+    ("Phi3", 5): "c57a03b82ccf45917da6dfa54743eb5c4edfe0b357ae8d34077741bd3db923eb",
+    ("Phi4", 5): "8eef60c46a7eda87462c1c0ad860c306703195814f98ed81ec6af311bfce2d02",
+    ("Phi5", 5): "46dcec0207b67cc5994b1308ab26c2c1df31d890e876b7950d1658751b47a92b",
+    ("Phi6", 5): "ea1457d6f0999366784a8a690d7b5c9b12e05a44fbc4c5d25f523b0b4d6d85e1",
+    ("Phi7", 5): "b39ba8fe195160c55487743969b100b618d6b6bd8381c97626d1e1122ed661fe",
+    ("Phi8", 5): "475d57110d721d715e0fa8094c9b28f5b4c8dc5af18065323a99344db7670b4c",
+    ("Phi9", 5): "734a8103e956209a653c6a9254b8277733f905cfc8855455a989fc672eec1c6f",
+    ("Phi10", 5): "14e4d323b4fdaeafa025c51ba70a8462d0ace3794463e5c846ad25c088695bd5",
+}
+
+
+def test_stem_tables_are_pinned():
+    keys = set(PHI_FAMILIES + GAMMA_FAMILIES)
+    assert set(_PRESENTATIONS) == keys and set(_FINGERPRINTS) == keys
+    assert set(TABLE_ROWS) == keys | {"abelian"}
+    for (family, p), want in STEM_TABLE_DIGESTS.items():
+        g = build_stem_group(family, p)  # uncached: one order-3125 table at a time
+        h = hashlib.sha256()
+        for part in (g.mul.astype("<u2").tobytes(), g.inv.astype("<u2").tobytes(),
+                     repr(g.generators).encode(), g.label.encode()):
+            h.update(part)
+        assert h.hexdigest() == want, (family, p)
 
 
 def test_dihedral_stem_groups_match_the_permutation_dihedral_groups():
@@ -154,12 +201,12 @@ def test_order_cap_admits_every_rank_5_group_at_p_7():
     assert groups.DEFAULT_ORDER_CAP == 7**5
     # a presentation validates itself and checks the cap on construction; nothing is built
     for family in PHI_FAMILIES:
-        assert _phi_presentation(family, 7).compiled_order() == 7 ** _FINGERPRINTS[family][0]
+        assert _stem_presentation(family, 7).compiled_order() == 7 ** _FINGERPRINTS[family][0]
         if family in ("Phi2", "Phi3"):  # 11^3 and 11^4 stay under the cap
-            assert _phi_presentation(family, 11).compiled_order() == 11 ** _FINGERPRINTS[family][0]
+            assert _stem_presentation(family, 11).compiled_order() == 11 ** _FINGERPRINTS[family][0]
         else:
             with pytest.raises(ClosureExceedsCap):
-                _phi_presentation(family, 11)
+                _stem_presentation(family, 11)
 
 
 def test_small_stem_groups_at_p_7_match_the_table():

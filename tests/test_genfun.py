@@ -209,11 +209,12 @@ def test_gamma6_gamma7_displays(catalog):
         assert b_of_t(catalog[label]) == expected_b, label
 
 
-def test_b_recursion_depth_guard(monkeypatch):
-    # S4 recurses one level (into the centralizer D8 of a double transposition)
-    monkeypatch.setattr(genfun, "MAX_B_DEPTH", 0)
-    with pytest.raises(RecursionDepthExceeded):
-        b_of_t(symmetric(4))
+def test_b_recursion_rejects_a_row_over_half_its_block():
+    # each of four cosets fails to commute with one other, so every row holds
+    # three of the four, which no proper subgroup of a group of order 4 allows
+    block = ~np.eye(4, dtype=bool)[::-1]
+    with pytest.raises(RecursionDepthExceeded, match="row 3 of K commutes with 3 of its node's 4 cosets"):
+        genfun._commuting_sum(block, np.arange(4), {})
 
 
 def _commuting_counts(g: GroupTable) -> tuple[int, int]:

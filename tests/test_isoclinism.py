@@ -120,6 +120,13 @@ def test_quotient_cap():
         are_isoclinic(dihedral(258), dihedral(258))
 
 
+def test_unequal_quotient_orders_are_not_isoclinic_past_the_cap():
+    # |D258 / Z| = 258 is over the cap, but unequal quotient orders already answer
+    for g, h in ((dihedral(258), symmetric(3)), (symmetric(3), dihedral(258)),
+                 (dihedral(258), dihedral(512))):
+        assert are_isoclinic(g, h) is None, (g.label, h.label)
+
+
 def test_isoclinic_same_order_pairs_have_equal_functions(catalog):
     d32 = catalog["D32"]
     for label in ("SD32", "Q32"):

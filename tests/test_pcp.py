@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from conjgf import groups, pcp
 from conjgf.analysis import center_elements, element_orders
 from conjgf.errors import ClosureExceedsCap, InconsistentPresentation, InvalidParameters
-from conjgf.families import _GAMMA_PRESENTATIONS, PHI_FAMILIES, _phi_presentation
+from conjgf.families import GAMMA_FAMILIES, PHI_FAMILIES, _stem_presentation
 from conjgf.groups import certify
 from conjgf.pcp import (
     EXACT_PRIME_LIMIT,
@@ -160,7 +160,7 @@ def test_inconsistent_presentation_rejected():
 @pytest.mark.parametrize("family", ["Phi9", "Phi10"])
 def test_p3_presentation_without_power_words_rejected(family):
     # at p = 3 these families are consistent only with their power words
-    pres = _phi_presentation(family, 3)
+    pres = _stem_presentation(family, 3)
     bare = PcPresentation(p=3, relative_orders=pres.relative_orders, power_words=(None,) * 5,
                           commutator_words=pres.commutator_words, label=family)
     with pytest.raises(InconsistentPresentation,
@@ -213,9 +213,9 @@ def _assert_matches_collect(pres: PcPresentation) -> None:
 
 
 CATALOG_PRESENTATIONS = (
-    list(_GAMMA_PRESENTATIONS.values())
-    + [_phi_presentation(f, 3) for f in PHI_FAMILIES]
-    + [_phi_presentation("Phi5", 5), _phi_presentation("Phi10", 5)]
+    [_stem_presentation(f, 2) for f in GAMMA_FAMILIES]
+    + [_stem_presentation(f, 3) for f in PHI_FAMILIES]
+    + [_stem_presentation("Phi5", 5), _stem_presentation("Phi10", 5)]
 )
 
 
@@ -291,7 +291,7 @@ def test_quaternion_presentation():
 
 def test_build_memory_bound_at_order_3125():
     # each block is written into the new uint16 table in place: no (r, m, m) temporaries
-    pres = _phi_presentation("Phi5", 5)
+    pres = _stem_presentation("Phi5", 5)
     tracemalloc.start()
     try:
         g = build_from_pcp(pres)
@@ -352,7 +352,7 @@ def _build_spying_on(monkeypatch, name):
     calls = []
     real = getattr(groups, name)
     monkeypatch.setattr(groups, name, lambda *a: calls.append(name) or real(*a))
-    build_from_pcp(_phi_presentation("Phi5", 5))
+    build_from_pcp(_stem_presentation("Phi5", 5))
     with pytest.raises(InconsistentPresentation):
         build_from_pcp(FAILS_FIXING_W)
     return calls
@@ -371,7 +371,8 @@ def test_consistent_build_does_not_scan_for_inverses(monkeypatch):
 
 
 def test_level_inverses_match_the_scan():
-    stems = list(_GAMMA_PRESENTATIONS.values()) + [_phi_presentation(f, p) for p in (3, 5) for f in PHI_FAMILIES]
+    stems = [_stem_presentation(f, 2) for f in GAMMA_FAMILIES] + [
+        _stem_presentation(f, p) for p in (3, 5) for f in PHI_FAMILIES]
     for pres in stems:
         g = build_from_pcp(pres)
         assert g.inv.dtype == groups.INDEX_DTYPE, pres.label

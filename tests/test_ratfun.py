@@ -49,11 +49,11 @@ def test_addition_matches_series():
 
 
 def test_multiplication_and_scalar():
-    f = RationalGF.simple(1, 2) * RationalGF.simple(1, 2)
-    assert f.poles == ((F(2), 2),)
-    assert taylor(f, 4) == (1, 4, 12, 32)  # coefficients of 1/(1-2t)^2
+    f = RationalGF.from_poly((1,), ((2, 2),))  # 1/(1-2t)^2
     g = f * F(1, 2)
     assert taylor(g, 2) == (F(1, 2), 2)
+    with pytest.raises(InvalidParameters):  # only scalars multiply
+        f * f
 
 
 def test_times_t_and_over_linear():
@@ -194,8 +194,8 @@ def test_values_stay_int_or_fraction_through_every_operation(f, g, c, m, lead):
     # a term above f's numerator degree leaves a polynomial part
     improper = f + RationalGF.from_poly((0,) * len(f.numerator) + (lead,), ())
     assert partial_fractions(improper).poly
-    results = [f + g, f - g, f * g, f * c, c * f, f * 3, f.scale_t(m), f.scale_t(2),
-               f.over_linear(m), f.times_t(), improper, -f, improper.over_linear(m)]
+    results = [f + g, f * c, f * 3, f.scale_t(m), f.scale_t(2),
+               f.over_linear(m), f.times_t(), improper, improper.over_linear(m)]
     for h in results:
         _check_normal_form(h)
         assert all(_exact(v) for v in _gf_values(h)), h
@@ -229,7 +229,7 @@ def test_numerator_and_poles_match_sympy_cancel(f, m):
     sympy = pytest.importorskip("sympy")
     t = sympy.Symbol("t")
     q = lambda x: sympy.Rational(x.numerator, x.denominator)  # noqa: E731
-    for h in (f, f.times_t(), f.over_linear(m), f * f, f.scale_t(m)):
+    for h in (f, f.times_t(), f.over_linear(m), f.over_linear(m).over_linear(m), f.scale_t(m)):
         _check_normal_form(h)
         # the sum of h's own terms, cancelled, with the denominator's constant term 1
         expr = sum(q(c) * t**k for k, c in enumerate(h.poly)) + sum(
@@ -262,16 +262,6 @@ def test_raw_generating_functions_run_on_ints():
 def test_addition_commutes_with_series(f, g):
     lhs = taylor(f + g, 6)
     rhs = tuple(a + b for a, b in zip(taylor(f, 6), taylor(g, 6)))
-    assert lhs == rhs
-
-
-@given(rational_gfs(), rational_gfs())
-@settings(max_examples=60, deadline=None)
-def test_multiplication_matches_cauchy_product(f, g):
-    n = 5
-    lhs = taylor(f * g, n)
-    fs, gs = taylor(f, n), taylor(g, n)
-    rhs = tuple(sum(fs[i] * gs[k - i] for i in range(k + 1)) for k in range(n))
     assert lhs == rhs
 
 
