@@ -45,7 +45,7 @@ class FingerprintMismatch(ConjGFError):
     """A catalog group compiled to something other than its expected structure."""
 
 
-class RecursionDepthExceeded(ConjGFError):
+class LagrangeViolation(ConjGFError):
     """A non-central centralizer row of the B recursion held more than half its
     node's cosets, which Lagrange forbids; indicates a corrupt table, not bad input."""
 

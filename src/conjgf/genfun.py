@@ -28,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .analysis import commuting_cosets, packed_rows
-from .errors import InvalidParameters, RecursionDepthExceeded
+from .errors import InvalidParameters, LagrangeViolation
 from .groups import GroupTable, memoized
 from .ratfun import RationalGF, gf_sum
 
@@ -68,7 +68,11 @@ def _commuting_sum(block: np.ndarray, idx: np.ndarray, memo: dict) -> tuple[int,
     `idx` holds the positions in K of H's cosets of Z(G), in block order;
     child series are memoized in `memo` under that exact coset set.
     S~_H = sum over distinct non-central centralizers C of mult(C) * N~_C,
-    where mult(C) counts the cosets in H whose centralizer in H is C.  The
+    where mult(C) counts the cosets in H whose centralizer in H is C.  S~_H is
+    a function of the multiset {N~_C: mult(C)} alone, and N~_C of its central
+    count and S~_C alone, so `memo` also holds each under exactly those
+    arguments: isomorphic nodes on different coset sets (Phi5(5)'s 156
+    children) each recurse, but do their exact sums once.  The
     work is this node, its distinct non-central rows and the work of the
     children it computes.  C/Z(G) is a proper subgroup of H/Z(G), so by
     Lagrange a non-central row holds at most half the block's rows; a row that
@@ -92,17 +96,23 @@ def _commuting_sum(block: np.ndarray, idx: np.ndarray, memo: dict) -> tuple[int,
             if sub.all():
                 n_c = RationalGF.simple(1, members.size)
             elif 2 * members.size > block.shape[0]:
-                raise RecursionDepthExceeded(
+                raise LagrangeViolation(
                     f"row {int(idx[i])} of K commutes with {members.size} of its node's "
                     f"{block.shape[0]} cosets, more than half; the table must be corrupt"
                 )
             else:
                 sub_central, sub_s, sub_work = _commuting_sum(sub, sub_idx, memo)
-                n_c = _count_series(sub_central, sub_s)
+                n_c = memo.get((sub_central, sub_s))
+                if n_c is None:
+                    n_c = memo[sub_central, sub_s] = _count_series(sub_central, sub_s)
                 work += sub_work
             memo[key] = n_c
         terms[n_c] = terms.get(n_c, 0) + m
-    return central, gf_sum([n_c * m for n_c, m in terms.items()]), work
+    shape = frozenset(terms.items())
+    s = memo.get(shape)
+    if s is None:
+        s = memo[shape] = gf_sum([n_c * m for n_c, m in terms.items()])
+    return central, s, work
 
 
 def _count_series(central: int, s: RationalGF) -> RationalGF:

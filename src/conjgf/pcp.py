@@ -10,8 +10,10 @@ Elements of the compiled group are the normal forms g_1^e1 ... g_d^ed with
 0 <= e_i < r_i, indexed lexicographically by exponent vector.  The build
 proves each cyclic extension a group by Hoelder's conditions, in O(|N| d)
 per level, and raises at the first level that fails them, before building
-its table.  `collect` (collection from the left) is the reference that tests
-check the cyclic extension build against; only it has a rewrite budget.
+its table.  A level's conjugation map phi comes from the images of the
+generators, and its table from r_i whole-row gathers of the level below.
+`collect` (collection from the left) is the reference that tests check the
+cyclic extension build against; only it has a rewrite budget.
 """
 
 from __future__ import annotations
@@ -228,10 +230,16 @@ def build_from_pcp(pres: PcPresentation) -> GroupTable:
 
     where phi(u) = g_i^-1 u g_i, and w = g_i^(r_i), the power word, enters
     when a + b >= r_i.  phi(g_j) = g_j [g_j, g_i] on generators, and extends
-    to N_(i+1) through each normal form's parent u = parent * g_k.
+    to N_(i+1) one generator at a time, deepest first, as the homomorphism
+    phi(g_k^e v) = phi(g_k)^e phi(v) for v in N_(k+1): one gather per g_k,
+    whose products are well defined because N_(i+1) was proved a group.
+    With rows[u, b] = phi^b(u) and its w-shifted copy made once, each row
+    block a of the new table is one gather of N_(i+1)'s rows plus one offset
+    add, written in place: r_i gathers per level, and no temporary beyond
+    N_(i+1)'s table and O(|N_i|) indices.
 
-    The inverse of g_i^a u is u^-1 g_i^-a, one product of two inverses found
-    before: inv of N_(i+1) and a scan of the r rows g_i^a alone.
+    The inverse of g_i^a u is u^-1 g_i^-a, one product of two inverses known
+    before: inv of N_(i+1), and g_i^-a = g_i^(r_i - a) w^-1 for a > 0.
 
     Starting from the trivial group, each level is proved a group by
     `_holder_conditions` on N_(i+1), phi and w before its table is built.  A
@@ -254,26 +262,34 @@ def build_from_pcp(pres: PcPresentation) -> GroupTable:
     inv = np.zeros(1, dtype=INDEX_DTYPE)
     for i in range(d - 1, -1, -1):
         r, m = orders[i], len(mul)
-        image = {j: mul[radix[j], idx_of(comms.get((j, i)))] for j in range(i + 1, d)}
         phi = np.zeros(m, dtype=np.intp)
-        for u in range(1, m):  # u = (u - radix[k]) * g_k for its deepest generator g_k
-            k = next(k for k in range(i + 1, d) if u % radix[k] == 0)
-            phi[u] = mul[phi[u - radix[k]], image[k]]
+        for k in range(d - 1, i, -1):  # phi(g_k^e v) = phi(g_k)^e phi(v) on N_k, v in N_(k+1)
+            image = mul[radix[k], idx_of(comms.get((k, i)))]
+            power = [0]
+            for _ in range(orders[k] - 1):
+                power.append(mul[power[-1], image])
+            phi[: orders[k] * radix[k]] = mul[np.array(power)[:, None], phi[: radix[k]]].ravel()
         w = idx_of(pres.power_words[i])
         failed = _holder_conditions(mul, phi, w, r, {j: radix[j] for j in range(i + 1, d)})
         if failed is not None:
             raise InconsistentPresentation(f"{label}: level g{i} fails Hoelder's conditions: {failed}")
+        rows = np.empty((m, r), dtype=np.intp)  # rows[u, b] = phi^b(u), then [w] phi^b(u)
+        rows[:, 0] = np.arange(m)
+        for b in range(1, r):
+            rows[:, b] = phi[rows[:, b - 1]]
+        wrapped = mul[w].take(rows)
+        offsets = (np.arange(2 * r - 1) % r * m).astype(INDEX_DTYPE)[:, None]
         grown = np.empty((r, m, r, m), dtype=INDEX_DTYPE)
-        phi_b = np.arange(m)
-        for b in range(r):  # block (a, b): rows X = [w] phi^b(u) of mul, written in place
-            wrapped = mul[w].take(phi_b)
-            for a in range(r):
-                rows = wrapped if a + b >= r else phi_b
-                # the offset and the sum stay below r * m <= the order cap: no uint16 wrap
-                np.add(mul.take(rows, axis=0), (a + b) % r * m, out=grown[a, :, b, :])
-            phi_b = phi.take(phi_b)
-        # (g_i^a u)^-1 = u^-1 g_i^-a, where only the r rows of the g_i^a are scanned
-        ginv = np.argmax(grown[:, 0].reshape(r, r * m) == 0, axis=1)
+        for a in range(r):  # row block a: column b wraps past g_i^r, picking up w, once a + b >= r
+            if a:
+                rows[:, r - a] = wrapped[:, r - a]
+            # indices are in range by construction, and "clip" writes into grown[a] unbuffered
+            np.take(mul, rows, axis=0, out=grown[a], mode="clip")
+            # the offset and the sum stay below r * m <= the order cap: no uint16 wrap
+            np.add(grown[a], offsets[a : a + r], out=grown[a])
+        # (g_i^a u)^-1 = u^-1 g_i^-a, where g_i^a g_i^(r-a) w^-1 = w w^-1 = 1 for a > 0
+        ginv = -np.arange(r) % r * m
+        ginv[1:] += inv[w]
         mul = grown.reshape(r * m, r * m)
         inv = mul[inv[None, :], ginv[:, None]].ravel()
     return GroupTable(order=n, mul=mul, inv=inv, generators=tuple(radix), label=label)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conjgf import genfun
 from conjgf.analysis import center_elements, commuting_cosets, conjugacy_data
-from conjgf.errors import InvalidParameters, RecursionDepthExceeded
+from conjgf.errors import InvalidParameters, LagrangeViolation
 from conjgf.families import cyclic, stem_group, symmetric
 from conjgf.genfun import (
     a_equivalent,
@@ -213,8 +213,36 @@ def test_b_recursion_rejects_a_row_over_half_its_block():
     # each of four cosets fails to commute with one other, so every row holds
     # three of the four, which no proper subgroup of a group of order 4 allows
     block = ~np.eye(4, dtype=bool)[::-1]
-    with pytest.raises(RecursionDepthExceeded, match="row 3 of K commutes with 3 of its node's 4 cosets"):
+    with pytest.raises(LagrangeViolation, match="row 3 of K commutes with 3 of its node's 4 cosets"):
         genfun._commuting_sum(block, np.arange(4), {})
+
+
+def test_b_sums_each_node_shape_once(monkeypatch):
+    # Phi5(5)'s 156 child nodes are isomorphic: each is computed on its own
+    # element set, but their S~ and N~ are summed once, by (central, terms) shape
+    g0 = stem_group("Phi5", 5)
+    g = GroupTable(g0.order, g0.mul, g0.inv, g0.generators, g0.label)
+    calls: dict[str, list] = {"gf_sum": [], "_commuting_sum": [], "_count_series": []}
+
+    def spy(name):
+        fn = getattr(genfun, name)
+
+        def logged(*args):
+            calls[name].append(frozenset(args[0]) if name == "gf_sum" else args[:2])
+            return fn(*args)
+        monkeypatch.setattr(genfun, name, logged)
+
+    for name in calls:
+        spy(name)
+    sums, nodes, counts = calls.values()
+    b, work = genfun.b_and_work(g)
+    assert b == RationalGF.from_poly((1, 474, 5), ((5, 1), (25, 1), (125, 1)))
+    assert work == 1249
+    assert len(nodes) == 157
+    # the top node and one child shape: no sum or series is computed twice
+    assert len(sums) == len(set(sums)) == 2
+    # the child shape's N~, then the top node's own
+    assert len(counts) == len(set(counts)) == 2
 
 
 def _commuting_counts(g: GroupTable) -> tuple[int, int]:

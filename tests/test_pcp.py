@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from conjgf import groups, pcp
 from conjgf.analysis import center_elements, element_orders
 from conjgf.errors import ClosureExceedsCap, InconsistentPresentation, InvalidParameters
-from conjgf.families import GAMMA_FAMILIES, PHI_FAMILIES, _stem_presentation
+from conjgf.families import GAMMA_FAMILIES, PHI_FAMILIES, _stem_presentation, quaternion
 from conjgf.groups import certify
 from conjgf.pcp import (
     EXACT_PRIME_LIMIT,
@@ -290,7 +291,8 @@ def test_quaternion_presentation():
 
 
 def test_build_memory_bound_at_order_3125():
-    # each block is written into the new uint16 table in place: no (r, m, m) temporaries
+    # each row block is gathered into the new uint16 table in place: besides
+    # the table, only N_1's table (1/25 of it) and O(|G|) index arrays
     pres = _stem_presentation("Phi5", 5)
     tracemalloc.start()
     try:
@@ -298,7 +300,24 @@ def test_build_memory_bound_at_order_3125():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * 2 * g.order**2, f"build peak {peak} bytes at order {g.order}"
+    assert peak <= 1.06 * 2 * g.order**2, f"build peak {peak} bytes at order {g.order}"
+
+
+def test_build_of_one_large_relative_order():
+    # Q4096 has relative orders (2, 2048): level g1 takes 2048 row gathers, not
+    # 2048^2 block gathers, and at level g0 the only large temporary is N_1's
+    # table, 1/4 of the new one
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        g = quaternion(4096)
+        seconds = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.order == 4096 and len(center_elements(g)) == 2
+    assert seconds <= 2, f"Q4096 built in {seconds:.2f} s"
+    assert peak <= 1.3 * 2 * g.order**2, f"build peak {peak} bytes at order {g.order}"
 
 
 @st.composite
