@@ -117,9 +117,7 @@ def lower_central_series(g: GroupTable) -> tuple[tuple[int, ...], ...]:
 def nilpotency_class(g: GroupTable) -> int | None:
     """Length of the lower central series, or None if it stabilizes above 1."""
     series = lower_central_series(g)
-    if len(series[-1]) != 1:
-        return None
-    return len(series) - 1
+    return len(series) - 1 if len(series[-1]) == 1 else None
 
 
 @memoized
@@ -132,8 +130,7 @@ def element_orders(g: GroupTable) -> np.ndarray:
     while remaining.any():
         cur = g.mul[cur, np.arange(g.order)]
         k += 1
-        newly_done = remaining & (cur == 0)
-        orders[newly_done] = k
+        orders[remaining & (cur == 0)] = k
         remaining &= cur != 0
     return orders
 

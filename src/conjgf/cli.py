@@ -15,7 +15,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import families
 from .closed_forms import table_row
@@ -61,14 +61,7 @@ class RunReport:
         return all(c["passed"] for c in self.checks)
 
     def to_json(self) -> str:
-        payload = {
-            "command": self.command,
-            "inputs": self.inputs,
-            "results": self.results,
-            "checks": self.checks,
-            "timing": self.timing,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     def render(self) -> str:
         lines = [f"command: {self.command}"]
@@ -87,20 +80,16 @@ class RunReport:
 
 def _render_value(value, indent: int) -> list[str]:
     pad = " " * indent
+    if isinstance(value, list):
+        return [f"{pad}- {sub}" for sub in value]
+    if not isinstance(value, dict):
+        return [f"{pad}{value}"]
     out = []
-    if isinstance(value, dict):
-        for key in value:
-            sub = value[key]
-            if isinstance(sub, (dict, list)):
-                out.append(f"{pad}{key}:")
-                out.extend(_render_value(sub, indent + 2))
-            else:
-                out.append(f"{pad}{key}: {sub}")
-    elif isinstance(value, list):
-        for sub in value:
-            out.append(f"{pad}- {sub}")
-    else:
-        out.append(f"{pad}{value}")
+    for key, sub in value.items():
+        if isinstance(sub, (dict, list)):
+            out += [f"{pad}{key}:", *_render_value(sub, indent + 2)]
+        else:
+            out.append(f"{pad}{key}: {sub}")
     return out
 
 

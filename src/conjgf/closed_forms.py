@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import InvalidParameters
 from .families import check_family
-from .pcp import EXACT_PRIME_LIMIT, is_prime
+from .pcp import is_prime
 from .ratfun import RationalGF, gf_sum
 
 ABELIAN_MAX = "abelian_max"
@@ -295,9 +295,8 @@ def _eval_row(row: Row, p: Fraction) -> RationalGF:
 
 
 def table_row(family: str, p: int) -> tuple[RationalGF, RationalGF]:
-    """The Table-1 pair (normalized A, normalized B) for a family at prime p."""
-    _require(p < EXACT_PRIME_LIMIT,
-             f"p = {p} is not below {EXACT_PRIME_LIMIT}, where primality is decided exactly")
+    """The Table-1 pair (normalized A, normalized B) for a family at prime p;
+    `check_family` is the one rule for p."""
     check_family(family, p)
     a_row, b_row = TABLE_ROWS[family]
     P = Fraction(p)

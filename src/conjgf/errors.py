@@ -11,8 +11,8 @@ class InvalidPermutation(ConjGFError):
     """A supplied generator is not a bijection on the common domain."""
 
 
-class ClosureExceedsCap(ConjGFError):
-    """Closure under composition grew past the configured order cap."""
+class BudgetExceeded(ConjGFError):
+    """A request needs more bytes than `groups.MEMORY_BUDGET`; raised before it allocates."""
 
 
 class NotAGroup(ConjGFError):
@@ -48,10 +48,6 @@ class FingerprintMismatch(ConjGFError):
 class LagrangeViolation(ConjGFError):
     """A non-central centralizer row of the B recursion held more than half its
     node's cosets, which Lagrange forbids; indicates a corrupt table, not bad input."""
-
-
-class TupleCapExceeded(ConjGFError):
-    """Brute-force tuple space is larger than the configured cap."""
 
 
 class QuotientTooLarge(ConjGFError):

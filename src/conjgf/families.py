@@ -28,7 +28,7 @@ from .analysis import (
     nilpotency_class,
 )
 from .errors import FingerprintMismatch, InvalidParameters
-from .groups import GroupTable, build_from_permutations, check_order_cap
+from .groups import GroupTable, build_from_permutations, check_budget, closure_bytes, table_bytes
 from .pcp import PcPresentation, Word, build_from_pcp, is_prime, prime_power_root
 
 PHI_FAMILIES = tuple(f"Phi{k}" for k in range(2, 11))
@@ -131,7 +131,7 @@ _FINGERPRINTS: dict[str, tuple] = {
 
 
 def check_family(family: str, p: int) -> None:
-    """The one (family, p) rule; the order cap refuses a group too large to build."""
+    """The one (family, p) rule; the budget refuses a group too large to build."""
     if family == "abelian":
         if p < 1:
             raise InvalidParameters("abelian family parameter must be a positive order")
@@ -178,8 +178,8 @@ stem_group = lru_cache(maxsize=None)(build_stem_group)
 
 def _cycles_product(orders: tuple[int, ...], label: str) -> GroupTable:
     """Direct product of cyclic groups as disjoint cycles on a shared domain."""
-    check_order_cap(math.prod(orders), label)
     total = sum(orders)
+    check_budget(label, closure_bytes(math.prod(orders), total, len(orders)))
     gens = []
     offset = 0
     for n in orders:
@@ -194,8 +194,6 @@ def _cycles_product(orders: tuple[int, ...], label: str) -> GroupTable:
 def cyclic(n: int) -> GroupTable:
     if n < 1:
         raise InvalidParameters("cyclic group order must be >= 1")
-    if n == 1:
-        return build_from_permutations([(0,)], label="C1")
     return _cycles_product((n,), label=f"C{n}")
 
 
@@ -209,7 +207,7 @@ def abelian_group(orders: tuple[int, ...]) -> GroupTable:
 
 
 def elementary_abelian(p: int, rank: int) -> GroupTable:
-    """C_p^rank; the presentation checks the order cap and then that p is prime."""
+    """C_p^rank; the presentation checks the budget and then that p is prime."""
     if rank < 0:
         raise InvalidParameters("need a prime and a nonnegative rank")
     if rank == 0:
@@ -221,7 +219,7 @@ def elementary_abelian(p: int, rank: int) -> GroupTable:
 def dihedral(order: int) -> GroupTable:
     if order < 6 or order % 2:
         raise InvalidParameters("dihedral groups here have even order >= 6")
-    check_order_cap(order, f"D{order}")
+    check_budget(f"D{order}", closure_bytes(order, order // 2, 2))
     n = order // 2
     rot = tuple((i + 1) % n for i in range(n))
     ref = tuple((-i) % n for i in range(n))
@@ -229,7 +227,7 @@ def dihedral(order: int) -> GroupTable:
 
 
 def semidihedral(order: int) -> GroupTable:
-    check_order_cap(order, f"SD{order}")
+    check_budget(f"SD{order}", closure_bytes(order, order // 2, 2))
     root = prime_power_root(order)
     if root is None or root[0] != 2 or order < 16:
         raise InvalidParameters("semidihedral groups have order 2^n, n >= 4")
@@ -241,7 +239,7 @@ def semidihedral(order: int) -> GroupTable:
 
 
 def quaternion(order: int) -> GroupTable:
-    check_order_cap(order, f"Q{order}")
+    check_budget(f"Q{order}", table_bytes(order))
     root = prime_power_root(order)
     if root is None or root[0] != 2 or order < 8:
         raise InvalidParameters("generalized quaternion groups have order 2^n, n >= 3")
@@ -258,14 +256,12 @@ def symmetric(degree: int) -> GroupTable:
     if degree < 1:
         raise InvalidParameters("symmetric group degree must be >= 1")
     order = 1
-    for k in range(2, degree + 1):  # stops at the first partial product over the cap
+    for k in range(2, degree + 1):  # stops at the first partial product over the budget
         order *= k
-        check_order_cap(order, f"S{degree}")
-    if degree == 1:
-        return build_from_permutations([(0,)], label="S1")
+        check_budget(f"S{degree}", closure_bytes(order, degree, 2))
     cycle = tuple((i + 1) % degree for i in range(degree))
     swap = (1, 0) + tuple(range(2, degree))
-    return build_from_permutations([cycle, swap], label=f"S{degree}")
+    return build_from_permutations([cycle, swap] if degree > 1 else [cycle], label=f"S{degree}")
 
 
 _NAMED = {
@@ -283,7 +279,7 @@ def named_group(name: str, size: int) -> GroupTable:
     if name in ALL_FAMILIES:
         return stem_group(name, size)
     if name == "elementary_abelian":
-        check_order_cap(size, f"elementary_abelian({size})")
+        check_budget(f"elementary_abelian({size})", table_bytes(size))
         root = prime_power_root(size)
         if root is None:
             raise InvalidParameters(f"{size} is not a prime power")

@@ -14,21 +14,36 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ClosureExceedsCap, InvalidParameters, InvalidPermutation, NotAGroup
+from .errors import BudgetExceeded, InvalidParameters, InvalidPermutation, NotAGroup
 
-DEFAULT_ORDER_CAP = 16_807  # 7^5: every group of order p^5 for p <= 7
-# The element index of every table built here.  It holds every index below the
-# cap, but arithmetic with a Python int stays in it and wraps past 65535, so
-# any product or offset of entries that can pass the order is widened first.
+# The element index of every table built here.  It holds every index of a table
+# the budget admits, but arithmetic with a Python int stays in it and wraps past
+# 65535, so any product or offset of entries that can pass the order is widened first.
 INDEX_DTYPE = np.uint16
+MEMORY_BUDGET = 2 * 7**10  # bytes: one order-7^5 table, so every group of order p^5 for p <= 7
 ASSOCIATIVITY_BLOCK = 64  # rows per block of the associativity scan
 LINE_BLOCK = 128  # rows or columns per block of the cancellation scatter and the inverse scan
 
 
-def check_order_cap(order: int, what: str) -> None:
-    """Refuse a group of at least `order` elements over the cap, before anything is allocated."""
-    if order > DEFAULT_ORDER_CAP:
-        raise ClosureExceedsCap(f"{what} has at least {order} elements, over the cap {DEFAULT_ORDER_CAP}")
+def check_budget(request: str, nbytes: int) -> None:
+    """Refuse a request estimated at `nbytes` over MEMORY_BUDGET (read at call
+    time) before it allocates: a table build's table, a closure's tuples with
+    it, an oracle's int32 arrays of |G|^n entries, a spec file's parsed text.
+    A pc build also holds the level below, at most a quarter of its table.
+    What is computed from a table needs no check: certify's buffers, K, B's
+    sub-blocks and the quotient tables are no larger than the table."""
+    if nbytes > MEMORY_BUDGET:
+        raise BudgetExceeded(f"{request} needs {nbytes} bytes, over the budget of {MEMORY_BUDGET} bytes")
+
+
+def table_bytes(order: int) -> int:
+    return order * order * np.dtype(INDEX_DTYPE).itemsize
+
+
+def closure_bytes(order: int, degree: int, gens: int) -> int:
+    """The table, and per element its tuple of `degree` ints (8 bytes each, 56
+    the tuple), index entry, parent, `gens` right products and certify's blocks."""
+    return table_bytes(order) + order * (8 * degree + 128 * gens + 1280)
 
 
 def memoized(fn):
@@ -44,16 +59,21 @@ def memoized(fn):
     return cached
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class GroupTable:
-    """A fully materialized finite group on indices 0..order-1, identity at 0."""
+    """A fully materialized finite group on indices 0..order-1, identity at 0;
+    left empty, `generators` is set to `minimal_generating_indices`."""
 
     order: int
     mul: np.ndarray
     inv: np.ndarray
-    generators: tuple[int, ...]
+    generators: tuple[int, ...] = ()
     label: str = ""
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def __post_init__(self):
+        if not self.generators:
+            object.__setattr__(self, "generators", minimal_generating_indices(self) or (0,))
 
     def conj_by(self, g: int) -> np.ndarray:
         """The permutation x -> g x g^-1 as an index array."""
@@ -159,16 +179,8 @@ def induced_table(g: GroupTable, elements: Sequence[int]) -> GroupTable:
     if (mul < 0).any():
         raise InvalidParameters("element set is not closed under multiplication")
     inv = local[g.inv[elems]]
-    sub = GroupTable(
-        order=int(elems.size),
-        mul=mul.astype(INDEX_DTYPE),
-        inv=inv.astype(INDEX_DTYPE),
-        generators=(),
-        label=f"{g.label}|sub{elems.size}",
-    )
-    gens = minimal_generating_indices(sub)
-    sub.generators = gens if gens else (0,)
-    return sub
+    return GroupTable(order=int(elems.size), mul=mul.astype(INDEX_DTYPE), inv=inv.astype(INDEX_DTYPE),
+                      label=f"{g.label}|sub{elems.size}")
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +359,8 @@ def build_from_permutations(gens: Sequence[Sequence[int]], label: str = "") -> G
     """Close a set of permutations of {0..k-1} under composition.
 
     Elements are indexed in BFS discovery order with the identity first.
-    Composition convention: (p * q)(i) = p(q(i)), i.e. q acts first.
+    Composition convention: (p * q)(i) = p(q(i)), i.e. q acts first.  Each new
+    element checks the budget for `closure_bytes` of the closure so far.
     """
     if not gens:
         raise InvalidPermutation("need at least one generator")
@@ -359,7 +372,7 @@ def build_from_permutations(gens: Sequence[Sequence[int]], label: str = "") -> G
         if not all(_is_index(v) for v in p) or sorted(p) != list(range(k)):
             raise InvalidPermutation(f"{p} is not a bijection on 0..{k - 1}")
 
-    identity = tuple(range(k))
+    request, identity = f"closure of {label or 'permutations'}", tuple(range(k))
     index: dict[tuple[int, ...], int] = {identity: 0}
     elems: list[tuple[int, ...]] = [identity]
     parent: list[tuple[int, int]] = [(0, -1)]  # (parent index, generator position)
@@ -373,8 +386,7 @@ def build_from_permutations(gens: Sequence[Sequence[int]], label: str = "") -> G
             at = index.get(nxt)
             if at is None:
                 at = len(elems)
-                if at >= DEFAULT_ORDER_CAP:
-                    raise ClosureExceedsCap(f"closure exceeded cap {DEFAULT_ORDER_CAP}")
+                check_budget(request, closure_bytes(at + 1, k, len(perms)))
                 index[nxt] = at
                 elems.append(nxt)
                 parent.append((pos, gi))
@@ -401,25 +413,25 @@ def build_from_cayley(table: Sequence[Sequence[int]], label: str = "") -> GroupT
     """Validate an explicit multiplication table and wrap it as a group.
 
     The identity must sit at index 0 and every entry must be an integer in
-    0..n-1.  A table with more than DEFAULT_ORDER_CAP rows raises
-    ClosureExceedsCap before any row is read; one that fails `certify` raises
-    NotAGroup naming the first failed check and its witness.
+    0..n-1.  A table over the budget raises BudgetExceeded before any row is
+    read, and rows are copied one at a time into the table; one that fails
+    `certify` raises NotAGroup naming the first failed check and its witness.
     """
     try:
-        check_order_cap(len(table), "table")
-        rows = [list(row) for row in table]
+        n = len(table)
+        check_budget(label or "table", table_bytes(n))
+        mul = np.empty((n, n), dtype=INDEX_DTYPE)
+        for x, row in enumerate(list(row) for row in table):
+            if len(row) != n:
+                raise NotAGroup("shape", (n,), "table must be square and nonempty")
+            for y, v in enumerate(row):
+                if not _is_index(v):
+                    raise NotAGroup("shape", (x, y), f"entry {v!r} at {(x, y)} is not an integer")
+                if not 0 <= v < n:
+                    raise NotAGroup("closure", (x, y), f"entry {v} at {(x, y)} is not in 0..{n - 1}")
+            mul[x] = row
     except TypeError:
         raise NotAGroup("shape", (), "table must be a list of rows") from None
-    n = len(rows)
-    if n == 0 or any(len(r) != n for r in rows):
+    if n == 0:
         raise NotAGroup("shape", (n,), "table must be square and nonempty")
-    for x, row in enumerate(rows):
-        for y, v in enumerate(row):
-            if not _is_index(v):
-                raise NotAGroup("shape", (x, y), f"entry {v!r} at {(x, y)} is not an integer")
-            if not 0 <= v < n:
-                raise NotAGroup("closure", (x, y), f"entry {v} at {(x, y)} is not in 0..{n - 1}")
-    mul = np.asarray(rows, dtype=INDEX_DTYPE)
-    g = GroupTable(order=n, mul=mul, inv=inverses(mul), generators=(0,), label=label or f"cayley({n})")
-    g.generators = minimal_generating_indices(g) or (0,)
-    return _certified(g)
+    return _certified(GroupTable(order=n, mul=mul, inv=inverses(mul), label=label or f"cayley({n})"))

@@ -30,8 +30,12 @@ from pathlib import Path
 
 from . import families
 from .errors import GroupSpecError
-from .groups import GroupTable, _is_index, build_from_cayley, build_from_permutations
+from .groups import GroupTable, _is_index, build_from_cayley, build_from_permutations, check_budget
 from .pcp import PcPresentation, build_from_pcp
+
+# An entry takes at least 2 bytes of text ("0,") and at most 43 parsed and built (a
+# list slot, an int object, a uint16): with the text read twice, under 25 a byte.
+SPEC_BYTES_PER_TEXT_BYTE = 25
 
 def _require_fields(doc: dict, required: set[str], optional: set[str]) -> None:
     missing = required - doc.keys()
@@ -109,8 +113,10 @@ def group_from_spec(doc: dict) -> GroupTable:
 
 
 def load_group_spec(path: str | Path) -> GroupTable:
-    """Parse a group-spec file and build its group."""
+    """Parse a group-spec file and build its group; the budget is checked before it is read."""
     try:
+        size = Path(path).stat().st_size
+        check_budget(f"{path}: a spec of {size} bytes", size * SPEC_BYTES_PER_TEXT_BYTE)
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise GroupSpecError(f"{path}: {exc}") from exc

@@ -175,10 +175,10 @@ def are_isoclinic(g: GroupTable, h: GroupTable) -> IsoclinismWitness | None:
         return None
     if size > DEFAULT_QUOTIENT_CAP:
         raise QuotientTooLarge(f"central quotient of order {size} exceeds cap {DEFAULT_QUOTIENT_CAP}")
+    if len(derived_subgroup(g)) != len(derived_subgroup(h)):
+        return None  # before either quotient table is built
     greps = _central_quotient(g)[1]
     hreps = _central_quotient(h)[1]
-    if len(derived_subgroup(g)) != len(derived_subgroup(h)):
-        return None
     for theta in _iso_images(g, h):
         phi = _derive_phi(g, h, theta)
         if phi is not None:

@@ -16,10 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameters, NotAGroup, TupleCapExceeded
-from .groups import GroupTable, orbit_labels
-
-DEFAULT_TUPLE_CAP = 10_000_000  # below 2**31, so every tuple code is an int32
+from .errors import InvalidParameters, NotAGroup
+from .groups import GroupTable, check_budget, orbit_labels
 
 ALL_TUPLES = "all_tuples"
 COMMUTING_TUPLES = "commuting_tuples"
@@ -40,13 +38,11 @@ class OrbitCount:
         return f"{self.label} {self.mode} {self.n} {self.count} {self.tuples_visited}"
 
 
-def _check_tuple_cap(g: GroupTable, n: int) -> None:
-    """Refuse a negative n or |G|^n over the cap, before anything is allocated."""
+def _check_budget(request: str, g: GroupTable, n: int, arrays: int) -> None:
+    """Refuse a negative n, or `arrays` int32 arrays of |G|^n entries over the budget."""
     if n < 0:
         raise InvalidParameters(f"tuple length n = {n} must be nonnegative")
-    total = g.order**n
-    if total > DEFAULT_TUPLE_CAP:
-        raise TupleCapExceeded(f"|G|^n = {total} exceeds cap {DEFAULT_TUPLE_CAP}")
+    check_budget(f"{request}({g.label}, {n})", 4 * g.order**n * arrays)
 
 
 def _orbit_count(size: int, images: list[np.ndarray]) -> int:
@@ -56,7 +52,7 @@ def _orbit_count(size: int, images: list[np.ndarray]) -> int:
 
 def alpha_brute(g: GroupTable, n: int) -> OrbitCount:
     """Count orbits of G on G^n by label propagation over generator moves."""
-    _check_tuple_cap(g, n)
+    _check_budget("alpha_brute", g, n, len(g.generators) + 4)  # d images, up to 4 working arrays
     images = []
     for s in g.generators:
         move = g.conj_by(s).astype(np.int32)
@@ -71,23 +67,28 @@ def alpha_brute(g: GroupTable, n: int) -> OrbitCount:
 def commuting_tuples(g: GroupTable, n: int) -> np.ndarray:
     """All pairwise-commuting n-tuples as the rows of an (m, n) array in
     lexicographic order, each coordinate drawn from the centralizer of the
-    coordinates before it."""
-    _check_tuple_cap(g, n)
-    commute = g.mul == g.mul.T if n > 1 else None  # |G|^2 <= |G|^n is under the cap
+    coordinates before it.  It checks the budget for `beta_brute`: n columns,
+    an image per generator and 6 working arrays, of up to |G|^n int32 each."""
+    _check_budget("beta_brute", g, n, len(g.generators) + n + 6)
+    commute = g.mul == g.mul.T if n > 1 else None
     rows = np.zeros((1, 0), dtype=np.int32)
     for _ in range(n):
         allowed = np.ones((len(rows), g.order), dtype=bool)
         for col in rows.T:
             allowed &= commute[col]
         prefix, x = np.nonzero(allowed)
-        rows = np.concatenate((rows[prefix], x[:, None].astype(np.int32)), axis=1)
+        grown = np.empty((len(x), rows.shape[1] + 1), dtype=np.int32)
+        for j, col in enumerate(rows.T):  # a column at a time: no temporary of the whole
+            grown[:, j] = col[prefix]
+        grown[:, -1] = x
+        rows = grown
     return rows
 
 
-def _codes(rows: np.ndarray, order: int) -> np.ndarray:
+def _codes(rows: np.ndarray, order: int, move: np.ndarray | None = None) -> np.ndarray:
     codes = np.zeros(len(rows), dtype=np.int32)
     for col in rows.T:
-        codes = codes * order + col
+        codes = codes * order + (col if move is None else move[col])
     return codes
 
 
@@ -97,11 +98,12 @@ def beta_brute(g: GroupTable, n: int) -> OrbitCount:
     codes = _codes(rows, g.order)  # increasing, since the rows are in lexicographic order
     images = []
     for s in g.generators:
-        image = _codes(g.conj_by(s)[rows], g.order)
-        at = np.minimum(np.searchsorted(codes, image), len(codes) - 1)
+        image = _codes(rows, g.order, g.conj_by(s))
+        at = np.searchsorted(codes, image).astype(np.int32)
+        np.minimum(at, len(codes) - 1, out=at)
         if (miss := np.flatnonzero(codes[at] != image)).size:
             tup = tuple(rows[miss[0]].tolist())
             raise NotAGroup("conjugation preserves commuting tuples", (s, tup),
                             f"conjugating the commuting tuple {tup} by generator {s} gives a non-commuting tuple")
-        images.append(at.astype(np.int32))
+        images.append(at)
     return OrbitCount(g.label, n, COMMUTING_TUPLES, _orbit_count(len(rows), images), len(rows))

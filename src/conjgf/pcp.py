@@ -25,7 +25,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import InconsistentPresentation, InvalidParameters
-from .groups import INDEX_DTYPE, GroupTable, check_order_cap
+from .groups import INDEX_DTYPE, GroupTable, check_budget, table_bytes
 
 DEFAULT_REWRITE_BUDGET = 1_000_000
 
@@ -74,8 +74,7 @@ def prime_power_root(n: int) -> tuple[int, int] | None:
         if p * p > n:
             return (n, 1)
         if n % p == 0:
-            k = 0
-            m = n
+            k, m = 0, n
             while m % p == 0:
                 m //= p
                 k += 1
@@ -99,9 +98,9 @@ class PcPresentation:
             raise InvalidParameters("presentation needs at least one generator")
         if len(self.power_words) != d:
             raise InvalidParameters("power_words must list one entry per generator")
-        # the cap bounds p and every r_i before prime_power_root's trial divisions below
+        # the budget bounds p and every r_i before prime_power_root's trial divisions below
         n = self.compiled_order()
-        check_order_cap(n, self.label or "presentation")
+        check_budget(self.label or "presentation", table_bytes(n))
         if self.p > n or not is_prime(self.p):
             raise InvalidParameters(f"p = {self.p} is not a prime dividing the order {n}")
         for i, r in enumerate(self.relative_orders):
@@ -285,7 +284,7 @@ def build_from_pcp(pres: PcPresentation) -> GroupTable:
                 rows[:, r - a] = wrapped[:, r - a]
             # indices are in range by construction, and "clip" writes into grown[a] unbuffered
             np.take(mul, rows, axis=0, out=grown[a], mode="clip")
-            # the offset and the sum stay below r * m <= the order cap: no uint16 wrap
+            # the offset and the sum stay below r * m, an order the budget admits: no uint16 wrap
             np.add(grown[a], offsets[a : a + r], out=grown[a])
         # (g_i^a u)^-1 = u^-1 g_i^-a, where g_i^a g_i^(r-a) w^-1 = w w^-1 = 1 for a > 0
         ginv = -np.arange(r) % r * m

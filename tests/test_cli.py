@@ -206,14 +206,56 @@ def test_module_entry_point_runs_from_a_checkout():
     assert json.loads(proc.stdout)["results"]["rows_failed"] == 0
 
 
+# Forks `python -m conjgf ARGS` from a small launcher and prints its exit code,
+# wall seconds and peak RSS in KiB, read by os.wait4.  A process started straight
+# from the test process would inherit that process's peak RSS through exec.
+_WAIT4_LAUNCHER = """
+import os, sys, time
+start = time.perf_counter()
+pid = os.fork()
+if pid == 0:
+    os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+    os.execv(sys.executable, [sys.executable, "-m", "conjgf", *sys.argv[1:]])
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), time.perf_counter() - start, usage.ru_maxrss)
+"""
+
+
+def _measured_run(*argv) -> tuple[int, str, float, float]:
+    """(exit code, stderr, wall seconds, peak RSS in MiB) of `python -m conjgf` from the checkout."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _WAIT4_LAUNCHER, *argv], cwd=REPO_ROOT, env=env,
+                          capture_output=True, text=True, timeout=60)
+    code, wall, peak_kib = proc.stdout.split()
+    return int(code), proc.stderr, float(wall), int(peak_kib) / 1024
+
+
+def test_genfun_refuses_requests_over_the_budget(tmp_path):
+    # C16807 by permutation closure would need about 2.8 GB, refused before any
+    # permutation is built; a cayley spec past the budget is refused from its
+    # size, before its text is parsed (the padding here is not JSON at all)
+    spec = write_spec(tmp_path, "c16807.json", {"kind": "family", "name": "cyclic", "p": 7**5})
+    code, err, wall, peak_mib = _measured_run("genfun", spec)
+    assert code == 2 and "error: C16807 needs 2848416746 bytes, over the budget of 564950498 bytes" in err, err
+    assert wall < 1 and peak_mib < 100, (wall, peak_mib)
+    big = tmp_path / "big.json"
+    big.write_text('{"kind": "cayley", "table": [[0]]}', encoding="utf-8")
+    with open(big, "r+b") as fh:
+        fh.truncate(30_000_000)  # sparse: nothing is written
+    code, err, wall, peak_mib = _measured_run("genfun", str(big))
+    assert code == 2 and "a spec of 30000000 bytes needs 750000000 bytes" in err, err
+    assert peak_mib < 100, peak_mib
+
+
 def test_verify_table_rejects_large_prime(capsys, monkeypatch):
     # p = 13: the abelian and Phi2 rows verify, and each group of order 13^4 or
-    # 13^5 is refused by the order cap before its table is built
+    # 13^5 is refused by the budget before its table is built
     code, out = run_cli(capsys, "--json", "verify-table", "--p", "13")
     assert code == 1
     checks = {c["name"]: c for c in json.loads(out)["checks"]}
     assert checks["abelian(p=13) A"]["passed"] and checks["Phi2(p=13) B"]["passed"]
-    assert "ClosureExceedsCap" in checks["Phi3(p=13)"]["actual"]
+    assert "BudgetExceeded('Phi3(13) needs 1631461442 bytes" in checks["Phi3(p=13)"]["actual"]
     assert len(checks) == 2 * 2 + 8
     # p = 9 is not prime: one failed check, and no stem group is built
     built = []

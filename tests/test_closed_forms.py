@@ -24,6 +24,7 @@ from conjgf.closed_forms import (
 from conjgf.errors import InvalidParameters
 from conjgf.families import stem_group
 from conjgf.genfun import a_of_t, b_of_t, normalize
+from conjgf.pcp import EXACT_PRIME_LIMIT
 from conjgf.ratfun import RationalGF, gf_sum
 from conftest import taylor
 
@@ -163,13 +164,22 @@ def test_table_row_primality_at_scale():
     t0 = time.perf_counter()
     table_row("Phi5", 2**61 - 1)
     assert time.perf_counter() - t0 < 1.0
-    for family, p in (("Phi5", 561), ("Phi5", 2**89 - 1), ("abelian", 2**89 - 1)):
-        assert not _accepts(table_row, family, p), (family, p)  # Carmichael; past the exact limit
+    for family, p in (("Phi5", 561), ("Phi5", 2**89 - 1), ("Gamma2", 2**89 - 1)):
+        assert not _accepts(table_row, family, p), (family, p)  # Carmichael; past the exact limit; not 2
     # the closed forms accept exactly the primes trial division finds
     primes = [n for n in range(10**4 + 1) if n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))]
     assert [n for n in range(10**4 + 1) if _accepts(b_central_quotient_p2, n, 3)] == primes
     odd = [n for n in primes if n % 2 and n < 1000]
     assert [n for n in range(1, 1000, 2) if _accepts(table_row, "Phi2", n)] == odd
+
+
+def test_table_row_has_one_prime_rule():
+    # `check_family` alone rules on p: past the exact limit a Phi family is
+    # refused by `is_prime`, while the abelian row, which is free of p, is returned
+    with pytest.raises(InvalidParameters, match="where primality is decided exactly"):
+        table_row("Phi5", EXACT_PRIME_LIMIT)
+    one = RationalGF.from_poly((1,), ((1, 1),))  # 1 / (1 - t)
+    assert table_row("abelian", EXACT_PRIME_LIMIT) == table_row("abelian", 3) == (one, one)
 
 
 def test_table_row_examples():

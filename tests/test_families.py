@@ -13,7 +13,7 @@ from conjgf.analysis import (
     nilpotency_class,
 )
 from conjgf import families, groups
-from conjgf.errors import ClosureExceedsCap, FingerprintMismatch, InvalidParameters
+from conjgf.errors import BudgetExceeded, FingerprintMismatch, InvalidParameters
 from conjgf.families import (
     ALL_FAMILIES,
     GAMMA_FAMILIES,
@@ -38,6 +38,7 @@ from conjgf.closed_forms import TABLE_ROWS, table_row
 from conjgf.genfun import a_of_t, b_of_t, normalize
 from conjgf.groups import certify
 from conjgf.isoclinism import are_isoclinic
+from conjgf.pcp import PcPresentation
 from test_groups import quotient_table
 from test_isoclinism import stem_order
 
@@ -198,14 +199,18 @@ def test_named_group_dispatch():
 
 
 def test_order_cap_admits_every_rank_5_group_at_p_7():
-    assert groups.DEFAULT_ORDER_CAP == 7**5
-    # a presentation validates itself and checks the cap on construction; nothing is built
+    # the budget is one order-7^5 table: order 16 807 is admitted and 16 808 refused
+    assert groups.MEMORY_BUDGET == groups.table_bytes(7**5) == 564_950_498
+    groups.check_budget("order 16807", groups.table_bytes(7**5))
+    with pytest.raises(BudgetExceeded, match="needs 565017728 bytes, over the budget of 564950498 bytes"):
+        PcPresentation(p=2, relative_orders=(7**5 + 1,), power_words=(None,))
+    # a presentation validates itself and checks the budget on construction; nothing is built
     for family in PHI_FAMILIES:
         assert _stem_presentation(family, 7).compiled_order() == 7 ** _FINGERPRINTS[family][0]
-        if family in ("Phi2", "Phi3"):  # 11^3 and 11^4 stay under the cap
+        if family in ("Phi2", "Phi3"):  # 11^3 and 11^4 stay under the budget
             assert _stem_presentation(family, 11).compiled_order() == 11 ** _FINGERPRINTS[family][0]
         else:
-            with pytest.raises(ClosureExceedsCap):
+            with pytest.raises(BudgetExceeded):
                 _stem_presentation(family, 11)
 
 
@@ -277,23 +282,25 @@ def test_maximal_class_trio_same_functions(catalog):
             assert b_of_t(g) == b0, (n, g.label)
 
 
-@pytest.mark.parametrize("build, order", [
-    (lambda: cyclic(12), 12),
-    (lambda: abelian_group((4, 3)), 12),
-    (lambda: build_stem_group("abelian", 13), 13),
-    (lambda: dihedral(12), 12),
-    (lambda: semidihedral(16), 16),
-    (lambda: quaternion(16), 16),
-    (lambda: symmetric(4), 24),
-    (lambda: elementary_abelian(2, 4), 16),
-    (lambda: named_group("elementary_abelian", 16), 16),
+# (degree, generators) of a permutation closure, or None for a pc build's table
+@pytest.mark.parametrize("build, order, closure", [
+    (lambda: cyclic(12), 12, (12, 1)),
+    (lambda: abelian_group((4, 3)), 12, (7, 2)),
+    (lambda: build_stem_group("abelian", 13), 13, (13, 1)),
+    (lambda: dihedral(12), 12, (6, 2)),
+    (lambda: semidihedral(16), 16, (8, 2)),
+    (lambda: quaternion(16), 16, None),
+    (lambda: symmetric(4), 24, (4, 2)),
+    (lambda: elementary_abelian(2, 4), 16, None),
+    (lambda: named_group("elementary_abelian", 16), 16, None),
 ], ids=["cyclic", "abelian_group", "abelian family", "dihedral", "semidihedral",
         "quaternion", "symmetric", "elementary_abelian", "named elementary_abelian"])
-def test_constructor_order_cap_at_its_edge(monkeypatch, build, order):
-    monkeypatch.setattr(groups, "DEFAULT_ORDER_CAP", order - 1)
-    with pytest.raises(ClosureExceedsCap):
+def test_constructor_order_cap_at_its_edge(monkeypatch, build, order, closure):
+    estimate = groups.table_bytes(order) if closure is None else groups.closure_bytes(order, *closure)
+    monkeypatch.setattr(groups, "MEMORY_BUDGET", estimate - 1)
+    with pytest.raises(BudgetExceeded, match=f"needs {estimate} bytes"):
         build()
-    monkeypatch.setattr(groups, "DEFAULT_ORDER_CAP", order)
+    monkeypatch.setattr(groups, "MEMORY_BUDGET", estimate)
     assert build().order == order
 
 
@@ -304,7 +311,7 @@ def test_oversized_requests_fail_before_building():
 
     huge = 2**89 - 1
     for build in (
-        lambda: group_from_spec({"kind": "family", "name": "cyclic", "p": groups.DEFAULT_ORDER_CAP + 1}),
+        lambda: group_from_spec({"kind": "family", "name": "cyclic", "p": 7**5}),
         lambda: stem_group("Phi5", 11),
         lambda: stem_group("abelian", 10**12),
         lambda: abelian_group((10**6, 10**6)),
@@ -315,7 +322,7 @@ def test_oversized_requests_fail_before_building():
         lambda: elementary_abelian(huge, 1),
         lambda: named_group("elementary_abelian", huge),
     ):
-        with pytest.raises(ClosureExceedsCap):
+        with pytest.raises(BudgetExceeded):
             build()
     with pytest.raises(InvalidParameters):
         check_family("Phi5", huge)

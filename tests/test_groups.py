@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -15,9 +16,9 @@ from conjgf.analysis import (
     has_abelian_maximal_subgroup,
     nilpotency_class,
 )
-from conjgf.errors import ClosureExceedsCap, InvalidParameters, InvalidPermutation, NotAGroup, QuotientTooLarge
+from conjgf.errors import BudgetExceeded, InvalidParameters, InvalidPermutation, NotAGroup, QuotientTooLarge
 from conjgf import groups
-from conjgf.families import GAMMA_FAMILIES, PHI_FAMILIES, cyclic, stem_group
+from conjgf.families import GAMMA_FAMILIES, PHI_FAMILIES, cyclic, stem_group, symmetric
 from conjgf.groups import (
     CertificateReport,
     CheckResult,
@@ -94,12 +95,13 @@ def test_invalid_permutation_rejected():
 
 
 def test_closure_cap(monkeypatch):
-    # C12 closes to exactly 12 elements: a cap of 11 refuses it, a cap of 12 builds it
+    # C12 closes to exactly 12 elements of degree 12 from one generator: a budget
+    # one byte below that closure's estimate refuses it, and the estimate builds it
     rot = tuple((i + 1) % 12 for i in range(12))
-    monkeypatch.setattr(groups, "DEFAULT_ORDER_CAP", 11)
-    with pytest.raises(ClosureExceedsCap):
-        build_from_permutations([rot])
-    monkeypatch.setattr(groups, "DEFAULT_ORDER_CAP", 12)
+    monkeypatch.setattr(groups, "MEMORY_BUDGET", groups.closure_bytes(12, 12, 1) - 1)
+    with pytest.raises(BudgetExceeded, match="closure of C12 needs"):
+        build_from_permutations([rot], label="C12")
+    monkeypatch.setattr(groups, "MEMORY_BUDGET", groups.closure_bytes(12, 12, 1))
     assert build_from_permutations([rot]).order == 12
 
 
@@ -261,9 +263,11 @@ def test_quotient_table_by_center(catalog):
     assert np.array_equal(coset_of[list(reps)], np.arange(q.order))
 
 
-def test_order_cap_fits_the_index_type():
-    # every index of a table at the cap is representable, so no entry can wrap
-    assert groups.DEFAULT_ORDER_CAP <= np.iinfo(groups.INDEX_DTYPE).max + 1
+def test_budget_fits_the_index_type():
+    # a table the budget admits has fewer than 65 536^2 entries of 2 bytes, so
+    # every index of it is representable and no entry can wrap
+    assert np.dtype(groups.INDEX_DTYPE).itemsize == 2
+    assert groups.MEMORY_BUDGET // 2 < (np.iinfo(groups.INDEX_DTYPE).max + 1) ** 2
 
 
 def test_built_tables_use_the_index_type(catalog):
@@ -277,11 +281,42 @@ def test_built_tables_use_the_index_type(catalog):
     assert coset_of.dtype == groups.INDEX_DTYPE
 
 
+def test_closure_estimate_covers_its_peak():
+    # S6 closes 720 permutations of degree 6 from two generators; a first small
+    # closure leaves out what the first build in a process allocates once
+    symmetric(3)
+    tracemalloc.start()
+    try:
+        g = symmetric(6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.order == 720 and peak <= groups.closure_bytes(720, 6, 2), peak
+
+
+def test_tables_are_frozen(catalog):
+    # a table is immutable, while its memo cache is a dict that fills in place
+    g = catalog["S3"]
+    for name, value in (("generators", (1,)), ("label", "x"), ("mul", g.mul.copy())):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(g, name, value)
+    assert certify(g).ok and "certify" in g._cache
+    # left empty, the generators are the greedy generating set, fixed at construction
+    fresh = GroupTable(order=g.order, mul=g.mul, inv=g.inv)
+    assert fresh.generators == minimal_generating_indices(g)
+
+
 def test_cayley_order_cap(monkeypatch):
-    monkeypatch.setattr(groups, "DEFAULT_ORDER_CAP", 4)
-    assert build_from_cayley([[(i + j) % 4 for j in range(4)] for i in range(4)]).order == 4
-    with pytest.raises(ClosureExceedsCap):
-        build_from_cayley([[(i + j) % 5 for j in range(5)] for i in range(5)])
+    # the estimate is the table, so one byte below it refuses before any row is
+    # read: the rows here are not even lists
+    c5 = [[(i + j) % 5 for j in range(5)] for i in range(5)]
+    monkeypatch.setattr(groups, "MEMORY_BUDGET", groups.table_bytes(5) - 1)
+    with pytest.raises(BudgetExceeded, match="C5 needs 50 bytes, over the budget of 49 bytes"):
+        build_from_cayley(c5, label="C5")
+    with pytest.raises(BudgetExceeded):
+        build_from_cayley([None] * 5)
+    monkeypatch.setattr(groups, "MEMORY_BUDGET", groups.table_bytes(5))
+    assert build_from_cayley(c5).order == 5
 
 
 def test_quotient_by_whole_group(catalog):
@@ -608,9 +643,7 @@ def _assert_agrees_with_brute_force(g: GroupTable, report: CertificateReport) ->
 
 def _unchecked_cayley(mul) -> GroupTable:
     """A table wrapped as `build_from_cayley` wraps it, without its certificate."""
-    g = _table(np.asarray(mul, dtype=np.int32), (0,))
-    g.generators = minimal_generating_indices(g) or (0,)
-    return g
+    return _table(np.asarray(mul, dtype=np.int32), ())
 
 
 def _corrupted_tables(catalog) -> list[GroupTable]:

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import pytest
 
-from conjgf.errors import GroupSpecError, InvalidParameters, NotAGroup
+from conjgf import groups, groupspec
+from conjgf.errors import BudgetExceeded, GroupSpecError, InvalidParameters, NotAGroup
 from conjgf.groupspec import group_from_spec, load_group_spec
 
 
@@ -124,3 +126,41 @@ def test_load_group_spec_file(tmp_path):
     bad.write_text("{not json", encoding="utf-8")
     with pytest.raises(GroupSpecError):
         load_group_spec(bad)
+
+
+def _cyclic_spec(path, n: int) -> int:
+    """Write the Cayley table of C_n as a spec, as `json.dump` spaces it; its size in bytes."""
+    rows = ("[" + ", ".join(map(str, [(i + j) % n for j in range(n)])) + "]" for i in range(n))
+    path.write_text('{"kind": "cayley", "table": [' + ", ".join(rows) + "]}", encoding="utf-8")
+    return path.stat().st_size
+
+
+def test_spec_text_budget_at_its_edge(tmp_path, monkeypatch):
+    # a spec of s bytes is estimated at 25 s: one byte below refuses it before
+    # the text is parsed, and the estimate itself loads it
+    real_loads, parsed = json.loads, []
+    monkeypatch.setattr(json, "loads", lambda text: parsed.append(text) or real_loads(text))
+    path = tmp_path / "c3.json"
+    size = _cyclic_spec(path, 3)
+    estimate = groupspec.SPEC_BYTES_PER_TEXT_BYTE * size
+    monkeypatch.setattr(groups, "MEMORY_BUDGET", estimate - 1)
+    with pytest.raises(BudgetExceeded, match=f"c3.json: a spec of {size} bytes needs {estimate} bytes"):
+        load_group_spec(path)
+    assert parsed == []
+    monkeypatch.setattr(groups, "MEMORY_BUDGET", estimate)
+    assert load_group_spec(path).order == 3 and len(parsed) == 1
+
+
+def test_spec_estimate_covers_an_order_2000_table(tmp_path):
+    # 21.8 MB of text, which peaks near 7.4 bytes a byte against the estimate's 25
+    path = tmp_path / "c2000.json"
+    size = _cyclic_spec(path, 2000)
+    _cyclic_spec(tmp_path / "c3.json", 3)
+    load_group_spec(tmp_path / "c3.json")  # what the first load in a process allocates once
+    tracemalloc.start()
+    try:
+        g = load_group_spec(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.order == 2000 and peak <= groupspec.SPEC_BYTES_PER_TEXT_BYTE * size <= groups.MEMORY_BUDGET, peak

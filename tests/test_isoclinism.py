@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conjgf import analysis, isoclinism
 from conjgf.analysis import center_elements, central_cosets, commuting_cosets, derived_subgroup
 from conjgf.errors import QuotientTooLarge
-from conjgf.families import PHI_FAMILIES, cyclic, dihedral, stem_group, symmetric
+from conjgf.families import PHI_FAMILIES, build_stem_group, cyclic, dihedral, stem_group, symmetric
 from conjgf.genfun import a_of_t, b_of_t, normalize
 from conjgf.groups import GroupTable, certify, subgroup_closure
 from conjgf.isoclinism import (
@@ -125,6 +125,17 @@ def test_unequal_quotient_orders_are_not_isoclinic_past_the_cap():
     for g, h in ((dihedral(258), symmetric(3)), (symmetric(3), dihedral(258)),
                  (dihedral(258), dihedral(512))):
         assert are_isoclinic(g, h) is None, (g.label, h.label)
+
+
+def test_unequal_derived_orders_build_no_quotient(monkeypatch):
+    # |G/Z| = 27 for both, but |G'| is 9 for Phi4(3) and 27 for Phi6(3): the
+    # search answers None before it builds either 27 x 27 quotient table
+    built = []
+    monkeypatch.setattr(isoclinism, "_central_quotient", lambda g: built.append(g.label))
+    g, h = build_stem_group("Phi4", 3), build_stem_group("Phi6", 3)
+    assert (len(derived_subgroup(g)), len(derived_subgroup(h))) == (9, 27)
+    assert are_isoclinic(g, h) is None and are_isoclinic(h, g) is None
+    assert built == []
 
 
 def test_isoclinic_same_order_pairs_have_equal_functions(catalog):

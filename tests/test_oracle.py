@@ -10,11 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conjgf.errors import InvalidParameters, NotAGroup, TupleCapExceeded
-from conjgf.families import dihedral, symmetric
+from conjgf.errors import BudgetExceeded, InvalidParameters, NotAGroup
+from conjgf.families import cyclic, dihedral, stem_group, symmetric
 from conjgf.genfun import alpha_coefficient, beta_coefficient
 from conjgf.groups import GroupTable
-from conjgf import oracle
+from conjgf import groups, oracle
 from conjgf.oracle import alpha_brute, beta_brute, commuting_tuples
 from conftest import relabelled
 
@@ -114,21 +114,23 @@ def test_beta_le_alpha(catalog):
 
 
 def test_cap_enforced(catalog, monkeypatch):
-    # D32 at n = 2 has exactly 32^2 tuples: one under the cap raises, at the cap runs
+    # D32 at n = 2 has 32^2 tuples: alpha counts d + 4 int32 arrays of them and
+    # beta d + n + 6; one byte below either estimate raises, at it runs
     d32 = catalog["D32"]
-    monkeypatch.setattr(oracle, "DEFAULT_TUPLE_CAP", 32**2 - 1)
-    with pytest.raises(TupleCapExceeded):
-        alpha_brute(d32, 2)
-    with pytest.raises(TupleCapExceeded):
-        beta_brute(d32, 2)
-    monkeypatch.setattr(oracle, "DEFAULT_TUPLE_CAP", 32**2)
-    assert alpha_brute(d32, 2).tuples_visited == 1024
-    assert beta_brute(d32, 2).tuples_visited == 32 * 11  # |G| k(G) commuting pairs
+    d = len(d32.generators)
+    for oracle_fn, arrays in ((alpha_brute, d + 4), (beta_brute, d + 2 + 6)):
+        estimate = 4 * 32**2 * arrays
+        monkeypatch.setattr(groups, "MEMORY_BUDGET", estimate - 1)
+        with pytest.raises(BudgetExceeded, match=rf"_brute\(D32, 2\) needs {estimate} bytes"):
+            oracle_fn(d32, 2)
+        monkeypatch.setattr(groups, "MEMORY_BUDGET", estimate)
+        assert oracle_fn(d32, 2).tuples_visited == {alpha_brute: 1024, beta_brute: 32 * 11}[oracle_fn]
 
 
-def test_tuple_cap_keeps_codes_in_int32():
-    # every tuple code is below |G|^n <= the cap, and the oracles code tuples as int32
-    assert oracle.DEFAULT_TUPLE_CAP < 2**31
+def test_budget_keeps_tuple_codes_in_int32():
+    # an admitted oracle holds at least one int32 array of |G|^n tuples within the
+    # budget, so every tuple code is below |G|^n < 2^31
+    assert groups.MEMORY_BUDGET // 4 < 2**31
     d8 = dihedral(8)
     assert oracle._codes(commuting_tuples(d8, 2), d8.order).dtype == np.int32
 
@@ -199,7 +201,7 @@ def test_oracle_reads_only_the_group_table():
 
 
 def test_alpha_memory_per_tuple():
-    # stated bound: (d + 6) int32 words per tuple for d generators
+    # the budget's estimate: (d + 4) int32 words per tuple for d generators
     g = symmetric(6)
     tracemalloc.start()
     try:
@@ -208,4 +210,20 @@ def test_alpha_memory_per_tuple():
     finally:
         tracemalloc.stop()
     assert result.tuples_visited == 720**2
-    assert peak <= (len(g.generators) + 6) * 4 * result.tuples_visited, peak / result.tuples_visited
+    assert peak <= (len(g.generators) + 4) * 4 * result.tuples_visited, peak / result.tuples_visited
+
+
+def test_oracle_estimates_cover_their_peaks():
+    # the estimates, d + 4 and d + n + 6 int32 arrays of |G|^n entries, cover
+    # alpha on the 5^10 pairs of Phi5(5), and beta on C32^4, where every tuple
+    # commutes, so that none of beta's arrays is smaller than |G|^n
+    for oracle_fn, g, n, arrays in ((alpha_brute, stem_group("Phi5", 5), 2, 4), (beta_brute, cyclic(32), 4, 4 + 6)):
+        tracemalloc.start()
+        try:
+            result = oracle_fn(g, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        estimate = 4 * g.order**n * (len(g.generators) + arrays)
+        assert result.tuples_visited == g.order**n
+        assert peak <= estimate <= groups.MEMORY_BUDGET, (g.label, peak, estimate)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conjgf import groups, pcp
 from conjgf.analysis import center_elements, element_orders
-from conjgf.errors import ClosureExceedsCap, InconsistentPresentation, InvalidParameters
+from conjgf.errors import BudgetExceeded, InconsistentPresentation, InvalidParameters
 from conjgf.families import GAMMA_FAMILIES, PHI_FAMILIES, _stem_presentation, quaternion
 from conjgf.groups import certify
 from conjgf.pcp import (
@@ -250,17 +250,18 @@ def test_build_matches_collect_on_class_two(pres):
 
 
 def test_presentation_order_cap_at_its_edge(monkeypatch):
-    monkeypatch.setattr(groups, "DEFAULT_ORDER_CAP", 27)
+    # the estimate is the order-27 table, checked when the presentation is made
+    monkeypatch.setattr(groups, "MEMORY_BUDGET", groups.table_bytes(27))
     assert build_from_pcp(PcPresentation(p=3, relative_orders=(3, 9), power_words=(None, None))).order == 27
-    monkeypatch.setattr(groups, "DEFAULT_ORDER_CAP", 26)
-    with pytest.raises(ClosureExceedsCap):
+    monkeypatch.setattr(groups, "MEMORY_BUDGET", groups.table_bytes(27) - 1)
+    with pytest.raises(BudgetExceeded, match="presentation needs 1458 bytes, over the budget of 1457 bytes"):
         PcPresentation(p=3, relative_orders=(3, 9), power_words=(None, None))
 
 
 def test_huge_prime_is_refused_before_trial_division():
     # trial division of 2^89 - 1 would run for days
     p = 2**89 - 1
-    with pytest.raises(ClosureExceedsCap):
+    with pytest.raises(BudgetExceeded):
         PcPresentation(p=p, relative_orders=(p,), power_words=(None,))
     with pytest.raises(InvalidParameters, match="is not a prime dividing the order 2"):
         PcPresentation(p=p, relative_orders=(2,), power_words=(None,))
@@ -292,7 +293,8 @@ def test_quaternion_presentation():
 
 def test_build_memory_bound_at_order_3125():
     # each row block is gathered into the new uint16 table in place: besides
-    # the table, only N_1's table (1/25 of it) and O(|G|) index arrays
+    # the table, the budget's estimate, only N_1's table (1/25 of it) and
+    # O(|G|) index arrays
     pres = _stem_presentation("Phi5", 5)
     tracemalloc.start()
     try:
@@ -300,7 +302,8 @@ def test_build_memory_bound_at_order_3125():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.06 * 2 * g.order**2, f"build peak {peak} bytes at order {g.order}"
+    estimate = groups.table_bytes(g.order)
+    assert estimate < peak <= estimate + groups.table_bytes(g.order // 5) + 32 * g.order, peak
 
 
 def test_build_of_one_large_relative_order():
