@@ -9,6 +9,10 @@ re-computes the fingerprint and refuses to hand out a group that does not
 match, so a transcription slip in a presentation cannot silently poison
 downstream results.
 
+Every named group but `symmetric` compiles through `build_from_pcp` too: the
+abelian ones from a presentation with no words, and the dihedral, semidihedral
+and generalized quaternion groups from one metacyclic presentation.
+
 Power-commutator relations fix the orders of the *generators* only, so the
 p = 3 stem groups may have exponent p^2 even when every listed generator has
 order p; `_P3_POWER_WORDS` holds the stated reductions of the binomial power
@@ -18,7 +22,6 @@ words, and the remaining families compile consistently as printed.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 from .analysis import (
@@ -102,7 +105,7 @@ def _stem_presentation(family: str, p: int) -> PcPresentation:
         return tuple(out)
 
     return PcPresentation(
-        p=p, relative_orders=orders,
+        relative_orders=orders,
         power_words=tuple(word(powers[i]) if i in powers else None for i in range(len(orders))),
         commutator_words={key: word(w) for key, w in comms.items()},
         label=label or f"{family}({p})")
@@ -176,80 +179,59 @@ stem_group = lru_cache(maxsize=None)(build_stem_group)
 # -- named groups ---------------------------------------------------------------
 
 
-def _cycles_product(orders: tuple[int, ...], label: str) -> GroupTable:
-    """Direct product of cyclic groups as disjoint cycles on a shared domain."""
-    total = sum(orders)
-    check_budget(label, closure_bytes(math.prod(orders), total, len(orders)))
-    gens = []
-    offset = 0
-    for n in orders:
-        perm = list(range(total))
-        for i in range(n):
-            perm[offset + i] = offset + (i + 1) % n
-        gens.append(tuple(perm))
-        offset += n
-    return build_from_permutations(gens, label=label)
+def _abelian_presentation(orders: tuple[int, ...], label: str) -> PcPresentation:
+    """C_r0 x C_r1 x ... with no words, factors of order 1 dropped: C_n's table is (i + j) mod n."""
+    orders = tuple(r for r in orders if r > 1)
+    return PcPresentation(relative_orders=orders, power_words=(None,) * len(orders), label=label)
+
+
+def _metacyclic(n: int, w: int, k: int, label: str) -> GroupTable:
+    """<s, r | r^n, s^2 = r^w, s^-1 r s = r^k>, with g0 = s and g1 = r, so [r, s] = r^(k-1)."""
+    return build_from_pcp(PcPresentation(
+        relative_orders=(2, n), power_words=((0, w % n), None),
+        commutator_words={(1, 0): (0, (k - 1) % n)}, label=label))
 
 
 def cyclic(n: int) -> GroupTable:
     if n < 1:
         raise InvalidParameters("cyclic group order must be >= 1")
-    return _cycles_product((n,), label=f"C{n}")
+    return build_from_pcp(_abelian_presentation((n,), f"C{n}"))
 
 
 def abelian_group(orders: tuple[int, ...]) -> GroupTable:
     if not orders or any(n < 1 for n in orders):
         raise InvalidParameters("factor orders must be positive")
-    label = "C" + "xC".join(str(n) for n in orders)
-    if all(n == 1 for n in orders):
-        return cyclic(1)
-    return _cycles_product(tuple(n for n in orders if n > 1), label=label)
+    return build_from_pcp(_abelian_presentation(orders, "C" + "xC".join(str(n) for n in orders)))
 
 
 def elementary_abelian(p: int, rank: int) -> GroupTable:
-    """C_p^rank; the presentation checks the budget and then that p is prime."""
+    """C_p^rank; the presentation checks the budget, and then p is tested for primality."""
     if rank < 0:
         raise InvalidParameters("need a prime and a nonnegative rank")
-    if rank == 0:
-        return cyclic(1)
-    return build_from_pcp(PcPresentation(p=p, relative_orders=(p,) * rank,
-                                         power_words=(None,) * rank, label=f"C{p}^{rank}"))
+    pres = _abelian_presentation((p,) * rank, f"C{p}^{rank}")
+    if not is_prime(p):
+        raise InvalidParameters(f"{p} is not a prime")
+    return build_from_pcp(pres)
 
 
 def dihedral(order: int) -> GroupTable:
     if order < 6 or order % 2:
         raise InvalidParameters("dihedral groups here have even order >= 6")
-    check_budget(f"D{order}", closure_bytes(order, order // 2, 2))
-    n = order // 2
-    rot = tuple((i + 1) % n for i in range(n))
-    ref = tuple((-i) % n for i in range(n))
-    return build_from_permutations([rot, ref], label=f"D{order}")
+    return _metacyclic(order // 2, 0, -1, f"D{order}")
 
 
 def semidihedral(order: int) -> GroupTable:
-    check_budget(f"SD{order}", closure_bytes(order, order // 2, 2))
-    root = prime_power_root(order)
-    if root is None or root[0] != 2 or order < 16:
+    if order < 16 or order & (order - 1):
         raise InvalidParameters("semidihedral groups have order 2^n, n >= 4")
     half = order // 2
-    k = half // 2 - 1  # 2^(n-2) - 1
-    rot = tuple((i + 1) % half for i in range(half))
-    twist = tuple((i * k) % half for i in range(half))
-    return build_from_permutations([rot, twist], label=f"SD{order}")
+    return _metacyclic(half, 0, half // 2 - 1, f"SD{order}")
 
 
 def quaternion(order: int) -> GroupTable:
-    check_budget(f"Q{order}", table_bytes(order))
-    root = prime_power_root(order)
-    if root is None or root[0] != 2 or order < 8:
+    if order < 8 or order & (order - 1):
         raise InvalidParameters("generalized quaternion groups have order 2^n, n >= 3")
     half = order // 2
-    pres = PcPresentation(
-        p=2, relative_orders=(2, half),
-        power_words=((0, half // 2), None),
-        commutator_words={(1, 0): (0, half - 2)},
-        label=f"Q{order}")
-    return build_from_pcp(pres)
+    return _metacyclic(half, half // 2, -1, f"Q{order}")
 
 
 def symmetric(degree: int) -> GroupTable:
@@ -264,13 +246,7 @@ def symmetric(degree: int) -> GroupTable:
     return build_from_permutations([cycle, swap] if degree > 1 else [cycle], label=f"S{degree}")
 
 
-_NAMED = {
-    "cyclic": cyclic,
-    "dihedral": dihedral,
-    "semidihedral": semidihedral,
-    "quaternion": quaternion,
-    "symmetric": symmetric,
-}
+_NAMED = {fn.__name__: fn for fn in (cyclic, dihedral, semidihedral, quaternion, symmetric)}
 
 
 def named_group(name: str, size: int) -> GroupTable:

@@ -14,7 +14,8 @@ Schema (unknown fields are rejected):
    "label": "..."}
       Words are normal-form exponent vectors over the generators (0-based);
       a commutator entry gives [g_left, g_right] for left > right, each pair
-      at most once.
+      at most once.  p must be a prime dividing the order, and every relative
+      order a power of p.
 
   {"kind": "family", "name": "Phi5", "p": 3}
       Catalog families: abelian (p = any order), Phi2..Phi10 (p odd prime),
@@ -26,12 +27,13 @@ Schema (unknown fields are rejected):
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 from . import families
-from .errors import GroupSpecError
-from .groups import GroupTable, _is_index, build_from_cayley, build_from_permutations, check_budget
-from .pcp import PcPresentation, build_from_pcp
+from .errors import GroupSpecError, InvalidParameters
+from .groups import GroupTable, _is_index, build_from_cayley, build_from_permutations, check_budget, table_bytes
+from .pcp import PcPresentation, build_from_pcp, is_prime, prime_power_root
 
 # An entry takes at least 2 bytes of text ("0,") and at most 43 parsed and built (a
 # list slot, an int object, a uint16): with the text read twice, under 25 a byte.
@@ -63,6 +65,20 @@ def _str_field(value, what: str) -> str:
     if not isinstance(value, str):
         raise GroupSpecError(f"{what} must be a string, got {value!r}")
     return value
+
+
+def _check_prime(p: int, orders: tuple[int, ...], label: str) -> None:
+    """p is a prime dividing the order, and each r_i a power of p; the budget bounds the trials."""
+    if not orders:
+        raise InvalidParameters("presentation needs at least one generator")
+    n = math.prod(orders)
+    check_budget(label or "presentation", table_bytes(n))
+    if p > n or not is_prime(p):
+        raise InvalidParameters(f"p = {p} is not a prime dividing the order {n}")
+    for i, r in enumerate(orders):
+        root = prime_power_root(r)
+        if root is None or root[0] != p:
+            raise InvalidParameters(f"relative order r_{i} = {r} is not a power of {p}")
 
 
 def group_from_spec(doc: dict) -> GroupTable:
@@ -98,14 +114,11 @@ def group_from_spec(doc: dict) -> GroupTable:
             if key in comms:
                 raise GroupSpecError(f"commutators list [g{key[0]}, g{key[1]}] twice")
             comms[key] = _int_list(entry["word"], "a commutator word")
-        pres = PcPresentation(
-            p=_int_field(doc["p"], "p"),
-            relative_orders=orders,
-            power_words=tuple(None if w is None else _int_list(w, "a power word") for w in words),
-            commutator_words=comms,
-            label=label,
-        )
-        return build_from_pcp(pres)
+        p = _int_field(doc["p"], "p")
+        powers = tuple(None if w is None else _int_list(w, "a power word") for w in words)
+        _check_prime(p, orders, label)
+        return build_from_pcp(PcPresentation(relative_orders=orders, power_words=powers,
+                                             commutator_words=comms, label=label))
     if kind == "family":
         _require_fields(doc, {"kind", "name", "p"}, set())
         return families.named_group(_str_field(doc["name"], "name"), _int_field(doc["p"], "p"))

@@ -1,10 +1,11 @@
-"""Power-commutator presentations, compiled to tables by cyclic extension.
+"""Polycyclic presentations, compiled to tables by cyclic extension.
 
-A presentation lists d generators with prime-power relative orders r_i,
-an optional power word for each g_i^(r_i), and commutator words [g_j, g_i]
-for j > i.  Every word is a normal-form exponent vector and may only
-reference generators strictly deeper than the smaller index of its relation
-(weight ordering), which is what makes collection terminate.
+A presentation lists d >= 0 generators (d = 0 is the trivial group) with
+relative orders r_i >= 2, prime or not, an optional power word for each
+g_i^(r_i), and commutator words [g_j, g_i] for j > i.  Every word is a
+normal-form exponent vector and may only reference generators strictly deeper
+than the smaller index of its relation (weight ordering), which is what makes
+collection terminate.
 
 Elements of the compiled group are the normal forms g_1^e1 ... g_d^ed with
 0 <= e_i < r_i, indexed lexicographically by exponent vector.  The build
@@ -84,9 +85,8 @@ def prime_power_root(n: int) -> tuple[int, int] | None:
 
 @dataclass(frozen=True)
 class PcPresentation:
-    """Weight-ordered power-commutator presentation over a prime p."""
+    """Weight-ordered polycyclic presentation with relative orders r_i >= 2."""
 
-    p: int
     relative_orders: tuple[int, ...]
     power_words: tuple[Word | None, ...]
     commutator_words: Mapping[tuple[int, int], Word] = field(default_factory=dict)
@@ -94,19 +94,12 @@ class PcPresentation:
 
     def __post_init__(self):
         d = len(self.relative_orders)
-        if d == 0:
-            raise InvalidParameters("presentation needs at least one generator")
         if len(self.power_words) != d:
             raise InvalidParameters("power_words must list one entry per generator")
-        # the budget bounds p and every r_i before prime_power_root's trial divisions below
-        n = self.compiled_order()
-        check_budget(self.label or "presentation", table_bytes(n))
-        if self.p > n or not is_prime(self.p):
-            raise InvalidParameters(f"p = {self.p} is not a prime dividing the order {n}")
+        check_budget(self.label or "presentation", table_bytes(self.compiled_order()))
         for i, r in enumerate(self.relative_orders):
-            root = prime_power_root(r)
-            if root is None or root[0] != self.p:
-                raise InvalidParameters(f"relative order r_{i} = {r} is not a power of {self.p}")
+            if r < 2:
+                raise InvalidParameters(f"relative order r_{i} = {r} is below 2")
         for i, w in enumerate(self.power_words):
             if w is not None:
                 self._check_word(w, leading=i, what=f"power word of g{i}")

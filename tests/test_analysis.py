@@ -353,9 +353,31 @@ def test_maximal_class_p_series_sizes(catalog):
         assert len(center_elements(g)) == p, g.label
 
 
-def _permutation_catalog(monkeypatch) -> list[tuple[GroupTable, list[tuple[int, ...]]]]:
-    """The catalog groups that `build_from_permutations` closes, each with the
-    generating permutations it was given."""
+def _cycle(n: int, at: int, degree: int) -> tuple[int, ...]:
+    """An n-cycle on the points at..at+n-1 of 0..degree-1."""
+    return tuple(at + (i - at + 1) % n if at <= i < at + n else i for i in range(degree))
+
+
+def _power_map(n: int, k: int) -> tuple[int, ...]:
+    return tuple(i * k % n for i in range(n))
+
+
+# the permutations the catalog's pc-built groups were once closed from, one per
+# pc generator: g0 = s and g1 = r of the metacyclic presentation, or one cycle
+# per factor of C4xC2
+PC_PERMUTATIONS = {
+    "D8": [_power_map(4, -1), _cycle(4, 0, 4)],
+    "D12": [_power_map(6, -1), _cycle(6, 0, 6)],
+    "SD32": [_power_map(16, 7), _cycle(16, 0, 16)],
+    "C4xC2": [_cycle(4, 0, 6), _cycle(2, 4, 6)],
+}
+
+
+def _permutation_catalog(monkeypatch) -> list[tuple[GroupTable, list[tuple[int, ...]], np.ndarray]]:
+    """Catalog groups with permutations, each with its generating permutations
+    and the permutation each index stands for: S3 and S4 as
+    `build_from_permutations` closes them, and the pc groups of PC_PERMUTATIONS,
+    whose normal form g0^e0 g1^e1 stands for P0^e0 P1^e1."""
     given = {}
 
     def spy(gens, label=""):
@@ -364,13 +386,26 @@ def _permutation_catalog(monkeypatch) -> list[tuple[GroupTable, list[tuple[int, 
         return g
 
     monkeypatch.setattr(families, "build_from_permutations", spy)
-    return [(g, given[g.label]) for _, g in families.small_catalog.__wrapped__() if g.label in given]
+    out = []
+    for label, g in families.small_catalog.__wrapped__():
+        if label in given:
+            out.append((g, given[label], _closure_rows(given[label])))
+        elif label in PC_PERMUTATIONS:
+            perms, r1 = PC_PERMUTATIONS[label], g.generators[0]  # g0 at index r1, g1 at 1
+            rows = []
+            for vec in np.ndindex(g.order // r1, r1):
+                row = np.arange(len(perms[0]))
+                for p, e in zip(perms, vec):
+                    for _ in range(e):
+                        row = row[list(p)]
+                rows.append(row)
+            out.append((g, perms, np.asarray(rows)))
+    return out
 
 
-def _indexed_permutations(g: GroupTable, perms: list[tuple[int, ...]]) -> np.ndarray:
-    """Row x is the permutation that index x stands for: the closure of `perms`
-    in breadth-first order by right multiplication, as `build_from_permutations`
-    indexes it; checked against every product of the table."""
+def _closure_rows(perms: list[tuple[int, ...]]) -> np.ndarray:
+    """The closure of `perms` in breadth-first order by right multiplication,
+    as `build_from_permutations` indexes it."""
     elems = [tuple(range(len(perms[0])))]
     seen = set(elems)
     for cur in elems:
@@ -379,18 +414,22 @@ def _indexed_permutations(g: GroupTable, perms: list[tuple[int, ...]]) -> np.nda
             if nxt not in seen:
                 seen.add(nxt)
                 elems.append(nxt)
-    rows = np.asarray(elems)
-    assert len(rows) == g.order, g.label
+    return np.asarray(elems)
+
+
+def _check_indexing(g: GroupTable, rows: np.ndarray) -> None:
+    """Row x is the permutation that index x stands for: distinct rows, composed
+    as the table multiplies, checked on every product."""
+    assert len({tuple(r) for r in rows.tolist()}) == len(rows) == g.order, g.label
     composed = rows[np.arange(g.order)[:, None, None], rows[None, :, :]]
     assert np.array_equal(rows[g.mul], composed), g.label
-    return rows
 
 
 def test_permutation_groups_match_sympy(monkeypatch):
     combinatorics = pytest.importorskip("sympy.combinatorics")
     checked = set()
-    for g, perms in _permutation_catalog(monkeypatch):
-        rows = _indexed_permutations(g, perms)
+    for g, perms, rows in _permutation_catalog(monkeypatch):
+        _check_indexing(g, rows)
         as_perm = lambda x: combinatorics.Permutation(rows[x].tolist())  # noqa: E731
         key = lambda p: tuple(p.array_form)  # noqa: E731
         group = combinatorics.PermutationGroup([combinatorics.Permutation(list(p)) for p in perms])

@@ -232,12 +232,12 @@ def _measured_run(*argv) -> tuple[int, str, float, float]:
 
 
 def test_genfun_refuses_requests_over_the_budget(tmp_path):
-    # C16807 by permutation closure would need about 2.8 GB, refused before any
-    # permutation is built; a cayley spec past the budget is refused from its
+    # C16808's table is one order past the budget, refused before its
+    # presentation is built; a cayley spec past the budget is refused from its
     # size, before its text is parsed (the padding here is not JSON at all)
-    spec = write_spec(tmp_path, "c16807.json", {"kind": "family", "name": "cyclic", "p": 7**5})
+    spec = write_spec(tmp_path, "c16808.json", {"kind": "family", "name": "cyclic", "p": 7**5 + 1})
     code, err, wall, peak_mib = _measured_run("genfun", spec)
-    assert code == 2 and "error: C16807 needs 2848416746 bytes, over the budget of 564950498 bytes" in err, err
+    assert code == 2 and "error: C16808 needs 565017728 bytes, over the budget of 564950498 bytes" in err, err
     assert wall < 1 and peak_mib < 100, (wall, peak_mib)
     big = tmp_path / "big.json"
     big.write_text('{"kind": "cayley", "table": [[0]]}', encoding="utf-8")

@@ -58,22 +58,33 @@ def test_all_stem_groups_certify_and_fingerprint():
 
 
 def test_stem_groups_have_one_build_route(monkeypatch):
-    # every non-abelian family is compiled from its pc presentation, which
-    # Hoelder's conditions prove: no permutation closure and no certificate
-    calls = []
+    # every non-abelian family, and every solvable named group, is compiled from
+    # a pc presentation, which Hoelder's conditions prove: only `symmetric`
+    # closes permutations, and only its closures are certified
+    seen = set()
 
     def spy(module, name):
         real = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda *a, **k: calls.append(name) or real(*a, **k))
+
+        def traced(*args, **kwargs):
+            out = real(*args, **kwargs)
+            seen.add(args[0].label if name == "certify" else out.label)
+            return out
+
+        monkeypatch.setattr(module, name, traced)
 
     spy(families, "build_from_permutations")
+    spy(groups, "build_from_permutations")
     spy(groups, "certify")
-    flagged = []
     for family, p in [(f, 2) for f in GAMMA_FAMILIES] + [(f, 3) for f in PHI_FAMILIES]:
-        calls.clear()
         build_stem_group(family, p)
-        flagged += [family] if calls else []
-    assert flagged == []
+    for build in (lambda: cyclic(12), lambda: abelian_group((4, 1, 3)), lambda: dihedral(12),
+                  lambda: semidihedral(32), lambda: quaternion(16), lambda: elementary_abelian(3, 3),
+                  lambda: build_stem_group("abelian", 5)):
+        build()
+    assert seen == set()
+    families.small_catalog.__wrapped__()
+    assert seen == {"S3", "S4"}
 
 
 # sha256 of each stem group's mul, inv, generators and label: A and B are
@@ -112,13 +123,18 @@ def test_stem_tables_are_pinned():
     keys = set(PHI_FAMILIES + GAMMA_FAMILIES)
     assert set(_PRESENTATIONS) == keys and set(_FINGERPRINTS) == keys
     assert set(TABLE_ROWS) == keys | {"abelian"}
-    for (family, p), want in STEM_TABLE_DIGESTS.items():
-        g = build_stem_group(family, p)  # uncached: one order-3125 table at a time
+    # uncached: one order-3125 table at a time; `dihedral` compiles the
+    # presentations of Gamma2, Gamma3 and Gamma8, label included
+    builds = [(key, lambda key=key: build_stem_group(*key)) for key in STEM_TABLE_DIGESTS]
+    builds += [((family, 2), lambda order=order: dihedral(order))
+               for family, order in (("Gamma2", 8), ("Gamma3", 16), ("Gamma8", 32))]
+    for key, build in builds:
+        g = build()
         h = hashlib.sha256()
         for part in (g.mul.astype("<u2").tobytes(), g.inv.astype("<u2").tobytes(),
                      repr(g.generators).encode(), g.label.encode()):
             h.update(part)
-        assert h.hexdigest() == want, (family, p)
+        assert h.hexdigest() == STEM_TABLE_DIGESTS[key], (key, g.label)
 
 
 def test_dihedral_stem_groups_match_the_permutation_dihedral_groups():
@@ -203,7 +219,7 @@ def test_order_cap_admits_every_rank_5_group_at_p_7():
     assert groups.MEMORY_BUDGET == groups.table_bytes(7**5) == 564_950_498
     groups.check_budget("order 16807", groups.table_bytes(7**5))
     with pytest.raises(BudgetExceeded, match="needs 565017728 bytes, over the budget of 564950498 bytes"):
-        PcPresentation(p=2, relative_orders=(7**5 + 1,), power_words=(None,))
+        PcPresentation(relative_orders=(7**5 + 1,), power_words=(None,))
     # a presentation validates itself and checks the budget on construction; nothing is built
     for family in PHI_FAMILIES:
         assert _stem_presentation(family, 7).compiled_order() == 7 ** _FINGERPRINTS[family][0]
@@ -237,6 +253,8 @@ def test_invalid_family_parameters():
         semidihedral(8)
     with pytest.raises(InvalidParameters):
         quaternion(12)
+    with pytest.raises(InvalidParameters):
+        elementary_abelian(4, 2)  # checked after the budget, before the build
 
 
 def test_fingerprint_guard_fires(monkeypatch):
@@ -284,11 +302,11 @@ def test_maximal_class_trio_same_functions(catalog):
 
 # (degree, generators) of a permutation closure, or None for a pc build's table
 @pytest.mark.parametrize("build, order, closure", [
-    (lambda: cyclic(12), 12, (12, 1)),
-    (lambda: abelian_group((4, 3)), 12, (7, 2)),
-    (lambda: build_stem_group("abelian", 13), 13, (13, 1)),
-    (lambda: dihedral(12), 12, (6, 2)),
-    (lambda: semidihedral(16), 16, (8, 2)),
+    (lambda: cyclic(12), 12, None),
+    (lambda: abelian_group((4, 3)), 12, None),
+    (lambda: build_stem_group("abelian", 13), 13, None),
+    (lambda: dihedral(12), 12, None),
+    (lambda: semidihedral(16), 16, None),
     (lambda: quaternion(16), 16, None),
     (lambda: symmetric(4), 24, (4, 2)),
     (lambda: elementary_abelian(2, 4), 16, None),
@@ -311,7 +329,7 @@ def test_oversized_requests_fail_before_building():
 
     huge = 2**89 - 1
     for build in (
-        lambda: group_from_spec({"kind": "family", "name": "cyclic", "p": 7**5}),
+        lambda: group_from_spec({"kind": "family", "name": "cyclic", "p": 7**5 + 1}),
         lambda: stem_group("Phi5", 11),
         lambda: stem_group("abelian", 10**12),
         lambda: abelian_group((10**6, 10**6)),

@@ -8,6 +8,7 @@ import pytest
 from conjgf import groups, groupspec
 from conjgf.errors import BudgetExceeded, GroupSpecError, InvalidParameters, NotAGroup
 from conjgf.groupspec import group_from_spec, load_group_spec
+from conjgf.pcp import is_prime
 
 
 def test_permutation_kind():
@@ -109,6 +110,43 @@ def test_unknown_fields_rejected():
     with pytest.raises(GroupSpecError):
         group_from_spec({"kind": "pcp", "p": 3, "relative_orders": [3],
                          "power_words": [None], "commutators": [{"left": 1, "word": [0]}]})
+
+
+def _cyclic_pcp(p: int, *orders: int) -> dict:
+    return {"kind": "pcp", "p": p, "relative_orders": list(orders),
+            "power_words": [None] * len(orders), "commutators": []}
+
+
+def test_pcp_spec_p_is_a_prime_dividing_the_order():
+    # a cyclic spec of order n with p = n is accepted exactly when n is prime
+    def accepted(n: int) -> bool:
+        try:
+            group_from_spec(_cyclic_pcp(n, n))
+        except InvalidParameters:
+            return False
+        return True
+
+    assert [n for n in range(2, 300) if accepted(n)] == [n for n in range(2, 300) if is_prime(n)]
+    for doc, message in (
+        (_cyclic_pcp(4, 4), "p = 4 is not a prime dividing the order 4"),
+        (_cyclic_pcp(29, 3, 9), "p = 29 is not a prime dividing the order 27"),
+        (_cyclic_pcp(2, 2, 6), "relative order r_1 = 6 is not a power of 2"),
+        (_cyclic_pcp(3, 3, 1), "relative order r_1 = 1 is not a power of 3"),
+        (_cyclic_pcp(2), "presentation needs at least one generator"),
+    ):
+        with pytest.raises(InvalidParameters) as err:
+            group_from_spec(doc)
+        assert str(err.value) == message
+
+
+def test_huge_prime_is_refused_before_trial_division():
+    # trial division of 2^89 - 1 would run for days: the budget refuses the order
+    # first, and 2 is too small an order for p
+    p = 2**89 - 1
+    with pytest.raises(BudgetExceeded):
+        group_from_spec(_cyclic_pcp(p, p))
+    with pytest.raises(InvalidParameters, match="is not a prime dividing the order 2"):
+        group_from_spec(_cyclic_pcp(p, 2))
 
 
 def test_pcp_commutator_listed_twice_rejected():

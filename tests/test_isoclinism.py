@@ -71,7 +71,7 @@ def _verify_by_loops(w: IsoclinismWitness, g: GroupTable, h: GroupTable) -> bool
 def _exp9() -> GroupTable:
     """The non-abelian group of order 27 and exponent 9."""
     return build_from_pcp(PcPresentation(
-        p=3, relative_orders=(3, 9), power_words=(None, None),
+        relative_orders=(3, 9), power_words=(None, None),
         commutator_words={(1, 0): (0, 3)}, label="27exp9"))
 
 

@@ -10,10 +10,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conjgf import groups, pcp
+from conjgf import families, groups, pcp
 from conjgf.analysis import center_elements, element_orders
 from conjgf.errors import BudgetExceeded, InconsistentPresentation, InvalidParameters
-from conjgf.families import GAMMA_FAMILIES, PHI_FAMILIES, _stem_presentation, quaternion
+from conjgf.families import (
+    GAMMA_FAMILIES,
+    PHI_FAMILIES,
+    _stem_presentation,
+    abelian_group,
+    cyclic,
+    dihedral,
+    quaternion,
+    semidihedral,
+)
 from conjgf.groups import certify
 from conjgf.pcp import (
     EXACT_PRIME_LIMIT,
@@ -42,16 +51,6 @@ def test_is_prime_matches_trial_division():
     primes = [n for n in range(10**4 + 1) if _trial_division(n)]
     assert [n for n in range(10**4 + 1) if is_prime(n)] == primes
 
-    # PcPresentation accepts a cyclic group of prime order n exactly when n is prime
-    def accepted(n: int) -> bool:
-        try:
-            PcPresentation(p=n, relative_orders=(n,), power_words=(None,))
-        except InvalidParameters:
-            return False
-        return True
-
-    assert [n for n in range(2, 10**4 + 1) if accepted(n)] == primes
-
 
 def test_is_prime_large_inputs():
     # strong pseudoprimes to the bases 2..7, 2..23 and 2..37, each refused
@@ -67,7 +66,7 @@ def test_is_prime_large_inputs():
 
 
 def test_cyclic_c8():
-    pres = PcPresentation(p=2, relative_orders=(8,), power_words=(None,), label="C8")
+    pres = PcPresentation(relative_orders=(8,), power_words=(None,), label="C8")
     g = build_from_pcp(pres)
     assert g.order == 8
     assert (g.mul == g.mul.T).all()
@@ -75,7 +74,7 @@ def test_cyclic_c8():
 
 
 def test_compiled_order_is_product_of_relative_orders():
-    pres = PcPresentation(p=3, relative_orders=(3, 9), power_words=(None, None))
+    pres = PcPresentation(relative_orders=(3, 9), power_words=(None, None))
     assert pres.compiled_order() == 27
     g = build_from_pcp(pres)
     assert g.order == 27
@@ -84,7 +83,7 @@ def test_compiled_order_is_product_of_relative_orders():
 def test_collection_normalizes_words():
     # Heisenberg p=3: [g1, g0] = g2^2  (i.e. the generators' commutator is central)
     pres = PcPresentation(
-        p=3, relative_orders=(3, 3, 3), power_words=(None,) * 3,
+        relative_orders=(3, 3, 3), power_words=(None,) * 3,
         commutator_words={(1, 0): (0, 0, 2)},
     )
     # g1 * g0 must collect to g0 g1 g2^2
@@ -93,8 +92,8 @@ def test_collection_normalizes_words():
     assert collect(pres, [[0, 2], [0, 2]]) == (1, 0, 0)
 
 
-_C2XC2 = PcPresentation(p=2, relative_orders=(2, 2), power_words=(None, None))
-_HEIS3 = PcPresentation(p=3, relative_orders=(3, 3, 3), power_words=(None,) * 3,
+_C2XC2 = PcPresentation(relative_orders=(2, 2), power_words=(None, None))
+_HEIS3 = PcPresentation(relative_orders=(3, 3, 3), power_words=(None,) * 3,
                         commutator_words={(1, 0): (0, 0, 2)})
 
 
@@ -117,19 +116,26 @@ def test_rewrite_budget_at_its_edge(monkeypatch, pres, word, rewrites, normal):
 
 def test_weight_ordering_enforced():
     with pytest.raises(InvalidParameters):
-        PcPresentation(p=2, relative_orders=(2, 2), power_words=((1, 0), None))
+        PcPresentation(relative_orders=(2, 2), power_words=((1, 0), None))
     with pytest.raises(InvalidParameters):
-        PcPresentation(p=2, relative_orders=(2, 2), power_words=(None, None),
+        PcPresentation(relative_orders=(2, 2), power_words=(None, None),
                        commutator_words={(1, 0): (1, 0)})
-    with pytest.raises(InvalidParameters):
-        PcPresentation(p=2, relative_orders=(2, 6), power_words=(None, None))
+
+
+def test_relative_orders_are_at_least_two():
+    # any relative order from 2 up is a cyclic extension, and no generator is the trivial group
+    assert build_from_pcp(PcPresentation(relative_orders=(2, 6), power_words=(None, None))).order == 12
+    trivial = build_from_pcp(PcPresentation(relative_orders=(), power_words=()))
+    assert (trivial.order, trivial.mul.tolist(), trivial.inv.tolist()) == (1, [[0]], [0])
+    with pytest.raises(InvalidParameters, match=re.escape("relative order r_1 = 1 is below 2")):
+        PcPresentation(relative_orders=(3, 1), power_words=(None, None))
 
 
 def test_phi8_example_order_and_center():
     # order p, p^2, p^2 with a1^p = b, [a1,a2] = b, [b,a2] = b^p
     p = 3
     pres = PcPresentation(
-        p=p, relative_orders=(p, p * p, p * p),
+        relative_orders=(p, p * p, p * p),
         power_words=((0, 0, 1), None, None),
         commutator_words={(1, 0): (0, 0, p * p - 1), (2, 1): (0, 0, p)},
         label="Phi8(3)",
@@ -148,7 +154,7 @@ def _holder_message(label: str, level: int, condition: str) -> str:
 
 # C4 presented with relative order 2 and a bogus central power word:
 # g0^2 = g1 with [g1, g0] = g1 forces a non-associative table
-FAILS_FIXING_W = PcPresentation(p=2, relative_orders=(2, 2), power_words=((0, 1), None),
+FAILS_FIXING_W = PcPresentation(relative_orders=(2, 2), power_words=((0, 1), None),
                                 commutator_words={(1, 0): (0, 1)})
 
 
@@ -162,7 +168,7 @@ def test_inconsistent_presentation_rejected():
 def test_p3_presentation_without_power_words_rejected(family):
     # at p = 3 these families are consistent only with their power words
     pres = _stem_presentation(family, 3)
-    bare = PcPresentation(p=3, relative_orders=pres.relative_orders, power_words=(None,) * 5,
+    bare = PcPresentation(relative_orders=pres.relative_orders, power_words=(None,) * 5,
                           commutator_words=pres.commutator_words, label=family)
     with pytest.raises(InconsistentPresentation,
                        match=_holder_message(family, 0, "phi^3 is not conjugation by w at g1")):
@@ -171,14 +177,19 @@ def test_p3_presentation_without_power_words_rejected(family):
 
 @pytest.mark.parametrize("pres, condition", [
     # [g2, g1] = g3 but phi([g2, g1]) = [g2, g1] != g3 g2 = phi(g3)
-    (PcPresentation(p=3, relative_orders=(3,) * 4, power_words=(None,) * 4,
+    (PcPresentation(relative_orders=(3,) * 4, power_words=(None,) * 4,
                     commutator_words={(2, 1): (0, 0, 0, 1), (3, 0): (0, 0, 1, 0)}, label="b"),
      "phi is not a homomorphism at g1"),
     # phi(g1) = g1^2, so phi^3(g1) = g1^8 while w = 1 conjugates g1 to itself
-    (PcPresentation(p=3, relative_orders=(3, 9), power_words=(None, None),
+    (PcPresentation(relative_orders=(3, 9), power_words=(None, None),
                     commutator_words={(1, 0): (0, 1)}, label="c"),
      "phi^3 is not conjugation by w at g1"),
-], ids=["homomorphism", "conjugation"])
+    # a composite relative order: phi(g1) = g1^3 is an endomorphism of C6, and
+    # phi^2(g1) = g1^9 = g1^3, not g1
+    (PcPresentation(relative_orders=(2, 6), power_words=(None, None),
+                    commutator_words={(1, 0): (0, 2)}, label="d"),
+     "phi^2 is not conjugation by w at g1"),
+], ids=["homomorphism", "conjugation", "composite"])
 def test_each_holder_condition_names_its_witness(pres, condition):
     # test_inconsistent_presentation_rejected covers the third condition, phi(w) = w
     with pytest.raises(InconsistentPresentation, match=_holder_message(pres.label, 0, condition)):
@@ -188,7 +199,7 @@ def test_each_holder_condition_names_its_witness(pres, condition):
 def test_inconsistent_order_7_5_raises_before_the_top_table():
     # g0^7 = g1 with [g1, g0] = g1 fails at level g0, so only N_1's table,
     # of order 7^4, is ever built: not the 7^5 x 7^5 one
-    pres = PcPresentation(p=7, relative_orders=(7,) * 5, power_words=((0, 1, 0, 0, 0),) + (None,) * 4,
+    pres = PcPresentation(relative_orders=(7,) * 5, power_words=((0, 1, 0, 0, 0),) + (None,) * 4,
                           commutator_words={(1, 0): (0, 1, 0, 0, 0)}, label="bad7")
     tracemalloc.start()
     try:
@@ -225,6 +236,22 @@ def test_build_matches_collect_on_catalog(pres):
     _assert_matches_collect(pres)
 
 
+def _named_presentation(monkeypatch, build) -> PcPresentation:
+    """The presentation a named-group constructor hands to `build_from_pcp`."""
+    given = []
+    monkeypatch.setattr(families, "build_from_pcp", lambda pres: given.append(pres) or build_from_pcp(pres))
+    build()
+    return given[0]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: cyclic(12), lambda: abelian_group((4, 3)), lambda: dihedral(12),
+    lambda: semidihedral(32), lambda: quaternion(16),
+], ids=["C12", "C4xC3", "D12", "SD32", "Q16"])
+def test_build_matches_collect_on_named_groups(monkeypatch, build):
+    _assert_matches_collect(_named_presentation(monkeypatch, build))
+
+
 @st.composite
 def class_two_presentations(draw):
     """Commutator words only into trailing central generators that no commutator
@@ -239,7 +266,7 @@ def class_two_presentations(draw):
             tail = draw(word)
             if any(tail):
                 comms[(j, i)] = (0,) * top + tuple(tail)
-    return PcPresentation(p=p, relative_orders=(p,) * d, power_words=(None,) * d,
+    return PcPresentation(relative_orders=(p,) * d, power_words=(None,) * d,
                           commutator_words=comms, label=f"class2({p}, {d}, {sorted(comms)})")
 
 
@@ -252,29 +279,20 @@ def test_build_matches_collect_on_class_two(pres):
 def test_presentation_order_cap_at_its_edge(monkeypatch):
     # the estimate is the order-27 table, checked when the presentation is made
     monkeypatch.setattr(groups, "MEMORY_BUDGET", groups.table_bytes(27))
-    assert build_from_pcp(PcPresentation(p=3, relative_orders=(3, 9), power_words=(None, None))).order == 27
+    assert build_from_pcp(PcPresentation(relative_orders=(3, 9), power_words=(None, None))).order == 27
     monkeypatch.setattr(groups, "MEMORY_BUDGET", groups.table_bytes(27) - 1)
     with pytest.raises(BudgetExceeded, match="presentation needs 1458 bytes, over the budget of 1457 bytes"):
-        PcPresentation(p=3, relative_orders=(3, 9), power_words=(None, None))
-
-
-def test_huge_prime_is_refused_before_trial_division():
-    # trial division of 2^89 - 1 would run for days
-    p = 2**89 - 1
-    with pytest.raises(BudgetExceeded):
-        PcPresentation(p=p, relative_orders=(p,), power_words=(None,))
-    with pytest.raises(InvalidParameters, match="is not a prime dividing the order 2"):
-        PcPresentation(p=p, relative_orders=(2,), power_words=(None,))
+        PcPresentation(relative_orders=(3, 9), power_words=(None, None))
 
 
 def test_certificate_label_does_not_depend_on_order():
-    pres = PcPresentation(p=3, relative_orders=(3,) * 5, power_words=(None,) * 5,
+    pres = PcPresentation(relative_orders=(3,) * 5, power_words=(None,) * 5,
                           commutator_words={(1, 0): (0, 0, 0, 0, 2)}, label="big")
     g = build_from_pcp(pres)
     assert g.order == 243
     assoc = {c.name: c for c in certify(g).checks}["associativity"]
     assert (assoc.status, assoc.detail) == ("pass", "all triples")
-    bigger = PcPresentation(p=2, relative_orders=(2,) * 9, power_words=(None,) * 9, label="C2^9")
+    bigger = PcPresentation(relative_orders=(2,) * 9, power_words=(None,) * 9, label="C2^9")
     h = build_from_pcp(bigger)
     assert h.order == 512
     assoc = {c.name: c for c in certify(h).checks}["associativity"]
@@ -282,7 +300,7 @@ def test_certificate_label_does_not_depend_on_order():
 
 
 def test_quaternion_presentation():
-    pres = PcPresentation(p=2, relative_orders=(2, 4), power_words=((0, 2), None),
+    pres = PcPresentation(relative_orders=(2, 4), power_words=((0, 2), None),
                           commutator_words={(1, 0): (0, 2)}, label="Q8")
     g = build_from_pcp(pres)
     assert g.order == 8
@@ -325,16 +343,15 @@ def test_build_of_one_large_relative_order():
 
 @st.composite
 def weight_ordered_presentations(draw):
-    """Random weight-ordered presentations with p in {2, 3}, d <= 5 and order
-    <= 2000; each power or commutator word is absent (two times in three), or
-    random over the deeper generators, so both verdicts come up often."""
-    p = draw(st.sampled_from((2, 3)))
+    """Random weight-ordered presentations with relative orders in {2, ..., 6, 8, 9},
+    prime powers and composite, d <= 5 and order <= 2000; each power or commutator
+    word is absent (two times in three), or random over the deeper generators, so
+    both verdicts come up often."""
     d = draw(st.integers(1, 5))
-    budget = 10 if p == 2 else 6  # p^budget <= 2000
-    exps = []
-    for i in range(d):
-        exps.append(draw(st.integers(1, min(3, budget - sum(exps) - (d - 1 - i)))))
-    orders = tuple(p**e for e in exps)
+    orders: tuple[int, ...] = ()
+    for i in range(d):  # room stays for a 2 at each later generator
+        room = 2000 // (math.prod(orders) * 2 ** (d - 1 - i))
+        orders += (draw(st.sampled_from([r for r in (2, 3, 4, 5, 6, 8, 9) if r <= room])),)
 
     def word(leading: int) -> Word | None:
         if draw(st.integers(0, 2)):
@@ -343,7 +360,7 @@ def weight_ordered_presentations(draw):
 
     powers = tuple(word(i) for i in range(d))
     comms = {(j, i): w for j in range(d) for i in range(j) if (w := word(i)) is not None}
-    return PcPresentation(p=p, relative_orders=orders, power_words=powers, commutator_words=comms,
+    return PcPresentation(relative_orders=orders, power_words=powers, commutator_words=comms,
                           label=f"random({orders}, {powers}, {sorted(comms.items())})")
 
 
