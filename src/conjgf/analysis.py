@@ -1,10 +1,11 @@
 """Structural invariants of a group table.
 
 Conjugacy classes, the cosets of Z(G) and their commuting relation, centralizers,
-center, derived subgroup, lower central series, the AC-group test and whether a
-p-group has an abelian maximal subgroup, read from the commuting relation.  All
-are pure functions of an immutable GroupTable; all but the coset products are
-memoized write-once on the table's private cache.
+center, derived subgroup and lower central series, each term [N, G] the plain
+closure of one commutator step, the AC-group test and whether a p-group has an
+abelian maximal subgroup, read from the commuting relation.  All are pure
+functions of an immutable GroupTable; all but the coset products and the
+commutator step are memoized write-once on the table's private cache.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotPrimePower
-from .groups import INDEX_DTYPE, LINE_BLOCK, GroupTable, commutators, memoized, normal_closure, orbit_labels
+from .groups import INDEX_DTYPE, LINE_BLOCK, GroupTable, commutators, memoized, orbit_labels, subgroup_closure
 from .pcp import prime_power_root
 
 
@@ -96,21 +97,31 @@ def packed_rows(block: np.ndarray) -> np.ndarray:
     return packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
 
 
+def commutator_subgroup(g: GroupTable, normal: np.ndarray) -> tuple[int, ...]:
+    """[N, G] for N normal in G = <S>, S the generators, sorted: the plain
+    closure of the [x, s], x in N and s in S.  With [a, b] = a^-1 b^-1 a b,
+    [x, ys] = [x, s] [x, y] [[x, y], s].  [x, y] lies in N as N is normal, so
+    [[x, y], s] is one of the [x', s], and by induction on the length of y as
+    a word in S every [x, y] is a product of them; a finite group is generated
+    by S as a monoid, so that covers all of G.  As [xz, s] = [x, s] for z in
+    Z(G), x runs over the minima of N's cosets of Z(G): R d commutators for G',
+    R = |G/Z(G)| and d = |S|."""
+    xs = np.flatnonzero(np.bincount(g.mul.take(center_elements(g), axis=0).min(axis=0)[normal]))  # x z = z x: rows
+    return subgroup_closure(g, commutators(g, xs, np.asarray(g.generators, dtype=np.intp)).ravel())
+
+
 @memoized
 def derived_subgroup(g: GroupTable) -> tuple[int, ...]:
-    """Normal closure of the commutators of the generators, sorted."""
-    gens = np.asarray(g.generators, dtype=np.intp)
-    return normal_closure(g, commutators(g, gens, gens).ravel())
+    """G' = [G, G], sorted."""
+    return commutator_subgroup(g, np.arange(g.order))
 
 
 @memoized
 def lower_central_series(g: GroupTable) -> tuple[tuple[int, ...], ...]:
     """gamma_1 = G, gamma_2 = G', gamma_{i+1} = [gamma_i, G]; stops once the series is stable."""
-    terms: list[tuple[int, ...]] = [tuple(range(g.order)), derived_subgroup(g)]
-    gens = np.asarray(g.generators, dtype=np.intp)
+    terms = [tuple(range(g.order)), derived_subgroup(g)]
     while terms[-1] != terms[-2]:
-        comm = commutators(g, np.asarray(terms[-1], dtype=np.intp), gens)
-        terms.append(normal_closure(g, np.unique(comm).tolist()))
+        terms.append(commutator_subgroup(g, np.asarray(terms[-1], dtype=np.intp)))
     return tuple(terms[:-1])
 
 

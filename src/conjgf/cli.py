@@ -93,16 +93,6 @@ def _render_value(value, indent: int) -> list[str]:
     return out
 
 
-def _gf_payload(gf, want_pf: bool) -> dict:
-    payload = gf.to_payload()
-    payload["display"] = str(gf)
-    if want_pf:
-        pf = partial_fractions(gf)
-        payload["partial_fractions"] = pf.to_payload()
-        payload["partial_fractions_display"] = str(pf)
-    return payload
-
-
 def cmd_genfun(args) -> RunReport:
     if args.coefficients is not None:
         _check_count("--coefficients", args.coefficients, 0)
@@ -119,7 +109,10 @@ def cmd_genfun(args) -> RunReport:
         gf = of_t(g)
         if args.normalized:
             gf = normalize(gf, g.order)
-        report.results[name] = _gf_payload(gf, args.partial_fractions)
+        report.results[name] = payload = {**gf.to_payload(), "display": str(gf)}
+        if args.partial_fractions:
+            pf = partial_fractions(gf)
+            payload.update(partial_fractions=pf.to_payload(), partial_fractions_display=str(pf))
         if args.coefficients is not None:
             report.results[series] = [coefficient(g, n) for n in range(args.coefficients + 1)]
     return report

@@ -284,14 +284,8 @@ TABLE_ROWS: dict[str, tuple[Row, Row]] = {
 }
 
 
-def _eval_laurent(coeff: Laurent, p: Fraction) -> Fraction:
-    return sum((c * p**k for c, k in coeff), Fraction(0))
-
-
 def _eval_row(row: Row, p: Fraction) -> RationalGF:
-    return gf_sum(
-        [RationalGF.simple(_eval_laurent(coeff, p), p**k) for coeff, k in row]
-    )
+    return gf_sum([RationalGF.simple(sum((c * p**e for c, e in coeff), Fraction(0)), p**k) for coeff, k in row])
 
 
 def table_row(family: str, p: int) -> tuple[RationalGF, RationalGF]:

@@ -31,7 +31,7 @@ from .analysis import (
     nilpotency_class,
 )
 from .errors import FingerprintMismatch, InvalidParameters
-from .groups import GroupTable, build_from_permutations, check_budget, closure_bytes, table_bytes
+from .groups import GroupTable, build_from_permutations, check_budget, checked_order, closure_bytes, table_bytes
 from .pcp import PcPresentation, Word, build_from_pcp, is_prime, prime_power_root
 
 PHI_FAMILIES = tuple(f"Phi{k}" for k in range(2, 11))
@@ -237,10 +237,7 @@ def quaternion(order: int) -> GroupTable:
 def symmetric(degree: int) -> GroupTable:
     if degree < 1:
         raise InvalidParameters("symmetric group degree must be >= 1")
-    order = 1
-    for k in range(2, degree + 1):  # stops at the first partial product over the budget
-        order *= k
-        check_budget(f"S{degree}", closure_bytes(order, degree, 2))
+    checked_order(f"S{degree}", range(2, degree + 1), lambda order: closure_bytes(order, degree, 2))
     cycle = tuple((i + 1) % degree for i in range(degree))
     swap = (1, 0) + tuple(range(2, degree))
     return build_from_permutations([cycle, swap] if degree > 1 else [cycle], label=f"S{degree}")

@@ -28,12 +28,13 @@ LINE_BLOCK = 128  # rows or columns per block of the cancellation scatter and th
 def check_budget(request: str, nbytes: int) -> None:
     """Refuse a request estimated at `nbytes` over MEMORY_BUDGET (read at call
     time) before it allocates: a table build's table, a closure's tuples with
-    it, an oracle's int32 arrays of |G|^n entries, a spec file's parsed text.
-    A pc build also holds the level below, at most a quarter of its table.
-    What is computed from a table needs no check: certify's buffers, K, B's
-    sub-blocks and the quotient tables are no larger than the table."""
-    if nbytes > MEMORY_BUDGET:
-        raise BudgetExceeded(f"{request} needs {nbytes} bytes, over the budget of {MEMORY_BUDGET} bytes")
+    it, an oracle's arrays, a spec file's parsed text.  A pc build also holds
+    the level below, at most a quarter of its table.  What is computed from a
+    table needs no check: certify's buffers, K, B's sub-blocks and the
+    quotient tables are no larger than the table."""
+    if nbytes > MEMORY_BUDGET:  # Python writes no int of over 4300 digits: a huge one by its bit length
+        shown = nbytes if nbytes.bit_length() <= 1000 else f"over 2^{nbytes.bit_length() - 1}"
+        raise BudgetExceeded(f"{request} needs {shown} bytes, over the budget of {MEMORY_BUDGET} bytes")
 
 
 def table_bytes(order: int) -> int:
@@ -44,6 +45,16 @@ def closure_bytes(order: int, degree: int, gens: int) -> int:
     """The table, and per element its tuple of `degree` ints (8 bytes each, 56
     the tuple), index entry, parent, `gens` right products and certify's blocks."""
     return table_bytes(order) + order * (8 * degree + 128 * gens + 1280)
+
+
+def checked_order(request: str, factors: Iterable[int], nbytes=table_bytes) -> int:
+    """The product of `factors`, refused at the first partial product whose
+    `nbytes` passes the budget, so no long product over it is multiplied out."""
+    order = 1
+    for r in factors:
+        order *= r
+        check_budget(request, nbytes(order))
+    return order
 
 
 def memoized(fn):
@@ -113,34 +124,17 @@ def orbit_labels(size: int, images: list[np.ndarray], dtype: type) -> np.ndarray
 def subgroup_closure(g: GroupTable, seed: Iterable[int]) -> tuple[int, ...]:
     """Smallest subgroup containing the seeds: a BFS from the identity and the seeds
     (marked first) by right multiplication with the seeds, so every positive word."""
-    seeds = np.unique(np.fromiter(seed, dtype=np.intp))
     inside = np.zeros(g.order, dtype=bool)
+    # fromiter walks an array element by element in Python: one is read whole
+    inside[seed if isinstance(seed, np.ndarray) else np.fromiter(seed, dtype=np.intp)] = True
+    seeds = np.flatnonzero(inside)  # distinct and sorted, without a sort
     inside[0] = True
-    inside[seeds] = True
-    frontier = np.nonzero(inside)[0]
+    frontier = np.flatnonzero(inside)
     while frontier.size:
         prods = g.mul[np.ix_(frontier, seeds)].ravel()
         frontier = np.unique(prods[~inside[prods]])
         inside[frontier] = True
     return tuple(np.nonzero(inside)[0].tolist())
-
-
-def normal_closure(g: GroupTable, seed: Iterable[int]) -> tuple[int, ...]:
-    """Smallest normal subgroup containing the seed elements."""
-    seeds = np.fromiter(seed, dtype=np.intp)
-    cur = subgroup_closure(g, seeds)
-    gens = np.asarray(g.generators, dtype=np.intp)[:, None]
-    while True:
-        arr = np.asarray(cur, dtype=np.intp)
-        # s x s^-1 for every x in cur and every generator s at once
-        conjugates = g.mul[g.mul[gens, arr], g.inv[gens]].ravel()
-        inside = np.zeros(g.order, dtype=bool)
-        inside[arr] = True
-        outside = conjugates[~inside[conjugates]]
-        if not outside.size:
-            return cur
-        seeds = np.union1d(seeds, outside)
-        cur = subgroup_closure(g, seeds)
 
 
 def minimal_generating_indices(g: GroupTable) -> tuple[int, ...]:

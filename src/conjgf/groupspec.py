@@ -27,12 +27,11 @@ Schema (unknown fields are rejected):
 from __future__ import annotations
 
 import json
-import math
 from pathlib import Path
 
 from . import families
 from .errors import GroupSpecError, InvalidParameters
-from .groups import GroupTable, _is_index, build_from_cayley, build_from_permutations, check_budget, table_bytes
+from .groups import GroupTable, _is_index, build_from_cayley, build_from_permutations, check_budget, checked_order
 from .pcp import PcPresentation, build_from_pcp, is_prime, prime_power_root
 
 # An entry takes at least 2 bytes of text ("0,") and at most 43 parsed and built (a
@@ -71,8 +70,7 @@ def _check_prime(p: int, orders: tuple[int, ...], label: str) -> None:
     """p is a prime dividing the order, and each r_i a power of p; the budget bounds the trials."""
     if not orders:
         raise InvalidParameters("presentation needs at least one generator")
-    n = math.prod(orders)
-    check_budget(label or "presentation", table_bytes(n))
+    n = checked_order(label or "presentation", orders)
     if p > n or not is_prime(p):
         raise InvalidParameters(f"p = {p} is not a prime dividing the order {n}")
     for i, r in enumerate(orders):
@@ -135,7 +133,7 @@ def load_group_spec(path: str | Path) -> GroupTable:
         raise GroupSpecError(f"{path}: {exc}") from exc
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past Python's 4300 digits
         raise GroupSpecError(f"{path}: not valid JSON: {exc}") from exc
     try:
         return group_from_spec(doc)

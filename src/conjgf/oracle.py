@@ -7,7 +7,7 @@ Orbits come from min-label propagation over the generator moves only
 (generator moves connect exactly what full-group moves do).  Commuting tuples
 are built a coordinate at a time, each new coordinate drawn from the
 centralizer of the prefix, so exactly the commuting tuples are visited
-without materializing G^n.
+without materializing G^n, and the budget is checked on the tuples held.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .groups import GroupTable, check_budget, orbit_labels
 
 ALL_TUPLES = "all_tuples"
 COMMUTING_TUPLES = "commuting_tuples"
+ARRAY_OVERHEAD = 2**17  # bytes: NumPy casts an int32 index 8192 entries at a time, and array headers
 
 
 @dataclass(frozen=True)
@@ -38,13 +39,6 @@ class OrbitCount:
         return f"{self.label} {self.mode} {self.n} {self.count} {self.tuples_visited}"
 
 
-def _check_budget(request: str, g: GroupTable, n: int, arrays: int) -> None:
-    """Refuse a negative n, or `arrays` int32 arrays of |G|^n entries over the budget."""
-    if n < 0:
-        raise InvalidParameters(f"tuple length n = {n} must be nonnegative")
-    check_budget(f"{request}({g.label}, {n})", 4 * g.order**n * arrays)
-
-
 def _orbit_count(size: int, images: list[np.ndarray]) -> int:
     """Number of orbits on range(size) of the group generated by the permutations `images`."""
     return int(np.count_nonzero(orbit_labels(size, images, np.int32) == np.arange(size, dtype=np.int32)))
@@ -52,7 +46,9 @@ def _orbit_count(size: int, images: list[np.ndarray]) -> int:
 
 def alpha_brute(g: GroupTable, n: int) -> OrbitCount:
     """Count orbits of G on G^n by label propagation over generator moves."""
-    _check_budget("alpha_brute", g, n, len(g.generators) + 4)  # d images, up to 4 working arrays
+    if n < 0:
+        raise InvalidParameters(f"tuple length n = {n} must be nonnegative")
+    check_budget(f"alpha_brute({g.label}, {n})", 4 * g.order**n * (len(g.generators) + 4))  # d images, 4 working arrays
     images = []
     for s in g.generators:
         move = g.conj_by(s).astype(np.int32)
@@ -67,17 +63,24 @@ def alpha_brute(g: GroupTable, n: int) -> OrbitCount:
 def commuting_tuples(g: GroupTable, n: int) -> np.ndarray:
     """All pairwise-commuting n-tuples as the rows of an (m, n) array in
     lexicographic order, each coordinate drawn from the centralizer of the
-    coordinates before it.  It checks the budget for `beta_brute`: n columns,
-    an image per generator and 6 working arrays, of up to |G|^n int32 each."""
-    _check_budget("beta_brute", g, n, len(g.generators) + n + 6)
+    coordinates before it.  Each step checks the budget for `beta_brute` on
+    what it holds: the commuting relation, the rows with the last step's prefix
+    and x, and the allowed block with a block of centralizer rows, then with the
+    c new rows, their prefix and x."""
+    if n < 0:
+        raise InvalidParameters(f"tuple length n = {n} must be nonnegative")
     commute = g.mul == g.mul.T if n > 1 else None
     rows = np.zeros((1, 0), dtype=np.int32)
-    for _ in range(n):
+    for k in range(1, n + 1):
+        held = ARRAY_OVERHEAD + (commute.nbytes if n > 1 else 0) + rows.nbytes
+        check_budget(f"beta_brute({g.label}, {n})", held + len(rows) * (2 * g.order + 16))
         allowed = np.ones((len(rows), g.order), dtype=bool)
         for col in rows.T:
             allowed &= commute[col]
+        count = int(np.count_nonzero(allowed))
+        check_budget(f"beta_brute({g.label}, {n})", held + allowed.nbytes + count * (4 * k + 20))
         prefix, x = np.nonzero(allowed)
-        grown = np.empty((len(x), rows.shape[1] + 1), dtype=np.int32)
+        grown = np.empty((len(x), k), dtype=np.int32)
         for j, col in enumerate(rows.T):  # a column at a time: no temporary of the whole
             grown[:, j] = col[prefix]
         grown[:, -1] = x
@@ -85,20 +88,29 @@ def commuting_tuples(g: GroupTable, n: int) -> np.ndarray:
     return rows
 
 
-def _codes(rows: np.ndarray, order: int, move: np.ndarray | None = None) -> np.ndarray:
-    codes = np.zeros(len(rows), dtype=np.int32)
+def _codes(rows: np.ndarray, order: int, move: np.ndarray | None = None, dtype=np.int32) -> np.ndarray:
+    codes = np.zeros(len(rows), dtype=dtype)
     for col in rows.T:
         codes = codes * order + (col if move is None else move[col])
     return codes
 
 
 def beta_brute(g: GroupTable, n: int) -> OrbitCount:
-    """Count orbits of G on commuting n-tuples by label propagation over generator moves."""
-    rows = commuting_tuples(g, n)
-    codes = _codes(rows, g.order)  # increasing, since the rows are in lexicographic order
+    """Count orbits of G on commuting n-tuples by label propagation over generator moves.
+
+    Tuples are coded in base |G|, in int32 below |G|^n = 2^31 and in int64
+    below 2^63; past that n is refused.  The budget is checked on the rows,
+    an int32 image per generator and 6 working arrays of the codes' width."""
+    span = g.order ** min(n, 64)  # |G|^n, or past 2^63 with it
+    if span >= 2**63:
+        raise InvalidParameters(f"beta_brute({g.label}, {n}): |G|^n passes 2^63, the range of the tuple codes")
+    rows, dtype = commuting_tuples(g, n), np.dtype(np.int32 if span < 2**31 else np.int64)
+    check_budget(f"beta_brute({g.label}, {n})",
+                 ARRAY_OVERHEAD + rows.nbytes + len(rows) * (4 * len(g.generators) + 6 * dtype.itemsize))
+    codes = _codes(rows, g.order, dtype=dtype)  # increasing, since the rows are in lexicographic order
     images = []
     for s in g.generators:
-        image = _codes(rows, g.order, g.conj_by(s))
+        image = _codes(rows, g.order, g.conj_by(s), dtype)
         at = np.searchsorted(codes, image).astype(np.int32)
         np.minimum(at, len(codes) - 1, out=at)
         if (miss := np.flatnonzero(codes[at] != image)).size:

@@ -26,7 +26,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import InconsistentPresentation, InvalidParameters
-from .groups import INDEX_DTYPE, GroupTable, check_budget, table_bytes
+from .groups import INDEX_DTYPE, GroupTable, checked_order
 
 DEFAULT_REWRITE_BUDGET = 1_000_000
 
@@ -96,7 +96,7 @@ class PcPresentation:
         d = len(self.relative_orders)
         if len(self.power_words) != d:
             raise InvalidParameters("power_words must list one entry per generator")
-        check_budget(self.label or "presentation", table_bytes(self.compiled_order()))
+        checked_order(self.label or "presentation", self.relative_orders)
         for i, r in enumerate(self.relative_orders):
             if r < 2:
                 raise InvalidParameters(f"relative order r_{i} = {r} is below 2")

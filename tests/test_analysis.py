@@ -449,17 +449,37 @@ def test_permutation_groups_match_sympy(monkeypatch):
     assert {"S3", "S4", "D8", "D12", "SD32", "C4xC2"} <= checked
 
 
-def test_pc_groups_match_sympy_by_regular_representation(catalog):
-    # the pc-built catalog groups have no permutations to give sympy; the rows
-    # g.mul[s] of the generators, x -> sx, are their left regular representation
+def test_pc_groups_match_sympy_by_regular_representation(catalog, monkeypatch):
+    # the pc-built groups have no permutations to give sympy; the rows g.mul[s]
+    # of the generators, x -> sx, are their left regular representation, whose
+    # permutation x -> hx sends 0 to h: a sympy subgroup's elements are read as
+    # the images of 0.  S5 and S6, whose series stop at the perfect A5 and A6,
+    # are given as the permutations they are closed from, read back by index
     combinatorics = pytest.importorskip("sympy.combinatorics")
-    for label in ("Q8", "Q16", "Q32", "Heis27", "Gamma4a2", "Gamma5a1", "Gamma6a1", "Gamma7a1"):
-        g = catalog[label]
-        group = combinatorics.PermutationGroup(
-            [combinatorics.Permutation(g.mul[s].tolist()) for s in g.generators])
-        ours = (g.order, len(center_elements(g)), len(derived_subgroup(g)),
-                [len(term) for term in lower_central_series(g)], list(conjugacy_data(g).class_equation))
-        theirs = (group.order(), group.center().order(), group.derived_subgroup().order(),
-                  [term.order() for term in group.lower_central_series()],
-                  sorted(len(cls) for cls in group.conjugacy_classes()))
-        assert ours == theirs, label
+    cases = []
+    for g in ([catalog[label] for label in ("Q8", "Q16", "Q32", "Heis27", "Gamma4a2", "Gamma5a1", "Gamma6a1", "Gamma7a1")]
+              + [stem_group(f, 3) for f in PHI_FAMILIES] + [stem_group(f, 2) for f in GAMMA_FAMILIES]):
+        cases.append((g, [g.mul[s].tolist() for s in g.generators], lambda perm: perm.array_form[0]))
+    given = []
+    monkeypatch.setattr(families, "build_from_permutations",
+                        lambda gens, label="": given.append(gens) or build_from_permutations(gens, label))
+    for degree in (5, 6):
+        g = families.symmetric(degree)
+        rows = _closure_rows(given[-1])
+        _check_indexing(g, rows)
+        index = {tuple(row): x for x, row in enumerate(rows.tolist())}
+        cases.append((g, given[-1], lambda perm, index=index: index[tuple(perm.array_form)]))
+    for g, perms, index_of in cases:
+        group = combinatorics.PermutationGroup([combinatorics.Permutation(list(p)) for p in perms])
+
+        def elements(sub):
+            return tuple(sorted(index_of(perm) for perm in sub.generate()))
+
+        ours = (g.order, center_elements(g), derived_subgroup(g), lower_central_series(g))
+        theirs = (group.order(), elements(group.center()), elements(group.derived_subgroup()),
+                  tuple(elements(term) for term in group.lower_central_series()))
+        assert ours == theirs, g.label
+        if g.order <= 64:
+            classes = sorted(len(cls) for cls in group.conjugacy_classes())
+            assert list(conjugacy_data(g).class_equation) == classes, g.label
+    assert [[len(term) for term in lower_central_series(g)] for g, _, _ in cases[-2:]] == [[120, 60], [720, 360]]

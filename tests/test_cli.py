@@ -248,6 +248,19 @@ def test_genfun_refuses_requests_over_the_budget(tmp_path):
     assert peak_mib < 100, peak_mib
 
 
+def test_integers_past_the_digit_limit_exit_2(capsys, tmp_path):
+    # Python writes and reads no int of more than 4300 digits: C(10^2999)'s
+    # estimate has 5999 digits, and json.loads refuses a 5000-digit literal
+    big = tmp_path / "c.json"
+    big.write_text('{"kind": "family", "name": "cyclic", "p": 1' + "0" * 2999 + "}", encoding="utf-8")
+    huge = tmp_path / "h.json"
+    huge.write_text('{"kind": "family", "name": "cyclic", "p": 1' + "0" * 4999 + "}", encoding="utf-8")
+    for spec, message in ((big, "needs over 2^19925 bytes, over the budget"), (huge, "not valid JSON: Exceeds the limit")):
+        assert main(["genfun", str(spec)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err, err
+
+
 def test_verify_table_rejects_large_prime(capsys, monkeypatch):
     # p = 13: the abelian and Phi2 rows verify, and each group of order 13^4 or
     # 13^5 is refused by the budget before its table is built

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import ast
 import importlib
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -139,3 +141,15 @@ def test_every_defaulted_src_parameter_is_passed():
                            for count, keywords in passed.get(name, [])):
                     unset.append(f"{path.name}:{fn.lineno} {name}({param}=)")
     assert unset == []
+
+
+def test_cli_import_loads_no_heavy_package():
+    # setup_s, the benchmark's start-up time, pays for every module the CLI
+    # imports: numpy is its one third-party import, and sympy alone would add
+    # about 0.23 s
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    probe = "import sys, conjgf.cli; print(*{m.split('.')[0] for m in sys.modules})"
+    loaded = set(subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                                check=True, timeout=60).stdout.split())
+    assert "numpy" in loaded and not {"sympy", "scipy", "hypothesis"} & loaded

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import re
+import time
 
 import pytest
 
@@ -320,6 +321,17 @@ def test_constructor_order_cap_at_its_edge(monkeypatch, build, order, closure):
         build()
     monkeypatch.setattr(groups, "MEMORY_BUDGET", estimate)
     assert build().order == order
+
+
+def test_oversized_integers_are_refused_at_once():
+    # the estimate of C(10^2200) has 4401 digits, past what Python writes; the
+    # order of C2^(10^6) is multiplied out only to the first factor over the budget
+    for build, message in ((lambda: cyclic(10**2200), "needs over 2^14617 bytes"),
+                           (lambda: elementary_abelian(2, 10**6), "C2^1000000 needs 2147483648 bytes")):
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded, match=re.escape(message)):
+            build()
+        assert time.perf_counter() - start < 1
 
 
 def test_oversized_requests_fail_before_building():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import time
 import tracemalloc
 
 import pytest
@@ -147,6 +148,18 @@ def test_huge_prime_is_refused_before_trial_division():
         group_from_spec(_cyclic_pcp(p, p))
     with pytest.raises(InvalidParameters, match="is not a prime dividing the order 2"):
         group_from_spec(_cyclic_pcp(p, 2))
+
+
+def test_long_pcp_spec_is_refused_at_the_first_factor_over_the_budget():
+    # 2^15's table passes the budget: the product of 10^5 relative orders of 2,
+    # quadratic in their count, is never multiplied out
+    orders = [2] * 10**5
+    spec = {"kind": "pcp", "p": 2, "relative_orders": orders, "power_words": [None] * len(orders),
+            "commutators": []}
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="needs 2147483648 bytes"):
+        group_from_spec(spec)
+    assert time.perf_counter() - start < 1
 
 
 def test_pcp_commutator_listed_twice_rejected():

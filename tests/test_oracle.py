@@ -113,13 +113,22 @@ def test_beta_le_alpha(catalog):
         assert beta_brute(g, 1).count == alpha_brute(g, 1).count, label
 
 
+def _beta_estimate(g: GroupTable, n: int, monkeypatch) -> int:
+    """The largest of the budget checks of a beta_brute run: its estimate."""
+    asked = []
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "check_budget", lambda request, nbytes: asked.append(nbytes))
+        beta_brute(g, n)
+    return max(asked)
+
+
 def test_cap_enforced(catalog, monkeypatch):
-    # D32 at n = 2 has 32^2 tuples: alpha counts d + 4 int32 arrays of them and
-    # beta d + n + 6; one byte below either estimate raises, at it runs
+    # D32 at n = 2 has 32^2 tuples: alpha counts d + 4 int32 arrays of them, and
+    # beta checks each step on the tuples it holds; one byte below either
+    # estimate raises, at it runs
     d32 = catalog["D32"]
-    d = len(d32.generators)
-    for oracle_fn, arrays in ((alpha_brute, d + 4), (beta_brute, d + 2 + 6)):
-        estimate = 4 * 32**2 * arrays
+    for oracle_fn, estimate in ((alpha_brute, 4 * 32**2 * (len(d32.generators) + 4)),
+                                (beta_brute, _beta_estimate(d32, 2, monkeypatch))):
         monkeypatch.setattr(groups, "MEMORY_BUDGET", estimate - 1)
         with pytest.raises(BudgetExceeded, match=rf"_brute\(D32, 2\) needs {estimate} bytes"):
             oracle_fn(d32, 2)
@@ -128,11 +137,38 @@ def test_cap_enforced(catalog, monkeypatch):
 
 
 def test_budget_keeps_tuple_codes_in_int32():
-    # an admitted oracle holds at least one int32 array of |G|^n tuples within the
-    # budget, so every tuple code is below |G|^n < 2^31
+    # an admitted alpha holds at least one int32 array of |G|^n tuples within the
+    # budget, so every tuple code is below |G|^n < 2^31; beta's codes are int32
+    # whenever |G|^n < 2^31 too
     assert groups.MEMORY_BUDGET // 4 < 2**31
     d8 = dihedral(8)
     assert oracle._codes(commuting_tuples(d8, 2), d8.order).dtype == np.int32
+
+
+def test_beta_is_estimated_on_the_commuting_tuples(monkeypatch):
+    # Heis27 has 27 * beta_4 = 235 467 commuting 5-tuples of its 27^5: an
+    # estimate on |G|^n (d + n + 6 int32 arrays) asked 803 538 792 bytes, over
+    # the budget; the estimate on the tuples held admits it, and still refuses
+    # one byte below itself
+    g = stem_group("Phi2", 3)
+    estimate = _beta_estimate(g, 5, monkeypatch)
+    assert estimate <= groups.MEMORY_BUDGET < 4 * 27**5 * (len(g.generators) + 5 + 6)
+    result = beta_brute(g, 5)
+    assert (result.count, result.tuples_visited) == (78651, 235467)
+    assert result.count == beta_coefficient(g, 5)
+    monkeypatch.setattr(groups, "MEMORY_BUDGET", estimate - 1)
+    with pytest.raises(BudgetExceeded, match=rf"beta_brute\(Phi2\(3\), 5\) needs {estimate} bytes"):
+        beta_brute(g, 5)
+
+
+def test_beta_codes_stay_exact_past_int32():
+    # S5 has 130 440 commuting 5-tuples of its 120^5 > 2^31, coded in int64; a
+    # length whose codes would pass 2^63 is refused before any tuple is built
+    g = symmetric(5)
+    assert 2**31 < g.order**5 < 2**63
+    assert beta_brute(g, 5).count == beta_coefficient(g, 5)
+    with pytest.raises(InvalidParameters, match=r"beta_brute\(S5, 10\): \|G\|\^n passes 2\^63"):
+        beta_brute(g, 10)
 
 
 def test_prefix_centralizer_enumeration_matches_filter(catalog):
@@ -213,17 +249,19 @@ def test_alpha_memory_per_tuple():
     assert peak <= (len(g.generators) + 4) * 4 * result.tuples_visited, peak / result.tuples_visited
 
 
-def test_oracle_estimates_cover_their_peaks():
-    # the estimates, d + 4 and d + n + 6 int32 arrays of |G|^n entries, cover
-    # alpha on the 5^10 pairs of Phi5(5), and beta on C32^4, where every tuple
-    # commutes, so that none of beta's arrays is smaller than |G|^n
-    for oracle_fn, g, n, arrays in ((alpha_brute, stem_group("Phi5", 5), 2, 4), (beta_brute, cyclic(32), 4, 4 + 6)):
+def test_oracle_estimates_cover_their_peaks(monkeypatch):
+    # alpha's estimate, d + 4 int32 arrays of |G|^n entries, covers its peak on
+    # the 5^10 pairs of Phi5(5); beta's, on the tuples it holds, covers its
+    # peak on C32^4, where every tuple commutes, and on Heis27 and S6
+    for g, n in ((stem_group("Phi5", 5), 2), (cyclic(32), 4), (stem_group("Phi2", 3), 5), (symmetric(6), 3)):
+        oracle_fn = alpha_brute if g.order == 3125 else beta_brute
+        estimate = 4 * g.order**n * (len(g.generators) + 4) if oracle_fn is alpha_brute \
+            else _beta_estimate(g, n, monkeypatch)
         tracemalloc.start()
         try:
             result = oracle_fn(g, n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        estimate = 4 * g.order**n * (len(g.generators) + arrays)
-        assert result.tuples_visited == g.order**n
+        assert result.tuples_visited <= g.order**n
         assert peak <= estimate <= groups.MEMORY_BUDGET, (g.label, peak, estimate)
