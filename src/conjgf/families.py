@@ -23,6 +23,7 @@ words, and the remaining families compile consistently as printed.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import repeat
 
 from .analysis import (
     derived_subgroup,
@@ -31,7 +32,8 @@ from .analysis import (
     nilpotency_class,
 )
 from .errors import FingerprintMismatch, InvalidParameters
-from .groups import GroupTable, build_from_permutations, check_budget, checked_order, closure_bytes, table_bytes
+from .groups import (GroupTable, build_from_permutations, check_budget, checked_order, closure_bytes, int_text,
+                     table_bytes)
 from .pcp import PcPresentation, Word, build_from_pcp, is_prime, prime_power_root
 
 PHI_FAMILIES = tuple(f"Phi{k}" for k in range(2, 11))
@@ -195,49 +197,51 @@ def _metacyclic(n: int, w: int, k: int, label: str) -> GroupTable:
 def cyclic(n: int) -> GroupTable:
     if n < 1:
         raise InvalidParameters("cyclic group order must be >= 1")
-    return build_from_pcp(_abelian_presentation((n,), f"C{n}"))
+    return build_from_pcp(_abelian_presentation((n,), f"C{int_text(n)}"))
 
 
 def abelian_group(orders: tuple[int, ...]) -> GroupTable:
     if not orders or any(n < 1 for n in orders):
         raise InvalidParameters("factor orders must be positive")
-    return build_from_pcp(_abelian_presentation(orders, "C" + "xC".join(str(n) for n in orders)))
+    return build_from_pcp(_abelian_presentation(orders, "C" + "xC".join(map(int_text, orders))))
 
 
 def elementary_abelian(p: int, rank: int) -> GroupTable:
-    """C_p^rank; the presentation checks the budget, and then p is tested for primality."""
-    if rank < 0:
+    """C_p^rank; the budget is checked on the order before the rank's factors
+    are listed, and then p is tested for primality."""
+    if rank < 0 or p < 2:
         raise InvalidParameters("need a prime and a nonnegative rank")
-    pres = _abelian_presentation((p,) * rank, f"C{p}^{rank}")
+    label = f"C{int_text(p)}^{int_text(rank)}"
+    checked_order(label, repeat(p, rank))
     if not is_prime(p):
         raise InvalidParameters(f"{p} is not a prime")
-    return build_from_pcp(pres)
+    return build_from_pcp(_abelian_presentation((p,) * rank, label))
 
 
 def dihedral(order: int) -> GroupTable:
     if order < 6 or order % 2:
         raise InvalidParameters("dihedral groups here have even order >= 6")
-    return _metacyclic(order // 2, 0, -1, f"D{order}")
+    return _metacyclic(order // 2, 0, -1, f"D{int_text(order)}")
 
 
 def semidihedral(order: int) -> GroupTable:
     if order < 16 or order & (order - 1):
         raise InvalidParameters("semidihedral groups have order 2^n, n >= 4")
     half = order // 2
-    return _metacyclic(half, 0, half // 2 - 1, f"SD{order}")
+    return _metacyclic(half, 0, half // 2 - 1, f"SD{int_text(order)}")
 
 
 def quaternion(order: int) -> GroupTable:
     if order < 8 or order & (order - 1):
         raise InvalidParameters("generalized quaternion groups have order 2^n, n >= 3")
     half = order // 2
-    return _metacyclic(half, half // 2, -1, f"Q{order}")
+    return _metacyclic(half, half // 2, -1, f"Q{int_text(order)}")
 
 
 def symmetric(degree: int) -> GroupTable:
     if degree < 1:
         raise InvalidParameters("symmetric group degree must be >= 1")
-    checked_order(f"S{degree}", range(2, degree + 1), lambda order: closure_bytes(order, degree, 2))
+    checked_order(f"S{int_text(degree)}", range(2, degree + 1), lambda order: closure_bytes(order, degree, 2))
     cycle = tuple((i + 1) % degree for i in range(degree))
     swap = (1, 0) + tuple(range(2, degree))
     return build_from_permutations([cycle, swap] if degree > 1 else [cycle], label=f"S{degree}")
@@ -252,7 +256,7 @@ def named_group(name: str, size: int) -> GroupTable:
     if name in ALL_FAMILIES:
         return stem_group(name, size)
     if name == "elementary_abelian":
-        check_budget(f"elementary_abelian({size})", table_bytes(size))
+        check_budget(f"elementary_abelian({int_text(size)})", table_bytes(size))
         root = prime_power_root(size)
         if root is None:
             raise InvalidParameters(f"{size} is not a prime power")

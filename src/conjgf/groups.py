@@ -25,6 +25,12 @@ ASSOCIATIVITY_BLOCK = 64  # rows per block of the associativity scan
 LINE_BLOCK = 128  # rows or columns per block of the cancellation scatter and the inverse scan
 
 
+def int_text(n: int) -> str:
+    """n in decimal, or by its bit length past 1000 bits: Python writes no int
+    of over 4300 digits, and every order that long is over the budget."""
+    return str(n) if n.bit_length() <= 1000 else f"over 2^{n.bit_length() - 1}"
+
+
 def check_budget(request: str, nbytes: int) -> None:
     """Refuse a request estimated at `nbytes` over MEMORY_BUDGET (read at call
     time) before it allocates: a table build's table, a closure's tuples with
@@ -32,9 +38,8 @@ def check_budget(request: str, nbytes: int) -> None:
     the level below, at most a quarter of its table.  What is computed from a
     table needs no check: certify's buffers, K, B's sub-blocks and the
     quotient tables are no larger than the table."""
-    if nbytes > MEMORY_BUDGET:  # Python writes no int of over 4300 digits: a huge one by its bit length
-        shown = nbytes if nbytes.bit_length() <= 1000 else f"over 2^{nbytes.bit_length() - 1}"
-        raise BudgetExceeded(f"{request} needs {shown} bytes, over the budget of {MEMORY_BUDGET} bytes")
+    if nbytes > MEMORY_BUDGET:
+        raise BudgetExceeded(f"{request} needs {int_text(nbytes)} bytes, over the budget of {MEMORY_BUDGET} bytes")
 
 
 def table_bytes(order: int) -> int:
@@ -106,19 +111,21 @@ def orbit_labels(size: int, images: list[np.ndarray], dtype: type) -> np.ndarray
     """The minimum of each point's orbit on range(size) under the group
     generated by the permutations `images`.
 
-    Each label only ever falls to a smaller index in its own orbit.  At the
-    fixed point a label is no larger than the label of any image, so it is
-    constant along every generator cycle, hence on the orbit, and equal to
-    the orbit's minimum.  Every inverse is a positive power of a permutation,
-    so forward pulls reach the whole orbit."""
+    Each sweep jumps every label to its label's label, into a new array, then
+    pulls each image's label into that array in place, so a pull sees the
+    pulls before it.  Each label only ever falls to a smaller index in its own
+    orbit, so a sweep that ends where it began changed nothing: then a label is
+    no larger than the label of any image, so it is constant along every
+    generator cycle, hence on the orbit, and equal to the orbit's minimum.
+    Every inverse is a positive power of a permutation, so forward pulls reach
+    the whole orbit."""
     labels = np.arange(size, dtype=dtype)
     while True:
-        new = labels[labels]
+        before, labels = labels, labels[labels]
         for image in images:
-            np.minimum(new, labels[image], out=new)
-        if np.array_equal(new, labels):
+            np.minimum(labels, labels[image], out=labels)
+        if np.array_equal(labels, before):
             return labels
-        labels = new
 
 
 def subgroup_closure(g: GroupTable, seed: Iterable[int]) -> tuple[int, ...]:

@@ -4,7 +4,9 @@ under simultaneous conjugation.
 Each tuple is coded as an integer in base |G|, first coordinate most
 significant, and conjugation by a generator is one gather per coordinate.
 Orbits come from min-label propagation over the generator moves only
-(generator moves connect exactly what full-group moves do).  Commuting tuples
+(generator moves connect exactly what full-group moves do), skipping a
+generator whose move is the identity or an earlier generator's, since such a
+move joins no two tuples that the others leave apart.  Commuting tuples
 are built a coordinate at a time, each new coordinate drawn from the
 centralizer of the prefix, so exactly the commuting tuples are visited
 without materializing G^n, and the budget is checked on the tuples held.
@@ -44,14 +46,23 @@ def _orbit_count(size: int, images: list[np.ndarray]) -> int:
     return int(np.count_nonzero(orbit_labels(size, images, np.int32) == np.arange(size, dtype=np.int32)))
 
 
+def _moves(g: GroupTable) -> list[tuple[int, np.ndarray]]:
+    """(s, x -> s x s^-1) for each generator s, in order, whose move is neither
+    the identity nor an earlier generator's."""
+    moves = {np.arange(g.order, dtype=g.mul.dtype).tobytes(): None}  # the identity move, dropped below
+    for s in g.generators:
+        moves.setdefault((move := g.conj_by(s)).tobytes(), (s, move))
+    return list(moves.values())[1:]
+
+
 def alpha_brute(g: GroupTable, n: int) -> OrbitCount:
     """Count orbits of G on G^n by label propagation over generator moves."""
     if n < 0:
         raise InvalidParameters(f"tuple length n = {n} must be nonnegative")
     check_budget(f"alpha_brute({g.label}, {n})", 4 * g.order**n * (len(g.generators) + 4))  # d images, 4 working arrays
     images = []
-    for s in g.generators:
-        move = g.conj_by(s).astype(np.int32)
+    for _, move in _moves(g):
+        move = move.astype(np.int32)
         image = np.zeros(1, dtype=np.int32)
         for _ in range(n):
             image = (image[:, None] * g.order + move).ravel()
@@ -109,8 +120,8 @@ def beta_brute(g: GroupTable, n: int) -> OrbitCount:
                  ARRAY_OVERHEAD + rows.nbytes + len(rows) * (4 * len(g.generators) + 6 * dtype.itemsize))
     codes = _codes(rows, g.order, dtype=dtype)  # increasing, since the rows are in lexicographic order
     images = []
-    for s in g.generators:
-        image = _codes(rows, g.order, g.conj_by(s), dtype)
+    for s, move in _moves(g):
+        image = _codes(rows, g.order, move, dtype)
         at = np.searchsorted(codes, image).astype(np.int32)
         np.minimum(at, len(codes) - 1, out=at)
         if (miss := np.flatnonzero(codes[at] != image)).size:

@@ -26,7 +26,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import InconsistentPresentation, InvalidParameters
-from .groups import INDEX_DTYPE, GroupTable, checked_order
+from .groups import INDEX_DTYPE, GroupTable, checked_order, int_text
 
 DEFAULT_REWRITE_BUDGET = 1_000_000
 
@@ -43,7 +43,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, exact for every n below EXACT_PRIME_LIMIT."""
     if n >= EXACT_PRIME_LIMIT:
         raise InvalidParameters(
-            f"{n} is not below {EXACT_PRIME_LIMIT}, where primality is decided exactly"
+            f"{int_text(n)} is not below {EXACT_PRIME_LIMIT}, where primality is decided exactly"
         )
     if n < 2:
         return False

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import re
 import time
+import tracemalloc
 
 import pytest
 
@@ -334,6 +335,35 @@ def test_oversized_integers_are_refused_at_once():
         assert time.perf_counter() - start < 1
 
 
+def test_elementary_abelian_checks_the_budget_before_listing_factors():
+    # C2^(10^7)'s order is multiplied out to 2^15 and refused, without a tuple of 10^7 factors
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match=re.escape("C2^10000000 needs 2147483648 bytes")):
+            elementary_abelian(2, 10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+
+
+@pytest.mark.parametrize("build", [
+    lambda: cyclic(10**5000),
+    lambda: abelian_group((10**5000,)),
+    lambda: dihedral(2 * 10**5000),
+    lambda: semidihedral(2**20000),
+    lambda: quaternion(2**20000),
+    lambda: symmetric(10**5000),
+    lambda: elementary_abelian(10**5000 + 1, 1),
+    lambda: named_group("elementary_abelian", 10**5000),
+], ids=["cyclic", "abelian_group", "dihedral", "semidihedral", "quaternion", "symmetric", "elementary_abelian",
+        "named elementary_abelian"])
+def test_orders_past_what_python_writes_are_over_the_budget(build):
+    # a 5000-digit order is past Python's 4300-digit limit: the label shows it by its bit length
+    with pytest.raises(BudgetExceeded, match=r"over 2\^\d+.* needs over 2\^\d+ bytes"):
+        build()
+
+
 def test_oversized_requests_fail_before_building():
     # each of these used to build permutations or trial-divide until it hung
     # or ran out of memory; 2^89 - 1 is prime
@@ -354,5 +384,6 @@ def test_oversized_requests_fail_before_building():
     ):
         with pytest.raises(BudgetExceeded):
             build()
-    with pytest.raises(InvalidParameters):
-        check_family("Phi5", huge)
+    for p in (huge, 10**5000 + 1):  # the second is past what Python writes: named by its bit length
+        with pytest.raises(InvalidParameters):
+            check_family("Phi5", p)

@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conjgf.analysis import center_elements
 from conjgf.errors import BudgetExceeded, InvalidParameters, NotAGroup
 from conjgf.families import cyclic, dihedral, stem_group, symmetric
 from conjgf.genfun import alpha_coefficient, beta_coefficient
-from conjgf.groups import GroupTable
+from conjgf.groups import GroupTable, orbit_labels
 from conjgf import groups, oracle
 from conjgf.oracle import alpha_brute, beta_brute, commuting_tuples
 from conftest import relabelled
@@ -204,6 +205,53 @@ def test_oracles_match_union_find_reference(catalog, data):
     a, b = alpha_brute(g, n), beta_brute(g, n)
     assert (a.count, a.tuples_visited) == alpha_reference(g, n), (label, n)
     assert (b.count, b.tuples_visited) == beta_reference(g, n), (label, n)
+
+
+@given(st.data())
+@settings(max_examples=50, deadline=None)
+def test_orbit_labels_match_union_find(data):
+    # random permutations padded with identities, repeats and one long cycle
+    size = data.draw(st.integers(1, 300))
+    perms = [np.asarray(p) for p in data.draw(st.lists(st.permutations(range(size)), max_size=3))]
+    order = data.draw(st.permutations(range(size)))
+    cycle = np.empty(size, dtype=np.intp)
+    cycle[order] = np.roll(order, -1)
+    images = data.draw(st.permutations(perms + perms[:1] + [np.arange(size)] * 2 + [cycle]))
+    dtype = data.draw(st.sampled_from([np.int32, np.int64]))
+    uf = _UnionFind(size)
+    for image in images:
+        for x, y in enumerate(image.tolist()):
+            uf.union(x, y)
+    labels = groups.orbit_labels(size, images, dtype)
+    assert labels.dtype == dtype
+    assert labels.tolist() == [uf.find(x) for x in range(size)]
+
+
+def _padded(g: GroupTable) -> GroupTable:
+    """g with its generators followed by the identity, its last central element and its first generator again."""
+    extra = (0, center_elements(g)[-1], g.generators[0])
+    return GroupTable(order=g.order, mul=g.mul, inv=g.inv, generators=g.generators + extra, label=g.label)
+
+
+@pytest.mark.parametrize("label", ["S3", "D8", "Q8", "C2^3"])
+def test_trivial_and_repeated_moves_are_dropped(catalog, label, monkeypatch):
+    # identity, central and repeated generators change no count, and their moves
+    # never reach the label propagation: it gets the same images as without them
+    g = catalog[label]
+    seen = []
+
+    def spy(size, images, dtype):
+        seen.append([image.tolist() for image in images])
+        return orbit_labels(size, images, dtype)
+
+    monkeypatch.setattr(oracle, "orbit_labels", spy)
+    for n in range(4):
+        for oracle_fn in (alpha_brute, beta_brute):
+            seen.clear()
+            plain, padded = oracle_fn(g, n), oracle_fn(_padded(g), n)
+            assert (padded.count, padded.tuples_visited) == (plain.count, plain.tuples_visited), (oracle_fn, n)
+            assert seen[0] == seen[1]
+            assert len(seen[1]) == len({g.conj_by(s).tobytes() for s in g.generators} - {bytes(g.mul[0])})
 
 
 def test_long_orbits_converge():
