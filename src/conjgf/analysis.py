@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotPrimePower
-from .groups import INDEX_DTYPE, LINE_BLOCK, GroupTable, commutators, memoized, orbit_labels, subgroup_closure
+from .groups import (INDEX_DTYPE, LINE_BLOCK, GroupTable, commutators, conjugation_moves, memoized, orbit_labels,
+                     subgroup_closure)
 from .pcp import prime_power_root
 
 
@@ -38,7 +39,7 @@ class ClassData:
 def conjugacy_data(g: GroupTable) -> ClassData:
     """Partition the elements into conjugacy classes (order: smallest member),
     the orbits of conjugation by the generators."""
-    labels = orbit_labels(g.order, [g.conj_by(s) for s in g.generators], np.intp)
+    labels = orbit_labels(g.order, [move for _, move in conjugation_moves(g)], np.intp)
     sizes = np.unique(labels, return_counts=True)[1]
     # a stable sort by class minimum keeps each class's members ascending
     members = np.split(np.argsort(labels, kind="stable"), np.cumsum(sizes)[:-1])
@@ -51,19 +52,34 @@ def conjugacy_data(g: GroupTable) -> ClassData:
     )
 
 
+def _commuting_mask(g: GroupTable, xs) -> np.ndarray:
+    """mask[y, i]: y xs[i] = xs[i] y, for every element y."""
+    everything, xs = np.arange(g.order), np.asarray(xs)
+    return g.prod(everything[:, None], xs) == g.prod(xs[:, None], everything).T
+
+
 def centralizer_elements(g: GroupTable, x: int) -> tuple[int, ...]:
     """All elements commuting with x, sorted."""
-    mask = g.mul[:, x] == g.mul[x, :]
-    return tuple(int(v) for v in np.nonzero(mask)[0])
+    return tuple(int(v) for v in np.nonzero(_commuting_mask(g, [x])[:, 0])[0])
 
 
 @memoized
 def center_elements(g: GroupTable) -> tuple[int, ...]:
     """Elements commuting with every generator, sorted."""
-    mask = np.ones(g.order, dtype=bool)
-    for s in g.generators:
-        mask &= g.mul[:, s] == g.mul[s, :]
-    return tuple(int(v) for v in np.nonzero(mask)[0])
+    return tuple(int(v) for v in np.nonzero(_commuting_mask(g, g.generators).all(axis=1))[0])
+
+
+def _coset_minima(g: GroupTable) -> np.ndarray:
+    """For each x, the least element of its coset x Z(G) = {z x : z in Z(G)},
+    LINE_BLOCK central rows at a time; all 0 when Z(G) = G."""
+    z = np.asarray(center_elements(g), dtype=np.intp)
+    if z.size == g.order:
+        return np.zeros(g.order, dtype=INDEX_DTYPE)
+    everything = np.arange(g.order)
+    minima = g.prod(z[:LINE_BLOCK, None], everything).min(axis=0)
+    for lo in range(LINE_BLOCK, z.size, LINE_BLOCK):
+        np.minimum(minima, g.prod(z[lo:lo + LINE_BLOCK, None], everything).min(axis=0), out=minima)
+    return minima
 
 
 def central_cosets(g: GroupTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -71,16 +87,11 @@ def central_cosets(g: GroupTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ascending; each element's coset index, as INDEX_DTYPE; and the products
     block[i, j] = reps[i] reps[j].  With Z(G) trivial the block is `mul`
     itself, uncopied.  Not memoized: of the block only K is kept."""
-    z = np.asarray(center_elements(g), dtype=np.intp)
-    # x z = z x: the minima are read along whole rows, not strided columns
-    reps, coset_of = np.unique(g.mul[z].min(axis=0), return_inverse=True)
+    reps, coset_of = np.unique(_coset_minima(g), return_inverse=True)
     coset_of = coset_of.astype(INDEX_DTYPE)
     if reps.size == g.order:
         return reps, coset_of, g.mul
-    block = np.empty((reps.size, reps.size), dtype=g.mul.dtype)
-    for lo in range(0, reps.size, LINE_BLOCK):  # whole rows, then their columns: faster than one 2-D gather
-        block[lo:lo + LINE_BLOCK] = g.mul.take(reps[lo:lo + LINE_BLOCK], axis=0).take(reps, axis=1)
-    return reps, coset_of, block
+    return reps, coset_of, g.prod(reps[:, None], reps)
 
 
 @memoized
@@ -97,28 +108,29 @@ def packed_rows(block: np.ndarray) -> np.ndarray:
     return packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
 
 
-def commutator_subgroup(g: GroupTable, normal: np.ndarray) -> tuple[int, ...]:
+def commutator_subgroup(g: GroupTable, xs: np.ndarray) -> tuple[int, ...]:
     """[N, G] for N normal in G = <S>, S the generators, sorted: the plain
     closure of the [x, s], x in N and s in S.  With [a, b] = a^-1 b^-1 a b,
     [x, ys] = [x, s] [x, y] [[x, y], s].  [x, y] lies in N as N is normal, so
     [[x, y], s] is one of the [x', s], and by induction on the length of y as
     a word in S every [x, y] is a product of them; a finite group is generated
     by S as a monoid, so that covers all of G.  As [xz, s] = [x, s] for z in
-    Z(G), x runs over the minima of N's cosets of Z(G): R d commutators for G',
-    R = |G/Z(G)| and d = |S|."""
-    xs = np.flatnonzero(np.bincount(g.mul.take(center_elements(g), axis=0).min(axis=0)[normal]))  # x z = z x: rows
+    Z(G), x need only run over `xs`, elements of N that meet each of N's
+    cosets of Z(G): for G' the R coset minima, R = |G/Z(G)|, so R d
+    commutators with d = |S|."""
     return subgroup_closure(g, commutators(g, xs, np.asarray(g.generators, dtype=np.intp)).ravel())
 
 
 @memoized
 def derived_subgroup(g: GroupTable) -> tuple[int, ...]:
     """G' = [G, G], sorted."""
-    return commutator_subgroup(g, np.arange(g.order))
+    return commutator_subgroup(g, np.unique(_coset_minima(g)))
 
 
 @memoized
 def lower_central_series(g: GroupTable) -> tuple[tuple[int, ...], ...]:
-    """gamma_1 = G, gamma_2 = G', gamma_{i+1} = [gamma_i, G]; stops once the series is stable."""
+    """gamma_1 = G, gamma_2 = G', gamma_{i+1} = [gamma_i, G], x over all of
+    gamma_i; stops once the series is stable."""
     terms = [tuple(range(g.order)), derived_subgroup(g)]
     while terms[-1] != terms[-2]:
         terms.append(commutator_subgroup(g, np.asarray(terms[-1], dtype=np.intp)))
@@ -139,7 +151,7 @@ def element_orders(g: GroupTable) -> np.ndarray:
     remaining = cur != 0
     k = 1
     while remaining.any():
-        cur = g.mul[cur, np.arange(g.order)]
+        cur = g.prod(cur, np.arange(g.order))
         k += 1
         orders[remaining & (cur == 0)] = k
         remaining &= cur != 0

@@ -1,14 +1,17 @@
 """Element-indexed finite groups: construction, validation, subgroups.
 
-A group is materialized as a full multiplication table over element indices
-0..order-1 with the identity fixed at index 0, stored as INDEX_DTYPE.  Tables
-are immutable after construction; derived data is memoized write-once in a
-private cache, so a table can be read from any number of workers.
+A group lives on element indices 0..order-1 with the identity fixed at index
+0, stored as INDEX_DTYPE.  Its products are read through `GroupTable.prod`;
+the full multiplication table `mul` is either given, or, for a pc group whose
+top level is kept factored, built on first read.  Tables are immutable after
+construction; derived data is memoized write-once in a private cache, so a
+table can be read from any number of workers.
 """
 
 from __future__ import annotations
 
 import functools
+import mmap
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -22,7 +25,7 @@ from .errors import BudgetExceeded, InvalidParameters, InvalidPermutation, NotAG
 INDEX_DTYPE = np.uint16
 MEMORY_BUDGET = 2 * 7**10  # bytes: one order-7^5 table, so every group of order p^5 for p <= 7
 ASSOCIATIVITY_BLOCK = 64  # rows per block of the associativity scan
-LINE_BLOCK = 128  # rows or columns per block of the cancellation scatter and the inverse scan
+LINE_BLOCK = 128  # rows or columns per block of the cancellation scatter, the inverse scan and a product block
 
 
 def int_text(n: int) -> str:
@@ -75,30 +78,81 @@ def memoized(fn):
     return cached
 
 
-@dataclass(eq=False, frozen=True)
+@dataclass(eq=False, frozen=True, init=False)
 class GroupTable:
-    """A fully materialized finite group on indices 0..order-1, identity at 0;
-    left empty, `generators` is set to `minimal_generating_indices`."""
+    """A finite group on indices 0..order-1, identity at 0; left empty,
+    `generators` is set to `minimal_generating_indices`.
+
+    Products are `prod`.  The full table `mul` is given, or left None with a
+    factored top level `top` (see `pcp.CyclicExtension`): then `prod` reads
+    only `top`, which holds the table of the subgroup below the top level and
+    O(|G|) indices, until `mul` is built from it on first read."""
 
     order: int
-    mul: np.ndarray
     inv: np.ndarray
-    generators: tuple[int, ...] = ()
-    label: str = ""
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    generators: tuple[int, ...]
+    label: str
+    _mul: np.ndarray | None = field(repr=False)
+    _top: object = field(repr=False)
+    _cache: dict = field(repr=False)
 
-    def __post_init__(self):
-        if not self.generators:
-            object.__setattr__(self, "generators", minimal_generating_indices(self) or (0,))
+    def __init__(self, order: int, mul: np.ndarray | None, inv: np.ndarray,
+                 generators: tuple[int, ...] = (), label: str = "", top=None):
+        for name, value in (("order", order), ("inv", inv), ("label", label), ("_mul", mul),
+                            ("_top", top), ("_cache", {})):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "generators", generators or minimal_generating_indices(self) or (0,))
+
+    @property
+    def mul(self) -> np.ndarray:
+        """The full table, mul[x, y] = x y; a factored one is built on first
+        read, into a `mapped_table`."""
+        if self._mul is None:
+            object.__setattr__(self, "_mul", self._top.table(mapped_table(self.order)))
+        return self._mul
+
+    def prod(self, xs, ys) -> np.ndarray:
+        """xs ys elementwise, broadcast as numpy broadcasts them: mul[xs, ys].
+        A column xs[:, None] by a row ys gives their block, read by whole rows
+        or columns, never element by element."""
+        xs, ys = np.asarray(xs), np.asarray(ys)
+        outer = xs.ndim == 2 and xs.shape[1] == 1 and ys.ndim == 1
+        if self._mul is None:
+            return self._top.block(xs[:, 0], ys) if outer else self._top.prod(xs, ys)
+        return gather_block(self._mul, xs[:, 0], ys) if outer else self._mul[xs, ys]
 
     def conj_by(self, g: int) -> np.ndarray:
         """The permutation x -> g x g^-1 as an index array."""
         return self.mul[self.mul[g], self.inv[g]]
 
 
+def mapped_table(order: int) -> np.ndarray:
+    """An uninitialized (order, order) table in its own anonymous memory
+    mapping, unmapped whole once released.  A table built on first read is
+    allocated wherever the first read happens to fall, often between arrays
+    that outlive it; taken from the malloc heap, it would leave a table-sized
+    hole among them when freed, which later and larger arrays cannot reuse.
+    Its pages are mapped at once, as the build writes every one of them.
+    The mapping is outside what tracemalloc counts."""
+    buffer = mmap.mmap(-1, table_bytes(order), flags=mmap.MAP_PRIVATE | mmap.MAP_POPULATE)
+    return np.frombuffer(buffer, dtype=INDEX_DTYPE).reshape(order, order)
+
+
+def gather_block(table: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """table[rows][:, cols] by two takes, the smaller intermediate first: the
+    columns whole, or the rows whole LINE_BLOCK at a time, each block then cut
+    to its columns; either is faster than one gather of single entries."""
+    if rows.size > cols.size:
+        return table.take(cols, axis=1).take(rows, axis=0)
+    out = np.empty((rows.size, cols.size), dtype=table.dtype)
+    for lo in range(0, rows.size, LINE_BLOCK):
+        out[lo:lo + LINE_BLOCK] = table.take(rows[lo:lo + LINE_BLOCK], axis=0).take(cols, axis=1)
+    return out
+
+
 def commutators(g: GroupTable, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """[xs[i], ys[j]] = xs[i]^-1 ys[j]^-1 xs[i] ys[j] for every i and j, as one gather."""
-    return g.mul[g.mul[g.inv[xs][:, None], g.inv[ys]], g.mul[xs[:, None], ys]]
+    """[xs[i], ys[j]] = xs[i]^-1 ys[j]^-1 xs[i] ys[j] for every i and j: two blocks and their products."""
+    return g.prod(g.prod(g.inv[xs][:, None], g.inv[ys]), g.prod(xs[:, None], ys))
 
 
 def is_abelian_subset(g: GroupTable, elements: Sequence[int]) -> bool:
@@ -128,6 +182,16 @@ def orbit_labels(size: int, images: list[np.ndarray], dtype: type) -> np.ndarray
             return labels
 
 
+def conjugation_moves(g: GroupTable) -> list[tuple[int, np.ndarray]]:
+    """(s, x -> s x s^-1) for each generator s, in order, whose move is neither
+    the identity nor an earlier generator's: the moves that generate the
+    conjugation action, each once."""
+    moves = {np.arange(g.order, dtype=g.mul.dtype).tobytes(): None}  # the identity move, dropped below
+    for s in g.generators:
+        moves.setdefault((move := g.conj_by(s)).tobytes(), (s, move))
+    return list(moves.values())[1:]
+
+
 def subgroup_closure(g: GroupTable, seed: Iterable[int]) -> tuple[int, ...]:
     """Smallest subgroup containing the seeds: a BFS from the identity and the seeds
     (marked first) by right multiplication with the seeds, so every positive word."""
@@ -138,7 +202,7 @@ def subgroup_closure(g: GroupTable, seed: Iterable[int]) -> tuple[int, ...]:
     inside[0] = True
     frontier = np.flatnonzero(inside)
     while frontier.size:
-        prods = g.mul[np.ix_(frontier, seeds)].ravel()
+        prods = g.prod(frontier[:, None], seeds).ravel()
         frontier = np.unique(prods[~inside[prods]])
         inside[frontier] = True
     return tuple(np.nonzero(inside)[0].tolist())

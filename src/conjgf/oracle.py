@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameters, NotAGroup
-from .groups import GroupTable, check_budget, orbit_labels
+from .groups import GroupTable, check_budget, conjugation_moves, orbit_labels
 
 ALL_TUPLES = "all_tuples"
 COMMUTING_TUPLES = "commuting_tuples"
@@ -46,22 +46,14 @@ def _orbit_count(size: int, images: list[np.ndarray]) -> int:
     return int(np.count_nonzero(orbit_labels(size, images, np.int32) == np.arange(size, dtype=np.int32)))
 
 
-def _moves(g: GroupTable) -> list[tuple[int, np.ndarray]]:
-    """(s, x -> s x s^-1) for each generator s, in order, whose move is neither
-    the identity nor an earlier generator's."""
-    moves = {np.arange(g.order, dtype=g.mul.dtype).tobytes(): None}  # the identity move, dropped below
-    for s in g.generators:
-        moves.setdefault((move := g.conj_by(s)).tobytes(), (s, move))
-    return list(moves.values())[1:]
-
-
 def alpha_brute(g: GroupTable, n: int) -> OrbitCount:
     """Count orbits of G on G^n by label propagation over generator moves."""
     if n < 0:
         raise InvalidParameters(f"tuple length n = {n} must be nonnegative")
-    check_budget(f"alpha_brute({g.label}, {n})", 4 * g.order**n * (len(g.generators) + 4))  # d images, 4 working arrays
+    moves = conjugation_moves(g)
+    check_budget(f"alpha_brute({g.label}, {n})", 4 * g.order**n * (len(moves) + 4))  # one image a move, 4 working arrays
     images = []
-    for _, move in _moves(g):
+    for _, move in moves:
         move = move.astype(np.int32)
         image = np.zeros(1, dtype=np.int32)
         for _ in range(n):
@@ -111,16 +103,17 @@ def beta_brute(g: GroupTable, n: int) -> OrbitCount:
 
     Tuples are coded in base |G|, in int32 below |G|^n = 2^31 and in int64
     below 2^63; past that n is refused.  The budget is checked on the rows,
-    an int32 image per generator and 6 working arrays of the codes' width."""
+    an int32 image per move kept and 6 working arrays of the codes' width."""
     span = g.order ** min(n, 64)  # |G|^n, or past 2^63 with it
     if span >= 2**63:
         raise InvalidParameters(f"beta_brute({g.label}, {n}): |G|^n passes 2^63, the range of the tuple codes")
     rows, dtype = commuting_tuples(g, n), np.dtype(np.int32 if span < 2**31 else np.int64)
+    moves = conjugation_moves(g)
     check_budget(f"beta_brute({g.label}, {n})",
-                 ARRAY_OVERHEAD + rows.nbytes + len(rows) * (4 * len(g.generators) + 6 * dtype.itemsize))
+                 ARRAY_OVERHEAD + rows.nbytes + len(rows) * (4 * len(moves) + 6 * dtype.itemsize))
     codes = _codes(rows, g.order, dtype=dtype)  # increasing, since the rows are in lexicographic order
     images = []
-    for s, move in _moves(g):
+    for s, move in moves:
         image = _codes(rows, g.order, move, dtype)
         at = np.searchsorted(codes, image).astype(np.int32)
         np.minimum(at, len(codes) - 1, out=at)

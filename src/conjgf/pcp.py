@@ -13,6 +13,9 @@ proves each cyclic extension a group by Hoelder's conditions, in O(|N| d)
 per level, and raises at the first level that fails them, before building
 its table.  A level's conjugation map phi comes from the images of the
 generators, and its table from r_i whole-row gathers of the level below.
+The top level is kept factored as a `CyclicExtension` of N_1: products are
+read from N_1's table and O(|G|) indices, and the full |G| x |G| table is
+built only when something reads it.
 `collect` (collection from the left) is the reference that tests check the
 cyclic extension build against; only it has a rewrite budget.
 """
@@ -26,7 +29,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import InconsistentPresentation, InvalidParameters
-from .groups import INDEX_DTYPE, GroupTable, checked_order, int_text
+from .groups import INDEX_DTYPE, GroupTable, checked_order, gather_block, int_text
 
 DEFAULT_REWRITE_BUDGET = 1_000_000
 
@@ -212,11 +215,71 @@ def _holder_conditions(mul: np.ndarray, phi: np.ndarray, w: int, r: int,
     return None
 
 
-def build_from_pcp(pres: PcPresentation) -> GroupTable:
-    """Compile a presentation into a full multiplication table by cyclic extension.
+class CyclicExtension:
+    """G = <g> N, extending the group N (its table `low`, of order m) by g with
+    g^r = w and g^-1 u g = phi(u), kept factored: powers[b, u] = phi^b(u) and
+    wrapped[b, u] = w phi^b(u) are O(|G|) indices past N's table.  g^a u has
+    index a*m + u, and
 
-    N_i = <g_i, ..., g_(d-1)> is built from N_(i+1) for i = d-1 ... 0: its
-    element g_i^a u (u in N_(i+1)) has index a*m + u with m = |N_(i+1)|, and
+        (g^a u)(g^b v) = g^((a+b) mod r) [w] phi^b(u) v,
+
+    w entering once a + b >= r: a product is one gather from powers or
+    wrapped, one from N's table and the offset ((a+b) mod r) m, below |G|, so
+    nothing wraps."""
+
+    def __init__(self, low: np.ndarray, powers: np.ndarray, wrapped: np.ndarray):
+        self.low, self.powers, self.wrapped = low, powers, wrapped
+        self.r, self.m = powers.shape
+        self.offsets = (np.arange(2 * self.r - 1) % self.r * self.m).astype(low.dtype)  # by a + b
+
+    def prod(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """xs ys elementwise, broadcast, by the product formula."""
+        a, u = np.divmod(xs, self.m)
+        b, v = np.divmod(ys, self.m)
+        c = np.add(a, b, dtype=np.intp)  # up to 2r - 2, which can pass the order
+        out = self.low[np.where(c >= self.r, self.wrapped[b, u], self.powers[b, u]), v]
+        out += self.offsets[c]
+        return out
+
+    def block(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """prod(xs[:, None], ys), one run of ys with one top exponent t at a
+        time: N's table on the rows [w] phi^t(u) of the xs and the columns v
+        of the run, plus one offset per row."""
+        a, u = np.divmod(xs, self.m)
+        b, v = np.divmod(ys, self.m)
+        out = np.empty((xs.size, ys.size), dtype=self.low.dtype)
+        bounds = [0, *(np.flatnonzero(b[1:] != b[:-1]) + 1).tolist(), ys.size] if ys.size else []
+        for lo, hi in zip(bounds, bounds[1:]):
+            c = np.add(a, b[lo], dtype=np.intp)
+            lead = np.where(c >= self.r, self.wrapped[b[lo]].take(u), self.powers[b[lo]].take(u))
+            part = gather_block(self.low, lead, v[lo:hi])
+            part += self.offsets.take(c)[:, None]
+            out[:, lo:hi] = part
+        return out
+
+    def table(self, out: np.ndarray) -> np.ndarray:
+        """The full table, written into `out`, an empty (|G|, |G|) array of
+        N's dtype: row block a is one gather of N's rows plus one offset add,
+        in place, r gathers in all."""
+        low, m, r = self.low, self.m, self.r
+        lead = self.powers.T.copy()  # lead[u, b]; column b turns to wrapped once a + b >= r
+        grown = out.reshape(r, m, r, m)
+        for a in range(r):
+            if a:
+                lead[:, r - a] = self.wrapped[r - a]
+            # indices are in range by construction, and "clip" writes into grown[a] unbuffered
+            np.take(low, lead, axis=0, out=grown[a], mode="clip")
+            # the offset and the sum stay below r * m, an order the budget admits: no uint16 wrap
+            np.add(grown[a], self.offsets[a : a + r, None], out=grown[a])
+        return out
+
+
+def build_from_pcp(pres: PcPresentation) -> GroupTable:
+    """Compile a presentation into a group by cyclic extension, its top level factored.
+
+    N_i = <g_i, ..., g_(d-1)> is built from N_(i+1) for i = d-1 ... 0 as the
+    `CyclicExtension` of N_(i+1) by g_i: its element g_i^a u (u in N_(i+1))
+    has index a*m + u with m = |N_(i+1)|, and
 
         (g_i^a u)(g_i^b v) = g_i^((a+b) mod r_i) [w] phi^b(u) v,
 
@@ -225,10 +288,11 @@ def build_from_pcp(pres: PcPresentation) -> GroupTable:
     to N_(i+1) one generator at a time, deepest first, as the homomorphism
     phi(g_k^e v) = phi(g_k)^e phi(v) for v in N_(k+1): one gather per g_k,
     whose products are well defined because N_(i+1) was proved a group.
-    With rows[u, b] = phi^b(u) and its w-shifted copy made once, each row
-    block a of the new table is one gather of N_(i+1)'s rows plus one offset
-    add, written in place: r_i gathers per level, and no temporary beyond
-    N_(i+1)'s table and O(|N_i|) indices.
+    powers[b, u] = phi^b(u) and its w-shifted copy are made once.  Every level
+    below the top gets its table, r_i row gathers of N_(i+1)'s table written
+    in place; G = N_0 keeps N_1's table, powers and wrapped, and builds its
+    own table only when `mul` is first read.  So the build holds no more than
+    N_1's table, N_2's and O(|G|) indices.
 
     The inverse of g_i^a u is u^-1 g_i^-a, one product of two inverses known
     before: inv of N_(i+1), and g_i^-a = g_i^(r_i - a) w^-1 for a > 0.
@@ -252,7 +316,10 @@ def build_from_pcp(pres: PcPresentation) -> GroupTable:
 
     mul = np.zeros((1, 1), dtype=INDEX_DTYPE)
     inv = np.zeros(1, dtype=INDEX_DTYPE)
+    top = None
     for i in range(d - 1, -1, -1):
+        if top is not None:
+            mul = top.table(np.empty((top.r * top.m,) * 2, dtype=INDEX_DTYPE))
         r, m = orders[i], len(mul)
         phi = np.zeros(m, dtype=np.intp)
         for k in range(d - 1, i, -1):  # phi(g_k^e v) = phi(g_k)^e phi(v) on N_k, v in N_(k+1)
@@ -265,23 +332,15 @@ def build_from_pcp(pres: PcPresentation) -> GroupTable:
         failed = _holder_conditions(mul, phi, w, r, {j: radix[j] for j in range(i + 1, d)})
         if failed is not None:
             raise InconsistentPresentation(f"{label}: level g{i} fails Hoelder's conditions: {failed}")
-        rows = np.empty((m, r), dtype=np.intp)  # rows[u, b] = phi^b(u), then [w] phi^b(u)
-        rows[:, 0] = np.arange(m)
+        powers = np.empty((r, m), dtype=INDEX_DTYPE)  # powers[b, u] = phi^b(u)
+        powers[0] = np.arange(m)
         for b in range(1, r):
-            rows[:, b] = phi[rows[:, b - 1]]
-        wrapped = mul[w].take(rows)
-        offsets = (np.arange(2 * r - 1) % r * m).astype(INDEX_DTYPE)[:, None]
-        grown = np.empty((r, m, r, m), dtype=INDEX_DTYPE)
-        for a in range(r):  # row block a: column b wraps past g_i^r, picking up w, once a + b >= r
-            if a:
-                rows[:, r - a] = wrapped[:, r - a]
-            # indices are in range by construction, and "clip" writes into grown[a] unbuffered
-            np.take(mul, rows, axis=0, out=grown[a], mode="clip")
-            # the offset and the sum stay below r * m, an order the budget admits: no uint16 wrap
-            np.add(grown[a], offsets[a : a + r], out=grown[a])
+            powers[b] = phi[powers[b - 1]]
+        top = CyclicExtension(mul, powers, mul[w].take(powers))
         # (g_i^a u)^-1 = u^-1 g_i^-a, where g_i^a g_i^(r-a) w^-1 = w w^-1 = 1 for a > 0
         ginv = -np.arange(r) % r * m
         ginv[1:] += inv[w]
-        mul = grown.reshape(r * m, r * m)
-        inv = mul[inv[None, :], ginv[:, None]].ravel()
-    return GroupTable(order=n, mul=mul, inv=inv, generators=tuple(radix), label=label)
+        inv = top.prod(inv[None, :], ginv[:, None]).ravel()
+    if top is None:
+        return GroupTable(order=n, mul=mul, inv=inv, label=label)
+    return GroupTable(order=n, mul=None, inv=inv, generators=tuple(radix), label=label, top=top)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 from itertools import product
 
 import numpy as np
@@ -17,7 +18,7 @@ from conjgf.analysis import (
     lower_central_series,
     nilpotency_class,
 )
-from conjgf import families
+from conjgf import analysis, families
 from conjgf.errors import NotPrimePower
 from conjgf.families import (
     GAMMA_FAMILIES,
@@ -33,6 +34,7 @@ from conjgf.groups import (
     GroupTable,
     build_from_permutations,
     is_abelian_subset,
+    orbit_labels,
     subgroup_closure,
 )
 from conjgf.pcp import prime_power_root
@@ -190,6 +192,31 @@ def test_conjugacy_data_matches_bfs(catalog):
                   *got.centralizer_sizes, *got.class_equation]
         assert {type(v) for v in values} == {int}, g.label
         assert type(got.classes) is tuple and all(type(c) is tuple for c in got.classes), g.label
+
+
+def test_conjugacy_data_skips_trivial_moves(catalog, monkeypatch):
+    # class data propagates over the kept conjugation moves only, no identity
+    # move of a central generator among them, and is unchanged on the catalog
+    # and the stem groups at p = 3 and 5 (sha256 from the build that passed
+    # every generator's move)
+    seen = []
+
+    def spy(size, images, dtype):
+        seen.append(images)
+        return orbit_labels(size, images, dtype)
+
+    monkeypatch.setattr(analysis, "orbit_labels", spy)
+    digest = hashlib.sha256()
+    for g in [*catalog.values(), *(families.build_stem_group(f, p) for p in (3, 5) for f in PHI_FAMILIES)]:
+        g = GroupTable(g.order, g.mul, g.inv, g.generators, g.label)  # an empty memo
+        seen.clear()
+        digest.update(repr(conjugacy_data(g)).encode())
+        identity = np.arange(g.order)
+        assert len(seen) == 1 and not any(np.array_equal(image, identity) for image in seen[0]), g.label
+    assert digest.hexdigest() == "70753231e71e1fb4ae973626f250ea307f7dfd68911e5a749c19296e89166410"
+    phi4 = families.build_stem_group("Phi4", 5)
+    conjugacy_data(phi4)
+    assert len(seen[-1]) == 3 < len(phi4.generators)
 
 
 def test_orbit_stabilizer_on_catalog(catalog):

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from conjgf import cli, families
+from conjgf import cli, families, groups, pcp
 from conjgf.analysis import conjugacy_data
 from conjgf.cli import main
 from conjgf.families import stem_group
@@ -148,7 +148,9 @@ def test_verify_table_default(capsys):
 
 
 def test_verify_table_holds_one_table_at_a_time(capsys):
-    # seven order-3125 uint16 tables at p = 5; each is released once its row is checked
+    # at p = 5 the order-3125 groups keep their top level factored: no
+    # 3125 x 3125 table is built, and each group is released once its row is
+    # checked, so the peak is under half of one such table
     stem_group.cache_clear()
     tracemalloc.start()
     try:
@@ -158,8 +160,56 @@ def test_verify_table_holds_one_table_at_a_time(capsys):
         tracemalloc.stop()
     capsys.readouterr()
     assert code == 0
-    assert peak <= 1.5 * 2 * 3125**2, f"verify-table peak {peak} bytes"
+    assert peak <= 0.5 * 2 * 3125**2, f"verify-table peak {peak} bytes"
     assert stem_group.cache_info().currsize == 0
+
+
+def _spy_tables(monkeypatch) -> tuple[list, list]:
+    """(orders of the tables each CyclicExtension.table builds, labels of the
+    groups whose `mul` is read), filled as they happen."""
+    built, read = [], []
+    table, mul = pcp.CyclicExtension.table, groups.GroupTable.mul
+
+    def spy_table(ext, out):
+        built.append(ext.r * ext.m)
+        return table(ext, out)
+
+    def spy_mul(g):
+        read.append(g.label)
+        return mul.fget(g)
+
+    monkeypatch.setattr(pcp.CyclicExtension, "table", spy_table)
+    monkeypatch.setattr(groups.GroupTable, "mul", property(spy_mul))
+    return built, read
+
+
+def test_verify_table_builds_no_top_table(capsys, monkeypatch):
+    # every table a p = 5 run builds is a level below the top, of order at
+    # most 5^4, and no group's `mul` is read: fingerprints, K, A and B read
+    # products only
+    built, read = _spy_tables(monkeypatch)
+    code, out = run_cli(capsys, "--json", "verify-table", "--p", "5")
+    assert code == 0 and json.loads(out)["results"] == {"rows_checked": 20, "rows_failed": 0}
+    assert read == [] and built and max(built) == 5**4
+
+
+def test_verify_table_p7_in_one_run(capsys, monkeypatch):
+    # the headline target: all ten rows at p = 7, order 7^5 = 16807, with no
+    # 16807 x 16807 table read or built, at under 0.15 of one
+    stem_group.cache_clear()
+    built, read = _spy_tables(monkeypatch)
+    tracemalloc.start()
+    try:
+        code = main(["--json", "verify-table", "--p", "7"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert report["results"] == {"rows_checked": 20, "rows_failed": 0}
+    assert all(check["passed"] for check in report["checks"])
+    assert read == [] and max(built) == 7**4
+    assert peak <= 0.15 * 2 * 7**10, f"verify-table peak {peak} bytes"
 
 
 def test_verify_table_payload_is_pinned(capsys):

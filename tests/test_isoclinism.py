@@ -401,7 +401,9 @@ def test_verify_memory_on_a_large_derived_subgroup():
     # Z(D2046) is trivial and G' is the 1023 rotations: each check runs LINE_BLOCK rows
     # at a time, never a |G'| x |G'| or R x R array of intp
     g = dihedral(2046)
-    r = _central_quotient(g)[1]  # the quotient table is built before tracing
+    # the table, built on first read, and the quotient table are built before tracing
+    assert g.mul.shape == (2046, 2046)
+    r = _central_quotient(g)[1]
     der = derived_subgroup(g)
     assert len(r) == 2046 and len(der) == 1023
     w = IsoclinismWitness(tuple(range(len(r))), {x: x for x in der}, r, r)

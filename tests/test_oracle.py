@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import re
 import tracemalloc
 from itertools import product
 from pathlib import Path
@@ -14,7 +15,7 @@ from conjgf.analysis import center_elements
 from conjgf.errors import BudgetExceeded, InvalidParameters, NotAGroup
 from conjgf.families import cyclic, dihedral, stem_group, symmetric
 from conjgf.genfun import alpha_coefficient, beta_coefficient
-from conjgf.groups import GroupTable, orbit_labels
+from conjgf.groups import GroupTable, conjugation_moves, orbit_labels
 from conjgf import groups, oracle
 from conjgf.oracle import alpha_brute, beta_brute, commuting_tuples
 from conftest import relabelled
@@ -254,6 +255,38 @@ def test_trivial_and_repeated_moves_are_dropped(catalog, label, monkeypatch):
             assert len(seen[1]) == len({g.conj_by(s).tobytes() for s in g.generators} - {bytes(g.mul[0])})
 
 
+def test_budget_counts_only_the_moves_kept(catalog, monkeypatch):
+    # an abelian group's conjugation moves are all the identity, so no tuple
+    # image is built, and D8 padded with the identity, a central element and a
+    # repeat keeps its own two moves: each estimate counts one image per move
+    # kept, runs at itself and is refused one byte below it
+    n = 3
+    for g, kept in ((catalog["C2^3"], 0), (_padded(catalog["D8"]), 2)):
+        assert len(conjugation_moves(g)) == kept < len(g.generators)
+        rows = len(commuting_tuples(g, n))
+        beta = _beta_estimate(g, n, monkeypatch)
+        assert beta == oracle.ARRAY_OVERHEAD + 4 * n * rows + rows * (4 * kept + 6 * 4)
+        for oracle_fn, estimate in ((alpha_brute, 4 * g.order**n * (kept + 4)), (beta_brute, beta)):
+            monkeypatch.setattr(groups, "MEMORY_BUDGET", estimate - 1)
+            with pytest.raises(BudgetExceeded, match=rf"_brute\({re.escape(g.label)}, 3\) needs {estimate} bytes"):
+                oracle_fn(g, n)
+            monkeypatch.setattr(groups, "MEMORY_BUDGET", estimate)
+            assert oracle_fn(g, n).tuples_visited == {alpha_brute: g.order**n, beta_brute: rows}[oracle_fn]
+    monkeypatch.undo()
+    # alpha(C2^5, 5) holds four int32 arrays of 32^5 codes, 537 MB, under the
+    # budget: its estimate is read, and the run stopped before it allocates
+    asked = []
+
+    def stop(request, nbytes):
+        asked.append(nbytes)
+        raise StopIteration
+
+    monkeypatch.setattr(oracle, "check_budget", stop)
+    with pytest.raises(StopIteration):
+        alpha_brute(catalog["C2^5"], 5)
+    assert asked == [4 * 32**5 * 4] and asked[0] <= groups.MEMORY_BUDGET
+
+
 def test_long_orbits_converge():
     # conjugation by the rotation moves pairs of reflections along cycles of length 128
     g = dihedral(512)
@@ -285,7 +318,7 @@ def test_oracle_reads_only_the_group_table():
 
 
 def test_alpha_memory_per_tuple():
-    # the budget's estimate: (d + 4) int32 words per tuple for d generators
+    # the budget's estimate: (d + 4) int32 words per tuple for d moves kept, both of S6's generators
     g = symmetric(6)
     tracemalloc.start()
     try:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 import re
 import time
@@ -310,18 +311,62 @@ def test_quaternion_presentation():
 
 
 def test_build_memory_bound_at_order_3125():
-    # each row block is gathered into the new uint16 table in place: besides
-    # the table, the budget's estimate, only N_1's table (1/25 of it) and
-    # O(|G|) index arrays
+    # the build keeps the top level factored: it holds N_1's table (1/25 of
+    # the group's), N_2's, and O(|G| r) index bytes, never the group's table;
+    # the first read of mul gathers each row block into the new uint16 table
+    # in place, besides which only N_1's table and O(|G|) indices are held.
+    # That table is a memory mapping, outside tracemalloc's count
     pres = _stem_presentation("Phi5", 5)
     tracemalloc.start()
     try:
         g = build_from_pcp(pres)
-        peak = tracemalloc.get_traced_memory()[1]
+        built = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        mul = g.mul
+        read = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    estimate = groups.table_bytes(g.order)
-    assert estimate < peak <= estimate + groups.table_bytes(g.order // 5) + 32 * g.order, peak
+    n, r = g.order, 5
+    assert built <= groups.table_bytes(n // r) + 16 * n * r, built
+    assert read < mul.nbytes == groups.table_bytes(n)
+    assert mul.nbytes + read <= 1.06 * groups.table_bytes(n), read
+
+
+def _differential_groups():
+    """Every stem group at p = 2, 3 and 5, and Q256, fresh from their presentations."""
+    for p in (2, 3, 5):
+        for family in ("abelian",) + (GAMMA_FAMILIES if p == 2 else PHI_FAMILIES):
+            yield families.build_stem_group(family, p)
+    yield quaternion(256)
+
+
+def test_factored_products_equal_the_table():
+    # every product shape `prod` reads by a factored top level (elementwise,
+    # broadcast, scalar, a column by a row in sorted, unsorted and empty
+    # runs, uint16 and intp indices) equals the materialized table, exactly
+    rng = np.random.default_rng(36)
+    for g in _differential_groups():
+        assert g._mul is None, g.label
+        cases = []
+        for dtype in (groups.INDEX_DTYPE, np.intp):
+            xs, ys = (rng.integers(0, g.order, 700).astype(dtype) for _ in range(2))
+            cases += [(xs, ys), (xs[:, None], ys[:40]), (xs[:30, None], ys[None, :50]),
+                      (xs[:, None], np.sort(ys)), (np.sort(xs)[:, None], ys[:3]), (xs[:0, None], ys),
+                      (xs[:5, None], ys[:0]), (xs[0], ys), (xs[0], ys[0]), (xs.reshape(7, 100), ys[:100])]
+        got = [g.prod(x, y) for x, y in cases]
+        for (x, y), value in zip(cases, got):
+            want = g.mul[x, y]
+            assert np.asarray(value).dtype == want.dtype and np.array_equal(value, want), (g.label, np.shape(x))
+
+
+def test_factored_tables_equal_the_full_build():
+    # mul, built on first read, and inv are byte for byte the tables the build
+    # made when it materialized every level (sha256 from that build)
+    digest = hashlib.sha256()
+    for g in _differential_groups():
+        digest.update(g.mul.tobytes())
+        digest.update(g.inv.tobytes())
+    assert digest.hexdigest() == "74867765853b9c8642e4857873e68b8a0a27d8238bc81171a3b3d6c5c0b5c6e7"
 
 
 def test_build_of_one_large_relative_order():
