@@ -1,15 +1,16 @@
 """Structural invariants of a group table.
 
-Conjugacy classes, the cosets of Z(G) and their commuting relation, centralizers,
+Conjugacy classes, the cosets of Z(G), their commuting relation K and its
+distinct rows, the centralizers (`centralizer_rows`, which the B recursion,
+the AC-group test and the abelian-maximal-subgroup flag of a p-group read),
 center, derived subgroup and lower central series, each term [N, G] the plain
-closure of one commutator step, the AC-group test and whether a p-group has an
-abelian maximal subgroup, read from the commuting relation.  All are pure
-functions of an immutable GroupTable; all but the coset products and the
-commutator step are memoized write-once on the table's private cache.
+closure of one commutator step: pure functions of an immutable GroupTable, all
+but the coset products, the commutator step and the rows memoized on its cache.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,10 +103,14 @@ def commuting_cosets(g: GroupTable) -> np.ndarray:
     return block == block.T
 
 
-def packed_rows(block: np.ndarray) -> np.ndarray:
-    """Each row of a boolean block as one opaque bytes value, for np.unique."""
+def centralizer_rows(block: np.ndarray) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Yield (i, m, members) for each distinct row of a boolean commuting block:
+    its first position, the number of rows equal to it, and its True positions."""
     packed = np.packbits(block, axis=1)
-    return packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, counts = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))).ravel(),
+                                 return_index=True, return_counts=True)
+    for i, m in zip(first.tolist(), counts.tolist()):
+        yield i, m, np.flatnonzero(block[i])
 
 
 def commutator_subgroup(g: GroupTable, xs: np.ndarray) -> tuple[int, ...]:
@@ -162,11 +167,8 @@ def is_ac_group(g: GroupTable) -> bool:
     """True iff every non-central element has an abelian centralizer: the
     cosets in each distinct non-central row of K commute pairwise."""
     block = commuting_cosets(g)
-    for i in np.unique(packed_rows(block), return_index=True)[1]:
-        members = np.flatnonzero(block[i])
-        if members.size < len(block) and not block.take(members, axis=0).take(members, axis=1).all():
-            return False
-    return True
+    return all(members.size == len(block) or block.take(members, axis=0).take(members, axis=1).all()
+               for _, _, members in centralizer_rows(block))
 
 
 def has_abelian_maximal_subgroup(g: GroupTable) -> bool:
@@ -189,5 +191,4 @@ def has_abelian_maximal_subgroup(g: GroupTable) -> bool:
     if len(block) == 1:
         return True
     size = len(block) // root[0]
-    _, repeats = np.unique(packed_rows(block[block.sum(axis=1) == size]), return_counts=True)
-    return bool((repeats == size - 1).any())
+    return any(m == size - 1 for _, m, _ in centralizer_rows(block[block.sum(axis=1) == size]))

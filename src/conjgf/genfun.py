@@ -19,7 +19,7 @@ abelian C, and
     B_G(t) = B~(|Z(G)| t),   B~(u) = (N~_G(u) + S~_G(u)) / R,
 so the normalized A_G(t/|G|) = A~(t/R) and B_G(t/|G|) = B~(t/R) depend on K
 alone.  Each node H's block is K's rows and columns of its cosets; its
-distinct rows are the centralizers.
+distinct rows, from `analysis.centralizer_rows`, are the centralizers.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 import numpy as np
 
-from .analysis import commuting_cosets, packed_rows
+from .analysis import centralizer_rows, commuting_cosets
 from .errors import InvalidParameters, LagrangeViolation
 from .groups import GroupTable, memoized
 from .ratfun import RationalGF, gf_sum
@@ -78,11 +78,9 @@ def _commuting_sum(block: np.ndarray, idx: np.ndarray, memo: dict) -> tuple[int,
     Lagrange a non-central row holds at most half the block's rows; a row that
     recurses is checked for that, so the recursion is at most log2 R deep.
     """
-    _, first, rows = np.unique(packed_rows(block), return_index=True, return_counts=True)
     central, work = 0, 1
     terms: dict[RationalGF, int] = {}  # N~_C -> summed multiplicity
-    for i, m in zip(first.tolist(), rows.tolist()):
-        members = np.flatnonzero(block[i])
+    for i, m, members in centralizer_rows(block):
         if members.size == block.shape[0]:
             central += m
             continue

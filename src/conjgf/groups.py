@@ -2,10 +2,11 @@
 
 A group lives on element indices 0..order-1 with the identity fixed at index
 0, stored as INDEX_DTYPE.  Its products are read through `GroupTable.prod`;
-the full multiplication table `mul` is either given, or, for a pc group whose
-top level is kept factored, built on first read.  Tables are immutable after
-construction; derived data is memoized write-once in a private cache, so a
-table can be read from any number of workers.
+the full table `mul` is given (Cayley tables, permutation closures), or, for a pc
+group whose top level is kept factored, built on first read, as commuting
+tuples at n >= 2, the isoclinism search, `certify`, induced tables and K of a
+centerless group do, though conjugation does not.  Tables are immutable and
+memoize derived data write-once in a private cache, safe for concurrent readers.
 """
 
 from __future__ import annotations
@@ -81,12 +82,10 @@ def memoized(fn):
 @dataclass(eq=False, frozen=True, init=False)
 class GroupTable:
     """A finite group on indices 0..order-1, identity at 0; left empty,
-    `generators` is set to `minimal_generating_indices`.
-
-    Products are `prod`.  The full table `mul` is given, or left None with a
-    factored top level `top` (see `pcp.CyclicExtension`): then `prod` reads
-    only `top`, which holds the table of the subgroup below the top level and
-    O(|G|) indices, until `mul` is built from it on first read."""
+    `generators` is set to `minimal_generating_indices`.  With `mul` None,
+    `top` is a factored top level (`pcp.CyclicExtension`): the table of the
+    subgroup below it and O(|G|) indices, which `prod` reads until `mul` is
+    built from it on first read."""
 
     order: int
     inv: np.ndarray
@@ -122,8 +121,10 @@ class GroupTable:
         return gather_block(self._mul, xs[:, 0], ys) if outer else self._mul[xs, ys]
 
     def conj_by(self, g: int) -> np.ndarray:
-        """The permutation x -> g x g^-1 as an index array."""
-        return self.mul[self.mul[g], self.inv[g]]
+        """The permutation x -> g x g^-1 as an index array; an unbuilt `mul` stays unbuilt."""
+        if self._mul is None:
+            return self.prod(self.prod(g, np.arange(self.order)), self.inv[g])
+        return self._mul[self._mul[g], self.inv[g]]
 
 
 def mapped_table(order: int) -> np.ndarray:
@@ -186,7 +187,7 @@ def conjugation_moves(g: GroupTable) -> list[tuple[int, np.ndarray]]:
     """(s, x -> s x s^-1) for each generator s, in order, whose move is neither
     the identity nor an earlier generator's: the moves that generate the
     conjugation action, each once."""
-    moves = {np.arange(g.order, dtype=g.mul.dtype).tobytes(): None}  # the identity move, dropped below
+    moves = {np.arange(g.order, dtype=g.inv.dtype).tobytes(): None}  # the identity move, dropped below
     for s in g.generators:
         moves.setdefault((move := g.conj_by(s)).tobytes(), (s, move))
     return list(moves.values())[1:]

@@ -298,6 +298,15 @@ def test_genfun_refuses_requests_over_the_budget(tmp_path):
     assert peak_mib < 100, peak_mib
 
 
+def test_oracle_on_an_order_7_to_the_5_group_builds_no_table(tmp_path):
+    # at n <= 1 the oracles need only the conjugation moves, which are read by
+    # products: Phi5(7)'s four checks pass far under its 565 MB table
+    spec = write_spec(tmp_path, "phi5_7.json", {"kind": "family", "name": "Phi5", "p": 7})
+    code, err, wall, peak_mib = _measured_run("oracle", spec, "--n-max", "1")
+    assert code == 0, err
+    assert peak_mib < 150, peak_mib
+
+
 def test_integers_past_the_digit_limit_exit_2(capsys, tmp_path):
     # Python writes and reads no int of more than 4300 digits: C(10^2999)'s
     # estimate has 5999 digits, and json.loads refuses a 5000-digit literal

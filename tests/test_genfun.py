@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from conjgf import genfun
 from conjgf.analysis import center_elements, commuting_cosets, conjugacy_data
 from conjgf.errors import InvalidParameters, LagrangeViolation
-from conjgf.families import cyclic, stem_group, symmetric
+from conjgf.families import build_stem_group, cyclic, stem_group, symmetric
 from conjgf.genfun import (
     a_equivalent,
     a_of_t,
@@ -243,6 +243,84 @@ def test_b_sums_each_node_shape_once(monkeypatch):
     assert len(sums) == len(set(sums)) == 2
     # the child shape's N~, then the top node's own
     assert len(counts) == len(set(counts)) == 2
+
+
+# B and its work count (nodes computed plus distinct non-central rows summed)
+# on every stem group at p = 2, 3, 5 and 7 and on the non-abelian catalog
+# groups, pinned byte for byte: the rows each node reads from K decide both
+STEM_B_AND_WORK = [
+    ("abelian", 2, "(1) / (1-2t)", 1),
+    ("Gamma2", 2, "(1 - t) / (1-2t)(1-4t)", 4),
+    ("Gamma3", 2, "(1 - 7t + 4t^2) / (1-2t)(1-4t)(1-8t)", 6),
+    ("Gamma4", 2, "(1 - 14t + 16t^2) / (1-4t)(1-8t)(1-16t)", 6),
+    ("Gamma5", 2, "(1 + 3t + 2t^2) / (1-2t)(1-4t)(1-8t)", 76),
+    ("Gamma6", 2, "(1 - t) / (1-4t)(1-8t)", 22),
+    ("Gamma7", 2, "(1 - t) / (1-4t)(1-8t)", 22),
+    ("Gamma8", 2, "(1 - 11t + 4t^2) / (1-2t)(1-4t)(1-16t)", 10),
+    ("abelian", 3, "(1) / (1-3t)", 1),
+    ("Phi2", 3, "(1 - t) / (1-3t)(1-9t)", 5),
+    ("Phi3", 3, "(1 - 22t + 9t^2) / (1-3t)(1-9t)(1-27t)", 11),
+    ("Phi4", 3, "(1 - 66t + 81t^2) / (1-9t)(1-27t)(1-81t)", 11),
+    ("Phi5", 3, "(1 + 44t + 3t^2) / (1-3t)(1-9t)(1-27t)", 241),
+    ("Phi6", 3, "(1 - t) / (1-9t)(1-27t)", 14),
+    ("Phi7", 3, "(1 - t) / (1-9t)(1-27t)", 37),
+    ("Phi8", 3, "(1 - t) / (1-9t)(1-27t)", 37),
+    ("Phi9", 3, "(1 - 58t + 9t^2) / (1-3t)(1-9t)(1-81t)", 29),
+    ("Phi10", 3, "(1 - 20t + 3t^2) / (1-3t)(1-9t)(1-27t)", 38),
+    ("abelian", 5, "(1) / (1-5t)", 1),
+    ("Phi2", 5, "(1 - t) / (1-5t)(1-25t)", 7),
+    ("Phi3", 5, "(1 - 106t + 25t^2) / (1-5t)(1-25t)(1-125t)", 27),
+    ("Phi4", 5, "(1 - 530t + 625t^2) / (1-25t)(1-125t)(1-625t)", 27),
+    ("Phi5", 5, "(1 + 474t + 5t^2) / (1-5t)(1-25t)(1-125t)", 1249),
+    ("Phi6", 5, "(1 - t) / (1-25t)(1-125t)", 32),
+    ("Phi7", 5, "(1 - t) / (1-25t)(1-125t)", 79),
+    ("Phi8", 5, "(1 - t) / (1-25t)(1-125t)", 79),
+    ("Phi9", 5, "(1 - 506t + 25t^2) / (1-5t)(1-25t)(1-625t)", 127),
+    ("Phi10", 5, "(1 - 102t + 5t^2) / (1-5t)(1-25t)(1-125t)", 140),
+    ("Phi2", 7, "(1 - t) / (1-7t)(1-49t)", 9),
+    ("Phi3", 7, "(1 - 302t + 49t^2) / (1-7t)(1-49t)(1-343t)", 51),
+    ("Phi4", 7, "(1 - 2114t + 2401t^2) / (1-49t)(1-343t)(1-2401t)", 51),
+    ("Phi5", 7, "(1 + 2008t + 7t^2) / (1-7t)(1-49t)(1-343t)", 4001),
+    ("Phi6", 7, "(1 - t) / (1-49t)(1-343t)", 58),
+    ("Phi7", 7, "(1 - t) / (1-49t)(1-343t)", 137),
+    ("Phi8", 7, "(1 - t) / (1-49t)(1-343t)", 137),
+    ("Phi9", 7, "(1 - 2066t + 49t^2) / (1-7t)(1-49t)(1-2401t)", 345),
+    ("Phi10", 7, "(1 - 296t + 7t^2) / (1-7t)(1-49t)(1-343t)", 362),
+]
+CATALOG_B_AND_WORK = {
+    "S3": ("(1 - 3t + t^2) / (1-t)(1-2t)(1-3t)", 5),
+    "D8": ("(1 - t) / (1-2t)(1-4t)", 4),
+    "Q8": ("(1 - t) / (1-2t)(1-4t)", 4),
+    "D12": ("(1 - 6t + 4t^2) / (1-2t)(1-4t)(1-6t)", 5),
+    "D16": ("(1 - 7t + 4t^2) / (1-2t)(1-4t)(1-8t)", 6),
+    "SD16": ("(1 - 7t + 4t^2) / (1-2t)(1-4t)(1-8t)", 6),
+    "Q16": ("(1 - 7t + 4t^2) / (1-2t)(1-4t)(1-8t)", 6),
+    "S4": ("(1 - 5t + 6t^2 - t^3) / (1-t)(1-2t)(1-3t)(1-4t)", 26),
+    "Heis27": ("(1 - t) / (1-3t)(1-9t)", 5),
+    "D32": ("(1 - 11t + 4t^2) / (1-2t)(1-4t)(1-16t)", 10),
+    "SD32": ("(1 - 11t + 4t^2) / (1-2t)(1-4t)(1-16t)", 10),
+    "Q32": ("(1 - 11t + 4t^2) / (1-2t)(1-4t)(1-16t)", 10),
+    "Gamma4a2": ("(1 - 14t + 16t^2) / (1-4t)(1-8t)(1-16t)", 6),
+    "Gamma5a1": ("(1 + 3t + 2t^2) / (1-2t)(1-4t)(1-8t)", 76),
+    "Gamma6a1": ("(1 - t) / (1-4t)(1-8t)", 22),
+    "Gamma7a1": ("(1 - t) / (1-4t)(1-8t)", 22),
+}
+
+
+@pytest.mark.parametrize("family, p, b, work", STEM_B_AND_WORK,
+                         ids=[f"{f}({p})" for f, p, *_ in STEM_B_AND_WORK])
+def test_b_and_work_are_pinned_on_every_stem_group(family, p, b, work):
+    got, got_work = genfun.b_and_work(build_stem_group(family, p))
+    assert (str(got), got_work) == (b, work)
+
+
+def test_b_and_work_are_pinned_on_the_catalog(catalog):
+    for label, g in catalog.items():
+        b, work = genfun.b_and_work(g)
+        if label in CATALOG_B_AND_WORK:
+            assert (str(b), work) == CATALOG_B_AND_WORK[label], label
+        else:  # abelian, one node: B = 1/(1 - |G| t)
+            assert (b, work) == (RationalGF.simple(1, g.order), 1), label
 
 
 def _commuting_counts(g: GroupTable) -> tuple[int, int]:

@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conjgf.analysis import center_elements
+from conjgf.analysis import center_elements, conjugacy_data
 from conjgf.errors import BudgetExceeded, InvalidParameters, NotAGroup
-from conjgf.families import cyclic, dihedral, stem_group, symmetric
+from conjgf.families import build_stem_group, cyclic, dihedral, stem_group, symmetric
 from conjgf.genfun import alpha_coefficient, beta_coefficient
 from conjgf.groups import GroupTable, conjugation_moves, orbit_labels
 from conjgf import groups, oracle
@@ -292,6 +292,17 @@ def test_long_orbits_converge():
     g = dihedral(512)
     assert alpha_brute(g, 2).count == alpha_coefficient(g, 2)
     assert beta_brute(g, 2).count == beta_coefficient(g, 2)
+
+
+def test_conjugation_builds_no_full_table():
+    # the n <= 1 oracles and the class data read the conjugation moves by
+    # products alone: a pc-built group keeps its top level factored
+    g = build_stem_group("Phi5", 5)
+    classes = alpha_coefficient(g, 1)
+    assert alpha_brute(g, 1).count == classes
+    assert beta_brute(g, 1).count == beta_coefficient(g, 1) == classes
+    assert conjugacy_data(g).num_classes == classes
+    assert g._mul is None
 
 
 def test_beta_rejects_a_non_group(catalog):
