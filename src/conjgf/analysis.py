@@ -86,8 +86,9 @@ def _coset_minima(g: GroupTable) -> np.ndarray:
 def central_cosets(g: GroupTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(reps, coset_of, block) for the cosets of Z(G): the coset minima,
     ascending; each element's coset index, as INDEX_DTYPE; and the products
-    block[i, j] = reps[i] reps[j].  With Z(G) trivial the block is `mul`
-    itself, uncopied.  Not memoized: of the block only K is kept."""
+    block[i, j] = reps[i] reps[j].  With Z(G) trivial, R = |G| and K is G's
+    own commuting relation: the block is `mul` itself, as a block of products
+    would only copy the table.  Not memoized: of the block only K is kept."""
     reps, coset_of = np.unique(_coset_minima(g), return_inverse=True)
     coset_of = coset_of.astype(INDEX_DTYPE)
     if reps.size == g.order:

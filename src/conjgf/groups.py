@@ -1,12 +1,11 @@
 """Element-indexed finite groups: construction, validation, subgroups.
 
-A group lives on element indices 0..order-1 with the identity fixed at index
-0, stored as INDEX_DTYPE.  Its products are read through `GroupTable.prod`;
-the full table `mul` is given (Cayley tables, permutation closures), or, for a pc
-group whose top level is kept factored, built on first read, as commuting
-tuples at n >= 2, the isoclinism search, `certify`, induced tables and K of a
-centerless group do, though conjugation does not.  Tables are immutable and
-memoize derived data write-once in a private cache, safe for concurrent readers.
+A group lives on element indices 0..order-1, identity at 0, as INDEX_DTYPE.
+Outside this module its products are read through `GroupTable.prod`, and a pc
+group whose top level is kept factored builds its full table `mul` only for
+`certify` and, if centerless, for `analysis.central_cosets` (K).  Tables are
+immutable and memoize derived data write-once in a private cache, safe for
+concurrent readers.
 """
 
 from __future__ import annotations
@@ -83,9 +82,8 @@ def memoized(fn):
 class GroupTable:
     """A finite group on indices 0..order-1, identity at 0; left empty,
     `generators` is set to `minimal_generating_indices`.  With `mul` None,
-    `top` is a factored top level (`pcp.CyclicExtension`): the table of the
-    subgroup below it and O(|G|) indices, which `prod` reads until `mul` is
-    built from it on first read."""
+    `top` is a factored top level (`pcp.CyclicExtension`), which `prod` reads:
+    the table of the subgroup below it and O(|G|) indices."""
 
     order: int
     inv: np.ndarray
@@ -105,7 +103,7 @@ class GroupTable:
     @property
     def mul(self) -> np.ndarray:
         """The full table, mul[x, y] = x y; a factored one is built on first
-        read, into a `mapped_table`."""
+        read (by `certify`, or K of a centerless group), into a `mapped_table`."""
         if self._mul is None:
             object.__setattr__(self, "_mul", self._top.table(mapped_table(self.order)))
         return self._mul
@@ -157,8 +155,7 @@ def commutators(g: GroupTable, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 
 
 def is_abelian_subset(g: GroupTable, elements: Sequence[int]) -> bool:
-    elems = np.asarray(elements, dtype=np.intp)
-    block = g.mul[np.ix_(elems, elems)]
+    block = g.prod(np.asarray(elements, dtype=np.intp)[:, None], elements)
     return bool(np.array_equal(block, block.T))
 
 
@@ -241,7 +238,7 @@ def induced_table(g: GroupTable, elements: Sequence[int]) -> GroupTable:
         raise InvalidParameters("induced table requires the identity in the element set")
     local = np.full(g.order, -1, dtype=np.int32)
     local[elems] = np.arange(elems.size, dtype=np.int32)
-    mul = local[g.mul[np.ix_(elems, elems)]]
+    mul = local[g.prod(elems[:, None], elems)]
     if (mul < 0).any():
         raise InvalidParameters("element set is not closed under multiplication")
     inv = local[g.inv[elems]]

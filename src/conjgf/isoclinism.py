@@ -43,27 +43,25 @@ class IsoclinismWitness:
         sizes = tuple(x.order // len(center_elements(x)) for x in (g, h))
         if (len(self.g_coset_reps), len(self.h_coset_reps)) != sizes:
             return False  # before either quotient table is built
-        gq, greps = _central_quotient(g)
-        hq, hreps = _central_quotient(h)
+        (gq, greps), (hq, hreps) = _central_quotient(g), _central_quotient(h)
         if greps != self.g_coset_reps or hreps != self.h_coset_reps:
             return False
         if len(self.theta) != hq.order or sorted(self.theta) != list(range(gq.order)):
             return False
-        gder = derived_subgroup(g)
-        hder = derived_subgroup(h)
+        gder, hder = derived_subgroup(g), derived_subgroup(h)
         if sorted(self.phi) != list(gder) or sorted(self.phi.values()) != list(hder):
             return False
-        theta = np.asarray(self.theta, dtype=hq.mul.dtype)  # the table dtype keeps each block small
-        phi = np.zeros(g.order, dtype=h.mul.dtype)
+        theta = np.asarray(self.theta, dtype=hq.inv.dtype)  # the index dtype keeps each block small
+        phi = np.zeros(g.order, dtype=h.inv.dtype)
         phi[list(self.phi)] = list(self.phi.values())
-        der = np.asarray(gder, dtype=np.intp)
+        der, every = np.asarray(gder, dtype=np.intp), np.arange(gq.order)
         greps, himages = np.asarray(greps, dtype=np.intp), np.asarray(hreps, dtype=np.intp)[theta]
         for lo in range(0, max(gq.order, der.size), LINE_BLOCK):
             rows = slice(lo, lo + LINE_BLOCK)
             # theta and phi are homomorphisms, and the square commutes on every coset
             # pair; a block past the end of the quotient or of G' is empty
-            if not (np.array_equal(theta[gq.mul[rows]], hq.mul[theta[rows, None], theta])
-                    and np.array_equal(phi[g.mul[der[rows, None], der]], h.mul[phi[der[rows], None], phi[der]])
+            if not (np.array_equal(theta[gq.prod(every[rows, None], every)], hq.prod(theta[rows, None], theta))
+                    and np.array_equal(phi[g.prod(der[rows, None], der)], h.prod(phi[der[rows], None], phi[der]))
                     and np.array_equal(phi[commutators(g, greps[rows], greps)],
                                        commutators(h, himages[rows], himages))):
                 return False
@@ -86,28 +84,28 @@ def _element_invariants(g: GroupTable) -> list[tuple[int, int, int]]:
     Q = G/Z(G).  Row i of `commuting_cosets` is quotient element i, as both
     are read from `central_cosets`, and |G : C_G(x)| = |Q| / its row sum."""
     q = _central_quotient(g)[0]
-    orders = element_orders(q)
-    class_size = q.order // (q.mul == q.mul.T).sum(axis=1)
+    orders, every = element_orders(q), np.arange(q.order)
+    block = q.prod(every[:, None], every)
+    class_size = q.order // (block == block.T).sum(axis=1)
     lifted = q.order // commuting_cosets(g).sum(axis=1)
     return [(int(orders[x]), int(class_size[x]), int(lifted[x])) for x in range(q.order)]
 
 
 @memoized
 def _coset_commutators(g: GroupTable) -> np.ndarray:
-    """C[a, b] = [x, y] on the minima x, y of the a-th and b-th cosets of Z(G),
-    gathered from `mul` at the minima `_central_quotient` already found."""
+    """C[a, b] = [x, y] on `_central_quotient`'s minima x and y of cosets a and b of Z(G)."""
     reps = np.asarray(_central_quotient(g)[1], dtype=np.intp)
     return commutators(g, reps, reps)
 
 
-def _extend(mul1: np.ndarray, mul2: np.ndarray, pairs) -> list[int] | None:
-    """The injective homomorphism on the subgroup generated by the s of `pairs`
-    that sends each s to its t, as a list of images (-1 off that subgroup), or
-    None if there is none.  Closes breadth-first by right multiplication from
-    the identity, checking every product of a reached element by an s."""
-    src, dst = np.asarray(pairs, dtype=np.intp).reshape(-1, 2).T
-    steps = list(zip(mul1[:, src].T.tolist(), mul2[:, dst].T.tolist()))
-    image = [-1] * len(mul1)
+def _extend(cols1: np.ndarray, cols2: np.ndarray) -> list[int] | None:
+    """The injective homomorphism sending each s_i to t_i on the subgroup they
+    generate, read from the columns cols1[x, i] = x s_i and cols2[y, i] = y t_i,
+    as a list of images (-1 off that subgroup), or None if there is none.
+    Closes breadth-first by right multiplication from the identity, checking
+    every product of a reached element by an s_i."""
+    steps = list(zip(cols1.T.tolist(), cols2.T.tolist()))
+    image = [-1] * len(cols1)
     image[0] = 0
     frontier = [0]
     while frontier:
@@ -128,19 +126,19 @@ def _extend(mul1: np.ndarray, mul2: np.ndarray, pairs) -> list[int] | None:
 def _iso_images(g: GroupTable, h: GroupTable):
     """Yield isomorphisms G/Z(G) -> H/Z(H) as index tuples, generator-image
     backtracking."""
-    q1 = _central_quotient(g)[0]
-    q2 = _central_quotient(h)[0]
+    q1, q2 = _central_quotient(g)[0], _central_quotient(h)[0]
     gens = minimal_generating_indices(q1) or (0,)
-    inv1 = _element_invariants(g)
-    inv2 = _element_invariants(h)
+    inv1, inv2 = _element_invariants(g), _element_invariants(h)
     if sorted(inv1) != sorted(inv2):
         return
     candidates = [[y for y in range(q2.order) if inv2[y] == inv1[s]] for s in gens]
+    every1, every2 = np.arange(q1.order), np.arange(q2.order)  # columns x s and y t, read once per search
+    cols1, cols2 = q1.prod(every1[:, None], gens), q2.prod(every2[:, None], every2)
 
     def backtrack(images: tuple[int, ...]):
         for cand in candidates[len(images)]:
             trial = images + (cand,)
-            image = _extend(q1.mul, q2.mul, list(zip(gens, trial)))
+            image = _extend(cols1[:, :len(trial)], cols2[:, list(trial)])
             if image is None:
                 continue
             if len(trial) < len(gens):
@@ -164,7 +162,7 @@ def _derive_phi(g: GroupTable, h: GroupTable, theta: tuple[int, ...]) -> dict[in
     if (forced[cg] != ch).any():
         return None
     values = np.flatnonzero(forced >= 0)
-    phi = _extend(g.mul, h.mul, np.column_stack((values, forced[values])))
+    phi = _extend(g.prod(np.arange(g.order)[:, None], values), h.prod(np.arange(h.order)[:, None], forced[values]))
     return None if phi is None else {x: y for x, y in enumerate(phi) if y >= 0}
 
 
@@ -177,13 +175,10 @@ def are_isoclinic(g: GroupTable, h: GroupTable) -> IsoclinismWitness | None:
         raise QuotientTooLarge(f"central quotient of order {size} exceeds cap {DEFAULT_QUOTIENT_CAP}")
     if len(derived_subgroup(g)) != len(derived_subgroup(h)):
         return None  # before either quotient table is built
-    greps = _central_quotient(g)[1]
-    hreps = _central_quotient(h)[1]
     for theta in _iso_images(g, h):
         phi = _derive_phi(g, h, theta)
         if phi is not None:
-            witness = IsoclinismWitness(theta=theta, phi=phi,
-                                        g_coset_reps=greps, h_coset_reps=hreps)
-            return witness
+            return IsoclinismWitness(theta=theta, phi=phi, g_coset_reps=_central_quotient(g)[1],
+                                     h_coset_reps=_central_quotient(h)[1])
     return None
 

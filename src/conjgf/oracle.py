@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameters, NotAGroup
-from .groups import GroupTable, check_budget, conjugation_moves, orbit_labels
+from .groups import LINE_BLOCK, GroupTable, check_budget, conjugation_moves, orbit_labels
 
 ALL_TUPLES = "all_tuples"
 COMMUTING_TUPLES = "commuting_tuples"
@@ -67,21 +67,28 @@ def commuting_tuples(g: GroupTable, n: int) -> np.ndarray:
     """All pairwise-commuting n-tuples as the rows of an (m, n) array in
     lexicographic order, each coordinate drawn from the centralizer of the
     coordinates before it.  Each step checks the budget for `beta_brute` on
-    what it holds: the commuting relation, the rows with the last step's prefix
-    and x, and the allowed block with a block of centralizer rows, then with the
-    c new rows, their prefix and x."""
+    what it holds: the commuting relation with the 4 product blocks of
+    LINE_BLOCK rows it is read from, then the relation, the rows with the last
+    step's prefix and x, the allowed block with a block of centralizer rows,
+    then with the c new rows, their prefix and x."""
     if n < 0:
         raise InvalidParameters(f"tuple length n = {n} must be nonnegative")
-    commute = g.mul == g.mul.T if n > 1 else None
+    request, everything = f"beta_brute({g.label}, {n})", np.arange(g.order)
+    if n > 1:
+        check_budget(request, ARRAY_OVERHEAD + g.order * (g.order + 4 * min(LINE_BLOCK, g.order) * g.inv.itemsize))
+    commute = np.empty((g.order, g.order) if n > 1 else (0, 0), dtype=bool)
+    for lo in range(0, len(commute), LINE_BLOCK):
+        xs = everything[lo:lo + LINE_BLOCK]
+        commute[lo:lo + LINE_BLOCK] = g.prod(xs[:, None], everything) == g.prod(everything[:, None], xs).T
     rows = np.zeros((1, 0), dtype=np.int32)
     for k in range(1, n + 1):
-        held = ARRAY_OVERHEAD + (commute.nbytes if n > 1 else 0) + rows.nbytes
-        check_budget(f"beta_brute({g.label}, {n})", held + len(rows) * (2 * g.order + 16))
+        held = ARRAY_OVERHEAD + commute.nbytes + rows.nbytes
+        check_budget(request, held + len(rows) * (2 * g.order + 16))
         allowed = np.ones((len(rows), g.order), dtype=bool)
         for col in rows.T:
             allowed &= commute[col]
         count = int(np.count_nonzero(allowed))
-        check_budget(f"beta_brute({g.label}, {n})", held + allowed.nbytes + count * (4 * k + 20))
+        check_budget(request, held + allowed.nbytes + count * (4 * k + 20))
         prefix, x = np.nonzero(allowed)
         grown = np.empty((len(x), k), dtype=np.int32)
         for j, col in enumerate(rows.T):  # a column at a time: no temporary of the whole

@@ -257,14 +257,15 @@ def test_module_entry_point_runs_from_a_checkout():
 
 
 # Forks `python -m conjgf ARGS` from a small launcher and prints its exit code,
-# wall seconds and peak RSS in KiB, read by os.wait4.  A process started straight
-# from the test process would inherit that process's peak RSS through exec.
+# wall seconds and peak RSS in KiB, read by os.wait4; the run's own output goes
+# to stderr.  A process started straight from the test process would inherit
+# that process's peak RSS through exec.
 _WAIT4_LAUNCHER = """
 import os, sys, time
 start = time.perf_counter()
 pid = os.fork()
 if pid == 0:
-    os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+    os.dup2(2, 1)
     os.execv(sys.executable, [sys.executable, "-m", "conjgf", *sys.argv[1:]])
 _, status, usage = os.wait4(pid, 0)
 print(os.waitstatus_to_exitcode(status), time.perf_counter() - start, usage.ru_maxrss)
@@ -272,7 +273,7 @@ print(os.waitstatus_to_exitcode(status), time.perf_counter() - start, usage.ru_m
 
 
 def _measured_run(*argv) -> tuple[int, str, float, float]:
-    """(exit code, stderr, wall seconds, peak RSS in MiB) of `python -m conjgf` from the checkout."""
+    """(exit code, stdout and stderr, wall seconds, peak RSS in MiB) of `python -m conjgf` from the checkout."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", _WAIT4_LAUNCHER, *argv], cwd=REPO_ROOT, env=env,
@@ -305,6 +306,17 @@ def test_oracle_on_an_order_7_to_the_5_group_builds_no_table(tmp_path):
     code, err, wall, peak_mib = _measured_run("oracle", spec, "--n-max", "1")
     assert code == 0, err
     assert peak_mib < 150, peak_mib
+
+
+def test_isoclinism_on_an_order_5_to_the_5_group_builds_no_table(tmp_path):
+    # the search, phi and verify read Phi4(5) through products: no 3125 x 3125
+    # table is built, which alone would take 18.6 MiB
+    spec = write_spec(tmp_path, "phi4_5.json", {"kind": "family", "name": "Phi4", "p": 5})
+    code, out, wall, peak_mib = _measured_run("--json", "equiv", spec, spec, "--mode", "isoclinic")
+    assert code == 0, out
+    results = json.loads(out)["results"]
+    assert results["isoclinic"] and results["witness"]["verified"]
+    assert peak_mib < 48, peak_mib
 
 
 def test_integers_past_the_digit_limit_exit_2(capsys, tmp_path):

@@ -153,3 +153,18 @@ def test_cli_import_loads_no_heavy_package():
     loaded = set(subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
                                 check=True, timeout=60).stdout.split())
     assert "numpy" in loaded and not {"sympy", "scipy", "hypothesis"} & loaded
+
+
+def test_only_groups_reads_the_full_table():
+    # whether a group's |G| x |G| table exists is GroupTable's to decide: every
+    # other module reads products through GroupTable.prod, and only
+    # analysis.central_cosets hands on the table of a centerless group, which
+    # is K's own block
+    readers = set()
+    for path in sorted((REPO_ROOT / "src" / "conjgf").glob("*.py")):
+        if path.name == "groups.py":
+            continue
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            if any(isinstance(n, ast.Attribute) and n.attr in ("mul", "_mul") for n in ast.walk(stmt)):
+                readers.add(f"{path.stem}.{getattr(stmt, 'name', '<module>')}")
+    assert readers == {"analysis.central_cosets"}

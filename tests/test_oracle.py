@@ -11,12 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conjgf.analysis import center_elements, conjugacy_data
+from conjgf.analysis import center_elements, conjugacy_data, derived_subgroup
 from conjgf.errors import BudgetExceeded, InvalidParameters, NotAGroup
 from conjgf.families import build_stem_group, cyclic, dihedral, stem_group, symmetric
 from conjgf.genfun import alpha_coefficient, beta_coefficient
-from conjgf.groups import GroupTable, conjugation_moves, orbit_labels
+from conjgf.groups import GroupTable, conjugation_moves, induced_table, is_abelian_subset, orbit_labels
 from conjgf import groups, oracle
+from conjgf.isoclinism import are_isoclinic
 from conjgf.oracle import alpha_brute, beta_brute, commuting_tuples
 from conftest import relabelled
 
@@ -287,6 +288,28 @@ def test_budget_counts_only_the_moves_kept(catalog, monkeypatch):
     assert asked == [4 * 32**5 * 4] and asked[0] <= groups.MEMORY_BUDGET
 
 
+def test_budget_counts_the_product_blocks_of_the_relation(monkeypatch):
+    # beta_brute reads the commuting relation through 4 blocks of LINE_BLOCK rows
+    # of 2-byte products; S5 has few commuting pairs, so at n = 2 the relation
+    # and its blocks are the estimate: it covers the peak, runs at itself and is
+    # refused one byte below it
+    g = symmetric(5)
+    estimate = _beta_estimate(g, 2, monkeypatch)
+    assert estimate == oracle.ARRAY_OVERHEAD + 120 * (120 + 4 * 120 * 2)
+    tracemalloc.start()
+    try:
+        result = beta_brute(g, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= estimate and result.count == beta_coefficient(g, 2)
+    monkeypatch.setattr(groups, "MEMORY_BUDGET", estimate - 1)
+    with pytest.raises(BudgetExceeded, match=rf"beta_brute\(S5, 2\) needs {estimate} bytes"):
+        beta_brute(g, 2)
+    monkeypatch.setattr(groups, "MEMORY_BUDGET", estimate)
+    assert beta_brute(g, 2).tuples_visited == 120 * 7
+
+
 def test_long_orbits_converge():
     # conjugation by the rotation moves pairs of reflections along cycles of length 128
     g = dihedral(512)
@@ -303,6 +326,43 @@ def test_conjugation_builds_no_full_table():
     assert beta_brute(g, 1).count == beta_coefficient(g, 1) == classes
     assert conjugacy_data(g).num_classes == classes
     assert g._mul is None
+
+
+def _plain(g: GroupTable) -> GroupTable:
+    """g with its full table given, so every product is read from it."""
+    return GroupTable(g.order, g.mul, g.inv, g.generators, g.label)
+
+
+@pytest.mark.parametrize("family, p", [("Phi4", 3), ("Phi2", 5)])
+def test_isoclinism_builds_no_full_table(family, p):
+    # the theta search, phi and verify read products only: two fresh builds stay
+    # factored, and their witness is the one their plain copies give
+    g, h = build_stem_group(family, p), build_stem_group(family, p)
+    w = are_isoclinic(g, h)
+    assert w is not None and w.verify(g, h)
+    assert g._mul is None and h._mul is None
+    plain_g, plain_h = _plain(g), _plain(h)
+    assert are_isoclinic(plain_g, plain_h) == w and w.verify(plain_g, plain_h)
+
+
+def test_commuting_tuples_build_no_full_table():
+    # beta_brute at n = 2 reads the commuting relation by blocks of products
+    g = build_stem_group("Phi2", 3)
+    rows, result = commuting_tuples(g, 2), beta_brute(g, 2)
+    assert g._mul is None
+    plain = _plain(g)
+    assert np.array_equal(rows, commuting_tuples(plain, 2))
+    assert (result.count, result.tuples_visited) == (beta_brute(plain, 2).count, len(rows))
+
+
+def test_subgroup_tables_build_no_full_table():
+    g = build_stem_group("Phi5", 3)
+    sub, abelian = induced_table(g, derived_subgroup(g)), is_abelian_subset(g, center_elements(g))
+    assert g._mul is None
+    want = induced_table(_plain(g), derived_subgroup(g))
+    assert (sub.order, sub.generators, abelian) == (want.order, want.generators, True)
+    for got, ref in ((sub.mul, want.mul), (sub.inv, want.inv)):
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
 
 
 def test_beta_rejects_a_non_group(catalog):
